@@ -1,0 +1,12 @@
+"""Make the compiler sources and the benchmark modules importable in tests.
+
+Run from the root of the repository: python -m pytest perfbench
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
