@@ -1,7 +1,7 @@
 """erdmc: compile Entity-Relationship data models into mathematical schemes."""
 
 from .census import Tallies, census
-from .diagnostics import Diagnostic, ModelError, ParseError, ParseFailure
+from .diagnostics import Diagnostic, ParseError, ParseFailure
 from .emitter import emit_structured, emit_text, load_structured
 from .enrichment import EnrichmentAction, apply_actions, enrich_scheme
 from .formula import Formula, format_formula, free_variables, parse_formula, quantifier_count
@@ -12,8 +12,6 @@ from .translator import (
     TranslationOptions,
     TranslationReport,
     TranslationResult,
-    order_diamonds,
-    order_rectangles,
     surrogate_digits,
     translate,
 )
@@ -24,7 +22,6 @@ __all__ = [
     "Tallies",
     "census",
     "Diagnostic",
-    "ModelError",
     "ParseError",
     "ParseFailure",
     "emit_structured",
@@ -49,8 +46,6 @@ __all__ = [
     "TranslationOptions",
     "TranslationReport",
     "TranslationResult",
-    "order_diamonds",
-    "order_rectangles",
     "surrogate_digits",
     "translate",
     "__version__",

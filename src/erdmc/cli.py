@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .census import census
-from .diagnostics import ERROR, ParseFailure
+from .diagnostics import ParseFailure
 from .emitter import emit_structured, emit_text
 from .enrichment import Question, apply_input_defaults
 from .generator import random_model
@@ -139,7 +139,7 @@ def _cmd_validate(args) -> int:
     source = _read_input(args.input)
     model = parse_model(source)
     issues = validate_model(model)
-    errors = [i for i in issues if i.severity == ERROR]
+    errors = [i for i in issues if i.is_error]
     for issue in issues:
         print(f"{issue.severity}: {issue.code}: {issue.message}", file=sys.stderr)
     print(f"{len(errors)} errors")

@@ -31,16 +31,6 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class ModelError:
-    """A structural problem found by model validation."""
-
-    code: str
-    element: str
-    message: str
-    severity: str = ERROR
-
-
-@dataclass(frozen=True)
 class ParseError:
     """A syntax problem with a 1-based source position."""
 
@@ -61,7 +51,3 @@ class ParseFailure(Exception):
         self.errors = list(errors)
         super().__init__("; ".join(e.render() for e in self.errors))
 
-
-def has_errors(items) -> bool:
-    """True if any diagnostic or model error in *items* has error severity."""
-    return any(getattr(i, "severity", ERROR) == ERROR for i in items)

@@ -7,6 +7,11 @@ translated scheme: role/identifier totality, binary-relationship collapse,
 structural keys, a fallback compulsory mapping, and a fallback uniqueness
 mapping. Every firing is recorded as a replayable action plus at least one
 diagnostic.
+
+Rules (v)-(ix) only plan: each decides which action fires and hands it to
+``_apply``, the one function that changes a scheme for them. Replay through
+:func:`apply_actions` runs the same ``_apply`` over the recorded actions, so
+replay equals execution by construction.
 """
 
 from __future__ import annotations
@@ -247,35 +252,11 @@ def _default_one_set(
     attrs_changed = False
     for a in changed.attributes:
         if a.is_computed and not a.computed_definition.strip():
-            definition = resolve_answer(
-                f"{s.name}.{a.name}", "computed-definition",
-                f"computed attribute {s.name}.{a.name} has no definition; provide one",
-                answers, prompter, pending,
-            )
-            if not definition:
-                diagnostics.append(Diagnostic(
-                    WARNING, "computed-dropped",
-                    f"computed attribute {s.name}.{a.name} has no definition and was ignored",
-                    f"{s.name}.{a.name}",
-                ))
-                actions.append(EnrichmentAction(
-                    RULE_MISSING_DEFINITION, src_attribute(s.name, a.name),
-                    f"dropped computed attribute {s.name}.{a.name}",
-                ))
-                attrs_changed = True
-                continue
-            diagnostics.append(Diagnostic(
-                INFO, "computed-definition-supplied",
-                f"definition for {s.name}.{a.name} supplied interactively",
-                f"{s.name}.{a.name}",
-            ))
-            actions.append(EnrichmentAction(
-                RULE_MISSING_DEFINITION, src_attribute(s.name, a.name),
-                f"filled definition of computed attribute {s.name}.{a.name}",
-                details={"definition": definition},
-            ))
-            new_attributes.append(replace(a, computed_definition=definition))
+            a = _define_member(s.name, a, "attribute", src_attribute(s.name, a.name),
+                               answers, prompter, diagnostics, actions, pending)
             attrs_changed = True
+            if a is not None:
+                new_attributes.append(a)
             continue
         if not a.is_computed:
             rng, _ = effective_range(model, s, a)
@@ -301,43 +282,105 @@ def _default_one_set(
     fns_changed = False
     for f in changed.structural_functions:
         if f.is_computed and not f.computed_definition.strip():
-            definition = resolve_answer(
-                f"{s.name}.{f.name}", "computed-definition",
-                f"computed function {s.name}.{f.name} has no definition; provide one",
-                answers, prompter, pending,
-            )
-            if not definition:
-                diagnostics.append(Diagnostic(
-                    WARNING, "computed-dropped",
-                    f"computed function {s.name}.{f.name} has no definition and was ignored",
-                    f"{s.name}.{f.name}",
-                ))
-                actions.append(EnrichmentAction(
-                    RULE_MISSING_DEFINITION, src_function(s.name, f.name),
-                    f"dropped computed function {s.name}.{f.name}",
-                ))
-                fns_changed = True
-                continue
-            diagnostics.append(Diagnostic(
-                INFO, "computed-definition-supplied",
-                f"definition for {s.name}.{f.name} supplied interactively",
-                f"{s.name}.{f.name}",
-            ))
-            actions.append(EnrichmentAction(
-                RULE_MISSING_DEFINITION, src_function(s.name, f.name),
-                f"filled definition of computed function {s.name}.{f.name}",
-                details={"definition": definition},
-            ))
-            new_functions.append(replace(f, computed_definition=definition))
+            f = _define_member(s.name, f, "function", src_function(s.name, f.name),
+                               answers, prompter, diagnostics, actions, pending)
             fns_changed = True
-            continue
+            if f is None:
+                continue
         new_functions.append(f)
     if fns_changed:
         changed = replace(changed, structural_functions=tuple(new_functions))
     return changed
 
 
+def _define_member(
+    set_name: str,
+    member,
+    noun: str,
+    source: str,
+    answers,
+    prompter,
+    diagnostics: list[Diagnostic],
+    actions: list[EnrichmentAction],
+    pending: list[PendingQuestion],
+):
+    """Rule (iv) for a computed attribute or function with an empty definition.
+
+    Returns the member with the supplied definition, or None to drop it.
+    """
+    element = f"{set_name}.{member.name}"
+    definition = resolve_answer(
+        element, "computed-definition",
+        f"computed {noun} {element} has no definition; provide one",
+        answers, prompter, pending,
+    )
+    if not definition:
+        diagnostics.append(Diagnostic(
+            WARNING, "computed-dropped",
+            f"computed {noun} {element} has no definition and was ignored", element,
+        ))
+        actions.append(EnrichmentAction(
+            RULE_MISSING_DEFINITION, source, f"dropped computed {noun} {element}",
+        ))
+        return None
+    diagnostics.append(Diagnostic(
+        INFO, "computed-definition-supplied",
+        f"definition for {element} supplied interactively", element,
+    ))
+    actions.append(EnrichmentAction(
+        RULE_MISSING_DEFINITION, source,
+        f"filled definition of computed {noun} {element}",
+        details={"definition": definition},
+    ))
+    return replace(member, computed_definition=definition)
+
+
 # --- scheme-side rules (v)-(ix) ---
+
+
+def _fire(scheme: EMDMScheme, actions: list[EnrichmentAction], action: EnrichmentAction) -> None:
+    """Apply *action* at once, since labels, free names and references depend
+    on earlier firings, then record it."""
+    _apply(scheme, action)
+    actions.append(action)
+
+
+def _apply(scheme: EMDMScheme, action: EnrichmentAction) -> None:
+    """Carry out one firing of rules (v)-(ix) on *scheme* in place.
+
+    Actions of rules (i)-(iv), and actions whose target is missing, are ignored.
+    """
+    d = action.details
+    rule = action.rule
+    if rule == RULE_COLLAPSE:
+        _do_collapse(scheme, d)
+        return
+    if rule not in (RULE_TOTALITY, RULE_STRUCTURAL_KEY, RULE_COMPULSORY, RULE_UNIQUENESS):
+        return
+    target = scheme.set(d["set"])
+    if target is None:
+        return
+    source = ENRICHMENT_PREFIX + rule
+    if rule in (RULE_COMPULSORY, RULE_UNIQUENESS):
+        target.mappings.append(Mapping(
+            name=d["mapping"], source=target.name, codomain=AsciiRange(255),
+            flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
+        ))
+        scheme.provenance[ref_mapping(target.name, d["mapping"])] = source
+    elif "label" in d:  # a roles-only structural key
+        target.keys.append(Key(d["label"], tuple(d["mappings"]), implicit=True))
+        scheme.provenance[ref_key(target.name, d["label"])] = source
+    else:  # totality, or the degenerate structural key of a single role
+        mapping = target.mapping(d["mapping"])
+        if mapping is None:
+            return
+        if rule == RULE_TOTALITY:
+            mapping.total = True
+            facet = "total"
+        else:
+            mapping.one_to_one = True
+            facet = "unique"
+        scheme.provenance[ref_mapping(target.name, mapping.name, facet)] = source
 
 
 def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
@@ -351,9 +394,8 @@ def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentActi
             candidates.append(s.object_identifier)
         for m in candidates:
             if m.flavor in (sch.ROLE, sch.OBJECT_IDENTIFIER) and not m.total:
-                m.total = True
                 element = f"{s.name}.{m.name}"
-                actions.append(EnrichmentAction(
+                _fire(out, actions, EnrichmentAction(
                     RULE_TOTALITY, ref_mapping(s.name, m.name),
                     f"made {element} total",
                     details={"set": s.name, "mapping": m.name},
@@ -361,9 +403,6 @@ def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentActi
                 diagnostics.append(Diagnostic(
                     INFO, "totality-added", f"added totality to {element}", element,
                 ))
-                out.provenance[ref_mapping(s.name, m.name, "total")] = (
-                    ENRICHMENT_PREFIX + RULE_TOTALITY
-                )
     return out, actions, diagnostics
 
 
@@ -424,9 +463,8 @@ def ensure_structural_key(
         if has_structural:
             continue
         if len(roles) == 1:
-            roles[0].one_to_one = True
             element = f"{s.name}.{roles[0].name}"
-            actions.append(EnrichmentAction(
+            _fire(out, actions, EnrichmentAction(
                 RULE_STRUCTURAL_KEY, ref_mapping(s.name, roles[0].name),
                 f"made single role {element} one-to-one (degenerate structural key)",
                 details={"set": s.name, "mapping": roles[0].name},
@@ -437,19 +475,15 @@ def ensure_structural_key(
                 "review against the business rules",
                 element,
             ))
-            out.provenance[ref_mapping(s.name, roles[0].name, "unique")] = (
-                ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
-            )
             continue
         label = next_label(out)
-        key = Key(label=label, mappings=tuple(m.name for m in roles), implicit=True)
-        s.keys.append(key)
-        bullet = " • ".join(key.mappings)
-        actions.append(EnrichmentAction(
+        mappings = tuple(m.name for m in roles)
+        bullet = " • ".join(mappings)
+        _fire(out, actions, EnrichmentAction(
             RULE_STRUCTURAL_KEY, ref_set(s.name),
             f"{label}: {bullet}",
             resulting_labels=(label,),
-            details={"set": s.name, "label": label, "mappings": list(key.mappings)},
+            details={"set": s.name, "label": label, "mappings": list(mappings)},
         ))
         diagnostics.append(Diagnostic(
             INFO, "structural-key-added",
@@ -457,7 +491,6 @@ def ensure_structural_key(
             "review whether it matches a real business rule",
             s.name,
         ))
-        out.provenance[ref_key(s.name, label)] = ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
     return out, actions, diagnostics
 
 
@@ -465,73 +498,57 @@ def ensure_compulsory(
     scheme: EMDMScheme,
 ) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
     """Rule (vi): fundamental sets without a total mapping gain one."""
-    out = copy.deepcopy(scheme)
-    actions: list[EnrichmentAction] = []
-    diagnostics: list[Diagnostic] = []
-    for s in out.sets:
-        if s.kind == sch.COMPUTED:
-            continue
-        if any(m.total for m in s.mappings):
-            continue
-        name, clash = _free_name(s, FALLBACK_COMPULSORY)
-        element = f"{s.name}.{name}"
-        if clash:
-            diagnostics.append(Diagnostic(
-                WARNING, "name-clash",
-                f"{s.name} already has a mapping named {FALLBACK_COMPULSORY}; using {name}",
-                element,
-            ))
-        s.mappings.append(Mapping(
-            name=name, source=s.name, codomain=AsciiRange(255),
-            flavor=GENERATED, total=True,
-        ))
-        actions.append(EnrichmentAction(
-            RULE_COMPULSORY, ref_set(s.name),
-            f"added total mapping {element} into ASCII(255)",
-            details={"set": s.name, "mapping": name},
-        ))
-        diagnostics.append(Diagnostic(
-            INFO, "compulsory-added",
-            f"{s.name} has no compulsory mapping; added {name}", element,
-        ))
-        out.provenance[ref_mapping(s.name, name)] = ENRICHMENT_PREFIX + RULE_COMPULSORY
-    return out, actions, diagnostics
+    return _ensure_fallback(
+        scheme, RULE_COMPULSORY, FALLBACK_COMPULSORY,
+        lambda s: any(m.total for m in s.mappings),
+        "total mapping", "compulsory", "compulsory mapping",
+    )
 
 
 def ensure_uniqueness(
     scheme: EMDMScheme,
 ) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
     """Rule (ix): fundamental sets without any uniqueness gain a unique mapping."""
+    return _ensure_fallback(
+        scheme, RULE_UNIQUENESS, FALLBACK_UNIQUE,
+        lambda s: bool(s.keys) or any(m.one_to_one for m in s.mappings),
+        "one-to-one total mapping", "uniqueness", "uniqueness",
+    )
+
+
+def _ensure_fallback(
+    scheme: EMDMScheme,
+    rule: str,
+    wanted: str,
+    satisfied: Callable[[EMDMSet], bool],
+    added: str,
+    code: str,
+    lacking: str,
+) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
+    """Rules (vi) and (ix): give each unsatisfied fundamental set a generated mapping."""
     out = copy.deepcopy(scheme)
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
     for s in out.sets:
-        if s.kind == sch.COMPUTED:
+        if s.kind == sch.COMPUTED or satisfied(s):
             continue
-        if any(m.one_to_one for m in s.mappings) or s.keys:
-            continue
-        name, clash = _free_name(s, FALLBACK_UNIQUE)
+        name, clash = _free_name(s, wanted)
         element = f"{s.name}.{name}"
         if clash:
             diagnostics.append(Diagnostic(
                 WARNING, "name-clash",
-                f"{s.name} already has a mapping named {FALLBACK_UNIQUE}; using {name}",
+                f"{s.name} already has a mapping named {wanted}; using {name}",
                 element,
             ))
-        s.mappings.append(Mapping(
-            name=name, source=s.name, codomain=AsciiRange(255),
-            flavor=GENERATED, total=True, one_to_one=True,
-        ))
-        actions.append(EnrichmentAction(
-            RULE_UNIQUENESS, ref_set(s.name),
-            f"added one-to-one total mapping {element} into ASCII(255)",
+        _fire(out, actions, EnrichmentAction(
+            rule, ref_set(s.name),
+            f"added {added} {element} into ASCII(255)",
             details={"set": s.name, "mapping": name},
         ))
         diagnostics.append(Diagnostic(
-            INFO, "uniqueness-added",
-            f"{s.name} has no uniqueness; added {name}", element,
+            INFO, f"{code}-added",
+            f"{s.name} has no {lacking}; added {name}", element,
         ))
-        out.provenance[ref_mapping(s.name, name)] = ENRICHMENT_PREFIX + RULE_UNIQUENESS
     return out, actions, diagnostics
 
 
@@ -625,8 +642,7 @@ def collapse_binary_relationships(
                 f"{home.name} already has a mapping named {s.name}; using {name}",
                 f"{home.name}.{name}",
             ))
-        _do_collapse(out, s, home, name, source_role, target_role, one_to_one)
-        actions.append(EnrichmentAction(
+        _fire(out, actions, EnrichmentAction(
             RULE_COLLAPSE, ref_set(s.name),
             f"replaced {s.name} by the structural function "
             f"{name} : {home.name} {'<->' if one_to_one else '->'} {target_role.codomain}",
@@ -666,43 +682,41 @@ def _is_referenced(scheme: EMDMScheme, name: str) -> bool:
     return False
 
 
-def _do_collapse(
-    out: EMDMScheme,
-    rel: EMDMSet,
-    home: EMDMSet,
-    name: str,
-    source_role: Mapping,
-    target_role: Mapping,
-    one_to_one: bool,
-) -> None:
-    mapping = Mapping(
-        name=name,
+def _do_collapse(scheme: EMDMScheme, d: dict) -> None:
+    """The rule (viii) branch of :func:`_apply`: move a relationship onto its home."""
+    rel = scheme.set(d["relationship"])
+    home = scheme.set(d["home"])
+    if rel is None or home is None:
+        return
+    source_role = rel.mapping(d["source_role"])
+    target_role = next(m for m in rel.role_mappings() if m.name != d["source_role"])
+    home.mappings.append(Mapping(
+        name=d["mapping"],
         source=home.name,
         codomain=target_role.codomain,
         flavor=STRUCTURAL_FUNCTION,
         total=source_role.total,
-        one_to_one=one_to_one,
-    )
-    home.mappings.append(mapping)
-    out.sets.remove(rel)
+        one_to_one=d["one_to_one"],
+    ))
+    scheme.sets.remove(rel)
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.
-    new_base = ref_mapping(home.name, name)
+    new_base = ref_mapping(home.name, d["mapping"])
     displaced_prefixes = (
         ref_set(rel.name),
         f"mapping:{rel.name}.",
         f"key:{rel.name}.",
     )
     moved: dict[str, str] = {}
-    for ref, source in list(out.provenance.items()):
+    for ref, source in list(scheme.provenance.items()):
         if ref == displaced_prefixes[0] or ref.startswith(displaced_prefixes[1:]):
             moved[ref] = source
-            del out.provenance[ref]
+            del scheme.provenance[ref]
     set_source = moved.pop(ref_set(rel.name), f"set:{rel.name}")
-    out.provenance[new_base] = set_source
+    scheme.provenance[new_base] = set_source
     for old_ref, source in moved.items():
-        out.provenance[f"{new_base}#absorbed:{old_ref}"] = source
+        scheme.provenance[f"{new_base}#absorbed:{old_ref}"] = source
 
 
 def enrich_scheme(
@@ -716,26 +730,14 @@ def enrich_scheme(
     receive one; the fallback compulsory and uniqueness rules run last so
     collapse products count toward their conditions.
     """
-    actions: list[EnrichmentAction] = []
-    diagnostics: list[Diagnostic] = []
-    pending: list[PendingQuestion] = []
-
-    out, a, d = ensure_totality(scheme)
+    out, actions, diagnostics = ensure_totality(scheme)
+    out, a, d, pending = collapse_binary_relationships(out, answers, prompter)
     actions += a
     diagnostics += d
-    out, a, d, p = collapse_binary_relationships(out, answers, prompter)
-    actions += a
-    diagnostics += d
-    pending += p
-    out, a, d = ensure_structural_key(out)
-    actions += a
-    diagnostics += d
-    out, a, d = ensure_compulsory(out)
-    actions += a
-    diagnostics += d
-    out, a, d = ensure_uniqueness(out)
-    actions += a
-    diagnostics += d
+    for rule in (ensure_structural_key, ensure_compulsory, ensure_uniqueness):
+        out, a, d = rule(out)
+        actions += a
+        diagnostics += d
     return out, actions, diagnostics, pending
 
 
@@ -743,59 +745,5 @@ def apply_actions(scheme: EMDMScheme, actions: list[EnrichmentAction]) -> EMDMSc
     """Replay recorded scheme-side actions onto a pre-enrichment scheme."""
     out = copy.deepcopy(scheme)
     for action in actions:
-        d = action.details
-        if action.rule == RULE_TOTALITY:
-            target = out.set(d["set"])
-            mapping = target.mapping(d["mapping"]) if target else None
-            if mapping is not None:
-                mapping.total = True
-                out.provenance[ref_mapping(d["set"], d["mapping"], "total")] = (
-                    ENRICHMENT_PREFIX + RULE_TOTALITY
-                )
-        elif action.rule == RULE_STRUCTURAL_KEY:
-            if "label" in d:
-                target = out.set(d["set"])
-                if target is not None:
-                    target.keys.append(Key(d["label"], tuple(d["mappings"]), implicit=True))
-                    out.provenance[ref_key(d["set"], d["label"])] = (
-                        ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
-                    )
-            else:
-                target = out.set(d["set"])
-                mapping = target.mapping(d["mapping"]) if target else None
-                if mapping is not None:
-                    mapping.one_to_one = True
-                    out.provenance[ref_mapping(d["set"], d["mapping"], "unique")] = (
-                        ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
-                    )
-        elif action.rule == RULE_COMPULSORY:
-            target = out.set(d["set"])
-            if target is not None:
-                target.mappings.append(Mapping(
-                    name=d["mapping"], source=d["set"], codomain=AsciiRange(255),
-                    flavor=GENERATED, total=True,
-                ))
-                out.provenance[ref_mapping(d["set"], d["mapping"])] = (
-                    ENRICHMENT_PREFIX + RULE_COMPULSORY
-                )
-        elif action.rule == RULE_UNIQUENESS:
-            target = out.set(d["set"])
-            if target is not None:
-                target.mappings.append(Mapping(
-                    name=d["mapping"], source=d["set"], codomain=AsciiRange(255),
-                    flavor=GENERATED, total=True, one_to_one=True,
-                ))
-                out.provenance[ref_mapping(d["set"], d["mapping"])] = (
-                    ENRICHMENT_PREFIX + RULE_UNIQUENESS
-                )
-        elif action.rule == RULE_COLLAPSE:
-            rel = out.set(d["relationship"])
-            home = out.set(d["home"])
-            if rel is None or home is None:
-                continue
-            source_role = rel.mapping(d["source_role"])
-            target_role = next(
-                m for m in rel.role_mappings() if m.name != d["source_role"]
-            )
-            _do_collapse(out, rel, home, d["mapping"], source_role, target_role, d["one_to_one"])
+        _apply(out, action)
     return out

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .diagnostics import ERROR, WARNING, ModelError
+from .diagnostics import ERROR, WARNING, Diagnostic
 from .formula import Formula, quantifier_count, quantifier_domains
 
 ENTITY = "entity"
@@ -330,17 +330,17 @@ def source_universe(model: ERModel) -> set[str]:
 # --- validation ---
 
 
-def validate_model(model: ERModel) -> list[ModelError]:
+def validate_model(model: ERModel) -> list[Diagnostic]:
     """Structural validation; idempotent and side-effect free.
 
     The model is translatable iff no returned entry has error severity.
     One-role relationships are tolerated with a warning.
     """
-    errors: list[ModelError] = []
+    errors: list[Diagnostic] = []
     sets_by_name: dict[str, ObjectSet] = {}
 
     def err(code: str, element: str, message: str, severity: str = ERROR) -> None:
-        errors.append(ModelError(code, element, message, severity))
+        errors.append(Diagnostic(severity, code, message, element))
 
     for d in model.diagrams:
         for s in d.sets:
@@ -590,6 +590,6 @@ def _validate_restriction_body(
                 )
 
 
-def validation_errors(model: ERModel) -> list[ModelError]:
+def validation_errors(model: ERModel) -> list[Diagnostic]:
     """Only the entries that make the model untranslatable."""
-    return [e for e in validate_model(model) if e.severity == ERROR]
+    return [e for e in validate_model(model) if e.is_error]

@@ -18,6 +18,7 @@ from .enrichment import (
     EnrichmentAction,
     PendingQuestion,
     Prompter,
+    RULE_STRUCTURAL_KEY,
     apply_input_defaults,
     enrich_scheme,
     resolve_answer,
@@ -28,7 +29,6 @@ from .model import (
     RELATIONSHIP,
     Attribute,
     CompulsoryBody,
-    Diagram,
     ERModel,
     NatRange,
     ObjectSet,
@@ -247,23 +247,6 @@ def _reference_order(
     return [sets[i] for i in order]
 
 
-def order_rectangles(d: Diagram) -> list[ObjectSet]:
-    """Entity and computed sets of *d*, referenced sets first."""
-    ordered = _reference_order(list(d.sets))
-    return [s for s in ordered if s.kind != RELATIONSHIP]
-
-
-def order_diamonds(d: Diagram) -> list[ObjectSet]:
-    """Relationship sets of *d* in the same bottom-up order.
-
-    Transitive paths through rectangles count as ordering edges, so a
-    diamond referenced via a structural function chain still precedes its
-    referencers.
-    """
-    ordered = _reference_order(list(d.sets))
-    return [s for s in ordered if s.kind == RELATIONSHIP]
-
-
 # --- the translator ---
 
 
@@ -292,9 +275,8 @@ class Translator:
 
     def run(self) -> TranslationResult:
         issues = validate_model(self.model)
-        for issue in issues:
-            self._diag(issue.severity, issue.code, issue.message, issue.element)
-        if any(i.severity == ERROR for i in issues):
+        self.report.diagnostics.extend(issues)
+        if any(i.is_error for i in issues):
             return TranslationResult(None, self.report)
 
         defaults = apply_input_defaults(
@@ -305,7 +287,7 @@ class Translator:
         self.report.diagnostics.extend(defaults.diagnostics)
         self.report.enrichment_actions.extend(defaults.actions)
         self.report.pending_questions.extend(defaults.pending)
-        post_issues = [i for i in validate_model(self.model) if i.severity == ERROR]
+        post_issues = [i for i in validate_model(self.model) if i.is_error]
         if post_issues:
             for issue in post_issues:
                 self._diag(ERROR, issue.code,
@@ -567,7 +549,7 @@ class Translator:
         self.report.diagnostics.extend(diagnostics)
         self.report.pending_questions.extend(pending)
         for action in actions:
-            if action.rule == "vii" and action.resulting_labels:
+            if action.rule == RULE_STRUCTURAL_KEY and action.resulting_labels:
                 self.report.implicit_keys.append(ImplicitKeyNote(
                     action.details["set"], action.details["label"],
                     tuple(action.details["mappings"]), "generated",

@@ -104,7 +104,9 @@ def test_validate_reports_dangling_reference(tmp_path, capsys, teaching_source):
     assert main(["validate", str(bad)]) == 1
     captured = capsys.readouterr()
     assert "1 errors" in captured.out
-    assert "CLASES" in captured.err
+    assert captured.err.splitlines() == [
+        "error: unresolved-set: role Class targets unknown set 'CLASES'",
+    ]
 
 
 def test_validate_empty_file(tmp_path, capsys):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import copy
+import json
 
-from erdmc.diagnostics import INFO, WARNING
+from erdmc.cli import main
+from erdmc.diagnostics import INFO, WARNING, Diagnostic
 from erdmc.enrichment import (
+    EnrichmentAction,
+    PendingQuestion,
+    Question,
     apply_actions,
     apply_input_defaults,
     collapse_binary_relationships,
@@ -13,7 +18,8 @@ from erdmc.enrichment import (
     ensure_totality,
     ensure_uniqueness,
 )
-from erdmc.model import AsciiRange
+from erdmc.generator import random_model
+from erdmc.model import AsciiRange, ERModel
 from erdmc.parser import parse_model
 from erdmc.scheme import check_scheme
 from erdmc.translator import TranslationOptions, Translator, translate
@@ -21,9 +27,9 @@ from erdmc.translator import TranslationOptions, Translator, translate
 DBMS_MAX = 10 ** 9
 
 
-def _pre_enrichment_scheme(source: str):
+def _pre_enrichment_scheme(source: str | ERModel):
     """Translate without the enrichment pass, for exercising single rules."""
-    model = parse_model(source)
+    model = parse_model(source) if isinstance(source, str) else source
     translator = Translator(model)
     original_enrich = translator._enrich
     translator._enrich = lambda: None
@@ -106,6 +112,80 @@ def test_rule_iv_scripted_answer_fills_definition():
     )
     assert outcome.model.set("V").computed_definition == "all of it"
     assert [p.origin for p in outcome.pending] == ["answers"]
+
+
+MEMBERS_SOURCE = (
+    'diagram D { entity A card 10 { attr a : ASCII(8) attr c computed = "" '
+    'fn f -> B computed = " " } entity B card 10 { attr b : ASCII(8) } }\n'
+)
+
+
+def test_rule_iv_drops_computed_members_without_definitions():
+    outcome = apply_input_defaults(parse_model(MEMBERS_SOURCE), DBMS_MAX)
+    a = outcome.model.set("A")
+    assert [m.name for m in a.attributes] == ["a"] and a.structural_functions == ()
+    assert outcome.diagnostics == [
+        Diagnostic(WARNING, "computed-dropped",
+                   "computed attribute A.c has no definition and was ignored", "A.c"),
+        Diagnostic(WARNING, "computed-dropped",
+                   "computed function A.f has no definition and was ignored", "A.f"),
+    ]
+    assert outcome.actions == [
+        EnrichmentAction("iv", "attribute:A.c", "dropped computed attribute A.c"),
+        EnrichmentAction("iv", "function:A.f", "dropped computed function A.f"),
+    ]
+    assert outcome.pending == [
+        PendingQuestion(Question("A.c", "computed-definition",
+                                 "computed attribute A.c has no definition; provide one"),
+                        None, "unanswered"),
+        PendingQuestion(Question("A.f", "computed-definition",
+                                 "computed function A.f has no definition; provide one"),
+                        None, "unanswered"),
+    ]
+
+
+def test_rule_iv_answers_file_fills_computed_members(tmp_path, capsys):
+    model_path = tmp_path / "members.erdm"
+    model_path.write_text(MEMBERS_SOURCE)
+    answers_path = tmp_path / "answers.json"
+    answers_path.write_text(json.dumps({
+        "A.c": {"computed-definition": "a + 1"},
+        "A.f": {"computed-definition": "B.b"},
+    }))
+    report_path = tmp_path / "report.json"
+    assert main(["translate", str(model_path), "--answers", str(answers_path),
+                 "--report", str(report_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "computed-definition-supplied" in line] == [
+        "info: computed-definition-supplied: definition for A.c supplied interactively [A.c]",
+        "info: computed-definition-supplied: definition for A.f supplied interactively [A.f]",
+    ]
+    report = json.loads(report_path.read_text())
+    assert [a for a in report["enrichment_actions"] if a["rule"] == "iv"] == [
+        {"rule": "iv", "target": "attribute:A.c",
+         "description": "filled definition of computed attribute A.c",
+         "resulting_labels": []},
+        {"rule": "iv", "target": "function:A.f",
+         "description": "filled definition of computed function A.f",
+         "resulting_labels": []},
+    ]
+    assert report["pending_questions"] == [
+        {"subject": "A.c", "kind": "computed-definition",
+         "prompt": "computed attribute A.c has no definition; provide one",
+         "answer": "a + 1", "origin": "answers"},
+        {"subject": "A.f", "kind": "computed-definition",
+         "prompt": "computed function A.f has no definition; provide one",
+         "answer": "B.b", "origin": "answers"},
+    ]
+    outcome = apply_input_defaults(
+        parse_model(MEMBERS_SOURCE), DBMS_MAX, json.loads(answers_path.read_text())
+    )
+    assert [a.details for a in outcome.actions] == [
+        {"definition": "a + 1"}, {"definition": "B.b"},
+    ]
+    a = outcome.model.set("A")
+    assert a.attributes[1].computed_definition == "a + 1"
+    assert a.structural_functions[0].computed_definition == "B.b"
 
 
 # --- rule (v): roles and identifiers become total ---
@@ -289,6 +369,28 @@ def test_rule_viii_idempotent_second_pass():
     assert twice == once
 
 
+CLASH_SOURCE = (
+    "diagram D {\n"
+    "  entity MEN card 10^3 { attr Name attr MARRIAGE }\n"
+    "  entity WOMEN card 10^3 { attr Name }\n"
+    "  entity LOG card 10 { attr Compulsory attr UniqueMapping }\n"
+    "  relationship MARRIAGE { role husband -> MEN unique role wife -> WOMEN }\n"
+    "}\n"
+    "restriction R01 on MEN compulsory Name\n"
+    "restriction R02 on MEN unique Name\n"
+    "restriction R03 on WOMEN compulsory Name\n"
+    "restriction R04 on WOMEN unique Name\n"
+)
+
+
+def test_name_clashes_append_numerals_across_rules():
+    enriched, _, diags, _ = enrich_scheme(_pre_enrichment_scheme(CLASH_SOURCE))
+    assert [d.element for d in diags if d.code == "name-clash"] == [
+        "MEN.MARRIAGE1", "LOG.Compulsory1", "LOG.UniqueMapping1",
+    ]
+    assert enriched.set("MEN").mapping("MARRIAGE1").codomain == "WOMEN"
+
+
 def test_rule_viii_completeness_survives_collapse():
     model = parse_model(MARRIAGE_SOURCE)
     result = translate(model)
@@ -344,7 +446,9 @@ def test_full_pass_is_idempotent():
 
 
 def test_recorded_actions_replay_to_the_same_scheme():
-    for source in (TOTALITY_SOURCE, MARRIAGE_SOURCE):
+    sources = [TOTALITY_SOURCE, MARRIAGE_SOURCE, CLASH_SOURCE]
+    sources += [random_model(seed) for seed in range(300)]
+    for source in sources:
         scheme = _pre_enrichment_scheme(source)
         before = copy.deepcopy(scheme)
         enriched, actions, _, _ = enrich_scheme(scheme)
@@ -411,7 +515,6 @@ def test_interactive_prompter_is_consulted_and_recorded():
 
 
 def test_post_enrichment_guarantees_hold_under_fuzz():
-    from erdmc.generator import random_model
     from erdmc.scheme import GENERATED, OBJECT_IDENTIFIER, RELATIONSHIP_DERIVED, ROLE
 
     for seed in range(120):

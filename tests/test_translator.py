@@ -16,12 +16,10 @@ from erdmc.model import (
     source_universe,
 )
 from erdmc.parser import parse_model
-from erdmc.scheme import check_scheme
+from erdmc.scheme import RELATIONSHIP_DERIVED, check_scheme
 from erdmc.translator import (
     TranslationOptions,
     Translator,
-    order_diamonds,
-    order_rectangles,
     surrogate_digits,
     translate,
 )
@@ -66,37 +64,45 @@ def test_surrogate_digits_matches_brute_force(cardinality):
     assert surrogate_digits(cardinality) == _brute_force_digits(cardinality)
 
 
+def _scheme_order(model: ERModel, diamonds: bool) -> list[str]:
+    """Names of the emitted rectangles (or diamonds), in scheme order."""
+    scheme = translate(model).scheme
+    return [s.name for s in scheme.sets if (s.kind == RELATIONSHIP_DERIVED) == diamonds]
+
+
+def _one_diagram(*sets: ObjectSet) -> ERModel:
+    return ERModel(diagrams=(Diagram("d", sets),))
+
+
 def test_order_rectangles_teaching(teaching_model):
-    names = [s.name for s in order_rectangles(teaching_model.diagrams[0])]
+    names = _scheme_order(teaching_model, diamonds=False)
     assert names == ["STUDENTS", "TEACHERS", "DISCIPLINES", "ROOMS", "CLASSES"]
 
 
 def test_order_rectangles_singleton():
-    d = Diagram("d", (ObjectSet(name="A", kind="entity"),))
-    assert [s.name for s in order_rectangles(d)] == ["A"]
+    model = _one_diagram(ObjectSet(name="A", kind="entity"))
+    assert _scheme_order(model, diamonds=False) == ["A"]
 
 
 def test_order_rectangles_referenced_set_first():
     a = ObjectSet(name="A", kind="entity",
                   structural_functions=(StructuralFunction("f", "B"),))
     b = ObjectSet(name="B", kind="entity")
-    d = Diagram("d", (a, b))
-    assert [s.name for s in order_rectangles(d)] == ["B", "A"]
+    assert _scheme_order(_one_diagram(a, b), diamonds=False) == ["B", "A"]
 
 
 def test_order_diamonds_teaching(teaching_model):
-    names = [s.name for s in order_diamonds(teaching_model.diagrams[0])]
+    names = _scheme_order(teaching_model, diamonds=True)
     assert names == ["COMPETENCES", "SCHEDULES", "ATTENDANCES"]
 
 
-def test_order_diamonds_empty_and_single(teaching_model):
-    assert order_diamonds(Diagram("d", ())) == []
+def test_order_diamonds_empty_and_single():
+    assert _scheme_order(_one_diagram(), diamonds=True) == []
     source = (
         "diagram D { entity A { } entity B { }\n"
         "  relationship L { role a -> A role b -> B } }"
     )
-    model = parse_model(source)
-    assert [s.name for s in order_diamonds(model.diagrams[0])] == ["L"]
+    assert _scheme_order(parse_model(source), diamonds=True) == ["L"]
 
 
 def test_reference_cycle_degrades_to_declaration_order_with_warning():
