@@ -1,7 +1,8 @@
 """Command-line front end: translate, validate, and check commands.
 
-Exit codes: 0 success, 1 translation or check failures, 2 parse errors or
-unreadable input. Diagnostics go to stderr; the scheme goes to stdout.
+Exit codes: 0 success, 1 translation or check failures, 2 parse errors,
+unreadable input or answers, or unwritable output. Diagnostics go to stderr;
+the scheme goes to stdout.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ EXIT_TRANSLATION = 1
 EXIT_PARSE = 2
 
 
+class _CommandError(Exception):
+    """A one-line reason why a command cannot run; exits with EXIT_PARSE."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -34,6 +39,9 @@ def main(argv: list[str] | None = None) -> int:
     except ParseFailure as failure:
         for error in failure.errors:
             print(error.render(), file=sys.stderr)
+        return EXIT_PARSE
+    except _CommandError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_PARSE
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
@@ -87,6 +95,34 @@ def _read_input(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+def _read_answers(path: str) -> dict:
+    """The scripted answers: an object of objects, one per question subject."""
+    try:
+        answers = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason})"
+    except json.JSONDecodeError as exc:
+        reason = f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    else:
+        if not isinstance(answers, dict):
+            reason = "the document must be an object"
+        else:
+            bad = next((k for k, v in answers.items() if not isinstance(v, dict)), None)
+            if bad is None:
+                return answers
+            reason = f"the entry for {bad!r} must be an object"
+    raise _CommandError(f"cannot read answers: {path}: {reason}")
+
+
+def _write_output(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CommandError(f"cannot write output: {path}: {exc.strerror or exc}") from exc
+
+
 def _print_diagnostics(result: TranslationResult) -> None:
     for d in result.report.diagnostics:
         print(d.render(), file=sys.stderr)
@@ -102,9 +138,7 @@ def _stdin_prompter(question: Question) -> str | None:
 def _cmd_translate(args) -> int:
     source = _read_input(args.input)
     model = parse_model(source)
-    answers = None
-    if args.answers:
-        answers = json.loads(Path(args.answers).read_text(encoding="utf-8"))
+    answers = _read_answers(args.answers) if args.answers else None
     if args.interactive and args.input == "-":
         print("--interactive cannot read prompts while the model comes from stdin",
               file=sys.stderr)
@@ -118,20 +152,16 @@ def _cmd_translate(args) -> int:
     result = translate(model, options)
     _print_diagnostics(result)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        _write_output(args.report, json.dumps(result.report.to_json_dict(), indent=2) + "\n")
     if result.scheme is None:
         return EXIT_TRANSLATION
     text = emit_text(result.scheme, unicode=args.unicode)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
     if args.structured:
-        Path(args.structured).write_text(
-            emit_structured(result.scheme, result.report), encoding="utf-8"
-        )
+        _write_output(args.structured, emit_structured(result.scheme, result.report))
     return EXIT_OK
 
 

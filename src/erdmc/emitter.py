@@ -226,7 +226,7 @@ def load_structured_with_warnings(text: str) -> tuple[EMDMScheme, list[str]]:
     ]
     scheme = EMDMScheme()
     for i, raw in enumerate(_expect_list(doc, "sets")):
-        scheme.sets.append(_set_from_json(raw, f"$.sets[{i}]"))
+        scheme.add_set(_set_from_json(raw, f"$.sets[{i}]"))
     for i, raw in enumerate(_expect_list(doc, "constraints")):
         scheme.constraints.append(_constraint_from_json(raw, f"$.constraints[{i}]"))
     provenance = doc.get("provenance", {})

@@ -12,6 +12,11 @@ Rules (v)-(ix) only plan: each decides which action fires and hands it to
 ``_apply``, the one function that changes a scheme for them. Replay through
 :func:`apply_actions` runs the same ``_apply`` over the recorded actions, so
 replay equals execution by construction.
+
+Rules (v)-(ix) and :func:`enrich_scheme` change the scheme they are given in
+place and return that same object: the translator owns its scheme, so
+copying it would only cost time. :func:`apply_actions` deep-copies, because
+it replays onto a pre-enrichment scheme that its caller keeps.
 """
 
 from __future__ import annotations
@@ -385,17 +390,16 @@ def _apply(scheme: EMDMScheme, action: EnrichmentAction) -> None:
 
 def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
     """Rule (v): every role and object identifier is total."""
-    out = copy.deepcopy(scheme)
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
-    for s in out.sets:
+    for s in scheme.sets:
         candidates = list(s.mappings)
         if s.object_identifier is not None:
             candidates.append(s.object_identifier)
         for m in candidates:
             if m.flavor in (sch.ROLE, sch.OBJECT_IDENTIFIER) and not m.total:
                 element = f"{s.name}.{m.name}"
-                _fire(out, actions, EnrichmentAction(
+                _fire(scheme, actions, EnrichmentAction(
                     RULE_TOTALITY, ref_mapping(s.name, m.name),
                     f"made {element} total",
                     details={"set": s.name, "mapping": m.name},
@@ -403,7 +407,7 @@ def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentActi
                 diagnostics.append(Diagnostic(
                     INFO, "totality-added", f"added totality to {element}", element,
                 ))
-    return out, actions, diagnostics
+    return scheme, actions, diagnostics
 
 
 def _labels_in_use(scheme: EMDMScheme) -> set[int]:
@@ -446,11 +450,15 @@ def ensure_structural_key(
     A set already holding a roles-only key or a one-to-one role is left
     alone. Single-role sets receive the degenerate form: a uniqueness flag
     on their only role.
+
+    Only this loop adds labels, so the scheme is scanned for its largest
+    label once, at the first generated key; each later key takes the
+    previous label plus one, which is what a fresh scan would give.
     """
-    out = copy.deepcopy(scheme)
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
-    for s in out.sets:
+    label = None
+    for s in scheme.sets:
         if s.kind != RELATIONSHIP_DERIVED:
             continue
         roles = s.role_mappings()
@@ -464,7 +472,7 @@ def ensure_structural_key(
             continue
         if len(roles) == 1:
             element = f"{s.name}.{roles[0].name}"
-            _fire(out, actions, EnrichmentAction(
+            _fire(scheme, actions, EnrichmentAction(
                 RULE_STRUCTURAL_KEY, ref_mapping(s.name, roles[0].name),
                 f"made single role {element} one-to-one (degenerate structural key)",
                 details={"set": s.name, "mapping": roles[0].name},
@@ -476,10 +484,10 @@ def ensure_structural_key(
                 element,
             ))
             continue
-        label = next_label(out)
+        label = next_label(scheme) if label is None else f"R{int(label[1:]) + 1:02d}"
         mappings = tuple(m.name for m in roles)
         bullet = " • ".join(mappings)
-        _fire(out, actions, EnrichmentAction(
+        _fire(scheme, actions, EnrichmentAction(
             RULE_STRUCTURAL_KEY, ref_set(s.name),
             f"{label}: {bullet}",
             resulting_labels=(label,),
@@ -491,7 +499,7 @@ def ensure_structural_key(
             "review whether it matches a real business rule",
             s.name,
         ))
-    return out, actions, diagnostics
+    return scheme, actions, diagnostics
 
 
 def ensure_compulsory(
@@ -526,10 +534,9 @@ def _ensure_fallback(
     lacking: str,
 ) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
     """Rules (vi) and (ix): give each unsatisfied fundamental set a generated mapping."""
-    out = copy.deepcopy(scheme)
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
-    for s in out.sets:
+    for s in scheme.sets:
         if s.kind == sch.COMPUTED or satisfied(s):
             continue
         name, clash = _free_name(s, wanted)
@@ -540,7 +547,7 @@ def _ensure_fallback(
                 f"{s.name} already has a mapping named {wanted}; using {name}",
                 element,
             ))
-        _fire(out, actions, EnrichmentAction(
+        _fire(scheme, actions, EnrichmentAction(
             rule, ref_set(s.name),
             f"added {added} {element} into ASCII(255)",
             details={"set": s.name, "mapping": name},
@@ -549,7 +556,7 @@ def _ensure_fallback(
             INFO, f"{code}-added",
             f"{s.name} has no {lacking}; added {name}", element,
         ))
-    return out, actions, diagnostics
+    return scheme, actions, diagnostics
 
 
 def _free_name(s: EMDMSet, wanted: str) -> tuple[str, bool]:
@@ -574,12 +581,11 @@ def collapse_binary_relationships(
     or referenced by other mappings or constraints, are skipped with a
     warning because the replacement text covers only roles.
     """
-    out = copy.deepcopy(scheme)
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
     pending: list[PendingQuestion] = []
 
-    for s in list(out.sets):
+    for s in list(scheme.sets):
         if s.kind != RELATIONSHIP_DERIVED:
             continue
         roles = s.role_mappings()
@@ -595,7 +601,7 @@ def collapse_binary_relationships(
                 s.name,
             ))
             continue
-        if _is_referenced(out, s.name):
+        if _is_referenced(scheme, s.name):
             diagnostics.append(Diagnostic(
                 WARNING, "collapse-skipped",
                 f"{s.name} has a unique role but is referenced elsewhere; left as a relationship",
@@ -628,7 +634,7 @@ def collapse_binary_relationships(
             source_role, target_role = second, first
             one_to_one = False
 
-        home = out.set(source_role.codomain)
+        home = scheme.set(source_role.codomain)
         if home is None or home.kind == sch.COMPUTED:
             diagnostics.append(Diagnostic(
                 WARNING, "collapse-skipped",
@@ -642,7 +648,7 @@ def collapse_binary_relationships(
                 f"{home.name} already has a mapping named {s.name}; using {name}",
                 f"{home.name}.{name}",
             ))
-        _fire(out, actions, EnrichmentAction(
+        _fire(scheme, actions, EnrichmentAction(
             RULE_COLLAPSE, ref_set(s.name),
             f"replaced {s.name} by the structural function "
             f"{name} : {home.name} {'<->' if one_to_one else '->'} {target_role.codomain}",
@@ -660,7 +666,7 @@ def collapse_binary_relationships(
             f"binary relationship {s.name} replaced by a structural function on {home.name}",
             s.name,
         ))
-    return out, actions, diagnostics, pending
+    return scheme, actions, diagnostics, pending
 
 
 def _is_referenced(scheme: EMDMScheme, name: str) -> bool:
@@ -698,7 +704,7 @@ def _do_collapse(scheme: EMDMScheme, d: dict) -> None:
         total=source_role.total,
         one_to_one=d["one_to_one"],
     ))
-    scheme.sets.remove(rel)
+    scheme.remove_set(rel)
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.
@@ -724,21 +730,21 @@ def enrich_scheme(
     answers: MappingType | None = None,
     prompter: Prompter | None = None,
 ) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic], list[PendingQuestion]]:
-    """Run rules (v), (viii), (vii), (vi), (ix) in that order.
+    """Run rules (v), (viii), (vii), (vi), (ix) in that order, on *scheme* in place.
 
     Collapse runs before structural keys so vanishing relationships never
     receive one; the fallback compulsory and uniqueness rules run last so
     collapse products count toward their conditions.
     """
-    out, actions, diagnostics = ensure_totality(scheme)
-    out, a, d, pending = collapse_binary_relationships(out, answers, prompter)
+    _, actions, diagnostics = ensure_totality(scheme)
+    _, a, d, pending = collapse_binary_relationships(scheme, answers, prompter)
     actions += a
     diagnostics += d
     for rule in (ensure_structural_key, ensure_compulsory, ensure_uniqueness):
-        out, a, d = rule(out)
+        _, a, d = rule(scheme)
         actions += a
         diagnostics += d
-    return out, actions, diagnostics, pending
+    return scheme, actions, diagnostics, pending
 
 
 def apply_actions(scheme: EMDMScheme, actions: list[EnrichmentAction]) -> EMDMScheme:

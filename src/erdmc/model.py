@@ -8,6 +8,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
@@ -241,14 +242,29 @@ class ERModel:
         return [s for d in self.diagrams for s in d.sets]
 
     def set(self, name: str) -> ObjectSet | None:
-        for d in self.diagrams:
-            for s in d.sets:
-                if s.name == name:
-                    return s
-        return None
+        return self._sets_by_name.get(name)
 
     def restrictions_on(self, set_name: str) -> list[Restriction]:
-        return [r for r in self.restrictions if r.target == set_name]
+        return list(self._restrictions_by_target.get(set_name, ()))
+
+    # Indexes built on first use. They are not fields, so they take no part
+    # in ==, hash or repr; the model is immutable, so they never go stale.
+
+    @cached_property
+    def _sets_by_name(self) -> dict[str, ObjectSet]:
+        """Each set name to the first set declared under it."""
+        index: dict[str, ObjectSet] = {}
+        for s in self.object_sets():
+            index.setdefault(s.name, s)
+        return index
+
+    @cached_property
+    def _restrictions_by_target(self) -> dict[str, list[Restriction]]:
+        """Each target set name to its restrictions, in declaration order."""
+        index: dict[str, list[Restriction]] = {}
+        for r in self.restrictions:
+            index.setdefault(r.target, []).append(r)
+        return index
 
 
 # --- derived views shared by the translator and its callers ---
@@ -256,8 +272,8 @@ class ERModel:
 
 def effective_cardinality(model: ERModel, s: ObjectSet) -> tuple[int | None, str | None]:
     """Maximum cardinality of *s* and the source reference that supplied it."""
-    for r in model.restrictions:
-        if r.target == s.name and isinstance(r.body, CardinalityBody):
+    for r in model._restrictions_by_target.get(s.name, ()):
+        if isinstance(r.body, CardinalityBody):
             return r.body.maximum, src_restriction(r.label)
     if s.max_cardinality is not None:
         return s.max_cardinality, src_set(s.name)
@@ -266,12 +282,8 @@ def effective_cardinality(model: ERModel, s: ObjectSet) -> tuple[int | None, str
 
 def effective_range(model: ERModel, s: ObjectSet, attr: Attribute) -> tuple[Range | None, str | None]:
     """Value range of an attribute and the source reference that supplied it."""
-    for r in model.restrictions:
-        if (
-            r.target == s.name
-            and isinstance(r.body, RangeBody)
-            and r.body.attribute == attr.name
-        ):
+    for r in model._restrictions_by_target.get(s.name, ()):
+        if isinstance(r.body, RangeBody) and r.body.attribute == attr.name:
             return r.body.range, src_restriction(r.label)
     if attr.range is not None:
         return attr.range, src_attribute(s.name, attr.name)
@@ -281,8 +293,8 @@ def effective_range(model: ERModel, s: ObjectSet, attr: Attribute) -> tuple[Rang
 def effective_inclusions(model: ERModel, s: ObjectSet) -> list[tuple[str, str, str | None]]:
     """(superset, source reference, label) triples declared for *s*."""
     out = [(sup, src_inclusion(s.name, sup), None) for sup in s.included_in]
-    for r in model.restrictions:
-        if r.target == s.name and isinstance(r.body, InclusionBody):
+    for r in model._restrictions_by_target.get(s.name, ()):
+        if isinstance(r.body, InclusionBody):
             out.append((r.body.superset, src_restriction(r.label), r.label))
     return out
 

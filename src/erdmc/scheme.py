@@ -4,8 +4,9 @@ A scheme is an ordered list of sets carrying mappings, keys, and
 constraints, plus a provenance map tying every scheme element back to the
 model element it came from (or to the enrichment rule that generated it).
 
-Construction is single-writer (the translator); after translation a scheme
-is treated as immutable and is safe to share read-only across threads.
+Construction is single-writer (the translator, then the enrichment rules,
+which change it in place); after translation a scheme is treated as
+immutable and is safe to share read-only across threads.
 """
 
 from __future__ import annotations
@@ -125,15 +126,43 @@ Constraint = InclusionConstraint | TupleConstraint | NonrelationalConstraint
 
 @dataclass
 class EMDMScheme:
+    """Sets in emit order, constraints, and the provenance map.
+
+    :meth:`add_set` and :meth:`remove_set` are the only writers of ``sets``:
+    they keep the name index behind :meth:`set` current.
+    """
+
     sets: list[EMDMSet] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
+    # Each set name to the first set in ``sets`` under it; built on first use.
+    _by_name: dict[str, EMDMSet] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def set(self, name: str) -> EMDMSet | None:
-        for s in self.sets:
-            if s.name == name:
-                return s
-        return None
+        return self._index().get(name)
+
+    def add_set(self, s: EMDMSet) -> None:
+        self.sets.append(s)
+        self._index().setdefault(s.name, s)
+
+    def remove_set(self, s: EMDMSet) -> None:
+        self.sets.remove(s)
+        index = self._index()
+        if index.get(s.name) is s:
+            del index[s.name]
+            for other in self.sets:  # a duplicate name falls back to its next set
+                if other.name == s.name:
+                    index[s.name] = other
+                    break
+
+    def _index(self) -> dict[str, EMDMSet]:
+        if self._by_name is None:
+            self._by_name = {}
+            for s in self.sets:
+                self._by_name.setdefault(s.name, s)
+        return self._by_name
 
 
 # --- scheme element references ---

@@ -327,7 +327,7 @@ class Translator:
     def add_computed_set(self, s: ObjectSet) -> None:
         if self.scheme.set(s.name) is not None:
             return
-        self.scheme.sets.append(EMDMSet(
+        self.scheme.add_set(EMDMSet(
             name=s.name, kind=sch.COMPUTED, computed_definition=s.computed_definition,
         ))
         self._provenance(ref_set(s.name), src_set(s.name))
@@ -370,7 +370,7 @@ class Translator:
             codomain=NatRange(surrogate_digits(max_card)),
             flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
         )
-        self.scheme.sets.append(EMDMSet(name=s.name, kind=kind, object_identifier=identifier))
+        self.scheme.add_set(EMDMSet(name=s.name, kind=kind, object_identifier=identifier))
         self._provenance(ref_set(s.name), src_set(s.name))
         self._provenance(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source or src_set(s.name))
         self._step(step_kind, src_set(s.name), ref_set(s.name))
@@ -541,10 +541,9 @@ class Translator:
     # -- enrichment --
 
     def _enrich(self) -> None:
-        enriched, actions, diagnostics, pending = enrich_scheme(
+        _, actions, diagnostics, pending = enrich_scheme(
             self.scheme, self.options.answers, self._prompter,
         )
-        self.scheme = enriched
         self.report.enrichment_actions.extend(actions)
         self.report.diagnostics.extend(diagnostics)
         self.report.pending_questions.extend(pending)

@@ -150,3 +150,34 @@ def test_check_untranslatable_model_fails(tmp_path, capsys, teaching_source):
 def test_check_requires_input_or_fuzz(capsys):
     assert main(["check"]) == 2
     assert "provide an input file" in capsys.readouterr().err
+
+
+def test_translate_bad_answers_files_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.erdm"
+    model.write_text(
+        "diagram D { entity A card 10 { attr a } }\n"
+        "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+        "restriction R03 on A other informal \"asks a question\"\n"
+    )
+    cases = {
+        "{bad": "not valid JSON at line 1, column 2: "
+                "Expecting property name enclosed in double quotes",
+        '["R03"]': "the document must be an object",
+        '{"R03": "(forall x in A)(a(x) <> 1)"}': "the entry for 'R03' must be an object",
+    }
+    for text, reason in cases.items():
+        answers = tmp_path / "answers.json"
+        answers.write_text(text)
+        assert main(["translate", str(model), "--answers", str(answers)]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot read answers: {answers}: {reason}"]
+
+
+def test_translate_unwritable_outputs_exit_2(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    for flag in ("-o", "--report", "--structured"):
+        target = missing / "out"
+        assert main(["translate", FIXTURE, flag, str(target)]) == 2, flag
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"cannot write output: {target}: No such file or directory", flag

@@ -5,6 +5,7 @@ import json
 
 from erdmc.cli import main
 from erdmc.diagnostics import INFO, WARNING, Diagnostic
+from erdmc.emitter import emit_structured, load_structured
 from erdmc.enrichment import (
     EnrichmentAction,
     PendingQuestion,
@@ -17,9 +18,10 @@ from erdmc.enrichment import (
     ensure_structural_key,
     ensure_totality,
     ensure_uniqueness,
+    next_label,
 )
 from erdmc.generator import random_model
-from erdmc.model import AsciiRange, ERModel
+from erdmc.model import AsciiRange, Diagram, ERModel, ObjectSet
 from erdmc.parser import parse_model
 from erdmc.scheme import check_scheme
 from erdmc.translator import TranslationOptions, Translator, translate
@@ -212,9 +214,10 @@ def test_rule_v_adds_totality_to_roles():
     assert all(m.total for m in roles)
     assert len(actions) == 2
     assert all(d.severity == INFO and d.code == "totality-added" for d in diags)
+    snapshot = copy.deepcopy(out)
     out2, actions2, _ = ensure_totality(out)
     assert actions2 == []
-    assert out2 == out
+    assert out2 == snapshot
 
 
 def test_rule_v_leaves_compulsory_roles_alone(teaching_model):
@@ -238,8 +241,9 @@ def test_rule_vi_adds_compulsory_mapping():
     assert added.flavor == "enrichment-generated"
     assert len(actions) == 1
     assert any(d.severity == INFO and d.code == "compulsory-added" for d in diags)
+    snapshot = copy.deepcopy(out)
     out2, actions2, _ = ensure_compulsory(out)
-    assert actions2 == [] and out2 == out
+    assert actions2 == [] and out2 == snapshot
 
 
 def test_rule_vi_skips_sets_with_totals(teaching_model):
@@ -274,8 +278,9 @@ def test_rule_vii_reproduces_generated_key_on_teaching_fixture(teaching_model):
     assert key.implicit
     note = next(n for n in result.report.implicit_keys if n.label == "R42")
     assert note.origin == "generated"
+    snapshot = copy.deepcopy(result.scheme)
     out2, actions2, _ = ensure_structural_key(result.scheme)
-    assert actions2 == [] and out2 == result.scheme
+    assert actions2 == [] and out2 == snapshot
 
 
 def test_rule_vii_skips_declared_full_role_key(teaching_model):
@@ -364,9 +369,10 @@ def test_rule_viii_skips_relationships_with_attributes():
 def test_rule_viii_idempotent_second_pass():
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
     once, actions, diags, _ = collapse_binary_relationships(scheme)
+    snapshot = copy.deepcopy(once)
     twice, actions2, _, _ = collapse_binary_relationships(once)
     assert actions and not actions2
-    assert twice == once
+    assert twice == snapshot
 
 
 CLASH_SOURCE = (
@@ -415,8 +421,9 @@ def test_rule_ix_adds_unique_mapping():
     assert added.one_to_one and added.total and added.codomain == AsciiRange(255)
     assert len(actions) == 1
     assert any(d.severity == INFO for d in diags)
+    snapshot = copy.deepcopy(out)
     out2, actions2, _ = ensure_uniqueness(out)
-    assert actions2 == [] and out2 == out
+    assert actions2 == [] and out2 == snapshot
 
 
 def test_rule_ix_skips_sets_with_uniqueness(teaching_model):
@@ -440,9 +447,10 @@ def test_rule_ix_skips_relationship_with_structural_key():
 def test_full_pass_is_idempotent():
     scheme = _pre_enrichment_scheme(TOTALITY_SOURCE)
     once, actions, _, _ = enrich_scheme(scheme)
+    snapshot = copy.deepcopy(once)
     twice, actions2, _, _ = enrich_scheme(once)
     assert actions and not actions2
-    assert twice == once
+    assert twice == snapshot
 
 
 def test_recorded_actions_replay_to_the_same_scheme():
@@ -453,6 +461,51 @@ def test_recorded_actions_replay_to_the_same_scheme():
         before = copy.deepcopy(scheme)
         enriched, actions, _, _ = enrich_scheme(scheme)
         assert apply_actions(before, actions) == enriched
+
+
+def test_rules_change_the_given_scheme_in_place():
+    scheme = _pre_enrichment_scheme(CLASH_SOURCE)
+    for rule in (ensure_totality, ensure_structural_key, ensure_compulsory, ensure_uniqueness):
+        assert rule(scheme)[0] is scheme
+    assert collapse_binary_relationships(scheme)[0] is scheme
+    fresh = _pre_enrichment_scheme(CLASH_SOURCE)
+    enriched, actions, _, _ = enrich_scheme(fresh)
+    assert enriched is fresh and actions
+
+
+def _linear_set(model: ERModel, name: str):
+    return next((s for d in model.diagrams for s in d.sets if s.name == name), None)
+
+
+def test_model_and_scheme_indexes_agree_with_linear_scans(teaching_model):
+    duplicated = ERModel(diagrams=(
+        Diagram("one", (ObjectSet("A", "entity"),)),
+        Diagram("two", (ObjectSet("A", "relationship"), ObjectSet("B", "entity"))),
+    ))
+    models = [teaching_model, parse_model(MARRIAGE_SOURCE), parse_model(CLASH_SOURCE)]
+    models += [random_model(seed) for seed in range(300)]
+    for model in models + [duplicated]:
+        names = {s.name for s in model.object_sets()} | {r.target for r in model.restrictions}
+        for name in names | {"NO_SUCH_SET"}:
+            assert model.set(name) is _linear_set(model, name), name
+            assert model.restrictions_on(name) == [
+                r for r in model.restrictions if r.target == name
+            ], name
+    assert duplicated.set("A").kind == "entity"
+
+    collapses = 0
+    for model in models:
+        result = translate(model)
+        collapsed = [a.details["relationship"] for a in result.report.enrichment_actions
+                     if a.rule == "viii"]
+        collapses += len(collapsed)
+        reloaded = load_structured(emit_structured(result.scheme))
+        for scheme in (result.scheme, reloaded):
+            for s in scheme.sets:
+                assert scheme.set(s.name) is s, s.name
+            for name in collapsed:
+                assert scheme.set(name) is None, name
+    assert collapses > 2
 
 
 def test_rule_v_scheme_without_roles_records_no_actions():
@@ -486,6 +539,27 @@ def test_label_allocation_continues_from_largest():
     _, actions, _ = ensure_structural_key(scheme)
     labels = [lbl for a in actions for lbl in a.resulting_labels]
     assert labels == ["R05"]  # fixture declares R01-R04
+
+
+def test_label_allocation_numbers_every_key_of_one_pass():
+    scheme = _pre_enrichment_scheme(
+        "diagram D {\n"
+        "  entity A card 10 { attr a }\n"
+        "  entity B card 10 { attr b }\n"
+        "  relationship L1 { role p -> A role q -> B }\n"
+        "  relationship L2 { role p -> A role q -> B }\n"
+        "  relationship L3 { role p -> A role q -> B }\n"
+        "}\n"
+        "restriction R98 on A compulsory a\n"
+    )
+    replayed = copy.deepcopy(scheme)
+    _, actions, _ = ensure_structural_key(scheme)
+    rescanned = []
+    for action in actions:
+        rescanned.append(next_label(replayed))
+        replayed = apply_actions(replayed, [action])
+    labels = [lbl for a in actions for lbl in a.resulting_labels]
+    assert labels == rescanned == ["R99", "R100", "R101"]
 
 
 def test_interactive_prompter_is_consulted_and_recorded():

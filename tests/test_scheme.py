@@ -132,3 +132,20 @@ def test_no_two_keys_share_a_mapping_set(golden_scheme):
             frozen = frozenset(k.mappings)
             assert frozen not in seen
             seen.add(frozen)
+
+
+def test_set_index_keeps_first_match_through_add_and_remove():
+    first, second, other = (EMDMSet("A", "entity-derived"), EMDMSet("A", "computed"),
+                            EMDMSet("B", "entity-derived"))
+    scheme = EMDMScheme(sets=[first])
+    assert scheme.set("A") is first  # built from a list given to the constructor
+    scheme.add_set(second)
+    scheme.add_set(other)
+    assert scheme.sets == [first, second, other]
+    assert scheme.set("A") is first and scheme.set("B") is other
+    scheme.remove_set(first)
+    assert scheme.set("A") is second
+    scheme.remove_set(second)
+    scheme.remove_set(other)
+    assert scheme.set("A") is None and scheme.set("B") is None and scheme.sets == []
+    assert scheme == EMDMScheme() and "_by_name" not in repr(scheme)
