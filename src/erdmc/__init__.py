@@ -1,6 +1,6 @@
 """erdmc: compile Entity-Relationship data models into mathematical schemes."""
 
-from .census import Tallies, census
+from .census import Tallies, census, verify_translation
 from .diagnostics import Diagnostic, ParseError, ParseFailure
 from .emitter import emit_structured, emit_text, load_structured
 from .enrichment import EnrichmentAction, apply_actions, enrich_scheme
@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tallies",
     "census",
+    "verify_translation",
     "Diagnostic",
     "ParseError",
     "ParseFailure",

@@ -15,12 +15,17 @@ Counting conventions:
   uniqueness one step per declaration;
 * formalized single-variable rules count as tuple checks, everything else
   declared as "other" counts as nonrelational.
+
+:func:`verify_translation` is the four-property audit built on the census.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
+from .enrichment import apply_input_defaults
 from .formula import quantifier_count
 from .model import (
     COMPUTED,
@@ -31,7 +36,12 @@ from .model import (
     InclusionBody,
     OtherBody,
     UniquenessBody,
+    source_universe,
 )
+from .scheme import check_scheme
+
+if TYPE_CHECKING:
+    from .translator import TranslationOptions, TranslationResult
 
 
 @dataclass(frozen=True)
@@ -146,3 +156,55 @@ def census(model: ERModel) -> Tallies:
         tuple_checks=tuple_checks,
         compulsory_lines=compulsory_lines,
     )
+
+
+def verify_translation(
+    model: ERModel, result: TranslationResult, options: TranslationOptions
+) -> dict[str, list[str]]:
+    """Audit *result*, the translation of *model* under *options*.
+
+    Maps linearity, soundness, completeness and optimality, in that order,
+    to the witnesses against each property; an empty list means it holds.
+    The census and the source references are those of the model after the
+    input defaults, which is the model the translator translates.
+    """
+    report = result.report
+    effective = apply_input_defaults(model, options.dbms_max_cardinality, options.answers).model
+    expected = census(effective)
+    if report.tallies is None:
+        linearity = ["no step tallies were recorded"]
+    else:
+        got = report.tallies.as_dict()
+        linearity = [
+            f"{name}: {got[name]} in the step tallies, {want} in the census"
+            for name, want in expected.as_dict().items() if got[name] != want
+        ]
+    if len(report.steps) != expected.total:
+        linearity.append(f"steps: {len(report.steps)} logged, {expected.total} in the census")
+
+    if result.scheme is None:
+        no_scheme = "no scheme was produced"
+        soundness = [d.render() for d in report.diagnostics if d.is_error] or [no_scheme]
+        completeness = [no_scheme]
+    else:
+        soundness = [d.render() for d in check_scheme(result.scheme)]
+        # A compulsory restriction covers its reference through one entry per
+        # member, so the part of a provenance value before a "[" is covered too.
+        covered = set(result.scheme.provenance.values())
+        covered |= {v[:i] for v in covered if "[" in v for i, c in enumerate(v) if c == "["}
+        completeness = [
+            f"{ref} has no provenance" for ref in sorted(source_universe(effective) - covered)
+        ]
+
+    optimality = [
+        f"{source} is the source of {count} steps"
+        for source, count in Counter(s.source for s in report.steps).items() if count > 1
+    ]
+    if linearity:
+        optimality.append("needs linearity, which fails")
+    return {
+        "linearity": linearity,
+        "soundness": soundness,
+        "completeness": completeness,
+        "optimality": optimality,
+    }

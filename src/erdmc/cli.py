@@ -12,14 +12,13 @@ import json
 import sys
 from pathlib import Path
 
-from .census import census
+from .census import verify_translation
 from .diagnostics import ParseFailure
 from .emitter import emit_structured, emit_text
-from .enrichment import Question, apply_input_defaults
+from .enrichment import Question
 from .generator import random_model
-from .model import ERModel, source_universe, validate_model
+from .model import ERModel, validate_model
 from .parser import parse_model
-from .scheme import check_scheme
 from .translator import TranslationOptions, TranslationResult, translate
 
 EXIT_OK = 0
@@ -90,9 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _CommandError(f"cannot read input: {path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _read_answers(path: str) -> dict:
@@ -177,39 +177,12 @@ def _cmd_validate(args) -> int:
 
 
 def _check_one(model: ERModel, options: TranslationOptions, heading: str) -> bool:
-    result = translate(model, options)
-    report = result.report
-    ok = True
-
-    defaults = apply_input_defaults(model, options.dbms_max_cardinality, options.answers)
-    expected = census(defaults.model)
-    tallies = report.tallies
-    linear = (
-        tallies is not None
-        and len(report.steps) == expected.total
-        and tallies.as_dict() == expected.as_dict()
-    )
-    sources = [s.source for s in report.steps]
-    optimal = len(sources) == len(set(sources)) and linear
-    if result.scheme is not None:
-        diagnostics = check_scheme(result.scheme)
-        sound = not diagnostics
-        covered = set(result.scheme.provenance.values())
-        missing = {
-            ref for ref in source_universe(defaults.model)
-            if ref not in covered
-            and not any(v.startswith(f"{ref}[") for v in covered)
-        }
-        complete = not missing
-    else:
-        sound = complete = False
-    for name, passed in (
-        ("linearity", linear), ("soundness", sound),
-        ("completeness", complete), ("optimality", optimal),
-    ):
-        print(f"{heading}{name.upper()}: {'PASS' if passed else 'FAIL'}")
-        ok = ok and passed
-    return ok
+    witnesses = verify_translation(model, translate(model, options), options)
+    for name, against in witnesses.items():
+        print(f"{heading}{name.upper()}: {'FAIL' if against else 'PASS'}")
+        for witness in against:
+            print(f"{heading}{name}: {witness}", file=sys.stderr)
+    return not any(witnesses.values())
 
 
 def _cmd_check(args) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .diagnostics import ERROR, Diagnostic
+from .diagnostics import ERROR, Diagnostic, ParseFailure
 from .formula import format_formula, parse_formula
 from .model import (
     AsciiRange,
@@ -61,6 +61,9 @@ class StructuredFormatError(Exception):
 
 
 # --- text rendering ---
+
+# Informal text is quoted the way the lexer reads string literals back.
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
 
 
 def _arrow(unicode: bool) -> str:
@@ -180,7 +183,7 @@ def _render_function_line(set_name: str, m: Mapping, unicode: bool) -> str:
 def _render_nonrelational(c: NonrelationalConstraint, unicode: bool) -> str:
     if c.formula is not None:
         return f"{c.label}: {format_formula(c.formula, unicode)}"
-    return f'{c.label}: informal "{c.informal}"'
+    return f'{c.label}: informal "{c.informal.translate(_STRING_ESCAPES)}"'
 
 
 # --- structured document ---
@@ -199,12 +202,7 @@ def emit_structured(scheme: EMDMScheme, report: Any = None) -> str:
 
 
 def load_structured(text: str) -> EMDMScheme:
-    scheme, _ = load_structured_with_warnings(text)
-    return scheme
-
-
-def load_structured_with_warnings(text: str) -> tuple[EMDMScheme, list[str]]:
-    """Parse a structured document; unknown optional fields become warnings."""
+    """Parse a structured document; unknown top-level fields are ignored."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -219,11 +217,6 @@ def load_structured_with_warnings(text: str) -> tuple[EMDMScheme, list[str]]:
             f"unknown version {version!r}; this reader understands {STRUCTURED_VERSION}",
             "$.version",
         )
-    warnings = [
-        f"unknown field {key!r} ignored"
-        for key in doc
-        if key not in ("version", "sets", "constraints", "provenance", "report")
-    ]
     scheme = EMDMScheme()
     for i, raw in enumerate(_expect_list(doc, "sets")):
         scheme.add_set(_set_from_json(raw, f"$.sets[{i}]"))
@@ -233,7 +226,7 @@ def load_structured_with_warnings(text: str) -> tuple[EMDMScheme, list[str]]:
     if not isinstance(provenance, dict):
         raise StructuredFormatError("must be an object", "$.provenance")
     scheme.provenance = {str(k): str(v) for k, v in provenance.items()}
-    return scheme, warnings
+    return scheme
 
 
 def _expect_list(doc: dict, key: str) -> list:
@@ -422,6 +415,6 @@ def _constraint_from_json(raw: Any, path: str):
                 formula=parse_formula(formula) if formula is not None else None,
                 informal=raw.get("informal"),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ParseFailure) as exc:
         raise StructuredFormatError(f"malformed {kind} constraint: {exc}", path) from exc
     raise StructuredFormatError(f"unknown constraint kind {kind!r}", path)

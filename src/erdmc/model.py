@@ -557,7 +557,7 @@ def _validate_restriction_body(
         if body.maximum < 1:
             err("bad-cardinality", r.label, "maximum cardinality must be at least 1")
         card_owners.setdefault(target.name, []).append(r.label)
-    elif isinstance(body, CompulsoryBody):
+    elif isinstance(body, (CompulsoryBody, UniquenessBody)):
         if not body.mappings:
             err("empty-mappings", r.label, f"{r.label} lists no mappings")
         seen: set[str] = set()
@@ -567,17 +567,9 @@ def _validate_restriction_body(
             seen.add(name)
             if target.member(name) is None:
                 err("unknown-mapping", r.label, f"{r.label} names unknown mapping {name!r} on {target.name}")
-    elif isinstance(body, UniquenessBody):
-        if not body.mappings:
-            err("empty-mappings", r.label, f"{r.label} lists no mappings")
-        seen = set()
-        for name in body.mappings:
-            if name in seen:
-                err("duplicate-member", r.label, f"{r.label} lists {name!r} twice")
-            seen.add(name)
-            if target.member(name) is None:
-                err("unknown-mapping", r.label, f"{r.label} names unknown mapping {name!r} on {target.name}")
-        if len(body.mappings) >= 1 and not (seen - set(target.member_names())):
+        if isinstance(body, UniquenessBody) and body.mappings and not (
+            seen - set(target.member_names())
+        ):
             key_sets.setdefault((target.name, frozenset(body.mappings)), []).append(r.label)
     elif isinstance(body, OtherBody):
         if body.informal is None and body.formal is None:

@@ -97,18 +97,6 @@ def parse_model(source: str) -> ERModel:
             errors.extend(failure.errors)
             _skip_to_toplevel(stream)
 
-    seen_sets: set[str] = set()
-    for d in diagrams:
-        for s in d.sets:
-            if s.name in seen_sets:
-                errors.append(ParseError(1, 1, f"object set {s.name!r} declared twice"))
-            seen_sets.add(s.name)
-    seen_labels: set[str] = set()
-    for r in restrictions:
-        if r.label in seen_labels:
-            errors.append(ParseError(1, 1, f"restriction label {r.label!r} reused"))
-        seen_labels.add(r.label)
-
     if errors:
         raise ParseFailure(errors)
     return ERModel(tuple(diagrams), tuple(restrictions), description)
@@ -170,28 +158,17 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
     attributes: list[Attribute] = []
     roles: list[Role] = []
     functions: list[StructuralFunction] = []
-    seen_members: set[str] = set()
     while not stream.at(OP, "}"):
-        member_tok = stream.peek()
         if stream.at_name("attr"):
             attributes.append(_parse_attribute(stream))
-            member_name = attributes[-1].name
         elif stream.at_name("role"):
             roles.append(_parse_role(stream))
-            member_name = roles[-1].name
         elif stream.at_name("fn"):
             functions.append(_parse_function(stream))
-            member_name = functions[-1].name
         else:
             raise stream.error(
-                f"found {member_tok.value!r}", expected="'attr', 'role', 'fn', or '}'"
+                f"found {stream.peek().value!r}", expected="'attr', 'role', 'fn', or '}'"
             )
-        if member_name in seen_members:
-            raise ParseFailure(
-                [ParseError(member_tok.line, member_tok.column,
-                            f"member {member_name!r} declared twice on {name}")]
-            )
-        seen_members.add(member_name)
     stream.expect(OP, "}")
     return ObjectSet(
         name=name,

@@ -33,6 +33,60 @@ def test_translate_unreadable_input_exit_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_translate_non_utf8_input_exit_2(tmp_path, capsys, monkeypatch):
+    import io
+
+    binary = tmp_path / "binary.erdm"
+    binary.write_bytes(b"diagram D { entity A { attr a } }\n\xff\n")
+    assert main(["translate", str(binary)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"cannot read input: {binary}: not UTF-8 text (invalid start byte)",
+    ]
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+    assert main(["check", "-"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "cannot read input: -: not UTF-8 text (invalid start byte)",
+    ]
+
+
+def test_duplicate_set_name_exits_1_naming_the_set(tmp_path, capsys):
+    model = tmp_path / "dup.erdm"
+    model.write_text("diagram D { entity A { } entity A { } }\n")
+    assert main(["validate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "1 errors\n"
+    assert captured.err.splitlines() == [
+        "error: duplicate-set-name: object set 'A' declared twice",
+    ]
+    assert main(["translate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: duplicate-set-name: object set 'A' declared twice [A]",
+    ]
+
+
+def test_duplicate_restriction_label_exits_1_naming_the_label(tmp_path, capsys):
+    model = tmp_path / "dup.erdm"
+    model.write_text(
+        "diagram D { entity A { attr a attr b } }\n"
+        "restriction R01 on A compulsory a\n"
+        "restriction R01 on A compulsory b\n"
+    )
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: duplicate-label: restriction label 'R01' reused",
+    ]
+    assert main(["translate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: duplicate-label: restriction label 'R01' reused [R01]",
+    ]
+
+
 def test_translate_translation_errors_exit_1(tmp_path, capsys, teaching_source):
     bad = tmp_path / "dangling.erdm"
     bad.write_text(teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES"))
@@ -145,6 +199,23 @@ def test_check_untranslatable_model_fails(tmp_path, capsys, teaching_source):
     out = capsys.readouterr().out
     assert "SOUNDNESS: FAIL" in out
     assert "COMPLETENESS: FAIL" in out
+
+
+def test_check_failure_prints_its_witness(capsys, monkeypatch):
+    from erdmc.translator import translate
+
+    def without_r28_provenance(model, options):
+        result = translate(model, options)
+        del result.scheme.provenance["mapping:STUDENTS.SSN#unique:R28"]
+        return result
+
+    monkeypatch.setattr("erdmc.cli.translate", without_r28_provenance)
+    assert main(["check", FIXTURE]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "LINEARITY: PASS", "SOUNDNESS: PASS", "COMPLETENESS: FAIL", "OPTIMALITY: PASS",
+    ]
+    assert captured.err.splitlines() == ["completeness: restriction:R28 has no provenance"]
 
 
 def test_check_requires_input_or_fuzz(capsys):

@@ -10,9 +10,10 @@ from erdmc.emitter import (
     emit_structured,
     emit_text,
     load_structured,
-    load_structured_with_warnings,
 )
 from erdmc.generator import random_model
+from erdmc.lexer import STRING, tokenize
+from erdmc.parser import parse_model
 from erdmc.scheme import EMDMScheme
 from erdmc.translator import translate
 
@@ -71,8 +72,6 @@ def test_emit_refuses_unsound_scheme(golden):
 
 
 def test_inclusion_renders_under_header():
-    from erdmc.parser import parse_model
-
     source = (
         "diagram D {\n"
         "  entity EMPLOYEES card 10^4 { attr Name }\n"
@@ -88,6 +87,20 @@ def test_inclusion_renders_under_header():
     lines = text.splitlines()
     header = lines.index("TEACHERS")
     assert lines[header + 1] == "  TEACHERS subset_of EMPLOYEES"
+
+
+def test_informal_text_is_escaped_the_way_the_lexer_reads_it():
+    informal = 'back\\slash "quoted" two\nlines\tand tab'
+    source = (
+        "diagram D { entity A card 10 { attr a } }\n"
+        "restriction R01 on A compulsory a\n"
+        "restriction R02 on A unique a\n"
+        'restriction R03 on A other informal "back\\\\slash \\"quoted\\" two\\nlines\\tand tab"\n'
+    )
+    result = translate(parse_model(source))
+    last = emit_text(result.scheme).splitlines()[-1]
+    assert last == 'R03: informal "back\\\\slash \\"quoted\\" two\\nlines\\tand tab"'
+    assert [t.value for t in tokenize(last) if t.kind == STRING] == [informal]
 
 
 # --- structured round-trip ---
@@ -127,12 +140,20 @@ def test_unknown_version_is_rejected_naming_the_field(golden):
     assert "version" in str(info.value)
 
 
-def test_unknown_top_level_field_warns(golden):
+def test_unknown_top_level_field_is_ignored(golden):
     doc = json.loads(emit_structured(golden.scheme))
     doc["extras"] = {"note": "future"}
-    scheme, warnings = load_structured_with_warnings(json.dumps(doc))
-    assert scheme == golden.scheme
-    assert any("extras" in w for w in warnings)
+    assert load_structured(json.dumps(doc)) == golden.scheme
+
+
+def test_bad_formula_names_the_constraint_path(golden):
+    doc = json.loads(emit_structured(golden.scheme))
+    i = next(i for i, c in enumerate(doc["constraints"]) if c["kind"] == "tuple")
+    doc["constraints"][i]["formula"] = "(forall x in"
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(json.dumps(doc))
+    assert info.value.path == f"$.constraints[{i}]"
+    assert str(info.value).startswith(f"$.constraints[{i}]: malformed tuple constraint: ")
 
 
 def test_malformed_json_reports_position():

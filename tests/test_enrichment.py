@@ -4,6 +4,7 @@ import copy
 import json
 
 from erdmc.cli import main
+from erdmc.census import verify_translation
 from erdmc.diagnostics import INFO, WARNING, Diagnostic
 from erdmc.emitter import emit_structured, load_structured
 from erdmc.enrichment import (
@@ -399,12 +400,9 @@ def test_name_clashes_append_numerals_across_rules():
 
 def test_rule_viii_completeness_survives_collapse():
     model = parse_model(MARRIAGE_SOURCE)
-    result = translate(model)
-    covered = set(result.scheme.provenance.values())
-    from erdmc.model import source_universe
-
-    for ref in source_universe(model):
-        assert ref in covered or any(v.startswith(f"{ref}[") for v in covered), ref
+    options = TranslationOptions()
+    result = translate(model, options)
+    assert verify_translation(model, result, options)["completeness"] == []
 
 
 # --- rule (ix): sets without uniqueness gain UniqueMapping ---

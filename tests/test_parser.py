@@ -58,24 +58,6 @@ def test_unterminated_range_bracket_reports_bracket_position():
     assert any(e.line == 2 for e in info.value.errors)
 
 
-def test_duplicate_set_name_is_a_parse_error():
-    source = "diagram D { entity A { } entity A { } }"
-    with pytest.raises(ParseFailure) as info:
-        parse_model(source)
-    assert any("declared twice" in e.message for e in info.value.errors)
-
-
-def test_duplicate_restriction_label_is_a_parse_error():
-    source = (
-        "diagram D { entity A { attr a attr b } }\n"
-        "restriction R01 on A compulsory a\n"
-        "restriction R01 on A compulsory b\n"
-    )
-    with pytest.raises(ParseFailure) as info:
-        parse_model(source)
-    assert any("reused" in e.message for e in info.value.errors)
-
-
 def test_recovery_collects_errors_from_several_statements():
     source = (
         "diagram D { entity A { attr a } }\n"

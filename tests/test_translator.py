@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from erdmc.census import Tallies, census
+from erdmc.census import Tallies, census, verify_translation
 from erdmc.emitter import emit_structured, emit_text
 from erdmc.model import (
     Diagram,
@@ -13,7 +13,6 @@ from erdmc.model import (
     NatRange,
     ObjectSet,
     StructuralFunction,
-    source_universe,
 )
 from erdmc.parser import parse_model
 from erdmc.scheme import RELATIONSHIP_DERIVED, check_scheme
@@ -139,10 +138,9 @@ def test_each_element_contributes_exactly_one_step(teaching_model):
 
 
 def test_every_input_element_has_provenance(teaching_model):
-    result = translate(teaching_model)
-    covered = set(result.scheme.provenance.values())
-    for ref in source_universe(teaching_model):
-        assert ref in covered or any(v.startswith(f"{ref}[") for v in covered), ref
+    options = TranslationOptions()
+    result = translate(teaching_model, options)
+    assert verify_translation(teaching_model, result, options)["completeness"] == []
 
 
 def test_scheme_order_is_rectangles_then_diamonds(teaching_model):
