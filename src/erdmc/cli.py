@@ -8,6 +8,7 @@ the scheme goes to stdout.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
@@ -48,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    dbms_max = TranslationOptions().dbms_max_cardinality
     parser = argparse.ArgumentParser(
         prog="erdmc",
         description="Translate Entity-Relationship data models into "
@@ -68,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="prompt for missing definitions, directions, and formulas")
     p_translate.add_argument("--unicode", action="store_true",
                              help="render with mathematical glyphs instead of ASCII")
-    p_translate.add_argument("--dbms-max-card", type=int, default=10 ** 9,
+    p_translate.add_argument("--dbms-max-card", type=int, default=dbms_max,
                              help="maximum cardinality assumed when a set declares none")
     p_translate.set_defaults(handler=_cmd_translate)
 
@@ -83,14 +85,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fuzz", type=int, metavar="N",
                          help="check N randomly generated models instead of a file")
     p_check.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
-    p_check.add_argument("--dbms-max-card", type=int, default=10 ** 9)
+    p_check.add_argument("--dbms-max-card", type=int, default=dbms_max)
     p_check.set_defaults(handler=_cmd_check)
     return parser
 
 
 def _read_input(path: str) -> str:
+    """The model text, from a file or stdin: strict UTF-8, universal newlines."""
+    raw = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise _CommandError(f"cannot read input: {path}: not UTF-8 text ({exc.reason})") from exc
 
@@ -145,7 +149,6 @@ def _cmd_translate(args) -> int:
         return EXIT_PARSE
     options = TranslationOptions(
         dbms_max_cardinality=args.dbms_max_card,
-        interactive=args.interactive,
         answers=answers,
         prompter=_stdin_prompter if args.interactive else None,
     )
@@ -171,7 +174,7 @@ def _cmd_validate(args) -> int:
     issues = validate_model(model)
     errors = [i for i in issues if i.is_error]
     for issue in issues:
-        print(f"{issue.severity}: {issue.code}: {issue.message}", file=sys.stderr)
+        print(issue.render(), file=sys.stderr)
     print(f"{len(errors)} errors")
     return EXIT_OK if not errors else EXIT_TRANSLATION
 
@@ -198,7 +201,3 @@ def _cmd_check(args) -> int:
         return EXIT_PARSE
     model = parse_model(_read_input(args.input))
     return EXIT_OK if _check_one(model, options, heading="") else EXIT_TRANSLATION
-
-
-if __name__ == "__main__":
-    sys.exit(main())

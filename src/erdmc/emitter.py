@@ -17,6 +17,7 @@ from typing import Any
 
 from .diagnostics import ERROR, Diagnostic, ParseFailure
 from .formula import format_formula, parse_formula
+from .lexer import quote_string
 from .model import (
     AsciiRange,
     Bound,
@@ -61,10 +62,6 @@ class StructuredFormatError(Exception):
 
 
 # --- text rendering ---
-
-# Informal text is quoted the way the lexer reads string literals back.
-_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"})
-
 
 def _arrow(unicode: bool) -> str:
     return "→" if unicode else "->"
@@ -183,7 +180,7 @@ def _render_function_line(set_name: str, m: Mapping, unicode: bool) -> str:
 def _render_nonrelational(c: NonrelationalConstraint, unicode: bool) -> str:
     if c.formula is not None:
         return f"{c.label}: {format_formula(c.formula, unicode)}"
-    return f'{c.label}: informal "{c.informal.translate(_STRING_ESCAPES)}"'
+    return f"{c.label}: informal {quote_string(c.informal)}"
 
 
 # --- structured document ---

@@ -7,6 +7,11 @@ Surface syntax (ASCII, glyph synonyms accepted)::
 Multi-variable quantifier sugar desugars into nested single-variable
 quantifiers over the same domain. Comparisons bind tightest, then ``!``,
 ``&``, ``|``, and right-associative ``=>``.
+
+A formula nests at most MAX_FORMULA_DEPTH levels. A level opens at each
+``(``, ``!``, quantified variable and mapping application, until it closes,
+and at each ``&``, ``|`` and ``=>``, until its chain ends. The bound keeps
+every recursive walk over a formula far inside Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .diagnostics import ParseError, ParseFailure
-from .lexer import EOF, INT, NAME, OP, STRING, TokenStream, tokenize
+from .lexer import EOF, INT, NAME, OP, STRING, TokenStream, quote_string, tokenize
 
 # --- terms ---
 
@@ -87,6 +92,8 @@ Formula = Union[Compare, Not, And, Or, Implies, Forall]
 
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
+MAX_FORMULA_DEPTH = 64
+
 
 def parse_formula(source: str) -> Formula:
     """Parse *source* into a Formula AST.
@@ -104,16 +111,25 @@ def parse_formula(source: str) -> Formula:
 def parse_formula_tokens(stream: TokenStream, bound: frozenset[str]) -> Formula:
     """Parse one formula from *stream*; used standalone and by the DSL parser."""
     if stream.at(OP, "(") and stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
-        return _parse_quantified(stream, bound)
-    return _parse_implies(stream, bound)
+        return _parse_quantified(stream, bound, 0)
+    return _parse_implies(stream, bound, 0)
 
 
-def _parse_quantified(stream: TokenStream, bound: frozenset[str]) -> Formula:
+def _deeper(stream: TokenStream, depth: int) -> int:
+    """Open one more level at the current token, or fail past the bound."""
+    if depth >= MAX_FORMULA_DEPTH:
+        raise stream.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+    return depth + 1
+
+
+def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     stream.expect(OP, "(")
     stream.expect(NAME, "forall")
+    depth = _deeper(stream, depth)
     variables = [stream.expect(NAME, label="variable name").value]
     while stream.at(OP, ","):
         stream.advance()
+        depth = _deeper(stream, depth)
         variables.append(stream.expect(NAME, label="variable name").value)
     stream.expect(NAME, "in", label="'in'")
     domain = stream.expect(NAME, label="set name").value
@@ -125,65 +141,70 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str]) -> Formula:
         raise stream.error("duplicate variable in quantifier")
     inner_bound = bound.union(variables)
     if stream.at(OP, "(") and stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
-        body: Formula = _parse_quantified(stream, inner_bound)
+        body: Formula = _parse_quantified(stream, inner_bound, depth)
     else:
         stream.expect(OP, "(")
-        body = _parse_implies(stream, inner_bound)
+        body = _parse_implies(stream, inner_bound, depth)
         stream.expect(OP, ")")
     for v in reversed(variables):
         body = Forall(v, domain, body)
     return body
 
 
-def _parse_implies(stream: TokenStream, bound: frozenset[str]) -> Formula:
-    left = _parse_or(stream, bound)
+def _parse_implies(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
+    left = _parse_or(stream, bound, depth)
     if stream.at(OP, "=>"):
+        depth = _deeper(stream, depth)
         stream.advance()
-        return Implies(left, _parse_implies(stream, bound))
+        return Implies(left, _parse_implies(stream, bound, depth))
     return left
 
 
-def _parse_or(stream: TokenStream, bound: frozenset[str]) -> Formula:
-    node = _parse_and(stream, bound)
+def _parse_or(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
+    node = _parse_and(stream, bound, depth)
     while stream.at(OP, "|"):
+        depth = _deeper(stream, depth)
         stream.advance()
-        node = Or(node, _parse_and(stream, bound))
+        node = Or(node, _parse_and(stream, bound, depth))
     return node
 
 
-def _parse_and(stream: TokenStream, bound: frozenset[str]) -> Formula:
-    node = _parse_unary(stream, bound)
+def _parse_and(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
+    node = _parse_unary(stream, bound, depth)
     while stream.at(OP, "&"):
+        depth = _deeper(stream, depth)
         stream.advance()
-        node = And(node, _parse_unary(stream, bound))
+        node = And(node, _parse_unary(stream, bound, depth))
     return node
 
 
-def _parse_unary(stream: TokenStream, bound: frozenset[str]) -> Formula:
+def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     if stream.at(OP, "!"):
+        depth = _deeper(stream, depth)
         stream.advance()
-        return Not(_parse_unary(stream, bound))
+        return Not(_parse_unary(stream, bound, depth))
     if stream.at(OP, "("):
         if stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
-            return _parse_quantified(stream, bound)
+            return _parse_quantified(stream, bound, depth)
+        depth = _deeper(stream, depth)
         stream.advance()
-        node = _parse_implies(stream, bound)
+        node = _parse_implies(stream, bound, depth)
         stream.expect(OP, ")")
         return node
-    return _parse_comparison(stream, bound)
+    return _parse_comparison(stream, bound, depth)
 
 
-def _parse_comparison(stream: TokenStream, bound: frozenset[str]) -> Formula:
-    lhs = _parse_term(stream, bound)
+def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
+    lhs = _parse_term(stream, bound, depth)
     tok = stream.peek()
     if tok.kind != OP or tok.value not in COMPARE_OPS:
         raise stream.error(f"found {tok.value!r}", expected="comparison operator")
     stream.advance()
-    rhs = _parse_term(stream, bound)
+    rhs = _parse_term(stream, bound, depth)
     return Compare(tok.value, lhs, rhs)
 
 
-def _parse_term(stream: TokenStream, bound: frozenset[str]) -> Term:
+def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
     tok = stream.peek()
     if tok.kind == INT:
         stream.advance()
@@ -198,8 +219,9 @@ def _parse_term(stream: TokenStream, bound: frozenset[str]) -> Term:
     if tok.kind == NAME:
         stream.advance()
         if stream.at(OP, "("):
+            depth = _deeper(stream, depth)
             stream.advance()
-            arg = _parse_term(stream, bound)
+            arg = _parse_term(stream, bound, depth)
             stream.expect(OP, ")")
             return Apply(tok.value, arg)
         if tok.value not in bound:
@@ -333,6 +355,5 @@ def format_term(term: Term) -> str:
     if isinstance(term, IntLit):
         return str(term.value)
     if isinstance(term, TextLit):
-        escaped = term.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return quote_string(term.value)
     raise TypeError(f"not a term: {term!r}")

@@ -50,6 +50,11 @@ _GLYPH_NAMES = {
     "⊆": "subset_of",
 }
 
+# String-literal escapes, by the letter after the backslash: tokenize reads
+# them, quote_string writes them.
+_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_QUOTE = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
+
 
 @dataclass(frozen=True)
 class Token:
@@ -107,7 +112,7 @@ def tokenize(text: str) -> list[Token]:
                 c = text[pos]
                 if c == "\\" and pos + 1 < n:
                     esc = text[pos + 1]
-                    chunks.append({"n": "\n", "t": "\t"}.get(esc, esc))
+                    chunks.append(_ESCAPES.get(esc, esc))
                     pos += 2
                     continue
                 if c == '"':
@@ -147,6 +152,11 @@ def tokenize(text: str) -> list[Token]:
 
     tokens.append(Token(EOF, "", line, max(1, n - line_start + 1)))
     return tokens
+
+
+def quote_string(text: str) -> str:
+    """*text* as a string literal that tokenize reads back unchanged."""
+    return '"' + text.translate(_QUOTE) + '"'
 
 
 class TokenStream:

@@ -110,8 +110,9 @@ class Step:
 
 @dataclass(frozen=True)
 class TranslationOptions:
+    """How to translate; the translator prompts only when *prompter* is given."""
+
     dbms_max_cardinality: int = 10 ** 9
-    interactive: bool = False
     answers: MappingType | None = None
     prompter: Prompter | None = None
 
@@ -193,9 +194,7 @@ def surrogate_digits(max_cardinality: int) -> int:
     return n
 
 
-def _reference_order(
-    sets: list[ObjectSet], diagnostics: list[Diagnostic] | None = None
-) -> list[ObjectSet]:
+def _reference_order(sets: list[ObjectSet], diagnostics: list[Diagnostic]) -> list[ObjectSet]:
     """Kahn's algorithm over the set-reference graph, referenced sets first.
 
     Edges run from a referencing set to each set its roles, structural
@@ -224,13 +223,12 @@ def _reference_order(
     while ready or remaining:
         if not ready:
             stuck = min(remaining)  # cycle: fall back to declaration order
-            if diagnostics is not None:
-                diagnostics.append(Diagnostic(
-                    WARNING, "reference-cycle",
-                    f"{sets[stuck].name} participates in a reference cycle; "
-                    "declaration order used",
-                    sets[stuck].name,
-                ))
+            diagnostics.append(Diagnostic(
+                WARNING, "reference-cycle",
+                f"{sets[stuck].name} participates in a reference cycle; "
+                "declaration order used",
+                sets[stuck].name,
+            ))
             remaining.discard(stuck)
             heapq.heappush(ready, stuck)
             for j in dependents[stuck]:
@@ -258,18 +256,16 @@ class Translator:
         self.model = model
         self.scheme = EMDMScheme()
         self.report = TranslationReport()
-        self._prompter = self.options.prompter if self.options.interactive else None
 
     # -- plumbing --
 
     def _step(self, kind: str, source: str, produced: str) -> None:
+        """Record one step and the provenance of what it produced."""
+        self.scheme.provenance[produced] = source
         self.report.steps.append(Step(kind, source, produced))
 
     def _diag(self, severity: str, code: str, message: str, element: str = "") -> None:
         self.report.diagnostics.append(Diagnostic(severity, code, message, element))
-
-    def _provenance(self, ref: str, source: str) -> None:
-        self.scheme.provenance[ref] = source
 
     # -- pipeline --
 
@@ -281,7 +277,7 @@ class Translator:
 
         defaults = apply_input_defaults(
             self.model, self.options.dbms_max_cardinality,
-            self.options.answers, self._prompter,
+            self.options.answers, self.options.prompter,
         )
         self.model = defaults.model
         self.report.diagnostics.extend(defaults.diagnostics)
@@ -325,25 +321,26 @@ class Translator:
     # -- sets --
 
     def add_computed_set(self, s: ObjectSet) -> None:
-        if self.scheme.set(s.name) is not None:
-            return
         self.scheme.add_set(EMDMSet(
             name=s.name, kind=sch.COMPUTED, computed_definition=s.computed_definition,
         ))
-        self._provenance(ref_set(s.name), src_set(s.name))
         self._step(STEP_COMPUTED_SET, src_set(s.name), ref_set(s.name))
 
-    def add_set(self, s: ObjectSet) -> EMDMScheme:
-        """Add a rectangle: set, identifier, inclusions, then its members."""
-        if self._add_set_core(s, sch.ENTITY_DERIVED, STEP_ENTITY_SET):
-            self.complete_scheme(s)
-        return self.scheme
+    def add_set(self, s: ObjectSet) -> None:
+        """Add a rectangle: set, identifier, inclusions, then its members.
 
-    def add_relationship(self, s: ObjectSet) -> EMDMScheme:
-        """Add a diamond: set, identifier, inclusions, roles, then members."""
-        if not self._add_set_core(s, sch.RELATIONSHIP_DERIVED, STEP_RELATIONSHIP_SET):
-            return self.scheme
-        target = self.scheme.set(s.name)
+        Precondition: the model passes validate_model after the input
+        defaults, and *s* has not been added yet.
+        """
+        self.complete_scheme(s, self._add_set_core(s, sch.ENTITY_DERIVED, STEP_ENTITY_SET))
+
+    def add_relationship(self, s: ObjectSet) -> None:
+        """Add a diamond: set, identifier, inclusions, roles, then members.
+
+        Precondition: the model passes validate_model after the input
+        defaults, and *s* has not been added yet.
+        """
+        target = self._add_set_core(s, sch.RELATIONSHIP_DERIVED, STEP_RELATIONSHIP_SET)
         signature = []
         for role in s.roles:
             mapping = Mapping(
@@ -352,44 +349,36 @@ class Translator:
             )
             target.mappings.append(mapping)
             signature.append((role.name, role.target))
-            self._provenance(ref_mapping(s.name, role.name), src_role(s.name, role.name))
             self._step(STEP_ROLE, src_role(s.name, role.name), ref_mapping(s.name, role.name))
         target.role_signature = tuple(signature)
-        self.complete_scheme(s)
-        return self.scheme
+        self.complete_scheme(s, target)
 
-    def _add_set_core(self, s: ObjectSet, kind: str, step_kind: str) -> bool:
-        if self.scheme.set(s.name) is not None:
-            return False  # re-encounters are no-ops with zero steps
+    def _add_set_core(self, s: ObjectSet, kind: str, step_kind: str) -> EMDMSet:
         max_card, card_source = effective_cardinality(self.model, s)
-        if max_card is None:
-            # unreachable after input defaults; kept as a hard stop for direct calls
-            max_card, card_source = self.options.dbms_max_cardinality, src_set(s.name)
         identifier = Mapping(
             name=OBJECT_IDENTIFIER, source=s.name,
             codomain=NatRange(surrogate_digits(max_card)),
             flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
         )
-        self.scheme.add_set(EMDMSet(name=s.name, kind=kind, object_identifier=identifier))
-        self._provenance(ref_set(s.name), src_set(s.name))
-        self._provenance(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source or src_set(s.name))
+        created = EMDMSet(name=s.name, kind=kind, object_identifier=identifier)
+        self.scheme.add_set(created)
         self._step(step_kind, src_set(s.name), ref_set(s.name))
+        self.scheme.provenance[ref_mapping(s.name, OBJECT_IDENTIFIER)] = card_source
 
         for superset, source, label in effective_inclusions(self.model, s):
-            if self.model.set(superset) is None:
-                self._diag(ERROR, "unresolved-set",
-                           f"{s.name} included in unknown set {superset!r}", s.name)
-                continue
             constraint = InclusionConstraint(subset=s.name, superset=superset, label=label)
             self.scheme.constraints.append(constraint)
-            self._provenance(ref_constraint(constraint), source)
             self._step(STEP_INCLUSION, source, ref_constraint(constraint))
-        return True
+        return created
 
     # -- members and per-set restrictions --
 
-    def complete_scheme(self, s: ObjectSet) -> EMDMScheme:
-        target = self.scheme.set(s.name)
+    def complete_scheme(self, s: ObjectSet, target: EMDMSet) -> None:
+        """Add the members of *s* and the restrictions on it to *target*.
+
+        Precondition: the model passes validate_model after the input
+        defaults, so every mapping a restriction names exists on *target*.
+        """
         restrictions = self.model.restrictions_on(s.name)
 
         for fn in s.structural_functions:
@@ -399,7 +388,6 @@ class Translator:
                 computed_definition=fn.computed_definition,
             )
             target.mappings.append(mapping)
-            self._provenance(ref_mapping(s.name, fn.name), src_function(s.name, fn.name))
             self._step(STEP_STRUCTURAL_FUNCTION, src_function(s.name, fn.name),
                        ref_mapping(s.name, fn.name))
 
@@ -410,41 +398,25 @@ class Translator:
             if isinstance(r.body, UniquenessBody) and r.body.is_singleton:
                 name = r.body.mappings[0]
                 mapping = target.mapping(name)
-                if mapping is None:
-                    self._diag(ERROR, "unknown-mapping",
-                               f"{r.label} names unknown mapping {name!r}", r.label)
-                    continue
                 mapping.one_to_one = True
                 mapping.source_labels["unique"] = r.label
                 facet = ref_mapping(s.name, name, f"unique:{r.label}")
-                self._provenance(facet, src_restriction(r.label))
                 self._step(STEP_UNIQUE, src_restriction(r.label), facet)
 
         for r in restrictions:
             if isinstance(r.body, CompulsoryBody):
                 for name in r.body.mappings:
                     mapping = target.mapping(name)
-                    if mapping is None:
-                        self._diag(ERROR, "unknown-mapping",
-                                   f"{r.label} names unknown mapping {name!r}", r.label)
-                        continue
                     mapping.total = True
                     mapping.source_labels["total"] = r.label
                     facet = ref_mapping(s.name, name, f"total:{r.label}")
-                    self._provenance(facet, src_restriction(r.label, name))
                     self._step(STEP_COMPULSORY, src_restriction(r.label, name), facet)
 
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and not r.body.is_singleton:
-                missing = [n for n in r.body.mappings if target.mapping(n) is None]
-                if missing:
-                    self._diag(ERROR, "unknown-mapping",
-                               f"{r.label} names unknown mappings {missing}", r.label)
-                    continue
                 key = Key(label=r.label, mappings=tuple(r.body.mappings))
                 key.implicit = is_implicit_key(key, target)
                 target.keys.append(key)
-                self._provenance(ref_key(s.name, r.label), src_restriction(r.label))
                 self._step(STEP_KEY, src_restriction(r.label), ref_key(s.name, r.label))
                 if key.implicit:
                     self.report.implicit_keys.append(ImplicitKeyNote(
@@ -454,9 +426,10 @@ class Translator:
         for r in restrictions:
             if isinstance(r.body, OtherBody) and r.body.formal is not None:
                 if quantifier_count(r.body.formal) == 1:
-                    self._add_tuple_constraint(r.label, s.name, r.body.formal,
-                                               STEP_TUPLE, src_restriction(r.label))
-        return self.scheme
+                    self._add_constraint(
+                        TupleConstraint(label=r.label, set_name=s.name, formula=r.body.formal),
+                        STEP_TUPLE, src_restriction(r.label),
+                    )
 
     def _add_attribute(self, s: ObjectSet, target: EMDMSet, attr: Attribute) -> None:
         source = src_attribute(s.name, attr.name)
@@ -473,20 +446,18 @@ class Translator:
             if rng_source is not None and rng_source.startswith("restriction:"):
                 label = rng_source.split(":", 1)[1]
                 mapping.source_labels["codomain"] = label
-                self._provenance(ref_mapping(s.name, attr.name, "codomain"), rng_source)
+                self.scheme.provenance[ref_mapping(s.name, attr.name, "codomain")] = rng_source
         target.mappings.append(mapping)
-        self._provenance(ref_mapping(s.name, attr.name), source)
         self._step(STEP_ATTRIBUTE, source, ref_mapping(s.name, attr.name))
 
-    def _add_tuple_constraint(
-        self, label: str, set_name: str, formula: Formula, step_kind: str, source: str
+    def _add_constraint(
+        self, constraint: TupleConstraint | NonrelationalConstraint, step_kind: str, source: str
     ) -> None:
-        constraint = TupleConstraint(label=label, set_name=set_name, formula=formula)
-        problems = resolve_formula(self.scheme, formula)
-        for problem in problems:
-            self._diag(ERROR, "formula-resolution", f"{label}: {problem}", label)
+        label = constraint.label
+        if constraint.formula is not None:
+            for problem in resolve_formula(self.scheme, constraint.formula):
+                self._diag(ERROR, "formula-resolution", f"{label}: {problem}", label)
         self.scheme.constraints.append(constraint)
-        self._provenance(ref_constraint(constraint), source)
         self._step(step_kind, source, ref_constraint(constraint))
 
     # -- trailing nonrelational pass --
@@ -504,27 +475,21 @@ class Translator:
             if formula is not None and quantifier_count(formula) == 1:
                 # A late answer turned out single-variable; it still counts as
                 # a nonrelational step because this loop performed it.
-                self._add_tuple_constraint(
-                    r.label, quantifier_domains(formula)[0], formula,
-                    STEP_NONRELATIONAL, source,
+                constraint = TupleConstraint(
+                    label=r.label, set_name=quantifier_domains(formula)[0], formula=formula,
                 )
-                continue
-            constraint = NonrelationalConstraint(
-                label=r.label, formula=formula, informal=r.body.informal,
-            )
-            if formula is not None:
-                for problem in resolve_formula(self.scheme, formula):
-                    self._diag(ERROR, "formula-resolution", f"{r.label}: {problem}", r.label)
-            self.scheme.constraints.append(constraint)
-            self._provenance(ref_constraint(constraint), source)
-            self._step(STEP_NONRELATIONAL, source, ref_constraint(constraint))
+            else:
+                constraint = NonrelationalConstraint(
+                    label=r.label, formula=formula, informal=r.body.informal,
+                )
+            self._add_constraint(constraint, STEP_NONRELATIONAL, source)
 
     def _formalize(self, r: Restriction) -> Formula | None:
         answer = resolve_answer(
             r.label, "formalization",
             f"{r.label} ({r.body.informal or 'no informal text'}) has no formal body; "
             "provide a formula",
-            self.options.answers, self._prompter, self.report.pending_questions,
+            self.options.answers, self.options.prompter, self.report.pending_questions,
         )
         if answer is None:
             self._diag(WARNING, "unformalized",
@@ -542,7 +507,7 @@ class Translator:
 
     def _enrich(self) -> None:
         _, actions, diagnostics, pending = enrich_scheme(
-            self.scheme, self.options.answers, self._prompter,
+            self.scheme, self.options.answers, self.options.prompter,
         )
         self.report.enrichment_actions.extend(actions)
         self.report.diagnostics.extend(diagnostics)

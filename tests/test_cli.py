@@ -4,6 +4,9 @@ import json
 from pathlib import Path
 
 from erdmc.cli import main
+from erdmc.emitter import emit_structured, load_structured
+from erdmc.enrichment import apply_actions
+from erdmc.formula import MAX_FORMULA_DEPTH
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
 
@@ -44,11 +47,13 @@ def test_translate_non_utf8_input_exit_2(tmp_path, capsys, monkeypatch):
     assert captured.err.splitlines() == [
         f"cannot read input: {binary}: not UTF-8 text (invalid start byte)",
     ]
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
-    assert main(["check", "-"]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "cannot read input: -: not UTF-8 text (invalid start byte)",
-    ]
+    for errors in ("strict", "surrogateescape"):  # a UTF-8 locale, a C locale
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr("sys.stdin", stdin)
+        assert main(["check", "-"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "cannot read input: -: not UTF-8 text (invalid start byte)",
+        ]
 
 
 def test_duplicate_set_name_exits_1_naming_the_set(tmp_path, capsys):
@@ -58,7 +63,7 @@ def test_duplicate_set_name_exits_1_naming_the_set(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "1 errors\n"
     assert captured.err.splitlines() == [
-        "error: duplicate-set-name: object set 'A' declared twice",
+        "error: duplicate-set-name: object set 'A' declared twice [A]",
     ]
     assert main(["translate", str(model)]) == 1
     captured = capsys.readouterr()
@@ -77,7 +82,7 @@ def test_duplicate_restriction_label_exits_1_naming_the_label(tmp_path, capsys):
     )
     assert main(["validate", str(model)]) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: duplicate-label: restriction label 'R01' reused",
+        "error: duplicate-label: restriction label 'R01' reused [R01]",
     ]
     assert main(["translate", str(model)]) == 1
     captured = capsys.readouterr()
@@ -92,6 +97,75 @@ def test_translate_translation_errors_exit_1(tmp_path, capsys, teaching_source):
     bad.write_text(teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES"))
     assert main(["translate", str(bad)]) == 1
     assert "CLASES" in capsys.readouterr().err
+
+
+def test_translate_refuses_a_model_the_input_defaults_invalidate(tmp_path, capsys):
+    model = tmp_path / "dropped.erdm"
+    model.write_text(
+        'diagram D { entity A card 10 { attr a : ASCII(8) attr c computed = "" } }\n'
+        "restriction R01 on A compulsory c\n"
+    )
+    assert main(["validate", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["translate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "warning: computed-dropped: computed attribute A.c has no definition and was ignored [A.c]",
+        "error: unknown-mapping: after input defaults: R01 names unknown mapping 'c' on A [R01]",
+    ]
+
+
+def test_too_deep_formulas_exit_2_with_one_line(tmp_path, capsys):
+    model = tmp_path / "deep.erdm"
+    for body in ("(" * 400 + "a(x) = 1" + ")" * 400, " & ".join(["a(x) = 1"] * 1000)):
+        model.write_text(
+            "diagram D { entity A card 10 { attr a } }\n"
+            f"restriction R01 on A other formal (forall x in A)({body})\n"
+        )
+        for command in ("validate", "translate", "check"):
+            assert main([command, str(model)]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("2:")
+            assert line.endswith(f": formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+
+
+def test_too_deep_answer_is_a_bad_formalization(tmp_path, capsys):
+    model = tmp_path / "m.erdm"
+    model.write_text(
+        "diagram D { entity A card 10 { attr a } }\n"
+        "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+        'restriction R03 on A other informal "asks a question"\n'
+    )
+    answers = tmp_path / "answers.json"
+    deep = "(forall x in A)(" + "(" * 400 + "a(x) <> 1" + ")" * 400 + ")"
+    answers.write_text(json.dumps({"R03": {"formalization": deep}}))
+    assert main(["translate", str(model), "--answers", str(answers)]) == 0
+    column = len("(forall x in A)(") + MAX_FORMULA_DEPTH
+    assert (
+        "warning: bad-formalization: supplied formula for R03 does not parse: "
+        f"1:{column}: formula nested deeper than {MAX_FORMULA_DEPTH} levels [R03]"
+    ) in capsys.readouterr().err.splitlines()
+
+
+def test_formulas_at_the_bound_pass_every_stage(tmp_path, capsys):
+    # The deepest tree the bound admits: a chain of conjunctions whose first
+    # operand is itself nested to the bound.
+    body = "!" * (MAX_FORMULA_DEPTH - 2) + "a(x) = 1" + " & x = x" * (MAX_FORMULA_DEPTH - 1)
+    model = tmp_path / "deepest.erdm"
+    model.write_text(
+        "diagram D { entity A card 10 { attr a : ASCII(8) } }\n"
+        "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+        f"restriction R03 on A other formal (forall x in A)({body})\n"
+    )
+    structured = tmp_path / "deepest.json"
+    assert main(["translate", str(model), "--unicode", "--structured", str(structured)]) == 0
+    assert main(["check", str(model)]) == 0
+    scheme = load_structured(structured.read_text())
+    assert load_structured(emit_structured(scheme)) == scheme
+    assert apply_actions(scheme, []) == scheme
 
 
 def test_translate_output_and_sidecar_files(tmp_path, capsys, golden_scheme_text):
@@ -112,7 +186,8 @@ def test_translate_output_and_sidecar_files(tmp_path, capsys, golden_scheme_text
 def test_translate_stdin(capsys, teaching_source, golden_scheme_text, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(teaching_source))
+    stdin = io.TextIOWrapper(io.BytesIO(teaching_source.encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["translate", "-"]) == 0
     assert capsys.readouterr().out == golden_scheme_text
 
@@ -159,7 +234,7 @@ def test_validate_reports_dangling_reference(tmp_path, capsys, teaching_source):
     captured = capsys.readouterr()
     assert "1 errors" in captured.out
     assert captured.err.splitlines() == [
-        "error: unresolved-set: role Class targets unknown set 'CLASES'",
+        "error: unresolved-set: role Class targets unknown set 'CLASES' [ATTENDANCES.Class]",
     ]
 
 

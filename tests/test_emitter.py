@@ -11,6 +11,7 @@ from erdmc.emitter import (
     emit_text,
     load_structured,
 )
+from erdmc.formula import MAX_FORMULA_DEPTH, format_formula, parse_formula
 from erdmc.generator import random_model
 from erdmc.lexer import STRING, tokenize
 from erdmc.parser import parse_model
@@ -149,11 +150,33 @@ def test_unknown_top_level_field_is_ignored(golden):
 def test_bad_formula_names_the_constraint_path(golden):
     doc = json.loads(emit_structured(golden.scheme))
     i = next(i for i, c in enumerate(doc["constraints"]) if c["kind"] == "tuple")
-    doc["constraints"][i]["formula"] = "(forall x in"
-    with pytest.raises(StructuredFormatError) as info:
-        load_structured(json.dumps(doc))
-    assert info.value.path == f"$.constraints[{i}]"
-    assert str(info.value).startswith(f"$.constraints[{i}]: malformed tuple constraint: ")
+    too_deep = "(forall x in A)(" + "!" * MAX_FORMULA_DEPTH + "x = 1)"
+    for formula in ("(forall x in", too_deep):
+        doc["constraints"][i]["formula"] = formula
+        with pytest.raises(StructuredFormatError) as info:
+            load_structured(json.dumps(doc))
+        assert info.value.path == f"$.constraints[{i}]"
+        assert str(info.value).startswith(f"$.constraints[{i}]: malformed tuple constraint: ")
+    assert str(info.value).endswith(f": formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+
+
+def test_formula_text_literals_round_trip_through_text_and_structured_forms():
+    source = (
+        "diagram D { entity A card 10 { attr a : ASCII(8) } }\n"
+        "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+        'restriction R03 on A other formal (forall x in A)(a(x) <> "p\\nq\\r\\t\\\\ \\"r\\"")\n'
+        'restriction R04 on A other formal (forall x, y in A)(a(x) <> "p\\nq")\n'
+    )
+    result = translate(parse_model(source))
+    assert result.scheme is not None
+    lines = emit_text(result.scheme).splitlines()
+    assert '  R03: (forall x in A)(a(x) <> "p\\nq\\r\\t\\\\ \\"r\\"")' in lines
+    assert 'R04: (forall x, y in A)(a(x) <> "p\\nq")' in lines
+    formulas = [c.formula for c in result.scheme.constraints if c.label in ("R03", "R04")]
+    assert formulas[0].body.rhs.value == 'p\nq\r\t\\ "r"'
+    for formula in formulas:
+        assert parse_formula(format_formula(formula)) == formula
+    assert load_structured(emit_structured(result.scheme, result.report)) == result.scheme
 
 
 def test_malformed_json_reports_position():

@@ -300,6 +300,24 @@ def test_rule_vii_ignores_entity_sets():
     assert out.set("A").keys == []
 
 
+SINGLE_ROLE_SOURCE = (
+    "diagram D { entity A card 10 { attr a } relationship R { role r -> A } }\n"
+    "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+)
+
+
+def test_rule_vii_makes_a_single_role_one_to_one():
+    result = translate(parse_model(SINGLE_ROLE_SOURCE))
+    assert result.scheme is not None
+    role = result.scheme.set("R").mapping("r")
+    assert role.one_to_one and role.total
+    assert result.scheme.set("R").keys == []
+    assert result.scheme.provenance["mapping:R.r#unique"] == "enrichment:vii"
+    [firing] = [a for a in result.report.enrichment_actions if a.rule == "vii"]
+    assert firing.description == "made single role R.r one-to-one (degenerate structural key)"
+    assert firing.resulting_labels == ()
+
+
 # --- rule (viii): binary relationships with unique roles collapse ---
 
 MARRIAGE_SOURCE = (
@@ -333,6 +351,33 @@ def test_rule_viii_both_unique_collapses_in_chosen_direction():
     assert check_scheme(result.scheme) == []
     firings = [a for a in result.report.enrichment_actions if a.rule == "viii"]
     assert len(firings) == 1
+
+
+def test_rule_viii_answers_file_chooses_the_reverse_direction(tmp_path, capsys):
+    model_path = tmp_path / "marriage.erdm"
+    model_path.write_text(MARRIAGE_SOURCE)
+    answers_path = tmp_path / "answers.json"
+    answers_path.write_text(json.dumps({"MARRIAGE": {"bijection-direction": "WOMEN->MEN"}}))
+    structured_path = tmp_path / "scheme.json"
+    report_path = tmp_path / "report.json"
+    assert main(["translate", str(model_path), "--answers", str(answers_path),
+                 "--structured", str(structured_path), "--report", str(report_path)]) == 0
+    captured = capsys.readouterr()
+    assert "  MARRIAGE : WOMEN <-> MEN, total" in captured.out.splitlines()
+    assert "collapse-default-direction" not in captured.err
+    scheme = load_structured(structured_path.read_text())
+    assert scheme.set("MARRIAGE") is None and scheme.set("MEN").mapping("MARRIAGE") is None
+    mapping = scheme.set("WOMEN").mapping("MARRIAGE")
+    assert mapping.codomain == "MEN" and mapping.one_to_one and mapping.total
+    report = json.loads(report_path.read_text())
+    assert [a["description"] for a in report["enrichment_actions"] if a["rule"] == "viii"] == [
+        "replaced MARRIAGE by the structural function MARRIAGE : WOMEN <-> MEN",
+    ]
+    assert report["pending_questions"] == [{
+        "subject": "MARRIAGE", "kind": "bijection-direction",
+        "prompt": "MARRIAGE is one-to-one both ways; choose MEN->WOMEN or WOMEN->MEN",
+        "answer": "WOMEN->MEN", "origin": "answers",
+    }]
 
 
 def test_rule_viii_single_unique_collapses_toward_unique_side():
@@ -452,7 +497,7 @@ def test_full_pass_is_idempotent():
 
 
 def test_recorded_actions_replay_to_the_same_scheme():
-    sources = [TOTALITY_SOURCE, MARRIAGE_SOURCE, CLASH_SOURCE]
+    sources = [TOTALITY_SOURCE, MARRIAGE_SOURCE, CLASH_SOURCE, SINGLE_ROLE_SOURCE]
     sources += [random_model(seed) for seed in range(300)]
     for source in sources:
         scheme = _pre_enrichment_scheme(source)
@@ -575,7 +620,7 @@ def test_interactive_prompter_is_consulted_and_recorded():
     )
     result = translate(
         parse_model(source),
-        TranslationOptions(interactive=True, prompter=prompter),
+        TranslationOptions(prompter=prompter),
     )
     assert result.scheme is not None
     assert [q.subject for q in questions] == ["R05"]

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from erdmc.diagnostics import ParseFailure
 from erdmc.formula import (
+    MAX_FORMULA_DEPTH,
     And,
     Apply,
     Compare,
@@ -13,6 +14,7 @@ from erdmc.formula import (
     IntLit,
     Not,
     Or,
+    TextLit,
     Var,
     format_formula,
     free_variables,
@@ -128,6 +130,33 @@ def test_unicode_rendering_round_trips():
     assert parse_formula(glyphs) == f
 
 
+# --- nesting bound ---
+
+# Each shape opens one level for the quantified x, then one per opener.
+_NESTING_SHAPES = {
+    "parentheses": ("(", lambda n: "(" * n + "x = 1" + ")" * n),
+    "negations": ("!", lambda n: "!" * n + "x = 1"),
+    "conjunction": ("&", lambda n: "x = 1" + " & x = 1" * n),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTING_SHAPES))
+def test_nesting_just_below_and_just_above_the_bound(shape):
+    opener, body = _NESTING_SHAPES[shape]
+    prefix = "(forall x in A)("
+    deepest = MAX_FORMULA_DEPTH - 1
+    accepted = parse_formula(f"{prefix}{body(deepest)})")
+    assert parse_formula(format_formula(accepted)) == accepted
+    source = f"{prefix}{body(deepest + 1)})"
+    with pytest.raises(ParseFailure) as info:
+        parse_formula(source)
+    [error] = info.value.errors
+    assert error.message == f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
+    assert error.line == 1
+    assert source[error.column - 1] == opener
+    assert source[len(prefix):error.column - 1].count(opener) == deepest
+
+
 # --- property: printing any generated AST re-parses to the same tree ---
 
 _names = st.sampled_from(["a", "b", "c", "f", "g"])
@@ -138,6 +167,7 @@ def _terms(variables: tuple[str, ...]) -> st.SearchStrategy:
     base = st.one_of(
         st.sampled_from([Var(v) for v in variables]),
         st.integers(-50, 50).map(IntLit),
+        st.text(max_size=6).map(TextLit),
     )
     return st.recursive(
         base,

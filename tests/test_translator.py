@@ -171,15 +171,6 @@ def test_add_set_builds_identifier(teaching_model):
     assert ident.total and ident.one_to_one
 
 
-def test_re_adding_a_set_is_a_no_op_with_zero_steps(teaching_model):
-    translator = Translator(teaching_model)
-    translator.add_set(teaching_model.set("STUDENTS"))
-    steps_before = len(translator.report.steps)
-    translator.add_set(teaching_model.set("STUDENTS"))
-    assert len(translator.report.steps) == steps_before
-    assert len(translator.scheme.sets) == 1
-
-
 def test_inclusion_declaration_becomes_constraint():
     source = (
         "diagram D {\n"
