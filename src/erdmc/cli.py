@@ -8,6 +8,7 @@ the scheme goes to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .census import verify_translation
 from .diagnostics import ParseFailure
-from .emitter import emit_structured, emit_text
+from .emitter import emit_structured, emit_text, encode_report
 from .enrichment import Question
 from .generator import random_model
 from .model import ERModel, validate_model
@@ -48,6 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     dbms_max = TranslationOptions().dbms_max_cardinality
     parser = argparse.ArgumentParser(
@@ -154,8 +156,9 @@ def _cmd_translate(args) -> int:
     )
     result = translate(model, options)
     _print_diagnostics(result)
+    report_text = encode_report(result.report) if args.report or args.structured else None
     if args.report:
-        _write_output(args.report, json.dumps(result.report.to_json_dict(), indent=2) + "\n")
+        _write_output(args.report, report_text + "\n")
     if result.scheme is None:
         return EXIT_TRANSLATION
     text = emit_text(result.scheme, unicode=args.unicode)
@@ -164,7 +167,7 @@ def _cmd_translate(args) -> int:
     else:
         sys.stdout.write(text)
     if args.structured:
-        _write_output(args.structured, emit_structured(result.scheme, result.report))
+        _write_output(args.structured, emit_structured(result.scheme, report_text))
     return EXIT_OK
 
 

@@ -186,16 +186,24 @@ def _render_nonrelational(c: NonrelationalConstraint, unicode: bool) -> str:
 # --- structured document ---
 
 
-def emit_structured(scheme: EMDMScheme, report: Any = None) -> str:
-    """Serialize *scheme* (and optionally a report) to versioned JSON."""
+def encode_report(report: Any) -> str:
+    """*report*'s JSON text, as ``--report`` writes it and emit_structured embeds it."""
+    return json.dumps(report.to_json_dict(), indent=2)
+
+
+def emit_structured(scheme: EMDMScheme, report_text: str | None = None) -> str:
+    """Serialize *scheme*, and the report that encode_report gave, to versioned JSON."""
     doc = {
         "version": STRUCTURED_VERSION,
         "sets": [_set_to_json(s) for s in scheme.sets],
         "constraints": [_constraint_to_json(c) for c in scheme.constraints],
         "provenance": dict(scheme.provenance),
-        "report": report.to_json_dict() if report is not None else None,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    # The report goes last, in place of the closing "\n}", one level deeper:
+    # each of its lines after the first gains two spaces, as indent=2 writes it
+    # at that depth. A JSON string holds no raw newline, so no value changes.
+    report = "null" if report_text is None else report_text.replace("\n", "\n  ")
+    return json.dumps(doc, indent=2)[:-2] + f',\n  "report": {report}\n}}\n'
 
 
 def load_structured(text: str) -> EMDMScheme:

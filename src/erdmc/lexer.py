@@ -9,7 +9,7 @@ operators.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import ParseError, ParseFailure
 
@@ -20,44 +20,55 @@ DATE = "date"
 OP = "op"
 EOF = "eof"
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_#]*")
-_INT_RE = re.compile(r"\d+")
-_DATE_RE = re.compile(r"\d+/\d+/\d+")
-
-# Longest first so "<->" is not read as "<" + "->".
-_OPERATORS = (
-    "<->", "->", "=>", "<=", ">=", "<>",
-    "(", ")", "[", "]", "{", "}", ",", ":", "^", ".", "=", "<", ">",
-    "&", "|", "!", "-",
-)
-
-# Glyph synonyms map onto the ASCII surface before operator matching.
-_GLYPH_OPS = {
-    "→": "->",     # right arrow
-    "↔": "<->",    # bidirectional arrow
-    "⇒": "=>",     # double right arrow
-    "≠": "<>",     # not equal
-    "≤": "<=",
-    "≥": ">=",
-    "∧": "&",      # logical and
-    "∨": "|",      # logical or
-    "¬": "!",      # negation
-    "•": ".",      # bullet, key concatenation
+# Glyph synonyms read as the token of their ASCII surface.
+_GLYPHS = {
+    "→": (OP, "->"),     # right arrow
+    "↔": (OP, "<->"),    # bidirectional arrow
+    "⇒": (OP, "=>"),     # double right arrow
+    "≠": (OP, "<>"),     # not equal
+    "≤": (OP, "<="),
+    "≥": (OP, ">="),
+    "∧": (OP, "&"),      # logical and
+    "∨": (OP, "|"),      # logical or
+    "¬": (OP, "!"),      # negation
+    "•": (OP, "."),      # bullet, key concatenation
+    "∀": (NAME, "forall"),
+    "∈": (NAME, "in"),
+    "⊆": (NAME, "subset_of"),
 }
-_GLYPH_NAMES = {
-    "∀": "forall",
-    "∈": "in",
-    "⊆": "subset_of",
-}
+
+# One alternative per token kind, each named after the kind it yields. Their
+# first characters are disjoint, so at most one can start at any position;
+# "error" takes any other character, an unclosed quote included.
+# A string ends at its line: a backslash escapes any character but a newline.
+# Operators are listed longest first so "<->" is not read as "<" + "->".
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<blank>[ \t\r]+|#[^\n]*)",  # a '#' that does not continue a name
+    r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
+    r"(?P<date>\d+/\d+/\d+)",
+    r"(?P<int>\d+)",
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_#]*)",
+    r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
+    "(?P<glyph>[" + "".join(_GLYPHS) + "])",
+    r"(?P<error>.)",
+]))
 
 # String-literal escapes, by the letter after the backslash: tokenize reads
-# them, quote_string writes them.
+# them, quote_string writes them. Any other letter stands for itself, except
+# "u", which takes four hex digits naming a character. quote_string writes the
+# other characters that str.splitlines breaks a line at as \uXXXX, so a
+# printed literal stays on one line.
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_QUOTE = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
+_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_QUOTE = str.maketrans(
+    {char: "\\" + letter for letter, char in _ESCAPES.items()}
+    | {char: f"\\u{ord(char):04x}" for char in _LINE_BREAKS}
+)
+_ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{0,4}|.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -70,88 +81,49 @@ class Token:
 def tokenize(text: str) -> list[Token]:
     """Split *text* into tokens, raising ParseFailure on lexical errors."""
     tokens: list[Token] = []
-    pos = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(text)
-
-    def here(offset: int = 0) -> tuple[int, int]:
-        return line, pos - line_start + 1 + offset
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        start = m.start()
+        if kind == "newline":
             line += 1
-            pos += 1
-            line_start = pos
-            continue
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "#":  # not adjacent to a name: comment to end of line
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch in _GLYPH_NAMES:
-            ln, col = here()
-            tokens.append(Token(NAME, _GLYPH_NAMES[ch], ln, col))
-            pos += 1
-            continue
-        if ch in _GLYPH_OPS:
-            ln, col = here()
-            tokens.append(Token(OP, _GLYPH_OPS[ch], ln, col))
-            pos += 1
-            continue
-        if ch == '"':
-            ln, col = here()
-            pos += 1
-            chunks: list[str] = []
-            while True:
-                if pos >= n or text[pos] == "\n":
-                    raise ParseFailure([ParseError(ln, col, "unterminated string literal")])
-                c = text[pos]
-                if c == "\\" and pos + 1 < n:
-                    esc = text[pos + 1]
-                    chunks.append(_ESCAPES.get(esc, esc))
-                    pos += 2
-                    continue
-                if c == '"':
-                    pos += 1
-                    break
-                chunks.append(c)
-                pos += 1
-            tokens.append(Token(STRING, "".join(chunks), ln, col))
-            continue
-        m = _DATE_RE.match(text, pos)
-        if m:
-            ln, col = here()
-            tokens.append(Token(DATE, m.group(), ln, col))
-            pos = m.end()
-            continue
-        m = _INT_RE.match(text, pos)
-        if m:
-            ln, col = here()
-            tokens.append(Token(INT, m.group(), ln, col))
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            ln, col = here()
-            tokens.append(Token(NAME, m.group(), ln, col))
-            pos = m.end()
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, pos):
-                ln, col = here()
-                tokens.append(Token(OP, op, ln, col))
-                pos += len(op)
-                break
+            line_start = start + 1
+        elif kind == "string":
+            value = text[start + 1:m.end() - 1]
+            if "\\" in value:
+                value = _unescape(value, line, start - line_start + 2)
+            append(Token(STRING, value, line, start - line_start + 1))
+        elif kind == "glyph":
+            append(Token(*_GLYPHS[m.group()], line, start - line_start + 1))
+        elif kind == "error":
+            ch = m.group()
+            message = ("unterminated string literal" if ch == '"'
+                       else f"unexpected character {ch!r}")
+            raise ParseFailure([ParseError(line, start - line_start + 1, message)])
         else:
-            ln, col = here()
-            raise ParseFailure([ParseError(ln, col, f"unexpected character {ch!r}")])
-
-    tokens.append(Token(EOF, "", line, max(1, n - line_start + 1)))
+            append(Token(kind, m.group(), line, start - line_start + 1))
+    append(Token(EOF, "", line, max(1, len(text) - line_start + 1)))
     return tokens
+
+
+def _unescape(body: str, line: int, column: int) -> str:
+    """The value of a string literal whose text from *column* on is *body*."""
+    def replace(m: re.Match) -> str:
+        esc = m.group(1)
+        if esc[0] != "u":
+            return _ESCAPES.get(esc, esc)
+        if len(esc) == 5 and not 0xD800 <= (code := int(esc[1:], 16)) <= 0xDFFF:
+            return chr(code)
+        raise ParseFailure([ParseError(
+            line, column + m.start(), "malformed \\u escape",
+            expected="four hex digits naming a character that is not a surrogate",
+        )])
+
+    return _ESCAPE_RE.sub(replace, body)
 
 
 def quote_string(text: str) -> str:
@@ -167,8 +139,9 @@ class TokenStream:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        if not ahead:  # the cursor never passes the final EOF token
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def at(self, kind: str, value: str | None = None) -> bool:
         t = self.peek()

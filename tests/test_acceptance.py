@@ -10,7 +10,7 @@ import json
 import time
 
 from erdmc.census import census, verify_translation
-from erdmc.emitter import emit_structured, emit_text, load_structured
+from erdmc.emitter import emit_structured, emit_text, encode_report, load_structured
 from erdmc.enrichment import (
     apply_input_defaults,
     collapse_binary_relationships,
@@ -84,7 +84,7 @@ def test_criterion_golden_reproduction(teaching_source, golden_scheme_text):
     for label in ("R38", "R39", "R40", "R41"):
         assert f"{label}: (forall" in trailing
 
-    doc = json.loads(emit_structured(result.scheme, result.report))
+    doc = json.loads(emit_structured(result.scheme, encode_report(result.report)))
     schedules = next(s for s in doc["sets"] if s["name"] == "SCHEDULES")
     r42 = next(k for k in schedules["keys"] if k["label"] == "R42")
     assert r42["implicit"] is True and r42["mappings"] == ["Room", "Competence"]

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from erdmc import cli
 from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
 from erdmc.enrichment import apply_actions
@@ -181,6 +184,55 @@ def test_translate_output_and_sidecar_files(tmp_path, capsys, golden_scheme_text
     doc = json.loads(structured.read_text())
     assert doc["version"] == 1
     assert json.loads(report.read_text())["tallies"]["total"] == 57
+
+
+NO_DIAGNOSTICS = (
+    "diagram D { entity A card 10 { attr a : ASCII(8) } }\n"
+    "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+)
+
+
+@pytest.mark.parametrize("source", [None, NO_DIAGNOSTICS], ids=["fixture", "no-diagnostics"])
+def test_structured_output_embeds_the_report_file(tmp_path, capsys, source):
+    model = FIXTURE
+    if source is not None:
+        model = str(tmp_path / "m.erdm")
+        Path(model).write_text(source)
+    structured, report = tmp_path / "scheme.json", tmp_path / "report.json"
+    argv = ["translate", model, "--structured", str(structured), "--report", str(report)]
+    assert main(argv) == 0
+    text, report_text = structured.read_text(), report.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    embedded = json.loads(text)["report"]
+    assert report_text == json.dumps(embedded, indent=2) + "\n"
+    assert bool(embedded["diagnostics"]) == (source is None)
+
+
+def test_calls_in_one_process_share_one_parser_and_no_options(capsys, golden_scheme_text):
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["translate", FIXTURE, "--unicode"]) == 0
+    assert "↔" in capsys.readouterr().out
+    assert main(["translate", FIXTURE]) == 0
+    assert capsys.readouterr().out == golden_scheme_text
+    assert main(["check", "--fuzz", "2"]) == 0
+    assert capsys.readouterr().out.startswith("model 0: LINEARITY: PASS\n")
+    assert main(["check", FIXTURE]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "LINEARITY: PASS", "SOUNDNESS: PASS", "COMPLETENESS: PASS", "OPTIMALITY: PASS",
+    ]
+
+
+def test_malformed_string_escapes_exit_2_with_their_position(tmp_path, capsys):
+    model = tmp_path / "m.erdm"
+    head = "diagram D { entity A card 10 { attr a } }\nrestriction R01 on A other informal "
+    for literal, line in [
+        ('"p\\u00zz"', "2:39: malformed \\u escape (expected four hex digits naming "
+                         "a character that is not a surrogate)"),
+        ('"p\\\nq"', "2:37: unterminated string literal"),
+    ]:
+        model.write_text(head + literal + "\n")
+        assert main(["translate", str(model)]) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
 
 
 def test_translate_stdin(capsys, teaching_source, golden_scheme_text, monkeypatch):

@@ -9,6 +9,7 @@ from erdmc.emitter import (
     StructuredFormatError,
     emit_structured,
     emit_text,
+    encode_report,
     load_structured,
 )
 from erdmc.formula import MAX_FORMULA_DEPTH, format_formula, parse_formula
@@ -104,6 +105,20 @@ def test_informal_text_is_escaped_the_way_the_lexer_reads_it():
     assert [t.value for t in tokenize(last) if t.kind == STRING] == [informal]
 
 
+def test_informal_line_breaks_print_as_u_escapes():
+    informal = "p\u2028q\vr\x85s"
+    source = (
+        "diagram D { entity A card 10 { attr a } }\n"
+        "restriction R01 on A compulsory a\n"
+        "restriction R02 on A unique a\n"
+        f'restriction R03 on A other informal "{informal}"\n'
+    )
+    result = translate(parse_model(source))
+    last = emit_text(result.scheme).splitlines()[-1]
+    assert last == 'R03: informal "p\\u2028q\\u000br\\u0085s"'
+    assert [t.value for t in tokenize(last) if t.kind == STRING] == [informal]
+
+
 # --- structured round-trip ---
 
 
@@ -126,7 +141,7 @@ def test_structured_keeps_generated_key(golden):
 
 
 def test_structured_includes_report_when_given(golden):
-    doc = json.loads(emit_structured(golden.scheme, golden.report))
+    doc = json.loads(emit_structured(golden.scheme, encode_report(golden.report)))
     assert doc["report"]["tallies"]["total"] == 57
     inventory = {e["label"]: e["origin"] for e in doc["report"]["implicit_keys"]}
     assert inventory["R42"] == "generated"
@@ -176,7 +191,8 @@ def test_formula_text_literals_round_trip_through_text_and_structured_forms():
     assert formulas[0].body.rhs.value == 'p\nq\r\t\\ "r"'
     for formula in formulas:
         assert parse_formula(format_formula(formula)) == formula
-    assert load_structured(emit_structured(result.scheme, result.report)) == result.scheme
+    structured = emit_structured(result.scheme, encode_report(result.report))
+    assert load_structured(structured) == result.scheme
 
 
 def test_malformed_json_reports_position():

@@ -1,0 +1,112 @@
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from erdmc.diagnostics import ParseFailure
+from erdmc.lexer import EOF, STRING, quote_string, tokenize
+
+
+def kinds(text: str) -> list[tuple[str, str, int, int]]:
+    return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+
+
+def failure(text: str) -> tuple[int, int, str]:
+    with pytest.raises(ParseFailure) as info:
+        tokenize(text)
+    [error] = info.value.errors
+    return error.line, error.column, error.message
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("", [("eof", "", 1, 1)]),
+    # A CR is a blank, so CRLF text keeps the LF's line numbers.
+    ("a\r\nbc\r\n", [
+        ("name", "a", 1, 1), ("name", "bc", 2, 1), ("eof", "", 3, 1),
+    ]),
+    ("x\r\n  y", [("name", "x", 1, 1), ("name", "y", 2, 3), ("eof", "", 2, 4)]),
+    # '#' glued to a name belongs to it; anywhere else it opens a comment.
+    ("Room# a#b", [("name", "Room#", 1, 1), ("name", "a#b", 1, 7), ("eof", "", 1, 10)]),
+    ("a # note # more\nb", [("name", "a", 1, 1), ("name", "b", 2, 1), ("eof", "", 2, 2)]),
+    ("#", [("eof", "", 1, 2)]),
+    ("1#x\n(#)", [
+        ("int", "1", 1, 1), ("op", "(", 2, 1), ("eof", "", 2, 4),
+    ]),
+    # Operators are read longest first.
+    ("<-><=<>=>->-<", [
+        ("op", "<->", 1, 1), ("op", "<=", 1, 4), ("op", "<>", 1, 6), ("op", "=>", 1, 8),
+        ("op", "->", 1, 10), ("op", "-", 1, 12), ("op", "<", 1, 13), ("eof", "", 1, 14),
+    ]),
+    ("1-2", [("int", "1", 1, 1), ("op", "-", 1, 2), ("int", "2", 1, 3), ("eof", "", 1, 4)]),
+    ("1/2/2020 12 3/4/5", [
+        ("date", "1/2/2020", 1, 1), ("int", "12", 1, 10), ("date", "3/4/5", 1, 13),
+        ("eof", "", 1, 18),
+    ]),
+    ('"a" "" "b\\"c\\\\" "\\n\\r\\t\\q"', [
+        ("string", "a", 1, 1), ("string", "", 1, 5), ("string", 'b"c\\', 1, 8),
+        ("string", "\n\r\tq", 1, 17), ("eof", "", 1, 27),
+    ]),
+    ("x\n∀y ∈ A", [
+        ("name", "x", 1, 1), ("name", "forall", 2, 1), ("name", "y", 2, 2),
+        ("name", "in", 2, 4), ("name", "A", 2, 6), ("eof", "", 2, 7),
+    ]),
+])
+def test_tokens_and_positions(text, expected):
+    assert kinds(text) == expected
+
+
+@pytest.mark.parametrize("glyph, kind, value", [
+    ("→", "op", "->"), ("↔", "op", "<->"), ("⇒", "op", "=>"), ("≠", "op", "<>"),
+    ("≤", "op", "<="), ("≥", "op", ">="), ("∧", "op", "&"), ("∨", "op", "|"),
+    ("¬", "op", "!"), ("•", "op", "."),
+    ("∀", "name", "forall"), ("∈", "name", "in"), ("⊆", "name", "subset_of"),
+])
+def test_each_glyph_reads_as_its_ascii_token(glyph, kind, value):
+    assert kinds(f"a\n{glyph}b") == [
+        ("name", "a", 1, 1), (kind, value, 2, 1), ("name", "b", 2, 2), ("eof", "", 2, 3),
+    ]
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('a "abc', (1, 3, "unterminated string literal")),
+    ('a\n  "abc\n"', (2, 3, "unterminated string literal")),
+    ('"abc\\', (1, 1, "unterminated string literal")),
+    ("a $", (1, 3, "unexpected character '$'")),
+    ("a\n\n  b @", (3, 5, "unexpected character '@'")),
+    ("1/2", (1, 2, "unexpected character '/'")),
+])
+def test_lexical_errors_are_positioned(text, expected):
+    assert failure(text) == expected
+
+
+def test_backslash_newline_does_not_continue_a_string():
+    # A continued string would put x on line 2, although it is on line 3.
+    assert failure('description "a\\\nb"\nx') == (1, 13, "unterminated string literal")
+
+
+@pytest.mark.parametrize("text, value", [
+    ('"\\u00e9\\u2028"', "\u00e9\u2028"),
+    ('"\\u000B\\u000c"', "\v\f"),
+    ('"\\\\u0041"', "\\u0041"),
+])
+def test_u_escape_reads_four_hex_digits(text, value):
+    assert kinds(text)[0] == ("string", value, 1, 1)
+
+
+@pytest.mark.parametrize("text, column", [
+    ('"\\u12"', 2), ('x "ab\\uzzzz"', 6), ('"\\u"', 2), ('"\\ud800"', 2),
+])
+def test_malformed_u_escape_is_positioned_at_its_backslash(text, column):
+    line, col, message = failure(text)
+    assert (line, col) == (1, column)
+    assert message.startswith("malformed \\u escape")
+
+
+@given(st.text())
+def test_quoted_strings_read_back_unchanged(s):
+    assert kinds(quote_string(s)) == [(STRING, s, 1, 1), (EOF, "", 1, len(quote_string(s)) + 1)]
+
+
+@given(st.text())
+def test_quoted_strings_stay_on_one_line(s):
+    assert len(quote_string(s).splitlines()) == 1
