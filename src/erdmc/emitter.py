@@ -230,7 +230,8 @@ def load_structured(text: str) -> EMDMScheme:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise StructuredFormatError("must be an object", "$.provenance")
-    scheme.provenance = {str(k): str(v) for k, v in provenance.items()}
+    for ref, source in provenance.items():
+        scheme.record(str(ref), str(source))
     return scheme
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping as MappingType
 
@@ -70,6 +71,9 @@ RULE_UNIQUENESS = "ix"
 
 FALLBACK_COMPULSORY = "Compulsory"
 FALLBACK_UNIQUE = "UniqueMapping"
+# The range of rule (iii) and of the rule (vi)/(ix) mappings. Ranges are
+# immutable, so every defaulted attribute and generated mapping shares it.
+DEFAULT_RANGE = AsciiRange(255)
 
 
 @dataclass(frozen=True)
@@ -276,7 +280,7 @@ def _default_one_set(
                     f"defaulted range of {s.name}.{a.name} to ASCII(255)",
                     details={"length": 255},
                 ))
-                new_attributes.append(replace(a, range=AsciiRange(255)))
+                new_attributes.append(replace(a, range=DEFAULT_RANGE))
                 attrs_changed = True
                 continue
         new_attributes.append(a)
@@ -368,13 +372,13 @@ def _apply(scheme: EMDMScheme, action: EnrichmentAction) -> None:
     source = ENRICHMENT_PREFIX + rule
     if rule in (RULE_COMPULSORY, RULE_UNIQUENESS):
         target.mappings.append(Mapping(
-            name=d["mapping"], source=target.name, codomain=AsciiRange(255),
+            name=d["mapping"], source=target.name, codomain=DEFAULT_RANGE,
             flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
         ))
-        scheme.provenance[ref_mapping(target.name, d["mapping"])] = source
+        scheme.record(ref_mapping(target.name, d["mapping"]), source)
     elif "label" in d:  # a roles-only structural key
         target.keys.append(Key(d["label"], tuple(d["mappings"]), implicit=True))
-        scheme.provenance[ref_key(target.name, d["label"])] = source
+        scheme.record(ref_key(target.name, d["label"]), source)
     else:  # totality, or the degenerate structural key of a single role
         mapping = target.mapping(d["mapping"])
         if mapping is None:
@@ -385,7 +389,7 @@ def _apply(scheme: EMDMScheme, action: EnrichmentAction) -> None:
         else:
             mapping.one_to_one = True
             facet = "unique"
-        scheme.provenance[ref_mapping(target.name, mapping.name, facet)] = source
+        scheme.record(ref_mapping(target.name, mapping.name, facet), source)
 
 
 def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentAction], list[Diagnostic]]:
@@ -410,29 +414,18 @@ def ensure_totality(scheme: EMDMScheme) -> tuple[EMDMScheme, list[EnrichmentActi
     return scheme, actions, diagnostics
 
 
+_LABEL = re.compile(r"R0*(\d+)")
+_RESTRICTION_LABEL = re.compile(r"restriction:R0*(\d+)")
+
+
 def _labels_in_use(scheme: EMDMScheme) -> set[int]:
     """Numeric values of every Rnn label visible anywhere in the scheme."""
-    values: set[int] = set()
-
-    def note(label: str | None) -> None:
-        if not label:
-            return
-        m = re.fullmatch(r"R0*(\d+)", label)
-        if m:
-            values.add(int(m.group(1)))
-
-    for s in scheme.sets:
-        for k in s.keys:
-            note(k.label)
-        for m in s.mappings:
-            for lbl in m.source_labels.values():
-                note(lbl)
-    for c in scheme.constraints:
-        note(getattr(c, "label", None))
-    for source in scheme.provenance.values():
-        m = re.match(r"restriction:(R0*\d+)", source)
-        if m:
-            note(m.group(1))
+    labels = [k.label for s in scheme.sets for k in s.keys]
+    labels += [lbl for s in scheme.sets for m in s.mappings for lbl in m.source_labels.values()]
+    labels += [getattr(c, "label", None) for c in scheme.constraints]
+    values = {int(m.group(1)) for m in map(_LABEL.fullmatch, filter(None, labels)) if m}
+    values.update(int(m.group(1))
+                  for m in map(_RESTRICTION_LABEL.match, scheme.provenance.values()) if m)
     return values
 
 
@@ -584,6 +577,7 @@ def collapse_binary_relationships(
     actions: list[EnrichmentAction] = []
     diagnostics: list[Diagnostic] = []
     pending: list[PendingQuestion] = []
+    references: Counter[str] | None = None  # counted at the first candidate
 
     for s in list(scheme.sets):
         if s.kind != RELATIONSHIP_DERIVED:
@@ -601,7 +595,9 @@ def collapse_binary_relationships(
                 s.name,
             ))
             continue
-        if _is_referenced(scheme, s.name):
+        if references is None:
+            references = _reference_counts(scheme)
+        if references[s.name]:
             diagnostics.append(Diagnostic(
                 WARNING, "collapse-skipped",
                 f"{s.name} has a unique role but is referenced elsewhere; left as a relationship",
@@ -661,6 +657,11 @@ def collapse_binary_relationships(
                 "one_to_one": one_to_one,
             },
         ))
+        for role in roles:  # the relationship's roles left with it
+            if role.codomain != s.name:
+                references[role.codomain] -= 1
+        if target_role.codomain != home.name:  # the new mapping on the home
+            references[target_role.codomain] += 1
         diagnostics.append(Diagnostic(
             INFO, "relationship-collapsed",
             f"binary relationship {s.name} replaced by a structural function on {home.name}",
@@ -669,23 +670,27 @@ def collapse_binary_relationships(
     return scheme, actions, diagnostics, pending
 
 
-def _is_referenced(scheme: EMDMScheme, name: str) -> bool:
+def _reference_counts(scheme: EMDMScheme) -> Counter[str]:
+    """How often each set name is referenced from outside its own set.
+
+    Mapping codomains count from every set but the one named; inclusion
+    endpoints, tuple-constraint sets and formula quantifier domains always
+    count.
+    """
+    counts: Counter[str] = Counter()
     for s in scheme.sets:
-        if s.name == name:
-            continue
         for m in s.mappings:
-            if m.codomain == name:
-                return True
+            if isinstance(m.codomain, str) and m.codomain != s.name:
+                counts[m.codomain] += 1
     for c in scheme.constraints:
-        if isinstance(c, sch.InclusionConstraint) and name in (c.subset, c.superset):
-            return True
-        if isinstance(c, sch.TupleConstraint):
-            if c.set_name == name or name in quantifier_domains(c.formula):
-                return True
-        if isinstance(c, sch.NonrelationalConstraint) and c.formula is not None:
-            if name in quantifier_domains(c.formula):
-                return True
-    return False
+        if isinstance(c, sch.InclusionConstraint):
+            counts.update((c.subset, c.superset))
+        elif isinstance(c, sch.TupleConstraint):
+            counts[c.set_name] += 1
+            counts.update(quantifier_domains(c.formula))
+        elif isinstance(c, sch.NonrelationalConstraint) and c.formula is not None:
+            counts.update(quantifier_domains(c.formula))
+    return counts
 
 
 def _do_collapse(scheme: EMDMScheme, d: dict) -> None:
@@ -708,21 +713,11 @@ def _do_collapse(scheme: EMDMScheme, d: dict) -> None:
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.
+    moved = scheme.take_provenance(rel.name)
     new_base = ref_mapping(home.name, d["mapping"])
-    displaced_prefixes = (
-        ref_set(rel.name),
-        f"mapping:{rel.name}.",
-        f"key:{rel.name}.",
-    )
-    moved: dict[str, str] = {}
-    for ref, source in list(scheme.provenance.items()):
-        if ref == displaced_prefixes[0] or ref.startswith(displaced_prefixes[1:]):
-            moved[ref] = source
-            del scheme.provenance[ref]
-    set_source = moved.pop(ref_set(rel.name), f"set:{rel.name}")
-    scheme.provenance[new_base] = set_source
+    scheme.record(new_base, moved.pop(ref_set(rel.name), f"set:{rel.name}"))
     for old_ref, source in moved.items():
-        scheme.provenance[f"{new_base}#absorbed:{old_ref}"] = source
+        scheme.record(f"{new_base}#absorbed:{old_ref}", source)
 
 
 def enrich_scheme(

@@ -471,6 +471,17 @@ def _validate_set(s: ObjectSet, resolves, err) -> None:
                 f"computed set {s.name} cannot carry a cardinality bound",
             )
 
+    for defined in (s, *s.attributes, *s.structural_functions):
+        definition = defined.computed_definition
+        if definition and "".join(definition.splitlines()) != definition:
+            element = s.name if defined is s else f"{s.name}.{defined.name}"
+            err(
+                "definition-line-break",
+                element,
+                f"computed definition of {element} holds a line break, "
+                "which would split its line of the text output",
+            )
+
     for a in s.attributes:
         if a.range is not None and a.computed_definition is not None:
             err(

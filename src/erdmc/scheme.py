@@ -129,7 +129,9 @@ class EMDMScheme:
     """Sets in emit order, constraints, and the provenance map.
 
     :meth:`add_set` and :meth:`remove_set` are the only writers of ``sets``:
-    they keep the name index behind :meth:`set` current.
+    they keep the name index behind :meth:`set` current. Likewise
+    :meth:`record` and :meth:`take_provenance` are the only writers of
+    ``provenance``: they keep its index by owning set current.
     """
 
     sets: list[EMDMSet] = field(default_factory=list)
@@ -137,6 +139,11 @@ class EMDMScheme:
     provenance: dict[str, str] = field(default_factory=dict)
     # Each set name to the first set in ``sets`` under it; built on first use.
     _by_name: dict[str, EMDMSet] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    # Each set name to the provenance references it owns (see ref_owner), in
+    # provenance order, as the keys of a dict; built on first use.
+    _refs_by_owner: dict[str, dict[str, None]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -148,7 +155,13 @@ class EMDMScheme:
         self._index().setdefault(s.name, s)
 
     def remove_set(self, s: EMDMSet) -> None:
-        self.sets.remove(s)
+        """Remove *s* itself, found by identity rather than by ==."""
+        for i, other in enumerate(self.sets):
+            if other is s:
+                del self.sets[i]
+                break
+        else:
+            raise ValueError(f"set {s.name} is not in the scheme")
         index = self._index()
         if index.get(s.name) is s:
             del index[s.name]
@@ -156,6 +169,25 @@ class EMDMScheme:
                 if other.name == s.name:
                     index[s.name] = other
                     break
+
+    def record(self, ref: str, source: str) -> None:
+        """Set the provenance of the scheme element *ref* to *source*."""
+        self.provenance[ref] = source
+        if self._refs_by_owner is not None:
+            self._file(ref)
+
+    def take_provenance(self, owner: str) -> dict[str, str]:
+        """Remove and return the entries whose reference *owner* owns, in order."""
+        if self._refs_by_owner is None:
+            self._refs_by_owner = {}
+            for ref in self.provenance:
+                self._file(ref)
+        return {ref: self.provenance.pop(ref) for ref in self._refs_by_owner.pop(owner, ())}
+
+    def _file(self, ref: str) -> None:
+        owner = ref_owner(ref)
+        if owner is not None:
+            self._refs_by_owner.setdefault(owner, {})[ref] = None
 
     def _index(self) -> dict[str, EMDMSet]:
         if self._by_name is None:
@@ -179,6 +211,21 @@ def ref_mapping(set_name: str, mapping: str, facet: str | None = None) -> str:
 
 def ref_key(set_name: str, label: str) -> str:
     return f"key:{set_name}.{label}"
+
+
+def ref_owner(ref: str) -> str | None:
+    """The set a ``set:``, ``mapping:`` or ``key:`` reference belongs to.
+
+    Set names never contain ".", so the owner of a mapping or key reference
+    is everything before its first ".". Constraint references have none.
+    """
+    kind, _, rest = ref.partition(":")
+    if kind == "set":
+        return rest
+    if kind in ("mapping", "key"):
+        owner, dot, _ = rest.partition(".")
+        return owner if dot else None
+    return None
 
 
 def ref_constraint(c: Constraint) -> str:

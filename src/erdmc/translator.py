@@ -261,7 +261,7 @@ class Translator:
 
     def _step(self, kind: str, source: str, produced: str) -> None:
         """Record one step and the provenance of what it produced."""
-        self.scheme.provenance[produced] = source
+        self.scheme.record(produced, source)
         self.report.steps.append(Step(kind, source, produced))
 
     def _diag(self, severity: str, code: str, message: str, element: str = "") -> None:
@@ -363,7 +363,7 @@ class Translator:
         created = EMDMSet(name=s.name, kind=kind, object_identifier=identifier)
         self.scheme.add_set(created)
         self._step(step_kind, src_set(s.name), ref_set(s.name))
-        self.scheme.provenance[ref_mapping(s.name, OBJECT_IDENTIFIER)] = card_source
+        self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
 
         for superset, source, label in effective_inclusions(self.model, s):
             constraint = InclusionConstraint(subset=s.name, superset=superset, label=label)
@@ -446,7 +446,7 @@ class Translator:
             if rng_source is not None and rng_source.startswith("restriction:"):
                 label = rng_source.split(":", 1)[1]
                 mapping.source_labels["codomain"] = label
-                self.scheme.provenance[ref_mapping(s.name, attr.name, "codomain")] = rng_source
+                self.scheme.record(ref_mapping(s.name, attr.name, "codomain"), rng_source)
         target.mappings.append(mapping)
         self._step(STEP_ATTRIBUTE, source, ref_mapping(s.name, attr.name))
 

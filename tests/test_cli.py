@@ -95,6 +95,49 @@ def test_duplicate_restriction_label_exits_1_naming_the_label(tmp_path, capsys):
     ]
 
 
+LINE_BREAK = "which would split its line of the text output"
+
+
+def test_definition_with_a_line_break_exits_1(tmp_path, capsys):
+    model = tmp_path / "breaks.erdm"
+    model.write_text(
+        'diagram D { entity A card 10 { attr a attr c computed = "p\\nq" '
+        'fn f -> A computed = "x\\u2028y" attr d computed = "one line" } '
+        'computed S = "x\\ry" { } }\n'
+        "restriction R01 on A compulsory a\n"
+        "restriction R02 on A unique a\n"
+    )
+    expected = [
+        f"error: definition-line-break: computed definition of {element} "
+        f"holds a line break, {LINE_BREAK} [{element}]"
+        for element in ("A.c", "A.f", "S")
+    ]
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err.splitlines() == expected
+    assert main(["translate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == expected
+
+
+@pytest.mark.parametrize("definition", ["p\nq", "p\x1cq", "p\r\n", "\x85"])
+def test_answered_definition_with_a_line_break_exits_1(tmp_path, capsys, definition):
+    model = tmp_path / "members.erdm"
+    model.write_text(
+        'diagram D { entity A card 10 { attr a attr c computed = "" } }\n'
+        "restriction R01 on A compulsory a\n"
+        "restriction R02 on A unique a\n"
+    )
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"A.c": {"computed-definition": definition}}))
+    assert main(["translate", str(model), "--answers", str(answers)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "error: definition-line-break: after input defaults: computed definition "
+        f"of A.c holds a line break, {LINE_BREAK} [A.c]"
+    )
+
+
 def test_translate_translation_errors_exit_1(tmp_path, capsys, teaching_source):
     bad = tmp_path / "dangling.erdm"
     bad.write_text(teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES"))

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+
+import pytest
 
 from erdmc.cli import main
 from erdmc.census import verify_translation
@@ -21,10 +24,16 @@ from erdmc.enrichment import (
     ensure_uniqueness,
     next_label,
 )
+from erdmc.formula import parse_formula
 from erdmc.generator import random_model
 from erdmc.model import AsciiRange, Diagram, ERModel, ObjectSet
 from erdmc.parser import parse_model
-from erdmc.scheme import check_scheme
+from erdmc.scheme import (
+    InclusionConstraint,
+    NonrelationalConstraint,
+    TupleConstraint,
+    check_scheme,
+)
 from erdmc.translator import TranslationOptions, Translator, translate
 
 DBMS_MAX = 10 ** 9
@@ -412,6 +421,63 @@ def test_rule_viii_skips_relationships_with_attributes():
     assert any(d.code == "collapse-skipped" for d in result.report.diagnostics)
 
 
+_MARRIAGE_REFERENCES = {
+    "inclusion-subset": InclusionConstraint("MARRIAGE", "MEN"),
+    "inclusion-superset": InclusionConstraint("MEN", "MARRIAGE"),
+    "tuple-set": TupleConstraint(
+        "R09", "MARRIAGE", parse_formula("(forall x in MARRIAGE)(husband(x) = husband(x))")
+    ),
+    "tuple-domain": TupleConstraint(
+        "R09", "MEN", parse_formula("(forall y in MARRIAGE)(husband(y) = husband(y))")
+    ),
+    "nonrelational-domain": NonrelationalConstraint(
+        "R09", parse_formula("(forall x in MEN)(forall y in MARRIAGE)(x = husband(y))")
+    ),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(_MARRIAGE_REFERENCES))
+def test_rule_viii_skips_relationships_referenced_by_a_constraint(reference):
+    scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
+    scheme.constraints.append(_MARRIAGE_REFERENCES[reference])
+    _, actions, diags, _ = collapse_binary_relationships(scheme)
+    assert actions == []
+    assert scheme.set("MARRIAGE") is not None
+    assert [(d.code, d.message) for d in diags] == [(
+        "collapse-skipped",
+        "MARRIAGE has a unique role but is referenced elsewhere; left as a relationship",
+    )]
+
+
+def test_rule_viii_informal_constraints_reference_no_set():
+    scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
+    scheme.constraints.append(NonrelationalConstraint("R09", None, "about MARRIAGE"))
+    _, actions, _, _ = collapse_binary_relationships(scheme)
+    assert [a.details["relationship"] for a in actions] == ["MARRIAGE"]
+
+
+def test_rule_viii_a_collapse_keeps_its_target_referenced():
+    # HOLDS is visited first (its diagram comes first) and collapses into
+    # HOLDS : PEOPLE -> CARDS, which still references CARDS.
+    scheme = _pre_enrichment_scheme(
+        "diagram D1 {\n"
+        "  entity PEOPLE card 10 { attr a }\n"
+        "  entity BOOKS card 10 { attr b }\n"
+        "  relationship HOLDS { role who -> PEOPLE unique role card -> CARDS }\n"
+        "}\n"
+        "diagram D2 {\n"
+        "  relationship CARDS { role owner -> PEOPLE unique role book -> BOOKS }\n"
+        "}\n"
+    )
+    _, actions, diags, _ = collapse_binary_relationships(scheme)
+    assert [a.details["relationship"] for a in actions] == ["HOLDS"]
+    assert scheme.set("PEOPLE").mapping("HOLDS").codomain == "CARDS"
+    assert [(d.code, d.element) for d in diags if d.severity == WARNING] == [
+        ("collapse-skipped", "CARDS"),
+    ]
+    assert "referenced elsewhere" in next(d.message for d in diags if d.element == "CARDS")
+
+
 def test_rule_viii_idempotent_second_pass():
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
     once, actions, diags, _ = collapse_binary_relationships(scheme)
@@ -419,6 +485,62 @@ def test_rule_viii_idempotent_second_pass():
     twice, actions2, _, _ = collapse_binary_relationships(once)
     assert actions and not actions2
     assert twice == snapshot
+
+
+CHAIN_SOURCE = (
+    "diagram D1 {\n"
+    "  entity A card 10 { attr a }\n"
+    "  entity B card 10 { attr b }\n"
+    "  entity C card 10 { attr c }\n"
+    "  relationship R { role r1 -> H unique role r2 -> C }\n"
+    "}\n"
+    "diagram D2 {\n"
+    "  relationship H { role h1 -> A unique role h2 -> B }\n"
+    "}\n"
+    "restriction R01 on H unique h1, h2\n"
+    "restriction R02 on R compulsory r1\n"
+)
+
+
+def test_rule_viii_collapse_chain_moves_provenance_in_order():
+    # R collapses onto H, a relationship-derived set; H then collapses onto
+    # A, carrying R's entries along. Rule (viii) itself never plans the
+    # second step (H then holds three mappings), so it is recorded by hand.
+    before = _pre_enrichment_scheme(CHAIN_SOURCE)
+    once, first, _, _ = collapse_binary_relationships(copy.deepcopy(before))
+    assert [a.details["relationship"] for a in first] == ["R"]
+    second = EnrichmentAction("viii", "set:H", "replaced H", details={
+        "relationship": "H", "home": "A", "mapping": "H", "target": "B",
+        "source_role": "h1", "one_to_one": False,
+    })
+    enriched = apply_actions(once, [second])
+    assert apply_actions(before, first + [second]) == enriched
+    assert [s.name for s in enriched.sets] == ["A", "B", "C"]
+    assert list(enriched.provenance.items()) == [
+        ("set:A", "set:A"),
+        ("mapping:A.x", "set:A"),
+        ("mapping:A.a", "attribute:A.a"),
+        ("set:B", "set:B"),
+        ("mapping:B.x", "set:B"),
+        ("mapping:B.b", "attribute:B.b"),
+        ("set:C", "set:C"),
+        ("mapping:C.x", "set:C"),
+        ("mapping:C.c", "attribute:C.c"),
+        ("mapping:A.H", "set:H"),
+        ("mapping:A.H#absorbed:mapping:H.x", "set:H"),
+        ("mapping:A.H#absorbed:mapping:H.h1", "role:H.h1"),
+        ("mapping:A.H#absorbed:mapping:H.h2", "role:H.h2"),
+        ("mapping:A.H#absorbed:key:H.R01", "restriction:R01"),
+        ("mapping:A.H#absorbed:mapping:H.R", "set:R"),
+        ("mapping:A.H#absorbed:mapping:H.R#absorbed:mapping:R.x", "set:R"),
+        ("mapping:A.H#absorbed:mapping:H.R#absorbed:mapping:R.r1", "role:R.r1"),
+        ("mapping:A.H#absorbed:mapping:H.R#absorbed:mapping:R.r2", "role:R.r2"),
+        ("mapping:A.H#absorbed:mapping:H.R#absorbed:mapping:R.r1#total:R02",
+         "restriction:R02[r1]"),
+    ]
+    assert hashlib.sha256(emit_structured(enriched).encode()).hexdigest() == (
+        "b9030d8c9786087ca43968c7b57f091f0fbe100e1d9af2427cac9cd775163322"
+    )
 
 
 CLASH_SOURCE = (

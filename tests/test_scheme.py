@@ -12,6 +12,7 @@ from erdmc.scheme import (
     Mapping,
     check_scheme,
     is_implicit_key,
+    ref_owner,
     structural_key,
 )
 from erdmc.translator import translate
@@ -149,3 +150,40 @@ def test_set_index_keeps_first_match_through_add_and_remove():
     scheme.remove_set(other)
     assert scheme.set("A") is None and scheme.set("B") is None and scheme.sets == []
     assert scheme == EMDMScheme() and "_by_name" not in repr(scheme)
+
+
+def test_remove_set_removes_the_given_object_not_an_equal_one():
+    first, twin = EMDMSet("A", "entity-derived"), EMDMSet("A", "entity-derived")
+    scheme = EMDMScheme(sets=[first, twin])
+    scheme.remove_set(twin)
+    assert scheme.sets[0] is first and len(scheme.sets) == 1
+    with pytest.raises(ValueError):
+        scheme.remove_set(twin)
+
+
+def test_ref_owner_names_the_set_of_set_mapping_and_key_references():
+    assert ref_owner("set:R") == "R"
+    assert ref_owner("mapping:R.x") == "R"
+    assert ref_owner("mapping:H.m#absorbed:mapping:R.x#total:R02") == "H"
+    assert ref_owner("key:R.R07") == "R"
+    assert ref_owner("constraint:R09") is None
+    assert ref_owner("constraint:inclusion:A<=B") is None
+    assert ref_owner("mapping:R") is None
+
+
+def test_take_provenance_returns_an_owners_entries_in_recorded_order():
+    scheme = EMDMScheme()
+    for ref in ("set:R", "set:A", "mapping:R.x", "constraint:R01", "key:R.R02", "mapping:A.x"):
+        scheme.record(ref, f"from {ref}")
+    assert scheme.take_provenance("R") == {
+        "set:R": "from set:R", "mapping:R.x": "from mapping:R.x", "key:R.R02": "from key:R.R02",
+    }
+    assert scheme.take_provenance("R") == {}
+    scheme.record("mapping:A.R", "set:R")  # recorded after the index exists
+    scheme.record("set:A", "again")  # an existing entry keeps its place
+    assert list(scheme.take_provenance("A").items()) == [
+        ("set:A", "again"), ("mapping:A.x", "from mapping:A.x"), ("mapping:A.R", "set:R"),
+    ]
+    assert scheme.provenance == {"constraint:R01": "from constraint:R01"}
+    assert scheme == EMDMScheme(provenance={"constraint:R01": "from constraint:R01"})
+    assert "_refs_by_owner" not in repr(scheme)
