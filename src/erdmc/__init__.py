@@ -7,7 +7,7 @@ from .enrichment import EnrichmentAction, apply_actions, enrich_scheme
 from .formula import Formula, format_formula, free_variables, parse_formula, quantifier_count
 from .model import ERModel, classify_restriction, validate_model
 from .parser import parse_model
-from .scheme import EMDMScheme, check_scheme, is_implicit_key, structural_key
+from .scheme import EMDMScheme, check_scheme, is_implicit_key
 from .translator import (
     TranslationOptions,
     TranslationReport,
@@ -44,7 +44,6 @@ __all__ = [
     "EMDMScheme",
     "check_scheme",
     "is_implicit_key",
-    "structural_key",
     "TranslationOptions",
     "TranslationReport",
     "TranslationResult",

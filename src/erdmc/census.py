@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .enrichment import apply_input_defaults
 from .formula import quantifier_count
 from .model import (
     COMPUTED,
@@ -41,7 +40,7 @@ from .model import (
 from .scheme import check_scheme
 
 if TYPE_CHECKING:
-    from .translator import TranslationOptions, TranslationResult
+    from .translator import TranslationResult
 
 
 @dataclass(frozen=True)
@@ -158,19 +157,16 @@ def census(model: ERModel) -> Tallies:
     )
 
 
-def verify_translation(
-    model: ERModel, result: TranslationResult, options: TranslationOptions
-) -> dict[str, list[str]]:
-    """Audit *result*, the translation of *model* under *options*.
+def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
+    """Audit *result* against the model it translated.
 
     Maps linearity, soundness, completeness and optimality, in that order,
     to the witnesses against each property; an empty list means it holds.
-    The census and the source references are those of the model after the
-    input defaults, which is the model the translator translates.
+    The census and the source references are those of ``result.model``:
+    the model after the input defaults, whoever answered their questions.
     """
     report = result.report
-    effective = apply_input_defaults(model, options.dbms_max_cardinality, options.answers).model
-    expected = census(effective)
+    expected = census(result.model)
     if report.tallies is None:
         linearity = ["no step tallies were recorded"]
     else:
@@ -193,7 +189,7 @@ def verify_translation(
         covered = set(result.scheme.provenance.values())
         covered |= {v[:i] for v in covered if "[" in v for i, c in enumerate(v) if c == "["}
         completeness = [
-            f"{ref} has no provenance" for ref in sorted(source_universe(effective) - covered)
+            f"{ref} has no provenance" for ref in sorted(source_universe(result.model) - covered)
         ]
 
     optimality = [

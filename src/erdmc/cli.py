@@ -183,7 +183,7 @@ def _cmd_validate(args) -> int:
 
 
 def _check_one(model: ERModel, options: TranslationOptions, heading: str) -> bool:
-    witnesses = verify_translation(model, translate(model, options), options)
+    witnesses = verify_translation(translate(model, options))
     for name, against in witnesses.items():
         print(f"{heading}{name.upper()}: {'FAIL' if against else 'PASS'}")
         for witness in against:

@@ -33,7 +33,6 @@ def random_model(
     max_computed: int = 1,
     max_attributes: int = 4,
     max_restrictions: int = 20,
-    allow_unique_roles: bool = True,
 ) -> ERModel:
     """A random valid model; identical seeds yield identical models."""
     rng = random.Random(seed)
@@ -75,9 +74,7 @@ def random_model(
         unique_roles = 0
         roles = []
         for j, target in enumerate(targets):
-            declared_unique = (
-                allow_unique_roles and n_roles == 2 and rng.random() < 0.15
-            )
+            declared_unique = n_roles == 2 and rng.random() < 0.15
             unique_roles += declared_unique
             roles.append(Role(f"r{j + 1}", target, declared_unique))
         attributes = tuple(

@@ -252,19 +252,6 @@ def base_refs(scheme: EMDMScheme) -> list[str]:
 # --- structural keys ---
 
 
-def structural_key(s: EMDMSet) -> Key:
-    """The key made of all of a relationship-derived set's roles.
-
-    Raises ValueError when the set has no roles; a single-role set yields a
-    degenerate one-mapping key that callers carry as a uniqueness flag
-    instead of a key.
-    """
-    roles = s.role_mappings()
-    if not roles:
-        raise ValueError(f"{s.name} has no roles to build a structural key from")
-    return Key(label="", mappings=tuple(m.name for m in roles), implicit=True)
-
-
 def is_implicit_key(k: Key, s: EMDMSet) -> bool:
     """True iff *k* spans exactly the full role set of a relationship-derived set.
 

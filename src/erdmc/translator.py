@@ -16,12 +16,12 @@ from .census import Tallies
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .enrichment import (
     EnrichmentAction,
+    EnrichmentLog,
     PendingQuestion,
     Prompter,
     RULE_STRUCTURAL_KEY,
     apply_input_defaults,
     enrich_scheme,
-    resolve_answer,
 )
 from .formula import Formula, parse_formula, quantifier_count, quantifier_domains
 from .model import (
@@ -170,8 +170,15 @@ class TranslationReport:
 
 @dataclass
 class TranslationResult:
+    """A translation and what it translated.
+
+    *model* is the model after the input defaults, or the model as given
+    when validation rejected it before they ran.
+    """
+
     scheme: EMDMScheme | None
     report: TranslationReport
+    model: ERModel
 
 
 def tallies_from_steps(steps: list[Step], compulsory_lines: int = 0) -> Tallies:
@@ -256,6 +263,14 @@ class Translator:
         self.model = model
         self.scheme = EMDMScheme()
         self.report = TranslationReport()
+        # Questions and firings of every rule, and the formalization
+        # questions, go straight into the report in the order they happen.
+        self.log = EnrichmentLog(
+            self.options.answers, self.options.prompter,
+            actions=self.report.enrichment_actions,
+            diagnostics=self.report.diagnostics,
+            pending=self.report.pending_questions,
+        )
 
     # -- plumbing --
 
@@ -273,22 +288,17 @@ class Translator:
         issues = validate_model(self.model)
         self.report.diagnostics.extend(issues)
         if any(i.is_error for i in issues):
-            return TranslationResult(None, self.report)
+            return TranslationResult(None, self.report, self.model)
 
-        defaults = apply_input_defaults(
-            self.model, self.options.dbms_max_cardinality,
-            self.options.answers, self.options.prompter,
-        )
-        self.model = defaults.model
-        self.report.diagnostics.extend(defaults.diagnostics)
-        self.report.enrichment_actions.extend(defaults.actions)
-        self.report.pending_questions.extend(defaults.pending)
+        self.model = apply_input_defaults(
+            self.model, self.options.dbms_max_cardinality, log=self.log,
+        ).model
         post_issues = [i for i in validate_model(self.model) if i.is_error]
         if post_issues:
             for issue in post_issues:
                 self._diag(ERROR, issue.code,
                            f"after input defaults: {issue.message}", issue.element)
-            return TranslationResult(None, self.report)
+            return TranslationResult(None, self.report, self.model)
 
         global_order = _reference_order(self.model.object_sets(), self.report.diagnostics)
         rank = {s.name: i for i, s in enumerate(global_order)}
@@ -314,9 +324,8 @@ class Translator:
             1 for r in self.model.restrictions if isinstance(r.body, CompulsoryBody)
         )
         self.report.tallies = tallies_from_steps(self.report.steps, compulsory_lines)
-        if self.report.has_errors:
-            return TranslationResult(None, self.report)
-        return TranslationResult(self.scheme, self.report)
+        scheme = None if self.report.has_errors else self.scheme
+        return TranslationResult(scheme, self.report, self.model)
 
     # -- sets --
 
@@ -485,11 +494,10 @@ class Translator:
             self._add_constraint(constraint, STEP_NONRELATIONAL, source)
 
     def _formalize(self, r: Restriction) -> Formula | None:
-        answer = resolve_answer(
+        answer = self.log.ask(
             r.label, "formalization",
             f"{r.label} ({r.body.informal or 'no informal text'}) has no formal body; "
             "provide a formula",
-            self.options.answers, self.options.prompter, self.report.pending_questions,
         )
         if answer is None:
             self._diag(WARNING, "unformalized",
@@ -506,13 +514,8 @@ class Translator:
     # -- enrichment --
 
     def _enrich(self) -> None:
-        _, actions, diagnostics, pending = enrich_scheme(
-            self.scheme, self.options.answers, self.options.prompter,
-        )
-        self.report.enrichment_actions.extend(actions)
-        self.report.diagnostics.extend(diagnostics)
-        self.report.pending_questions.extend(pending)
-        for action in actions:
+        enrich_scheme(self.scheme, self.log)
+        for action in self.report.enrichment_actions:
             if action.rule == RULE_STRUCTURAL_KEY and action.resulting_labels:
                 self.report.implicit_keys.append(ImplicitKeyNote(
                     action.details["set"], action.details["label"],

@@ -6,12 +6,14 @@ lines alongside pytest's own verdicts.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 
 from erdmc.census import census, verify_translation
 from erdmc.emitter import emit_structured, emit_text, encode_report, load_structured
 from erdmc.enrichment import (
+    EnrichmentLog,
     apply_input_defaults,
     collapse_binary_relationships,
     ensure_compulsory,
@@ -47,7 +49,7 @@ def _translation_properties_hold(model, options=TranslationOptions()) -> None:
     assert result.scheme is not None, [
         d.render() for d in result.report.diagnostics if d.is_error
     ]
-    failures = {k: v for k, v in verify_translation(model, result, options).items() if v}
+    failures = {k: v for k, v in verify_translation(result).items() if v}
     assert failures == {}
 
 
@@ -144,6 +146,12 @@ def _pre_enrichment(source: str):
     return result.scheme
 
 
+def _run(rule, scheme) -> EnrichmentLog:
+    log = EnrichmentLog()
+    rule(scheme, log)
+    return log
+
+
 def test_criterion_enrichment_rules(teaching_model):
     # (i) missing cardinality -> DBMS maximum, one info
     model = parse_model("diagram D { entity A { attr a } }")
@@ -185,24 +193,24 @@ def test_criterion_enrichment_rules(teaching_model):
         "  relationship L { role ra -> A role rb -> A } }\n"
         "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
     )
-    out, actions, diags = ensure_totality(scheme)
-    assert all(m.total for m in out.set("L").role_mappings())
-    assert len(actions) == 2
-    assert all(d.severity == "info" for d in diags)
-    assert ensure_totality(out)[1] == []
+    log = _run(ensure_totality, scheme)
+    assert all(m.total for m in scheme.set("L").role_mappings())
+    assert len(log.actions) == 2
+    assert all(d.severity == "info" for d in log.diagnostics)
+    assert _run(ensure_totality, scheme).actions == []
 
     # (vi) no compulsory mapping -> Compulsory added, info
     scheme = _pre_enrichment(
         "diagram D { entity LOG card 10 { attr Note } }\n"
         "restriction R01 on LOG unique Note\n"
     )
-    out, actions, diags = ensure_compulsory(scheme)
-    added = out.set("LOG").mapping("Compulsory")
+    log = _run(ensure_compulsory, scheme)
+    added = scheme.set("LOG").mapping("Compulsory")
     from erdmc.model import AsciiRange as _Ascii
 
     assert added.total and added.codomain == _Ascii(255)
-    assert len(actions) == 1 and any(d.severity == "info" for d in diags)
-    assert ensure_compulsory(out)[1] == []
+    assert len(log.actions) == 1 and any(d.severity == "info" for d in log.diagnostics)
+    assert _run(ensure_compulsory, scheme).actions == []
 
     # (vii) reproduces the generated key on the teaching fixture, verbatim
     result = translate(teaching_model)
@@ -210,7 +218,7 @@ def test_criterion_enrichment_rules(teaching_model):
     assert firing.description == "R42: Room • Competence"
     key = next(k for k in result.scheme.set("SCHEDULES").keys if k.label == "R42")
     assert key.mappings == ("Room", "Competence") and key.implicit
-    assert ensure_structural_key(result.scheme)[1] == []
+    assert _run(ensure_structural_key, result.scheme).actions == []
 
     # (viii) both-unique binary relationship collapses per the scripted choice
     marriage = (
@@ -232,19 +240,20 @@ def test_criterion_enrichment_rules(teaching_model):
     assert result.scheme.set("MARRIAGE") is None
     assert any(d.code == "relationship-collapsed" and d.severity == "info"
                for d in result.report.diagnostics)
-    again, actions, _, _ = collapse_binary_relationships(result.scheme)
-    assert actions == [] and again == result.scheme
+    before = copy.deepcopy(result.scheme)
+    assert _run(collapse_binary_relationships, result.scheme).actions == []
+    assert result.scheme == before
 
     # (ix) no uniqueness at all -> UniqueMapping added, info
     scheme = _pre_enrichment(
         "diagram D { entity LOG card 10 { attr Note } }\n"
         "restriction R01 on LOG compulsory Note\n"
     )
-    out, actions, diags = ensure_uniqueness(scheme)
-    added = out.set("LOG").mapping("UniqueMapping")
+    log = _run(ensure_uniqueness, scheme)
+    added = scheme.set("LOG").mapping("UniqueMapping")
     assert added.one_to_one and added.total and added.codomain == _Ascii(255)
-    assert len(actions) == 1 and any(d.severity == "info" for d in diags)
-    assert ensure_uniqueness(out)[1] == []
+    assert len(log.actions) == 1 and any(d.severity == "info" for d in log.diagnostics)
+    assert _run(ensure_uniqueness, scheme).actions == []
 
     print("\nACCEPTANCE enrichment-rules: PASS (9 rules)")
 

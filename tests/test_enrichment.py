@@ -9,9 +9,10 @@ import pytest
 from erdmc.cli import main
 from erdmc.census import verify_translation
 from erdmc.diagnostics import INFO, WARNING, Diagnostic
-from erdmc.emitter import emit_structured, load_structured
+from erdmc.emitter import emit_structured, emit_text, load_structured
 from erdmc.enrichment import (
     EnrichmentAction,
+    EnrichmentLog,
     PendingQuestion,
     Question,
     apply_actions,
@@ -49,6 +50,13 @@ def _pre_enrichment_scheme(source: str | ERModel):
     translator._enrich = original_enrich
     assert result.scheme is not None, [d.render() for d in result.report.diagnostics]
     return result.scheme
+
+
+def _run(rule, scheme) -> EnrichmentLog:
+    """Run one scheme rule, or the whole pass, on *scheme*; return what it logged."""
+    log = EnrichmentLog()
+    rule(scheme, log)
+    return log
 
 
 # --- rule (i): missing cardinality defaults to the DBMS maximum ---
@@ -200,6 +208,28 @@ def test_rule_iv_answers_file_fills_computed_members(tmp_path, capsys):
     assert a.structural_functions[0].computed_definition == "B.b"
 
 
+def test_rule_iv_blank_definitions_are_asked_for_like_missing_ones():
+    source = (
+        'diagram D { entity A card 10 { attr a : ASCII(8) attr c computed = "  " '
+        'fn f -> A computed = "\\t" } computed S = "   " { } }\n'
+    )
+    outcome = apply_input_defaults(parse_model(source), DBMS_MAX)
+    assert outcome.model.set("S") is None
+    a = outcome.model.set("A")
+    assert [m.name for m in a.attributes] == ["a"] and a.structural_functions == ()
+    assert [(p.question.subject, p.origin) for p in outcome.pending] == [
+        ("A.c", "unanswered"), ("A.f", "unanswered"), ("S", "unanswered"),
+    ]
+    assert [(d.code, d.element) for d in outcome.diagnostics] == [
+        ("computed-dropped", "A.c"), ("computed-dropped", "A.f"), ("computed-dropped", "S"),
+    ]
+    answers = {name: {"computed-definition": "all of A"} for name in ("A.c", "A.f", "S")}
+    filled = apply_input_defaults(parse_model(source), DBMS_MAX, answers).model
+    assert filled.set("S").computed_definition == "all of A"
+    assert filled.set("A").attributes[1].computed_definition == "all of A"
+    assert filled.set("A").structural_functions[0].computed_definition == "all of A"
+
+
 # --- rule (v): roles and identifiers become total ---
 
 TOTALITY_SOURCE = (
@@ -219,15 +249,14 @@ def test_rule_v_adds_totality_to_roles():
     scheme = _pre_enrichment_scheme(TOTALITY_SOURCE)
     link = scheme.set("L")
     assert not any(m.total for m in link.role_mappings())
-    out, actions, diags = ensure_totality(scheme)
-    roles = out.set("L").role_mappings()
+    log = _run(ensure_totality, scheme)
+    roles = scheme.set("L").role_mappings()
     assert all(m.total for m in roles)
-    assert len(actions) == 2
-    assert all(d.severity == INFO and d.code == "totality-added" for d in diags)
-    snapshot = copy.deepcopy(out)
-    out2, actions2, _ = ensure_totality(out)
-    assert actions2 == []
-    assert out2 == snapshot
+    assert len(log.actions) == 2
+    assert all(d.severity == INFO and d.code == "totality-added" for d in log.diagnostics)
+    snapshot = copy.deepcopy(scheme)
+    assert _run(ensure_totality, scheme).actions == []
+    assert scheme == snapshot
 
 
 def test_rule_v_leaves_compulsory_roles_alone(teaching_model):
@@ -244,16 +273,15 @@ def test_rule_vi_adds_compulsory_mapping():
         "restriction R01 on LOG range Note ascii(100)\n"
         "restriction R02 on LOG unique Note\n"
     )
-    out, actions, diags = ensure_compulsory(scheme)
-    added = out.set("LOG").mapping("Compulsory")
+    log = _run(ensure_compulsory, scheme)
+    added = scheme.set("LOG").mapping("Compulsory")
     assert added is not None
     assert added.total and added.codomain == AsciiRange(255)
     assert added.flavor == "enrichment-generated"
-    assert len(actions) == 1
-    assert any(d.severity == INFO and d.code == "compulsory-added" for d in diags)
-    snapshot = copy.deepcopy(out)
-    out2, actions2, _ = ensure_compulsory(out)
-    assert actions2 == [] and out2 == snapshot
+    assert len(log.actions) == 1
+    assert any(d.severity == INFO and d.code == "compulsory-added" for d in log.diagnostics)
+    snapshot = copy.deepcopy(scheme)
+    assert _run(ensure_compulsory, scheme).actions == [] and scheme == snapshot
 
 
 def test_rule_vi_skips_sets_with_totals(teaching_model):
@@ -268,9 +296,9 @@ def test_rule_vi_name_clash_appends_numeral():
         "diagram D { entity LOG card 10 { attr Compulsory } }\n"
         "restriction R01 on LOG unique Compulsory\n"
     )
-    out, actions, diags = ensure_compulsory(scheme)
-    assert out.set("LOG").mapping("Compulsory1") is not None
-    assert any(d.code == "name-clash" and d.severity == WARNING for d in diags)
+    log = _run(ensure_compulsory, scheme)
+    assert scheme.set("LOG").mapping("Compulsory1") is not None
+    assert any(d.code == "name-clash" and d.severity == WARNING for d in log.diagnostics)
 
 
 # --- rule (vii): relationship sets gain a structural key ---
@@ -289,8 +317,8 @@ def test_rule_vii_reproduces_generated_key_on_teaching_fixture(teaching_model):
     note = next(n for n in result.report.implicit_keys if n.label == "R42")
     assert note.origin == "generated"
     snapshot = copy.deepcopy(result.scheme)
-    out2, actions2, _ = ensure_structural_key(result.scheme)
-    assert actions2 == [] and out2 == snapshot
+    assert _run(ensure_structural_key, result.scheme).actions == []
+    assert result.scheme == snapshot
 
 
 def test_rule_vii_skips_declared_full_role_key(teaching_model):
@@ -304,9 +332,8 @@ def test_rule_vii_ignores_entity_sets():
         "diagram D { entity A card 10 { attr a } }\n"
         "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
     )
-    out, actions, _ = ensure_structural_key(scheme)
-    assert actions == []
-    assert out.set("A").keys == []
+    assert _run(ensure_structural_key, scheme).actions == []
+    assert scheme.set("A").keys == []
 
 
 SINGLE_ROLE_SOURCE = (
@@ -421,6 +448,45 @@ def test_rule_viii_skips_relationships_with_attributes():
     assert any(d.code == "collapse-skipped" for d in result.report.diagnostics)
 
 
+SELF_SOURCE = (
+    "diagram D {\n"
+    "  entity A card 10 { attr v }\n"
+    "  relationship L { role a -> L unique role b -> A }\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("roles, header, message", [
+    ("role a -> L unique role b -> A", "L = (a -> L, b -> A)", "L cannot collapse onto L"),
+    ("role a -> A unique role b -> L", "L = (a -> A, b -> L)",
+     "L cannot collapse into a mapping that targets L"),
+])
+def test_rule_viii_skips_a_relationship_that_would_lose_itself(roles, header, message):
+    # Collapsing L removes it, so neither the new mapping's home nor its
+    # codomain may be L.
+    source = SELF_SOURCE.replace("role a -> L unique role b -> A", roles)
+    result = translate(parse_model(source))
+    assert [d.message for d in result.report.diagnostics if d.code == "collapse-skipped"] == [
+        message,
+    ]
+    assert not any(a.rule == "viii" for a in result.report.enrichment_actions)
+    assert result.scheme.set("L") is not None
+    assert header in emit_text(result.scheme).splitlines()
+    assert not any(verify_translation(result).values())
+
+
+def test_rule_viii_skips_a_computed_home():
+    result = translate(parse_model(
+        'diagram D { entity A card 10 { attr v } computed V = "a view" { }\n'
+        "  relationship L { role a -> V unique role b -> A } }\n"
+    ))
+    assert [d.message for d in result.report.diagnostics if d.code == "collapse-skipped"] == [
+        "L cannot collapse onto V",
+    ]
+    assert result.scheme.set("L") is not None
+    assert result.scheme.set("V").mappings == []
+
+
 _MARRIAGE_REFERENCES = {
     "inclusion-subset": InclusionConstraint("MARRIAGE", "MEN"),
     "inclusion-superset": InclusionConstraint("MEN", "MARRIAGE"),
@@ -440,10 +506,10 @@ _MARRIAGE_REFERENCES = {
 def test_rule_viii_skips_relationships_referenced_by_a_constraint(reference):
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
     scheme.constraints.append(_MARRIAGE_REFERENCES[reference])
-    _, actions, diags, _ = collapse_binary_relationships(scheme)
-    assert actions == []
+    log = _run(collapse_binary_relationships, scheme)
+    assert log.actions == []
     assert scheme.set("MARRIAGE") is not None
-    assert [(d.code, d.message) for d in diags] == [(
+    assert [(d.code, d.message) for d in log.diagnostics] == [(
         "collapse-skipped",
         "MARRIAGE has a unique role but is referenced elsewhere; left as a relationship",
     )]
@@ -452,8 +518,8 @@ def test_rule_viii_skips_relationships_referenced_by_a_constraint(reference):
 def test_rule_viii_informal_constraints_reference_no_set():
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
     scheme.constraints.append(NonrelationalConstraint("R09", None, "about MARRIAGE"))
-    _, actions, _, _ = collapse_binary_relationships(scheme)
-    assert [a.details["relationship"] for a in actions] == ["MARRIAGE"]
+    log = _run(collapse_binary_relationships, scheme)
+    assert [a.details["relationship"] for a in log.actions] == ["MARRIAGE"]
 
 
 def test_rule_viii_a_collapse_keeps_its_target_referenced():
@@ -469,22 +535,24 @@ def test_rule_viii_a_collapse_keeps_its_target_referenced():
         "  relationship CARDS { role owner -> PEOPLE unique role book -> BOOKS }\n"
         "}\n"
     )
-    _, actions, diags, _ = collapse_binary_relationships(scheme)
-    assert [a.details["relationship"] for a in actions] == ["HOLDS"]
+    log = _run(collapse_binary_relationships, scheme)
+    assert [a.details["relationship"] for a in log.actions] == ["HOLDS"]
     assert scheme.set("PEOPLE").mapping("HOLDS").codomain == "CARDS"
-    assert [(d.code, d.element) for d in diags if d.severity == WARNING] == [
+    assert [(d.code, d.element) for d in log.diagnostics if d.severity == WARNING] == [
         ("collapse-skipped", "CARDS"),
     ]
-    assert "referenced elsewhere" in next(d.message for d in diags if d.element == "CARDS")
+    assert "referenced elsewhere" in next(
+        d.message for d in log.diagnostics if d.element == "CARDS"
+    )
 
 
 def test_rule_viii_idempotent_second_pass():
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
-    once, actions, diags, _ = collapse_binary_relationships(scheme)
-    snapshot = copy.deepcopy(once)
-    twice, actions2, _, _ = collapse_binary_relationships(once)
+    actions = _run(collapse_binary_relationships, scheme).actions
+    snapshot = copy.deepcopy(scheme)
+    actions2 = _run(collapse_binary_relationships, scheme).actions
     assert actions and not actions2
-    assert twice == snapshot
+    assert scheme == snapshot
 
 
 CHAIN_SOURCE = (
@@ -507,7 +575,8 @@ def test_rule_viii_collapse_chain_moves_provenance_in_order():
     # A, carrying R's entries along. Rule (viii) itself never plans the
     # second step (H then holds three mappings), so it is recorded by hand.
     before = _pre_enrichment_scheme(CHAIN_SOURCE)
-    once, first, _, _ = collapse_binary_relationships(copy.deepcopy(before))
+    once = copy.deepcopy(before)
+    first = _run(collapse_binary_relationships, once).actions
     assert [a.details["relationship"] for a in first] == ["R"]
     second = EnrichmentAction("viii", "set:H", "replaced H", details={
         "relationship": "H", "home": "A", "mapping": "H", "target": "B",
@@ -558,7 +627,8 @@ CLASH_SOURCE = (
 
 
 def test_name_clashes_append_numerals_across_rules():
-    enriched, _, diags, _ = enrich_scheme(_pre_enrichment_scheme(CLASH_SOURCE))
+    enriched = _pre_enrichment_scheme(CLASH_SOURCE)
+    diags = _run(enrich_scheme, enriched).diagnostics
     assert [d.element for d in diags if d.code == "name-clash"] == [
         "MEN.MARRIAGE1", "LOG.Compulsory1", "LOG.UniqueMapping1",
     ]
@@ -566,10 +636,8 @@ def test_name_clashes_append_numerals_across_rules():
 
 
 def test_rule_viii_completeness_survives_collapse():
-    model = parse_model(MARRIAGE_SOURCE)
-    options = TranslationOptions()
-    result = translate(model, options)
-    assert verify_translation(model, result, options)["completeness"] == []
+    result = translate(parse_model(MARRIAGE_SOURCE), TranslationOptions())
+    assert verify_translation(result)["completeness"] == []
 
 
 # --- rule (ix): sets without uniqueness gain UniqueMapping ---
@@ -580,15 +648,14 @@ def test_rule_ix_adds_unique_mapping():
         "diagram D { entity LOG card 10 { attr Note } }\n"
         "restriction R01 on LOG compulsory Note\n"
     )
-    out, actions, diags = ensure_uniqueness(scheme)
-    added = out.set("LOG").mapping("UniqueMapping")
+    log = _run(ensure_uniqueness, scheme)
+    added = scheme.set("LOG").mapping("UniqueMapping")
     assert added is not None
     assert added.one_to_one and added.total and added.codomain == AsciiRange(255)
-    assert len(actions) == 1
-    assert any(d.severity == INFO for d in diags)
-    snapshot = copy.deepcopy(out)
-    out2, actions2, _ = ensure_uniqueness(out)
-    assert actions2 == [] and out2 == snapshot
+    assert len(log.actions) == 1
+    assert any(d.severity == INFO for d in log.diagnostics)
+    snapshot = copy.deepcopy(scheme)
+    assert _run(ensure_uniqueness, scheme).actions == [] and scheme == snapshot
 
 
 def test_rule_ix_skips_sets_with_uniqueness(teaching_model):
@@ -600,8 +667,8 @@ def test_rule_ix_skips_sets_with_uniqueness(teaching_model):
 
 def test_rule_ix_skips_relationship_with_structural_key():
     scheme = _pre_enrichment_scheme(TOTALITY_SOURCE)
-    enriched, actions, _, _ = enrich_scheme(scheme)
-    link = enriched.set("L")
+    actions = _run(enrich_scheme, scheme).actions
+    link = scheme.set("L")
     assert link.mapping("UniqueMapping") is None
     assert any(a.rule == "vii" for a in actions)
 
@@ -611,11 +678,11 @@ def test_rule_ix_skips_relationship_with_structural_key():
 
 def test_full_pass_is_idempotent():
     scheme = _pre_enrichment_scheme(TOTALITY_SOURCE)
-    once, actions, _, _ = enrich_scheme(scheme)
-    snapshot = copy.deepcopy(once)
-    twice, actions2, _, _ = enrich_scheme(once)
+    actions = _run(enrich_scheme, scheme).actions
+    snapshot = copy.deepcopy(scheme)
+    actions2 = _run(enrich_scheme, scheme).actions
     assert actions and not actions2
-    assert twice == snapshot
+    assert scheme == snapshot
 
 
 def test_recorded_actions_replay_to_the_same_scheme():
@@ -624,18 +691,25 @@ def test_recorded_actions_replay_to_the_same_scheme():
     for source in sources:
         scheme = _pre_enrichment_scheme(source)
         before = copy.deepcopy(scheme)
-        enriched, actions, _, _ = enrich_scheme(scheme)
-        assert apply_actions(before, actions) == enriched
+        actions = _run(enrich_scheme, scheme).actions
+        assert apply_actions(before, actions) == scheme
 
 
 def test_rules_change_the_given_scheme_in_place():
-    scheme = _pre_enrichment_scheme(CLASH_SOURCE)
-    for rule in (ensure_totality, ensure_structural_key, ensure_compulsory, ensure_uniqueness):
-        assert rule(scheme)[0] is scheme
-    assert collapse_binary_relationships(scheme)[0] is scheme
-    fresh = _pre_enrichment_scheme(CLASH_SOURCE)
-    enriched, actions, _, _ = enrich_scheme(fresh)
-    assert enriched is fresh and actions
+    sources = {
+        ensure_totality: TOTALITY_SOURCE,
+        collapse_binary_relationships: MARRIAGE_SOURCE,
+        ensure_structural_key: TOTALITY_SOURCE,
+        ensure_compulsory: CLASH_SOURCE,
+        ensure_uniqueness: CLASH_SOURCE,
+        enrich_scheme: CLASH_SOURCE,
+    }
+    for rule, source in sources.items():
+        scheme = _pre_enrichment_scheme(source)
+        before = copy.deepcopy(scheme)
+        log = _run(rule, scheme)
+        assert log.actions and scheme != before, rule.__name__
+        assert apply_actions(before, log.actions) == scheme, rule.__name__
 
 
 def _linear_set(model: ERModel, name: str):
@@ -678,8 +752,7 @@ def test_rule_v_scheme_without_roles_records_no_actions():
         "diagram D { entity A card 10 { attr a } }\n"
         "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
     )
-    _, actions, _ = ensure_totality(scheme)
-    assert actions == []
+    assert _run(ensure_totality, scheme).actions == []
 
 
 def test_rule_vi_and_ix_exempt_computed_sets():
@@ -687,8 +760,8 @@ def test_rule_vi_and_ix_exempt_computed_sets():
         'diagram D { entity A card 10 { attr a } computed V = "a view" { } }\n'
         "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
     )
-    _, vi_actions, _ = ensure_compulsory(scheme)
-    _, ix_actions, _ = ensure_uniqueness(scheme)
+    vi_actions = _run(ensure_compulsory, scheme).actions
+    ix_actions = _run(ensure_uniqueness, scheme).actions
     assert vi_actions == [] and ix_actions == []
 
 
@@ -701,7 +774,7 @@ def test_label_allocation_starts_at_r01_when_no_labels_exist():
 
 def test_label_allocation_continues_from_largest():
     scheme = _pre_enrichment_scheme(TOTALITY_SOURCE)
-    _, actions, _ = ensure_structural_key(scheme)
+    actions = _run(ensure_structural_key, scheme).actions
     labels = [lbl for a in actions for lbl in a.resulting_labels]
     assert labels == ["R05"]  # fixture declares R01-R04
 
@@ -718,7 +791,7 @@ def test_label_allocation_numbers_every_key_of_one_pass():
         "restriction R98 on A compulsory a\n"
     )
     replayed = copy.deepcopy(scheme)
-    _, actions, _ = ensure_structural_key(scheme)
+    actions = _run(ensure_structural_key, scheme).actions
     rescanned = []
     for action in actions:
         rescanned.append(next_label(replayed))

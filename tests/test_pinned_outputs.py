@@ -1,9 +1,10 @@
 """Byte-identity guard: sha256 digests of every output on fixed generated models.
 
-The digests were taken from the text, structured and report outputs before
-rule (viii) and the model lookups were indexed. A change meant to keep the
-output as it is must leave them as they are; a change meant to alter the
-output updates them in the same commit and says why.
+The digests of the generated models were taken before rule (viii) and the
+model lookups were indexed; those of the answered model, before the
+enrichment rules shared one log. A change meant to keep the output as it is
+must leave them as they are; a change meant to alter the output updates
+them in the same commit and says why.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import hashlib
 
 from erdmc.emitter import emit_structured, emit_text, encode_report
 from erdmc.generator import random_model
-from erdmc.translator import translate
+from erdmc.parser import parse_model
+from erdmc.translator import TranslationOptions, translate
 
 # The relational workload's limits, as perfbench/workloads.py sets them.
 RELATIONAL_LIMITS = dict(
@@ -21,18 +23,18 @@ RELATIONAL_LIMITS = dict(
 )
 
 
-def _outputs(model) -> tuple[str, str, str]:
+def _outputs(model, options=None) -> tuple[str, str, str]:
     """Text, structured and report output, as `erdmc translate` writes them."""
-    result = translate(model)
+    result = translate(model, options)
     report = encode_report(result.report)
     assert result.scheme is not None
     return emit_text(result.scheme), emit_structured(result.scheme, report), report
 
 
-def _digests(models) -> tuple[str, str, str]:
+def _digests(models, options=None) -> tuple[str, str, str]:
     hashes = [hashlib.sha256() for _ in range(3)]
     for model in models:
-        for h, out in zip(hashes, _outputs(model)):
+        for h, out in zip(hashes, _outputs(model, options)):
             h.update(out.encode())
     return tuple(h.hexdigest() for h in hashes)
 
@@ -50,4 +52,60 @@ def test_small_random_model_outputs_are_pinned():
         "d42825f0a00cfda58858460eee1801d4813f8f9187da26896dd8071aeeb840e2",
         "f20a60132753d2342accf7122268c080b11e7ce7fcbbe2f26123a4f57c8abbcf",
         "0f8e4ea291c8374072694ce4cfe6bbdab2327a8d899a5f14e1cdbfeb3a802b60",
+    )
+
+
+# Every question kind, answered from the answers document, by the prompter,
+# or by neither: three bijection directions, computed definitions filled and
+# dropped for a set, an attribute and a function, and formalizations that
+# parse, do not parse, or stay informal.
+ANSWERED_SOURCE = """\
+diagram Answers {
+  entity MEN { attr name }
+  entity WOMEN { attr name }
+  entity A {
+    attr size
+    attr c computed = ""
+    attr d computed = ""
+    fn g -> B computed = ""
+    fn h -> B computed = ""
+  }
+  entity B { attr y }
+  entity C card 10 { attr p }
+  entity D card 10 { attr q }
+  relationship MARRIAGE { role husband -> MEN unique role wife -> WOMEN unique }
+  relationship PAIRING { role left -> A unique role right -> B unique }
+  relationship TWINS { role first -> C unique role second -> D unique }
+  computed SENIORS { }
+  computed GONE { }
+}
+restriction R01 on A other informal "sizes are positive"
+restriction R02 on B other informal "y identifies B"
+restriction R03 on A other informal "left unanswered"
+restriction R04 on C other informal "answered badly"
+"""
+
+ANSWERS = {
+    "MARRIAGE": {"bijection-direction": "WOMEN->MEN"},
+    "A.c": {"computed-definition": "size times two"},
+    "R01": {"formalization": "(forall v in A)(size(v) > 0)"},
+}
+
+PROMPTED = {
+    ("TWINS", "bijection-direction"): "D->C",
+    ("SENIORS", "computed-definition"): "students with 90+ credits",
+    ("A.g", "computed-definition"): "the B of the same size",
+    ("R02", "formalization"): "(forall u, v in B)(y(u) = y(v) => u = v)",
+    ("R04", "formalization"): "(forall",
+}
+
+
+def test_answered_model_outputs_are_pinned():
+    options = TranslationOptions(
+        answers=ANSWERS, prompter=lambda q: PROMPTED.get((q.subject, q.kind)),
+    )
+    assert _digests([parse_model(ANSWERED_SOURCE)], options) == (
+        "82e244e981cbdb1165d058c00c1615a0c90ff59730637b999828176b39574e44",
+        "a4b4c95d3cd47b7cfc2f4a8d1b700ecd22690546d9312ef8aa4a2ddc0ec3f81c",
+        "304295d2fde6d2301a66ab54ac05ab7dadddbde7138cdd5106a56778239af7de",
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import pytest
 
-from erdmc.enrichment import enrich_scheme
+from erdmc.enrichment import EnrichmentLog, enrich_scheme
 from erdmc.generator import random_model
 from erdmc.translator import Translator
 
@@ -76,8 +76,9 @@ def test_enrichment_walks_provenance_and_constraints_a_fixed_number_of_times(k):
     scheme = _pre_enrichment_scheme(k)
     scheme.provenance = _WalkCountingDict(scheme.provenance)
     scheme.constraints = _WalkCountingList(scheme.constraints)
-    _, actions, _, _ = enrich_scheme(scheme)
-    collapses = sum(1 for a in actions if a.rule == "viii")
+    log = EnrichmentLog()
+    enrich_scheme(scheme, log)
+    collapses = sum(1 for a in log.actions if a.rule == "viii")
     assert collapses >= 5
     assert scheme.provenance.walks <= WALKS
     assert scheme.constraints.walks <= WALKS

@@ -9,11 +9,9 @@ from erdmc.scheme import (
     EMDMScheme,
     EMDMSet,
     Key,
-    Mapping,
     check_scheme,
     is_implicit_key,
     ref_owner,
-    structural_key,
 )
 from erdmc.translator import translate
 
@@ -23,30 +21,6 @@ def golden_scheme(teaching_model):
     result = translate(teaching_model)
     assert result.scheme is not None
     return result.scheme
-
-
-def test_structural_key_of_schedules(golden_scheme):
-    key = structural_key(golden_scheme.set("SCHEDULES"))
-    assert key.mappings == ("Room", "Competence")
-    assert key.implicit
-
-
-def test_structural_key_of_attendances(golden_scheme):
-    assert structural_key(golden_scheme.set("ATTENDANCES")).mappings == ("Student", "Class")
-
-
-def test_structural_key_spans_all_roles():
-    s = EMDMSet(name="T", kind="relationship-derived", mappings=[
-        Mapping("a", "T", "A", "role"),
-        Mapping("b", "T", "B", "role"),
-        Mapping("c", "T", "C", "role"),
-    ])
-    assert structural_key(s).mappings == ("a", "b", "c")
-
-
-def test_structural_key_requires_roles():
-    with pytest.raises(ValueError):
-        structural_key(EMDMSet(name="E", kind="entity-derived"))
 
 
 def test_full_role_key_is_implicit(golden_scheme):

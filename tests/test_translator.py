@@ -138,9 +138,8 @@ def test_each_element_contributes_exactly_one_step(teaching_model):
 
 
 def test_every_input_element_has_provenance(teaching_model):
-    options = TranslationOptions()
-    result = translate(teaching_model, options)
-    assert verify_translation(teaching_model, result, options)["completeness"] == []
+    result = translate(teaching_model, TranslationOptions())
+    assert verify_translation(result)["completeness"] == []
 
 
 def test_scheme_order_is_rectangles_then_diamonds(teaching_model):
