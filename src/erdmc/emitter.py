@@ -13,11 +13,12 @@ scheme exactly, implicit keys and provenance included.
 from __future__ import annotations
 
 import json
-from typing import Any
+from collections import defaultdict
+from typing import Any, Sequence
 
 from .diagnostics import ERROR, Diagnostic, ParseFailure
 from .formula import format_formula, parse_formula
-from .lexer import quote_string
+from .lexer import GLYPH_OF, PLAIN, quote_string
 from .model import (
     AsciiRange,
     Bound,
@@ -30,6 +31,7 @@ from .model import (
     Range,
 )
 from .scheme import (
+    ATTRIBUTE,
     COMPUTED,
     EMDMScheme,
     EMDMSet,
@@ -38,6 +40,7 @@ from .scheme import (
     Mapping,
     NonrelationalConstraint,
     RELATIONSHIP_DERIVED,
+    ROLE,
     TupleConstraint,
     check_scheme,
 )
@@ -62,18 +65,6 @@ class StructuredFormatError(Exception):
 
 
 # --- text rendering ---
-
-def _arrow(unicode: bool) -> str:
-    return "→" if unicode else "->"
-
-
-def _darrow(unicode: bool) -> str:
-    return "↔" if unicode else "<->"
-
-
-def _bullet(unicode: bool) -> str:
-    return "•" if unicode else "."
-
 
 def format_bound(b: Bound) -> str:
     if isinstance(b, IntBound):
@@ -101,86 +92,71 @@ def emit_text(scheme: EMDMScheme, unicode: bool = False) -> str:
     if diagnostics:
         raise EmitError(diagnostics)
 
+    # One walk renders each constraint: inclusions and tuple checks are filed
+    # under their set, in order; nonrelational constraints follow all sets.
+    ops = GLYPH_OF if unicode else PLAIN
+    inclusions: defaultdict[str, list[str]] = defaultdict(list)
+    checks: defaultdict[str, list[str]] = defaultdict(list)
+    trailing: list[str] = []
+    for c in scheme.constraints:
+        if isinstance(c, InclusionConstraint):
+            inclusions[c.subset].append(f"  {c.subset} {ops['subset_of']} {c.superset}")
+        elif isinstance(c, TupleConstraint):
+            checks[c.set_name].append(f"  {c.label}: {format_formula(c.formula, unicode)}")
+        elif c.formula is not None:
+            trailing.append(f"{c.label}: {format_formula(c.formula, unicode)}")
+        else:
+            trailing.append(f"{c.label}: informal {quote_string(c.informal)}")
+
     blocks: list[str] = []
     for s in scheme.sets:
-        blocks.append(_render_set(scheme, s, unicode))
-    trailing = [
-        _render_nonrelational(c, unicode)
-        for c in scheme.constraints
-        if isinstance(c, NonrelationalConstraint)
-    ]
+        blocks.append(_render_set(s, inclusions.get(s.name, ()), checks.get(s.name, ()), ops))
     if trailing:
         blocks.append("\n".join(trailing))
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _render_set(scheme: EMDMScheme, s: EMDMSet, unicode: bool) -> str:
-    arrow = _arrow(unicode)
-    darrow = _darrow(unicode)
-
+def _render_set(
+    s: EMDMSet, inclusions: Sequence[str], checks: Sequence[str], ops: dict[str, str]
+) -> str:
     if s.kind == COMPUTED:
         return f"{s.name} = {s.computed_definition}"
 
+    arrows = (ops["->"], ops["<->"])  # indexed by one_to_one
     if s.kind == RELATIONSHIP_DERIVED:
-        sig = ", ".join(f"{role} {arrow} {target}" for role, target in s.role_signature)
-        header = f"{s.name} = ({sig})"
+        sig = ", ".join(f"{role} {arrows[0]} {target}" for role, target in s.role_signature)
+        lines = [f"{s.name} = ({sig})", *inclusions]
     else:
-        header = s.name
-
-    lines = [header]
-    for c in scheme.constraints:
-        if isinstance(c, InclusionConstraint) and c.subset == s.name:
-            glyph = "⊆" if unicode else "subset_of"
-            lines.append(f"  {s.name} {glyph} {c.superset}")
-
-    ident = s.object_identifier
-    lines.append(f"  {ident.name} {darrow} {format_range(ident.codomain)}, total")
-
-    for m in s.attribute_mappings():
-        lines.append("  " + _render_mapping_line(m, unicode))
+        lines = [s.name, *inclusions]
+    lines.append(_render_mapping(s.name, s.object_identifier, arrows))
     for m in s.mappings:
-        if m.flavor not in ("attribute", "role"):
-            lines.append("  " + _render_function_line(s.name, m, unicode))
-
+        if m.flavor == ATTRIBUTE:
+            lines.append(_render_mapping(s.name, m, arrows))
+    for m in s.mappings:
+        if m.flavor != ATTRIBUTE and m.flavor != ROLE:
+            lines.append(_render_mapping(s.name, m, arrows))
+    bullet = f" {ops['.']} "
     for k in s.keys:
         if not k.implicit:
-            joined = f" {_bullet(unicode)} ".join(k.mappings)
-            lines.append(f"  {k.label}: {joined} key")
-
-    for c in scheme.constraints:
-        if isinstance(c, TupleConstraint) and c.set_name == s.name:
-            lines.append(f"  {c.label}: {format_formula(c.formula, unicode)}")
+            lines.append(f"  {k.label}: {bullet.join(k.mappings)} key")
+    lines += checks
     return "\n".join(lines)
 
 
-def _render_mapping_line(m: Mapping, unicode: bool) -> str:
-    arrow = _darrow(unicode) if m.one_to_one else _arrow(unicode)
-    if m.computed_definition is not None:
-        text = f"{m.name} = {m.computed_definition}"
-    else:
-        text = f"{m.name} {arrow} {format_range(m.codomain)}"
-    if m.total:
-        text += ", total"
-    return text
-
-
-def _render_function_line(set_name: str, m: Mapping, unicode: bool) -> str:
-    arrow = _darrow(unicode) if m.one_to_one else _arrow(unicode)
+def _render_mapping(set_name: str, m: Mapping, arrows: tuple[str, str]) -> str:
+    """``name : SET -> T``, ``name -> RANGE`` or ``name``, then `` = definition``, ``, total``."""
+    arrow = arrows[m.one_to_one]
     if isinstance(m.codomain, str):
-        text = f"{m.name} : {set_name} {arrow} {m.codomain}"
+        text = f"  {m.name} : {set_name} {arrow} {m.codomain}"
+    elif m.codomain is not None:
+        text = f"  {m.name} {arrow} {format_range(m.codomain)}"
     else:
-        text = f"{m.name} {arrow} {format_range(m.codomain)}"
+        text = "  " + m.name
     if m.computed_definition is not None:
         text += f" = {m.computed_definition}"
     if m.total:
         text += ", total"
     return text
-
-
-def _render_nonrelational(c: NonrelationalConstraint, unicode: bool) -> str:
-    if c.formula is not None:
-        return f"{c.label}: {format_formula(c.formula, unicode)}"
-    return f"{c.label}: informal {quote_string(c.informal)}"
 
 
 # --- structured document ---

@@ -37,6 +37,7 @@ from .model import (
     CardinalityBody,
     ERModel,
     ObjectSet,
+    breaks_line,
     effective_cardinality,
     effective_range,
     src_attribute,
@@ -278,14 +279,15 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
     """Rule (iv) for a computed set, attribute or function.
 
     An element whose definition is missing or blank gets one from *log*, or
-    is dropped: returns the element as it ends up, or None.
+    is dropped: returns the element as it ends up, or None. A blank answer
+    counts as none, unless it breaks a line: validation then refuses it.
     """
     if (element.computed_definition or "").strip():
         return element
     definition = log.ask(
         name, "computed-definition", f"computed {noun} {name} has no definition; provide one",
-    )
-    if not definition:
+    ) or ""
+    if not definition.strip() and not breaks_line(definition):
         log.record(
             EnrichmentAction(RULE_MISSING_DEFINITION, source, f"dropped computed {noun} {name}"),
             WARNING, "computed-dropped",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .diagnostics import ParseError, ParseFailure
-from .lexer import EOF, INT, NAME, OP, STRING, TokenStream, quote_string, tokenize
+from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, TokenStream, quote_string, tokenize
 
 # --- terms ---
 
@@ -278,18 +278,18 @@ def quantifier_domains(node: Formula) -> list[str]:
 
 # --- printing ---
 
-_ASCII_OPS = {"=>": "=>", "&": "&", "|": "|", "!": "!", "forall": "forall", "in": "in"}
-_UNICODE_OPS = {
-    "=>": "⇒", "&": "∧", "|": "∨", "!": "¬",
-    "forall": "∀", "in": "∈",
-}
-_UNICODE_CMP = {"<>": "≠", "<=": "≤", ">=": "≥"}
-
 _LEVEL_IMPLIES = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNARY = 4
 _LEVEL_ATOM = 5
+
+# Each binary connective: its surface, its own level, and its operands' levels.
+_BINARY = {
+    Implies: ("=>", _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_IMPLIES),
+    Or: ("|", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+    And: ("&", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
+}
 
 
 def format_formula(node: Formula, unicode: bool = False) -> str:
@@ -298,52 +298,31 @@ def format_formula(node: Formula, unicode: bool = False) -> str:
     Runs of directly nested quantifiers over the same domain are re-sugared
     into the multi-variable form, e.g. ``(forall x, y in SCHEDULES)``.
     """
-    return _fmt(node, 0, _UNICODE_OPS if unicode else _ASCII_OPS, unicode)
+    return _fmt(node, 0, GLYPH_OF if unicode else PLAIN)
 
 
-def _fmt(node: Formula, level: int, ops: dict[str, str], unicode: bool) -> str:
+def _fmt(node: Formula, level: int, ops: dict[str, str]) -> str:
     if isinstance(node, Forall):
-        groups = []
-        current_vars = [node.variable]
-        current_domain = node.domain
-        body = node.body
-        while isinstance(body, Forall):
-            if body.domain == current_domain:
-                current_vars.append(body.variable)
-            else:
-                groups.append((current_vars, current_domain))
-                current_vars = [body.variable]
-                current_domain = body.domain
-            body = body.body
-        groups.append((current_vars, current_domain))
-        binder = ops["forall"] if unicode else ops["forall"] + " "
-        prefix = "".join(
-            f"({binder}{', '.join(vs)} {ops['in']} {dom})" for vs, dom in groups
-        )
-        return f"{prefix}({_fmt(body, 0, ops, unicode)})"
-    if isinstance(node, Implies):
-        text = (
-            f"{_fmt(node.left, _LEVEL_OR, ops, unicode)} {ops['=>']} "
-            f"{_fmt(node.right, _LEVEL_IMPLIES, ops, unicode)}"
-        )
-        return f"({text})" if level > _LEVEL_IMPLIES else text
-    if isinstance(node, Or):
-        text = (
-            f"{_fmt(node.left, _LEVEL_OR, ops, unicode)} {ops['|']} "
-            f"{_fmt(node.right, _LEVEL_AND, ops, unicode)}"
-        )
-        return f"({text})" if level > _LEVEL_OR else text
-    if isinstance(node, And):
-        text = (
-            f"{_fmt(node.left, _LEVEL_AND, ops, unicode)} {ops['&']} "
-            f"{_fmt(node.right, _LEVEL_UNARY, ops, unicode)}"
-        )
-        return f"({text})" if level > _LEVEL_AND else text
+        # Each run of quantifiers over one domain prints as one binder.
+        forall = ops["forall"]
+        binder = forall + " " if forall.isascii() else forall  # the keyword takes a space
+        prefix = ""
+        while isinstance(node, Forall):
+            names, domain = [node.variable], node.domain
+            node = node.body
+            while isinstance(node, Forall) and node.domain == domain:
+                names.append(node.variable)
+                node = node.body
+            prefix += f"({binder}{', '.join(names)} {ops['in']} {domain})"
+        return f"{prefix}({_fmt(node, 0, ops)})"
+    if type(node) in _BINARY:
+        op, own, left, right = _BINARY[type(node)]
+        text = f"{_fmt(node.left, left, ops)} {ops[op]} {_fmt(node.right, right, ops)}"
+        return f"({text})" if level > own else text
     if isinstance(node, Not):
-        return f"{ops['!']}{_fmt(node.body, _LEVEL_ATOM, ops, unicode)}"
+        return f"{ops['!']}{_fmt(node.body, _LEVEL_ATOM, ops)}"
     if isinstance(node, Compare):
-        op = _UNICODE_CMP.get(node.op, node.op) if unicode else node.op
-        return f"{format_term(node.lhs)} {op} {format_term(node.rhs)}"
+        return f"{format_term(node.lhs)} {ops.get(node.op, node.op)} {format_term(node.rhs)}"
     raise TypeError(f"not a formula node: {node!r}")
 
 

@@ -3,7 +3,9 @@
 Names may contain ``#`` when it directly follows an identifier character
 (``Room#``); a ``#`` preceded by whitespace or punctuation starts a line
 comment. Mathematical glyphs are accepted as synonyms for their ASCII
-operators.
+operators. The printers take their ``--unicode`` glyphs from this same
+table (GLYPH_OF), so every glyph they print lexes back to the surface it
+replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ _GLYPHS = {
     "∈": (NAME, "in"),
     "⊆": (NAME, "subset_of"),
 }
+# Each ASCII surface that has a glyph synonym, to that glyph: what the
+# printers write for the surface with --unicode. Without it they write the
+# surface itself, as PLAIN maps it.
+GLYPH_OF = {surface: glyph for glyph, (_, surface) in _GLYPHS.items()}
+PLAIN = {surface: surface for surface in GLYPH_OF}
 
 # One alternative per token kind, each named after the kind it yields. Their
 # first characters are disjoint, so at most one can start at any position;

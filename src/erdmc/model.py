@@ -21,6 +21,16 @@ COMPUTED = "computed"
 # Name reserved for the synthesized object identifier of every scheme set.
 OBJECT_IDENTIFIER = "x"
 
+# What may follow "#" in the provenance reference of a mapping's flag or
+# codomain (scheme.ref_mapping). Names may contain "#", so a member named
+# like another member's facet would share that facet's reference.
+FACETS = ("codomain", "total", "unique")
+
+
+def breaks_line(text: str) -> bool:
+    """True iff *text* holds a character that str.splitlines breaks at."""
+    return "".join(text.splitlines()) != text
+
 
 # --- value ranges ---
 
@@ -433,7 +443,8 @@ def validate_model(model: ERModel) -> list[Diagnostic]:
 
 def _validate_set(s: ObjectSet, resolves, err) -> None:
     seen: set[str] = set()
-    for name in s.member_names():
+    names = s.member_names()
+    for name in names:
         if name == OBJECT_IDENTIFIER:
             err(
                 "reserved-identifier",
@@ -443,6 +454,15 @@ def _validate_set(s: ObjectSet, resolves, err) -> None:
         if name in seen:
             err("duplicate-member", f"{s.name}.{name}", f"member {name!r} declared twice on {s.name}")
         seen.add(name)
+    for name in names:
+        owner, _, facet = name.rpartition("#")
+        if facet in FACETS and owner in seen:
+            err(
+                "reference-collision",
+                f"{s.name}.{name}",
+                f"member {name} of {s.name} is named like the {facet} facet of member "
+                f"{owner}, so their provenance references would collide",
+            )
 
     if s.kind == RELATIONSHIP:
         if not s.roles:
@@ -473,7 +493,7 @@ def _validate_set(s: ObjectSet, resolves, err) -> None:
 
     for defined in (s, *s.attributes, *s.structural_functions):
         definition = defined.computed_definition
-        if definition and "".join(definition.splitlines()) != definition:
+        if definition and breaks_line(definition):
             element = s.name if defined is s else f"{s.name}.{defined.name}"
             err(
                 "definition-line-break",

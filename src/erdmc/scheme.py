@@ -453,7 +453,17 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
                 bad("duplicate-label", element, f"label {label} reused")
             seen_labels.add(label)
 
-    for ref in base_refs(scheme):
+    refs = base_refs(scheme)
+    for ref in refs:
         if ref not in scheme.provenance:
             bad("missing-provenance", ref, f"{ref} has no provenance entry")
+    # Any other entry must be a facet (mapping:S.m#total) of a set S that the
+    # scheme holds. Its owner, not the part before "#", names S: names may
+    # hold "#" too.
+    base = set(refs)
+    for ref in scheme.provenance:
+        if ref not in base:
+            owner = ref_owner(ref)
+            if owner is None or owner not in seen_sets:
+                bad("stray-provenance", ref, f"{ref} names no element of the scheme")
     return diagnostics

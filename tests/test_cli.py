@@ -138,6 +138,41 @@ def test_answered_definition_with_a_line_break_exits_1(tmp_path, capsys, definit
     )
 
 
+def test_blank_answered_definition_is_dropped(tmp_path, capsys):
+    model = tmp_path / "members.erdm"
+    model.write_text('diagram D { entity A card 10 { attr v attr c computed = "" } }\n')
+    answers = tmp_path / "answers.json"
+    answers.write_text(json.dumps({"A.c": {"computed-definition": " "}}))
+    assert main(["translate", str(model), "--answers", str(answers)]) == 0
+    captured = capsys.readouterr()
+    assert "  c" not in captured.out
+    assert (
+        "warning: computed-dropped: computed attribute A.c has no definition "
+        "and was ignored [A.c]"
+    ) in captured.err.splitlines()
+
+
+def test_member_named_like_a_provenance_facet_exits_1(tmp_path, capsys):
+    model = tmp_path / "facets.erdm"
+    model.write_text(
+        "diagram D { entity A card 10 { attr Room# attr Room##codomain "
+        "attr t attr t#total } }\n"
+        "restriction R1 on A range Room# [1, 5]\n"
+    )
+    expected = [
+        f"error: reference-collision: member {name} of A is named like the {facet} "
+        f"facet of member {owner}, so their provenance references would collide [A.{name}]"
+        for owner, facet, name in (("Room#", "codomain", "Room##codomain"),
+                                   ("t", "total", "t#total"))
+    ]
+    assert main(["validate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "2 errors\n" and captured.err.splitlines() == expected
+    assert main(["translate", str(model)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == expected
+
+
 def test_translate_translation_errors_exit_1(tmp_path, capsys, teaching_source):
     bad = tmp_path / "dangling.erdm"
     bad.write_text(teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES"))

@@ -16,7 +16,7 @@ from erdmc.formula import MAX_FORMULA_DEPTH, format_formula, parse_formula
 from erdmc.generator import random_model
 from erdmc.lexer import STRING, tokenize
 from erdmc.parser import parse_model
-from erdmc.scheme import EMDMScheme
+from erdmc.scheme import EMDMScheme, check_scheme
 from erdmc.translator import translate
 
 
@@ -206,3 +206,53 @@ def test_structured_round_trip_fuzzed_schemes():
         result = translate(random_model(seed))
         assert result.scheme is not None, seed
         assert load_structured(emit_structured(result.scheme)) == result.scheme
+
+
+def _loaded_document(source: str) -> dict:
+    result = translate(parse_model(source))
+    assert result.scheme is not None
+    return json.loads(emit_structured(result.scheme))
+
+
+def _members(doc: dict, set_name: str) -> dict:
+    (s,) = [s for s in doc["sets"] if s["name"] == set_name]
+    return {m["name"]: m for m in s["mappings"]}
+
+
+def test_loaded_mappings_print_codomain_then_definition_then_totality():
+    doc = _loaded_document(
+        'diagram D { entity A card 10 { attr v attr c computed = "v + 1" '
+        'fn f -> A computed = "g" } }\n'
+        "restriction R1 on A compulsory v\n"
+        "restriction R2 on A unique v\n"
+    )
+    members = _members(doc, "A")
+    members["f"]["codomain"] = None
+    members["c"]["codomain"] = {"kind": "ascii", "length": 8}
+    members["c"]["total"] = True
+    scheme = load_structured(json.dumps(doc))
+    assert check_scheme(scheme) == []
+    assert emit_text(scheme).splitlines()[1:] == [
+        "  x <-> NAT(1), total",
+        "  v <-> ASCII(255), total",
+        "  c -> ASCII(8) = v + 1, total",
+        "  f = g",
+    ]
+
+
+def test_provenance_naming_no_scheme_element_is_stray():
+    doc = _loaded_document(
+        "diagram D { entity A card 10 { attr v } }\n"
+        "restriction R1 on A compulsory v\n"
+    )
+    doc["provenance"]["set:Z"] = "set:Z"
+    doc["provenance"]["mapping:Z.v#total"] = "restriction:R1"
+    doc["provenance"]["key:Z.R9"] = "restriction:R9"
+    doc["provenance"]["constraint:R9"] = "restriction:R9"
+    scheme = load_structured(json.dumps(doc))
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [
+        ("stray-provenance", ref)
+        for ref in ("set:Z", "mapping:Z.v#total", "key:Z.R9", "constraint:R9")
+    ]
+    with pytest.raises(EmitError, match="stray-provenance"):
+        emit_text(scheme)

@@ -230,6 +230,29 @@ def test_rule_iv_blank_definitions_are_asked_for_like_missing_ones():
     assert filled.set("A").structural_functions[0].computed_definition == "all of A"
 
 
+def test_rule_iv_drops_blank_answered_and_prompted_definitions():
+    source = (
+        'diagram D { entity A card 10 { attr v : ASCII(8) attr c computed = "" '
+        'fn f -> A computed = "" } computed S { } }\n'
+    )
+    outcome = apply_input_defaults(
+        parse_model(source), DBMS_MAX,
+        {"A.c": {"computed-definition": " "}, "S": {"computed-definition": "\t"}},
+        prompter=lambda q: "   ",
+    )
+    assert outcome.model.set("S") is None
+    a = outcome.model.set("A")
+    assert [m.name for m in a.attributes] == ["v"] and a.structural_functions == ()
+    assert [(p.question.subject, p.origin) for p in outcome.pending] == [
+        ("A.c", "answers"), ("A.f", "prompt"), ("S", "answers"),
+    ]
+    assert [(d.code, d.element) for d in outcome.diagnostics] == [
+        ("computed-dropped", "A.c"), ("computed-dropped", "A.f"), ("computed-dropped", "S"),
+    ]
+    again = apply_input_defaults(outcome.model, DBMS_MAX)
+    assert again.model == outcome.model and again.actions == []
+
+
 # --- rule (v): roles and identifiers become total ---
 
 TOTALITY_SOURCE = (

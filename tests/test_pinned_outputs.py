@@ -2,9 +2,10 @@
 
 The digests of the generated models were taken before rule (viii) and the
 model lookups were indexed; those of the answered model, before the
-enrichment rules shared one log. A change meant to keep the output as it is
-must leave them as they are; a change meant to alter the output updates
-them in the same commit and says why.
+enrichment rules shared one log; the ``--unicode`` digests, before the
+printers took their glyphs from the lexer's table. A change meant to keep
+the output as it is must leave them as they are; a change meant to alter
+the output updates them in the same commit and says why.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def _outputs(model, options=None) -> tuple[str, str, str]:
     report = encode_report(result.report)
     assert result.scheme is not None
     return emit_text(result.scheme), emit_structured(result.scheme, report), report
+
+
+def _unicode_digest(models, options=None) -> str:
+    """The digest of `erdmc translate --unicode` text output."""
+    h = hashlib.sha256()
+    for model in models:
+        scheme = translate(model, options).scheme
+        assert scheme is not None
+        h.update(emit_text(scheme, unicode=True).encode())
+    return h.hexdigest()
 
 
 def _digests(models, options=None) -> tuple[str, str, str]:
@@ -108,4 +119,19 @@ def test_answered_model_outputs_are_pinned():
         "82e244e981cbdb1165d058c00c1615a0c90ff59730637b999828176b39574e44",
         "a4b4c95d3cd47b7cfc2f4a8d1b700ecd22690546d9312ef8aa4a2ddc0ec3f81c",
         "304295d2fde6d2301a66ab54ac05ab7dadddbde7138cdd5106a56778239af7de",
+    )
+
+
+def test_unicode_text_is_pinned():
+    options = TranslationOptions(
+        answers=ANSWERS, prompter=lambda q: PROMPTED.get((q.subject, q.kind)),
+    )
+    assert _unicode_digest([random_model(3, **RELATIONAL_LIMITS)]) == (
+        "c6281af209be8f3ec90d91287fc3e113a72f9b9fe2d26cac1e077b123c66731b"
+    )
+    assert _unicode_digest(random_model(seed) for seed in range(50)) == (
+        "51be033b4a3af84319e02e2a3aa434014dc436e0b7265138e797f61f31cb11cf"
+    )
+    assert _unicode_digest([parse_model(ANSWERED_SOURCE)], options) == (
+        "0c99394dd10654f352fd6e8bba985a775528e4cc06f80f520061a750d69c8a1a"
     )

@@ -1,13 +1,15 @@
-"""Enrichment walks the scheme a fixed number of times, whatever its size.
+"""Enrichment and the text emitter walk the scheme a fixed number of times.
 
 Rules (v)-(ix) run in time linear in the scheme when no rule walks the
 provenance map or the constraint list once per firing. Rule (viii) used to
 do both for every collapse: it scanned every provenance key to move the
 relationship's entries, and walked every constraint to see whether the
-relationship was referenced. These tests count the walks directly, on
-relationship-heavy generated models of 3.6k and 21.8k census elements
-(random_model(3, ...) with the relational workload's limits times k), so
-they do not depend on the speed of the machine.
+relationship was referenced. The text emitter likewise walked every
+constraint twice per set, to find the set's inclusions and tuple checks.
+These tests count the walks directly, on relationship-heavy generated
+models of 3.6k and 21.8k census elements (random_model(3, ...) with the
+relational workload's limits times k), so they do not depend on the speed
+of the machine.
 
 A wall-time form of this check (the time per census element at k=4 below
 1.4 times that at k=1) was tried and left out: on a shared machine whose
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import pytest
 
+from erdmc.emitter import emit_text
 from erdmc.enrichment import EnrichmentLog, enrich_scheme
 from erdmc.generator import random_model
-from erdmc.translator import Translator
+from erdmc.translator import Translator, translate
 
 # The relational workload's limits, as perfbench/workloads.py sets them.
 RELATIONAL_LIMITS = dict(
@@ -32,6 +35,9 @@ RELATIONAL_LIMITS = dict(
 # The provenance map and the constraint list are each walked once to find
 # the largest label (rule vii) and at most once more by rule (viii).
 WALKS = 2
+# emit_text walks the constraint list twice in the soundness check, once to
+# file each constraint under its set, and there is one walk to spare.
+EMIT_WALKS = 4
 
 
 class _WalkCountingDict(dict):
@@ -62,9 +68,12 @@ class _WalkCountingList(list):
         return super().__iter__()
 
 
+def _relational_model(k: int):
+    return random_model(3, **{name: limit * k for name, limit in RELATIONAL_LIMITS.items()})
+
+
 def _pre_enrichment_scheme(k: int):
-    model = random_model(3, **{name: limit * k for name, limit in RELATIONAL_LIMITS.items()})
-    translator = Translator(model)
+    translator = Translator(_relational_model(k))
     translator._enrich = lambda: None
     scheme = translator.run().scheme
     assert scheme is not None
@@ -82,3 +91,13 @@ def test_enrichment_walks_provenance_and_constraints_a_fixed_number_of_times(k):
     assert collapses >= 5
     assert scheme.provenance.walks <= WALKS
     assert scheme.constraints.walks <= WALKS
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_emit_text_walks_the_constraints_a_fixed_number_of_times(k):
+    scheme = translate(_relational_model(k)).scheme
+    assert scheme is not None and len(scheme.sets) > 300 * k
+    for unicode in (False, True):
+        scheme.constraints = _WalkCountingList(scheme.constraints)
+        emit_text(scheme, unicode=unicode)
+        assert scheme.constraints.walks <= EMIT_WALKS
