@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Any, Sequence
+from json.encoder import encode_basestring_ascii as _q
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .diagnostics import ERROR, Diagnostic, ParseFailure
 from .formula import format_formula, parse_formula
@@ -33,6 +34,7 @@ from .model import (
 from .scheme import (
     ATTRIBUTE,
     COMPUTED,
+    Constraint,
     EMDMScheme,
     EMDMSet,
     InclusionConstraint,
@@ -44,6 +46,9 @@ from .scheme import (
     TupleConstraint,
     check_scheme,
 )
+
+if TYPE_CHECKING:
+    from .translator import TranslationReport
 
 STRUCTURED_VERSION = 1
 
@@ -160,26 +165,140 @@ def _render_mapping(set_name: str, m: Mapping, arrows: tuple[str, str]) -> str:
 
 
 # --- structured document ---
+#
+# Both documents are written as json.dumps writes them with a two-space indent,
+# one f-string per record at the depth it sits at. Every field's type is known,
+# so no value takes json's per-value dispatch or its pure-Python indenting encoder.
+
+_BOOL = {False: "false", True: "true"}
 
 
-def encode_report(report: Any) -> str:
+def _nullable(value: str | None) -> str:
+    return "null" if value is None else _q(value)
+
+
+def _array(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """Written JSON *items* in a block whose first line is indented by *pad*."""
+    body = f",\n{pad}  ".join(items)
+    return f"{brackets[0]}\n{pad}  {body}\n{pad}{brackets[1]}" if body else brackets
+
+
+def _object(pairs: Iterable[tuple[str, Any]], pad: str, write: Callable[[Any], str] = _q) -> str:
+    return _array((f"{_q(k)}: {write(v)}" for k, v in pairs), pad, "{}")
+
+
+def encode_report(report: TranslationReport) -> str:
     """*report*'s JSON text, as ``--report`` writes it and emit_structured embeds it."""
-    return json.dumps(report.to_json_dict(), indent=2)
+    t = report.tallies
+    steps = [f'{{\n      "kind": {_q(s.kind)},\n      "source": {_q(s.source)},'
+             f'\n      "produced": {_q(s.produced)}\n    }}' for s in report.steps]
+    diagnostics = [
+        f'{{\n      "severity": {_q(d.severity)},\n      "code": {_q(d.code)},'
+        f'\n      "message": {_q(d.message)},\n      "element": {_q(d.element)}\n    }}'
+        for d in report.diagnostics]
+    pending = [
+        f'{{\n      "subject": {_q(p.question.subject)},\n      "kind": {_q(p.question.kind)},'
+        f'\n      "prompt": {_q(p.question.prompt)},\n      "answer": {_nullable(p.answer)},'
+        f'\n      "origin": {_q(p.origin)}\n    }}' for p in report.pending_questions]
+    implicit_keys = [
+        f'{{\n      "set": {_q(k.set_name)},\n      "label": {_q(k.label)},'
+        f'\n      "mappings": {_array(map(_q, k.mappings), "      ")},'
+        f'\n      "origin": {_q(k.origin)}\n    }}' for k in report.implicit_keys]
+    actions = [
+        f'{{\n      "rule": {_q(a.rule)},\n      "target": {_q(a.target)},'
+        f'\n      "description": {_q(a.description)},\n      "resulting_labels": '
+        f'{_array(map(_q, a.resulting_labels), "      ")}\n    }}'
+        for a in report.enrichment_actions]
+    return f"""{{
+  "conventions": {_array(map(_q, report.conventions), "  ")},
+  "tallies": {"null" if t is None else _object(t.as_dict().items(), "  ", repr)},
+  "steps": {_array(steps, "  ")},
+  "diagnostics": {_array(diagnostics, "  ")},
+  "pending_questions": {_array(pending, "  ")},
+  "implicit_keys": {_array(implicit_keys, "  ")},
+  "enrichment_actions": {_array(actions, "  ")}
+}}"""
 
 
 def emit_structured(scheme: EMDMScheme, report_text: str | None = None) -> str:
     """Serialize *scheme*, and the report that encode_report gave, to versioned JSON."""
-    doc = {
-        "version": STRUCTURED_VERSION,
-        "sets": [_set_to_json(s) for s in scheme.sets],
-        "constraints": [_constraint_to_json(c) for c in scheme.constraints],
-        "provenance": dict(scheme.provenance),
-    }
-    # The report goes last, in place of the closing "\n}", one level deeper:
-    # each of its lines after the first gains two spaces, as indent=2 writes it
-    # at that depth. A JSON string holds no raw newline, so no value changes.
+    # The report goes last, one level deeper: each of its lines after the
+    # first gains two spaces, as json indents it at that depth. A JSON
+    # string holds no raw newline, so no value changes.
     report = "null" if report_text is None else report_text.replace("\n", "\n  ")
-    return json.dumps(doc, indent=2)[:-2] + f',\n  "report": {report}\n}}\n'
+    return f"""{{
+  "version": {STRUCTURED_VERSION},
+  "sets": {_array(map(_set, scheme.sets), "  ")},
+  "constraints": {_array(map(_constraint, scheme.constraints), "  ")},
+  "provenance": {_object(scheme.provenance.items(), "  ")},
+  "report": {report}
+}}
+"""
+
+
+def _set(s: EMDMSet) -> str:
+    ident = "null" if s.object_identifier is None else _mapping(s.object_identifier, "      ")
+    mappings = _array([_mapping(m, "        ") for m in s.mappings], "      ")
+    keys = _array([f'{{\n          "label": {_q(k.label)},\n          "mappings": '
+                   f'{_array(map(_q, k.mappings), "          ")},\n          "implicit": '
+                   f'{_BOOL[k.implicit]}\n        }}' for k in s.keys], "      ")
+    roles = _array([_array(map(_q, pair), "        ") for pair in s.role_signature], "      ")
+    return (f'{{\n      "name": {_q(s.name)},\n      "kind": {_q(s.kind)},'
+            f'\n      "object_identifier": {ident},\n      "mappings": {mappings},'
+            f'\n      "keys": {keys},\n      "role_signature": {roles},'
+            f'\n      "computed_definition": {_nullable(s.computed_definition)}\n    }}')
+
+
+def _mapping(m: Mapping, pad: str) -> str:
+    sep = f",\n{pad}  "
+    return (f'{{\n{pad}  "name": {_q(m.name)}{sep}"source": {_q(m.source)}'
+            f'{sep}"codomain": {_codomain(m.codomain, pad + "  ")}{sep}"flavor": {_q(m.flavor)}'
+            f'{sep}"total": {_BOOL[m.total]}{sep}"one_to_one": {_BOOL[m.one_to_one]}'
+            f'{sep}"computed_definition": {_nullable(m.computed_definition)}'
+            f'{sep}"source_labels": {_object(m.source_labels.items(), pad + "  ")}\n{pad}}}')
+
+
+def _codomain(r: Range | Bound | str | None, pad: str) -> str:
+    """A codomain, or a bound of an interval, tagged with its kind."""
+    if r is None:
+        return "null"
+    if isinstance(r, Interval):
+        inner = pad + "  "
+        return (f'{{\n{inner}"kind": "interval",\n{inner}"lo": {_codomain(r.lo, inner)},'
+                f'\n{inner}"hi": {_codomain(r.hi, inner)}\n{pad}}}')
+    if isinstance(r, str):
+        kind, field, value = "set", "name", _q(r)
+    elif isinstance(r, AsciiRange):
+        kind, field, value = "ascii", "length", repr(r.length)
+    elif isinstance(r, NatRange):
+        kind, field, value = "nat", "digits", repr(r.digits)
+    elif isinstance(r, IntBound):
+        kind, field, value = "int", "value", repr(r.value)
+    elif isinstance(r, Pow10Bound):
+        kind, field, value = "pow10", "exponent", repr(r.exponent)
+    elif isinstance(r, DateBound):
+        kind, field, value = "date", "text", _q(r.text)
+    elif isinstance(r, FuncBound):
+        kind, field, value = "func", "text", _q(r.text)
+    else:
+        raise TypeError(f"not a codomain or bound: {r!r}")
+    return f'{{\n{pad}  "kind": "{kind}",\n{pad}  "{field}": {value}\n{pad}}}'
+
+
+def _constraint(c: Constraint) -> str:
+    if isinstance(c, InclusionConstraint):
+        fields = (f'"kind": "inclusion",\n      "label": {_nullable(c.label)},'
+                  f'\n      "subset": {_q(c.subset)},\n      "superset": {_q(c.superset)}')
+    elif isinstance(c, TupleConstraint):
+        fields = (f'"kind": "tuple",\n      "label": {_q(c.label)},\n      "set": '
+                  f'{_q(c.set_name)},\n      "formula": {_q(format_formula(c.formula))}')
+    elif isinstance(c, NonrelationalConstraint):
+        formula = None if c.formula is None else format_formula(c.formula)
+        fields = (f'"kind": "nonrelational",\n      "label": {_q(c.label)},\n      "formula": '
+                  f'{_nullable(formula)},\n      "informal": {_nullable(c.informal)}')
+    else:
+        raise TypeError(f"not a constraint: {c!r}")
+    return f"{{\n      {fields}\n    }}"
 
 
 def load_structured(text: str) -> EMDMScheme:
@@ -218,30 +337,12 @@ def _expect_list(doc: dict, key: str) -> list:
     return value
 
 
-def _range_to_json(r: Range | str | None) -> Any:
-    if r is None:
-        return None
-    if isinstance(r, str):
-        return {"kind": "set", "name": r}
-    if isinstance(r, Interval):
-        return {"kind": "interval", "lo": _bound_to_json(r.lo), "hi": _bound_to_json(r.hi)}
-    if isinstance(r, AsciiRange):
-        return {"kind": "ascii", "length": r.length}
-    if isinstance(r, NatRange):
-        return {"kind": "nat", "digits": r.digits}
-    raise TypeError(f"not a codomain: {r!r}")
-
-
-def _bound_to_json(b: Bound) -> dict:
-    if isinstance(b, IntBound):
-        return {"kind": "int", "value": b.value}
-    if isinstance(b, Pow10Bound):
-        return {"kind": "pow10", "exponent": b.exponent}
-    if isinstance(b, DateBound):
-        return {"kind": "date", "text": b.text}
-    if isinstance(b, FuncBound):
-        return {"kind": "func", "text": b.text}
-    raise TypeError(f"not a bound: {b!r}")
+def _text(raw: dict, key: str, path: str) -> str | None:
+    """The text field *key* of *raw*: a string, or null when absent."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise StructuredFormatError(f"{key} must be a string or null", f"{path}.{key}")
+    return value
 
 
 def _range_from_json(raw: Any, path: str) -> Range | str | None:
@@ -279,19 +380,6 @@ def _bound_from_json(raw: Any, path: str) -> Bound:
     raise StructuredFormatError(f"unknown bound kind {kind!r}", path)
 
 
-def _mapping_to_json(m: Mapping) -> dict:
-    return {
-        "name": m.name,
-        "source": m.source,
-        "codomain": _range_to_json(m.codomain),
-        "flavor": m.flavor,
-        "total": m.total,
-        "one_to_one": m.one_to_one,
-        "computed_definition": m.computed_definition,
-        "source_labels": dict(m.source_labels),
-    }
-
-
 def _mapping_from_json(raw: Any, path: str) -> Mapping:
     if not isinstance(raw, dict):
         raise StructuredFormatError("mapping must be an object", path)
@@ -303,28 +391,11 @@ def _mapping_from_json(raw: Any, path: str) -> Mapping:
             flavor=str(raw["flavor"]),
             total=bool(raw.get("total", False)),
             one_to_one=bool(raw.get("one_to_one", False)),
-            computed_definition=raw.get("computed_definition"),
+            computed_definition=_text(raw, "computed_definition", path),
             source_labels={str(k): str(v) for k, v in raw.get("source_labels", {}).items()},
         )
     except KeyError as exc:
         raise StructuredFormatError(f"missing field {exc}", path) from exc
-
-
-def _set_to_json(s: EMDMSet) -> dict:
-    return {
-        "name": s.name,
-        "kind": s.kind,
-        "object_identifier": (
-            _mapping_to_json(s.object_identifier) if s.object_identifier else None
-        ),
-        "mappings": [_mapping_to_json(m) for m in s.mappings],
-        "keys": [
-            {"label": k.label, "mappings": list(k.mappings), "implicit": k.implicit}
-            for k in s.keys
-        ],
-        "role_signature": [list(pair) for pair in s.role_signature],
-        "computed_definition": s.computed_definition,
-    }
 
 
 def _set_from_json(raw: Any, path: str) -> EMDMSet:
@@ -353,26 +424,10 @@ def _set_from_json(raw: Any, path: str) -> EMDMSet:
             role_signature=tuple(
                 (str(a), str(b)) for a, b in raw.get("role_signature", [])
             ),
-            computed_definition=raw.get("computed_definition"),
+            computed_definition=_text(raw, "computed_definition", path),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuredFormatError(f"malformed set: {exc}", path) from exc
-
-
-def _constraint_to_json(c) -> dict:
-    if isinstance(c, InclusionConstraint):
-        return {"kind": "inclusion", "label": c.label, "subset": c.subset,
-                "superset": c.superset}
-    if isinstance(c, TupleConstraint):
-        return {"kind": "tuple", "label": c.label, "set": c.set_name,
-                "formula": format_formula(c.formula)}
-    if isinstance(c, NonrelationalConstraint):
-        return {
-            "kind": "nonrelational", "label": c.label,
-            "formula": format_formula(c.formula) if c.formula is not None else None,
-            "informal": c.informal,
-        }
-    raise TypeError(f"not a constraint: {c!r}")
 
 
 def _constraint_from_json(raw: Any, path: str):
@@ -383,7 +438,7 @@ def _constraint_from_json(raw: Any, path: str):
         if kind == "inclusion":
             return InclusionConstraint(
                 subset=str(raw["subset"]), superset=str(raw["superset"]),
-                label=raw.get("label"),
+                label=_text(raw, "label", path),
             )
         if kind == "tuple":
             return TupleConstraint(
@@ -395,7 +450,7 @@ def _constraint_from_json(raw: Any, path: str):
             return NonrelationalConstraint(
                 label=str(raw["label"]),
                 formula=parse_formula(formula) if formula is not None else None,
-                informal=raw.get("informal"),
+                informal=_text(raw, "informal", path),
             )
     except (KeyError, TypeError, ValueError, ParseFailure) as exc:
         raise StructuredFormatError(f"malformed {kind} constraint: {exc}", path) from exc

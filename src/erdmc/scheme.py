@@ -424,6 +424,8 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
     for c in scheme.constraints:
         element = ref_constraint(c)
         if isinstance(c, InclusionConstraint):
+            if c.subset == c.superset:
+                bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
             for endpoint in (c.subset, c.superset):
                 if scheme.set(endpoint) is None:
                     bad("unresolved-inclusion", element,

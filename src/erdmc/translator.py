@@ -139,34 +139,6 @@ class TranslationReport:
     def has_errors(self) -> bool:
         return any(d.is_error for d in self.diagnostics)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conventions": list(self.conventions),
-            "tallies": self.tallies.as_dict() if self.tallies else None,
-            "steps": [{"kind": s.kind, "source": s.source, "produced": s.produced}
-                      for s in self.steps],
-            "diagnostics": [
-                {"severity": d.severity, "code": d.code, "message": d.message,
-                 "element": d.element}
-                for d in self.diagnostics
-            ],
-            "pending_questions": [
-                {"subject": p.question.subject, "kind": p.question.kind,
-                 "prompt": p.question.prompt, "answer": p.answer, "origin": p.origin}
-                for p in self.pending_questions
-            ],
-            "implicit_keys": [
-                {"set": k.set_name, "label": k.label, "mappings": list(k.mappings),
-                 "origin": k.origin}
-                for k in self.implicit_keys
-            ],
-            "enrichment_actions": [
-                {"rule": a.rule, "target": a.target, "description": a.description,
-                 "resulting_labels": list(a.resulting_labels)}
-                for a in self.enrichment_actions
-            ],
-        }
-
 
 @dataclass
 class TranslationResult:

@@ -256,3 +256,44 @@ def test_provenance_naming_no_scheme_element_is_stray():
     ]
     with pytest.raises(EmitError, match="stray-provenance"):
         emit_text(scheme)
+
+
+INCLUSION_SOURCE = (
+    "diagram D { entity A card 10 { attr v } entity B subset_of A card 10 { attr w } }\n"
+    "restriction R1 on A compulsory v\n"
+    'restriction R2 on A other informal "rule"\n'
+)
+
+
+@pytest.mark.parametrize("where, value", [
+    (("sets", 0, "object_identifier", "computed_definition"), ["g"]),
+    (("sets", 0, "mappings", 0, "computed_definition"), True),
+    (("sets", 0, "computed_definition"), {"text": "g"}),
+    (("constraints", 0, "label"), 7),
+    (("constraints", 1, "informal"), 5),
+])
+def test_loaded_text_field_that_is_not_a_string_or_null_is_refused(where, value):
+    doc = _loaded_document(INCLUSION_SOURCE)
+    owner = doc
+    for step in where[:-1]:
+        owner = owner[step]
+    owner[where[-1]] = value
+    path = "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {where[-1]} must be a string or null"
+
+
+def test_loaded_self_inclusion_is_refused():
+    doc = _loaded_document(INCLUSION_SOURCE)
+    (inclusion,) = [c for c in doc["constraints"] if c["kind"] == "inclusion"]
+    inclusion["superset"] = inclusion["subset"]
+    doc["provenance"]["constraint:inclusion:B<=B"] = doc["provenance"].pop(
+        "constraint:inclusion:B<=A")
+    scheme = load_structured(json.dumps(doc))
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [
+        ("self-inclusion", "constraint:inclusion:B<=B")
+    ]
+    with pytest.raises(EmitError, match="self-inclusion: B cannot be included in itself"):
+        emit_text(scheme)

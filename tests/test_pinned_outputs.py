@@ -3,19 +3,25 @@
 The digests of the generated models were taken before rule (viii) and the
 model lookups were indexed; those of the answered model, before the
 enrichment rules shared one log; the ``--unicode`` digests, before the
-printers took their glyphs from the lexer's table. A change meant to keep
-the output as it is must leave them as they are; a change meant to alter
-the output updates them in the same commit and says why.
+printers took their glyphs from the lexer's table; those of the
+every-codomain model, while json.dumps still wrote the structured document
+and the report. A change meant to keep the output as it is must leave them
+as they are; a change meant to alter the output updates them in the same
+commit and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 from erdmc.emitter import emit_structured, emit_text, encode_report
-from erdmc.generator import random_model
+from erdmc.generator import random_model, sized_model
 from erdmc.parser import parse_model
 from erdmc.translator import TranslationOptions, translate
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 # The relational workload's limits, as perfbench/workloads.py sets them.
 RELATIONAL_LIMITS = dict(
@@ -50,12 +56,15 @@ def _digests(models, options=None) -> tuple[str, str, str]:
     return tuple(h.hexdigest() for h in hashes)
 
 
+RELATIONAL_DIGESTS = (
+    "4884dcdcfd8495d10d1d0494a0782d0540711787ddc1da9b9d801563c354f701",
+    "c42c35328de5e4c537abc34fb273f93d7db3c5a92fc1ec64c4d8365722587d1f",
+    "9066a9ef9560ad4ec8afdc75b8d9c451166e713a344d6d5a9d92ada70ba7bdfb",
+)
+
+
 def test_relational_model_outputs_are_pinned():
-    assert _digests([random_model(3, **RELATIONAL_LIMITS)]) == (
-        "4884dcdcfd8495d10d1d0494a0782d0540711787ddc1da9b9d801563c354f701",
-        "c42c35328de5e4c537abc34fb273f93d7db3c5a92fc1ec64c4d8365722587d1f",
-        "9066a9ef9560ad4ec8afdc75b8d9c451166e713a344d6d5a9d92ada70ba7bdfb",
-    )
+    assert _digests([random_model(3, **RELATIONAL_LIMITS)]) == RELATIONAL_DIGESTS
 
 
 def test_small_random_model_outputs_are_pinned():
@@ -111,11 +120,14 @@ PROMPTED = {
 }
 
 
-def test_answered_model_outputs_are_pinned():
-    options = TranslationOptions(
+def _answered_options() -> TranslationOptions:
+    return TranslationOptions(
         answers=ANSWERS, prompter=lambda q: PROMPTED.get((q.subject, q.kind)),
     )
-    assert _digests([parse_model(ANSWERED_SOURCE)], options) == (
+
+
+def test_answered_model_outputs_are_pinned():
+    assert _digests([parse_model(ANSWERED_SOURCE)], _answered_options()) == (
         "82e244e981cbdb1165d058c00c1615a0c90ff59730637b999828176b39574e44",
         "a4b4c95d3cd47b7cfc2f4a8d1b700ecd22690546d9312ef8aa4a2ddc0ec3f81c",
         "304295d2fde6d2301a66ab54ac05ab7dadddbde7138cdd5106a56778239af7de",
@@ -123,15 +135,60 @@ def test_answered_model_outputs_are_pinned():
 
 
 def test_unicode_text_is_pinned():
-    options = TranslationOptions(
-        answers=ANSWERS, prompter=lambda q: PROMPTED.get((q.subject, q.kind)),
-    )
     assert _unicode_digest([random_model(3, **RELATIONAL_LIMITS)]) == (
         "c6281af209be8f3ec90d91287fc3e113a72f9b9fe2d26cac1e077b123c66731b"
     )
     assert _unicode_digest(random_model(seed) for seed in range(50)) == (
         "51be033b4a3af84319e02e2a3aa434014dc436e0b7265138e797f61f31cb11cf"
     )
-    assert _unicode_digest([parse_model(ANSWERED_SOURCE)], options) == (
+    assert _unicode_digest([parse_model(ANSWERED_SOURCE)], _answered_options()) == (
         "0c99394dd10654f352fd6e8bba985a775528e4cc06f80f520061a750d69c8a1a"
     )
+
+
+# Every codomain and bound kind, explicit keys, a computed set, and text that
+# JSON must escape: `"`, `\`, a tab, non-ASCII letters and U+2028.
+def _every_codomain_model():
+    return parse_model((FIXTURES / "every_codomain.erdm").read_text(encoding="utf-8"))
+
+
+def test_every_codomain_model_outputs_are_pinned():
+    assert _digests([_every_codomain_model()]) == (
+        "239c654106e090375406c4bc14c117210a3f253ce1913ca803afe427d84bd5cc",
+        "0d4976f9a1fd259f93c4423fe41e0e387e1bef2d3de7670547fa23c22b8e33b0",
+        "4b525a502bd2534dbaf54d6da63970b3a666623f1f6f2bbcec1b77a9314af392",
+    )
+
+
+def _assert_indent_2(document: str) -> None:
+    assert json.dumps(json.loads(document), indent=2) == document
+
+
+def test_documents_are_laid_out_as_json_dumps_indent_2(teaching_model):
+    """README promises ``json.dumps(doc, indent=2)`` bytes; the oracle is json itself."""
+    cases = [(teaching_model, None), (_every_codomain_model(), None),
+             (parse_model(ANSWERED_SOURCE), _answered_options()),
+             (random_model(3, **RELATIONAL_LIMITS), None), (sized_model(1, 2000), None)]
+    cases += [(random_model(seed), None) for seed in range(300)]
+    for model, options in cases:
+        structured, report = _outputs(model, options)[1:]
+        _assert_indent_2(report)
+        assert structured.endswith("}\n")
+        _assert_indent_2(structured[:-1])
+
+
+def test_report_of_a_rejected_model_is_laid_out_as_json_dumps_indent_2():
+    result = translate(parse_model(
+        "diagram D { entity A { attr v } }\nrestriction R1 on A subset_of A\n"
+    ))
+    assert result.scheme is None and result.report.diagnostics
+    _assert_indent_2(encode_report(result.report))
+
+
+def test_documents_never_enter_the_pure_python_encoder(monkeypatch):
+    """json's indent=2 encoder is pure Python; the writers must not call it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("json's pure-Python encoder was entered")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert _digests([random_model(3, **RELATIONAL_LIMITS)]) == RELATIONAL_DIGESTS
