@@ -3,7 +3,7 @@
 from .census import Tallies, census, verify_translation
 from .diagnostics import Diagnostic, ParseError, ParseFailure
 from .emitter import emit_structured, emit_text, encode_report, load_structured
-from .enrichment import EnrichmentAction, apply_actions, enrich_scheme
+from .enrichment import EnrichmentAction, enrich_scheme
 from .formula import Formula, format_formula, free_variables, parse_formula, quantifier_count
 from .model import ERModel, classify_restriction, validate_model
 from .parser import parse_model
@@ -30,7 +30,6 @@ __all__ = [
     "encode_report",
     "load_structured",
     "EnrichmentAction",
-    "apply_actions",
     "enrich_scheme",
     "Formula",
     "format_formula",

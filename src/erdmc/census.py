@@ -22,7 +22,7 @@ Counting conventions:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 from .formula import quantifier_count
@@ -84,19 +84,7 @@ class Tallies:
 
     def as_dict(self) -> dict[str, int]:
         return {
-            "entity_sets": self.entity_sets,
-            "relationship_sets": self.relationship_sets,
-            "computed_sets": self.computed_sets,
-            "roles": self.roles,
-            "structural_functions": self.structural_functions,
-            "attributes": self.attributes,
-            "nonrelational": self.nonrelational,
-            "inclusions": self.inclusions,
-            "compulsory_members": self.compulsory_members,
-            "unique_singletons": self.unique_singletons,
-            "concatenated_keys": self.concatenated_keys,
-            "tuple_checks": self.tuple_checks,
-            "compulsory_lines": self.compulsory_lines,
+            **asdict(self),
             "sets_total": self.sets_total,
             "mappings_total": self.mappings_total,
             "constraints_total": self.constraints_total,

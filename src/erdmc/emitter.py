@@ -345,6 +345,18 @@ def _text(raw: dict, key: str, path: str) -> str | None:
     return value
 
 
+def _typed(raw: dict, key: str, kind: type, path: str) -> Any:
+    """The field *key* of *raw*, which must be of *kind*: bool or int.
+
+    An absent flag is false, and JSON's true and false are not ints.
+    """
+    value = raw.get(key, False) if kind is bool else raw[key]
+    if type(value) is not kind:
+        expected = "true or false" if kind is bool else "an integer"
+        raise StructuredFormatError(f"{key} must be {expected}", f"{path}.{key}")
+    return value
+
+
 def _range_from_json(raw: Any, path: str) -> Range | str | None:
     if raw is None:
         return None
@@ -355,11 +367,13 @@ def _range_from_json(raw: Any, path: str) -> Range | str | None:
         if kind == "set":
             return str(raw["name"])
         if kind == "interval":
-            return Interval(_bound_from_json(raw["lo"], path), _bound_from_json(raw["hi"], path))
+            return Interval(
+                _bound_from_json(raw["lo"], f"{path}.lo"), _bound_from_json(raw["hi"], f"{path}.hi")
+            )
         if kind == "ascii":
-            return AsciiRange(int(raw["length"]))
+            return AsciiRange(_typed(raw, "length", int, path))
         if kind == "nat":
-            return NatRange(int(raw["digits"]))
+            return NatRange(_typed(raw, "digits", int, path))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructuredFormatError(f"malformed {kind} codomain: {exc}", path) from exc
     raise StructuredFormatError(f"unknown codomain kind {kind!r}", path)
@@ -370,9 +384,9 @@ def _bound_from_json(raw: Any, path: str) -> Bound:
         raise StructuredFormatError("bound must be an object with a kind", path)
     kind = raw["kind"]
     if kind == "int":
-        return IntBound(int(raw["value"]))
+        return IntBound(_typed(raw, "value", int, path))
     if kind == "pow10":
-        return Pow10Bound(int(raw["exponent"]))
+        return Pow10Bound(_typed(raw, "exponent", int, path))
     if kind == "date":
         return DateBound(str(raw["text"]))
     if kind == "func":
@@ -383,16 +397,20 @@ def _bound_from_json(raw: Any, path: str) -> Bound:
 def _mapping_from_json(raw: Any, path: str) -> Mapping:
     if not isinstance(raw, dict):
         raise StructuredFormatError("mapping must be an object", path)
+    labels = raw.get("source_labels", {})
+    if not isinstance(labels, dict) or not all(isinstance(v, str) for v in labels.values()):
+        raise StructuredFormatError("source_labels must be an object of strings",
+                                    f"{path}.source_labels")
     try:
         return Mapping(
             name=str(raw["name"]),
             source=str(raw["source"]),
             codomain=_range_from_json(raw.get("codomain"), f"{path}.codomain"),
             flavor=str(raw["flavor"]),
-            total=bool(raw.get("total", False)),
-            one_to_one=bool(raw.get("one_to_one", False)),
+            total=_typed(raw, "total", bool, path),
+            one_to_one=_typed(raw, "one_to_one", bool, path),
             computed_definition=_text(raw, "computed_definition", path),
-            source_labels={str(k): str(v) for k, v in raw.get("source_labels", {}).items()},
+            source_labels=dict(labels),
         )
     except KeyError as exc:
         raise StructuredFormatError(f"missing field {exc}", path) from exc
@@ -408,7 +426,7 @@ def _set_from_json(raw: Any, path: str) -> EMDMSet:
             keys.append(Key(
                 label=str(k["label"]),
                 mappings=tuple(str(n) for n in k["mappings"]),
-                implicit=bool(k.get("implicit", False)),
+                implicit=_typed(k, "implicit", bool, f"{path}.keys[{i}]"),
             ))
         return EMDMSet(
             name=str(raw["name"]),

@@ -6,24 +6,18 @@ computed elements without definitions. Rules (v)-(ix) complete the
 translated scheme: role/identifier totality, binary-relationship collapse,
 structural keys, a fallback compulsory mapping, and a fallback uniqueness
 mapping. Every rule asks its questions and records its firings through one
-:class:`EnrichmentLog`: each firing is a replayable action plus at least one
+:class:`EnrichmentLog`: each firing is an action plus at least one
 diagnostic.
 
-Rules (v)-(ix) only plan: each decides which action fires and hands it to
-the log, which carries it out through ``_apply``, the one function that
-changes a scheme for them. Replay through :func:`apply_actions` runs the
-same ``_apply`` over the recorded actions, so replay equals execution by
-construction.
-
 Rules (v)-(ix) and :func:`enrich_scheme` change the scheme they are given in
-place and return nothing: the translator owns its scheme, so copying it
-would only cost time. :func:`apply_actions` deep-copies, because it replays
-onto a pre-enrichment scheme that its caller keeps.
+place and return nothing: a rule changes the scheme, and records the
+provenance of what it changed, where it decides to fire, since labels, free
+names and references depend on earlier firings. The translator owns its
+scheme, so copying it would only cost time.
 """
 
 from __future__ import annotations
 
-import copy
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -94,13 +88,12 @@ class PendingQuestion:
 
 @dataclass(frozen=True)
 class EnrichmentAction:
-    """One rule firing; replayable through :func:`apply_actions`."""
+    """One rule firing, as the report lists it."""
 
     rule: str
     target: str
     description: str
     resulting_labels: tuple[str, ...] = ()
-    details: dict = field(default_factory=dict)
 
 
 Prompter = Callable[[Question], "str | None"]
@@ -140,21 +133,9 @@ class EnrichmentLog:
         return None
 
     def record(
-        self,
-        action: EnrichmentAction,
-        severity: str,
-        code: str,
-        message: str,
-        element: str,
-        scheme: EMDMScheme | None = None,
+        self, action: EnrichmentAction, severity: str, code: str, message: str, element: str
     ) -> None:
-        """Record one firing with its diagnostic.
-
-        A firing of rules (v)-(ix) is first applied to *scheme*, at once,
-        since labels, free names and references depend on earlier firings.
-        """
-        if scheme is not None:
-            _apply(scheme, action)
+        """Record one firing with its diagnostic."""
         self.actions.append(action)
         self.diagnostics.append(Diagnostic(severity, code, message, element))
 
@@ -198,7 +179,6 @@ def apply_input_defaults(
                 EnrichmentAction(
                     RULE_CARDINALITY_CLAMP, r.label,
                     f"clamped {r.label} to {dbms_max_cardinality}",
-                    details={"label": r.label, "maximum": dbms_max_cardinality},
                 ),
                 WARNING, "cardinality-clamped",
                 f"{r.label} exceeds the DBMS maximum {dbms_max_cardinality}; clamped", r.label,
@@ -225,7 +205,6 @@ def _default_one_set(
             EnrichmentAction(
                 RULE_MISSING_CARDINALITY, src_set(s.name),
                 f"defaulted cardinality of {s.name} to {dbms_max}",
-                details={"maximum": dbms_max},
             ),
             INFO, "cardinality-defaulted",
             f"{s.name} has no maximum cardinality; using the DBMS maximum {dbms_max}", s.name,
@@ -236,7 +215,6 @@ def _default_one_set(
             EnrichmentAction(
                 RULE_CARDINALITY_CLAMP, src_set(s.name),
                 f"clamped cardinality of {s.name} to {dbms_max}",
-                details={"maximum": dbms_max},
             ),
             WARNING, "cardinality-clamped",
             f"{s.name} cardinality exceeds the DBMS maximum {dbms_max}; clamped", s.name,
@@ -252,7 +230,6 @@ def _default_one_set(
                 EnrichmentAction(
                     RULE_DEFAULT_RANGE, src_attribute(s.name, a.name),
                     f"defaulted range of {s.name}.{a.name} to ASCII(255)",
-                    details={"length": 255},
                 ),
                 INFO, "range-defaulted",
                 f"{s.name}.{a.name} has no range; assuming ASCII(255)", f"{s.name}.{a.name}",
@@ -299,7 +276,6 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
     log.record(
         EnrichmentAction(
             RULE_MISSING_DEFINITION, source, f"filled definition of computed {noun} {name}",
-            details={"definition": definition},
         ),
         INFO, "computed-definition-supplied", f"definition for {supplied} supplied interactively",
         name,
@@ -310,42 +286,6 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
 # --- scheme-side rules (v)-(ix) ---
 
 
-def _apply(scheme: EMDMScheme, action: EnrichmentAction) -> None:
-    """Carry out one firing of rules (v)-(ix) on *scheme* in place.
-
-    Actions of rules (i)-(iv) are ignored. Every action is applied to the
-    scheme it was decided on, or replayed onto that scheme before the
-    enrichment, so its target exists.
-    """
-    d = action.details
-    rule = action.rule
-    if rule == RULE_COLLAPSE:
-        _do_collapse(scheme, d)
-        return
-    if rule not in (RULE_TOTALITY, RULE_STRUCTURAL_KEY, RULE_COMPULSORY, RULE_UNIQUENESS):
-        return
-    target = scheme.set(d["set"])
-    source = ENRICHMENT_PREFIX + rule
-    if rule in (RULE_COMPULSORY, RULE_UNIQUENESS):
-        target.mappings.append(Mapping(
-            name=d["mapping"], source=target.name, codomain=DEFAULT_RANGE,
-            flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
-        ))
-        scheme.record(ref_mapping(target.name, d["mapping"]), source)
-    elif "label" in d:  # a roles-only structural key
-        target.keys.append(Key(d["label"], tuple(d["mappings"]), implicit=True))
-        scheme.record(ref_key(target.name, d["label"]), source)
-    else:  # totality, or the degenerate structural key of a single role
-        mapping = target.mapping(d["mapping"])
-        if rule == RULE_TOTALITY:
-            mapping.total = True
-            facet = "total"
-        else:
-            mapping.one_to_one = True
-            facet = "unique"
-        scheme.record(ref_mapping(target.name, mapping.name, facet), source)
-
-
 def ensure_totality(scheme: EMDMScheme, log: EnrichmentLog) -> None:
     """Rule (v): every role and object identifier is total."""
     for s in scheme.sets:
@@ -354,13 +294,15 @@ def ensure_totality(scheme: EMDMScheme, log: EnrichmentLog) -> None:
             candidates.append(s.object_identifier)
         for m in candidates:
             if m.flavor in (sch.ROLE, sch.OBJECT_IDENTIFIER) and not m.total:
+                m.total = True
+                scheme.record(ref_mapping(s.name, m.name, "total"),
+                              ENRICHMENT_PREFIX + RULE_TOTALITY)
                 element = f"{s.name}.{m.name}"
                 log.record(
                     EnrichmentAction(
                         RULE_TOTALITY, ref_mapping(s.name, m.name), f"made {element} total",
-                        details={"set": s.name, "mapping": m.name},
                     ),
-                    INFO, "totality-added", f"added totality to {element}", element, scheme,
+                    INFO, "totality-added", f"added totality to {element}", element,
                 )
 
 
@@ -396,6 +338,7 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
     label once, at the first generated key; each later key takes the
     previous label plus one, which is what a fresh scan would give.
     """
+    source = ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
     label = None
     for s in scheme.sets:
         if s.kind != RELATIONSHIP_DERIVED:
@@ -410,33 +353,35 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
         if has_structural:
             continue
         if len(roles) == 1:
-            element = f"{s.name}.{roles[0].name}"
+            (role,) = roles
+            role.one_to_one = True
+            scheme.record(ref_mapping(s.name, role.name, "unique"), source)
+            element = f"{s.name}.{role.name}"
             log.record(
                 EnrichmentAction(
-                    RULE_STRUCTURAL_KEY, ref_mapping(s.name, roles[0].name),
+                    RULE_STRUCTURAL_KEY, ref_mapping(s.name, role.name),
                     f"made single role {element} one-to-one (degenerate structural key)",
-                    details={"set": s.name, "mapping": roles[0].name},
                 ),
                 INFO, "structural-key-added",
                 f"single role {element} made one-to-one in place of a structural key; "
                 "review against the business rules",
-                element, scheme,
+                element,
             )
             continue
         label = next_label(scheme) if label is None else f"R{int(label[1:]) + 1:02d}"
         mappings = tuple(m.name for m in roles)
+        s.keys.append(Key(label, mappings, implicit=True))
+        scheme.record(ref_key(s.name, label), source)
         bullet = " • ".join(mappings)
         log.record(
             EnrichmentAction(
-                RULE_STRUCTURAL_KEY, ref_set(s.name),
-                f"{label}: {bullet}",
+                RULE_STRUCTURAL_KEY, ref_set(s.name), f"{label}: {bullet}",
                 resulting_labels=(label,),
-                details={"set": s.name, "label": label, "mappings": list(mappings)},
             ),
             INFO, "structural-key-added",
             f"added structural key {label} ({bullet}) to {s.name}; "
             "review whether it matches a real business rule",
-            s.name, scheme,
+            s.name,
         )
 
 
@@ -477,12 +422,14 @@ def _ensure_fallback(
         if clash:
             log.warn("name-clash", f"{s.name} already has a mapping named {wanted}; using {name}",
                      element)
+        s.mappings.append(Mapping(
+            name=name, source=s.name, codomain=DEFAULT_RANGE,
+            flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
+        ))
+        scheme.record(ref_mapping(s.name, name), ENRICHMENT_PREFIX + rule)
         log.record(
-            EnrichmentAction(
-                rule, ref_set(s.name), f"added {added} {element} into ASCII(255)",
-                details={"set": s.name, "mapping": name},
-            ),
-            INFO, f"{code}-added", f"{s.name} has no {lacking}; added {name}", element, scheme,
+            EnrichmentAction(rule, ref_set(s.name), f"added {added} {element} into ASCII(255)"),
+            INFO, f"{code}-added", f"{s.name} has no {lacking}; added {name}", element,
         )
 
 
@@ -566,23 +513,16 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             log.warn("name-clash",
                      f"{home.name} already has a mapping named {s.name}; using {name}",
                      f"{home.name}.{name}")
+        _collapse(scheme, s, home, name, source_role, target_role, one_to_one)
         log.record(
             EnrichmentAction(
                 RULE_COLLAPSE, ref_set(s.name),
                 f"replaced {s.name} by the structural function "
                 f"{name} : {home.name} {'<->' if one_to_one else '->'} {target_role.codomain}",
-                details={
-                    "relationship": s.name,
-                    "home": home.name,
-                    "mapping": name,
-                    "target": str(target_role.codomain),
-                    "source_role": source_role.name,
-                    "one_to_one": one_to_one,
-                },
             ),
             INFO, "relationship-collapsed",
             f"binary relationship {s.name} replaced by a structural function on {home.name}",
-            s.name, scheme,
+            s.name,
         )
         references.subtract(role.codomain for role in roles)  # the roles left with it
         if target_role.codomain != home.name:  # the new mapping on the home
@@ -612,26 +552,25 @@ def _reference_counts(scheme: EMDMScheme) -> Counter[str]:
     return counts
 
 
-def _do_collapse(scheme: EMDMScheme, d: dict) -> None:
-    """The rule (viii) branch of :func:`_apply`: move a relationship onto its home."""
-    rel = scheme.set(d["relationship"])
-    home = scheme.set(d["home"])
-    source_role = rel.mapping(d["source_role"])
-    target_role = next(m for m in rel.role_mappings() if m.name != d["source_role"])
+def _collapse(
+    scheme: EMDMScheme, rel: EMDMSet, home: EMDMSet, name: str,
+    source_role: Mapping, target_role: Mapping, one_to_one: bool,
+) -> None:
+    """Rule (viii)'s change: replace *rel* by the mapping *name* on *home*."""
     home.mappings.append(Mapping(
-        name=d["mapping"],
+        name=name,
         source=home.name,
         codomain=target_role.codomain,
         flavor=STRUCTURAL_FUNCTION,
         total=source_role.total,
-        one_to_one=d["one_to_one"],
+        one_to_one=one_to_one,
     ))
     scheme.remove_set(rel)
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.
     moved = scheme.take_provenance(rel.name)
-    new_base = ref_mapping(home.name, d["mapping"])
+    new_base = ref_mapping(home.name, name)
     scheme.record(new_base, moved.pop(ref_set(rel.name), f"set:{rel.name}"))
     for old_ref, source in moved.items():
         scheme.record(f"{new_base}#absorbed:{old_ref}", source)
@@ -647,11 +586,3 @@ def enrich_scheme(scheme: EMDMScheme, log: EnrichmentLog) -> None:
     for rule in (ensure_totality, collapse_binary_relationships, ensure_structural_key,
                  ensure_compulsory, ensure_uniqueness):
         rule(scheme, log)
-
-
-def apply_actions(scheme: EMDMScheme, actions: list[EnrichmentAction]) -> EMDMScheme:
-    """Replay recorded scheme-side actions onto a pre-enrichment scheme."""
-    out = copy.deepcopy(scheme)
-    for action in actions:
-        _apply(out, action)
-    return out

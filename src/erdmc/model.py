@@ -567,8 +567,6 @@ def _validate_restriction_body(
             err("self-inclusion", r.label, f"{r.label} includes {body.subset} in itself")
         elif body.superset not in sets_by_name:
             err("unresolved-set", r.label, f"{r.label} names unknown superset {body.superset!r}")
-        if target.kind == COMPUTED:
-            err("restriction-on-computed-set", r.label, "computed sets cannot be declared subsets")
         pair = (body.subset, body.superset)
         inclusion_pairs[pair] = inclusion_pairs.get(pair, 0) + 1
     elif isinstance(body, RangeBody):

@@ -92,9 +92,6 @@ class EMDMSet:
     def role_mappings(self) -> list[Mapping]:
         return [m for m in self.mappings if m.flavor == ROLE]
 
-    def attribute_mappings(self) -> list[Mapping]:
-        return [m for m in self.mappings if m.flavor == ATTRIBUTE]
-
 
 @dataclass
 class InclusionConstraint:
@@ -459,13 +456,15 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
     for ref in refs:
         if ref not in scheme.provenance:
             bad("missing-provenance", ref, f"{ref} has no provenance entry")
-    # Any other entry must be a facet (mapping:S.m#total) of a set S that the
-    # scheme holds. Its owner, not the part before "#", names S: names may
-    # hold "#" too.
+    # Any other entry must be a facet (mapping:S.m#total) of an element that
+    # the scheme holds. Names may hold "#" too, so the element is the part
+    # before some "#", not always the first.
     base = set(refs)
     for ref in scheme.provenance:
         if ref not in base:
-            owner = ref_owner(ref)
-            if owner is None or owner not in seen_sets:
+            cut = ref.find("#")
+            while cut != -1 and ref[:cut] not in base:
+                cut = ref.find("#", cut + 1)
+            if cut == -1:
                 bad("stray-provenance", ref, f"{ref} names no element of the scheme")
     return diagnostics

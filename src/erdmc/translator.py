@@ -48,6 +48,7 @@ from .model import (
 )
 from . import scheme as sch
 from .scheme import (
+    ENRICHMENT_PREFIX,
     EMDMScheme,
     EMDMSet,
     InclusionConstraint,
@@ -487,12 +488,14 @@ class Translator:
 
     def _enrich(self) -> None:
         enrich_scheme(self.scheme, self.log)
-        for action in self.report.enrichment_actions:
-            if action.rule == RULE_STRUCTURAL_KEY and action.resulting_labels:
-                self.report.implicit_keys.append(ImplicitKeyNote(
-                    action.details["set"], action.details["label"],
-                    tuple(action.details["mappings"]), "generated",
-                ))
+        generated = ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
+        provenance = self.scheme.provenance
+        for s in self.scheme.sets:
+            for k in s.keys:
+                if provenance.get(ref_key(s.name, k.label)) == generated:
+                    self.report.implicit_keys.append(
+                        ImplicitKeyNote(s.name, k.label, k.mappings, "generated")
+                    )
 
 
 def translate(model: ERModel, options: TranslationOptions | None = None) -> TranslationResult:

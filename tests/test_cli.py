@@ -8,7 +8,6 @@ import pytest
 from erdmc import cli
 from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
-from erdmc.enrichment import apply_actions
 from erdmc.formula import MAX_FORMULA_DEPTH
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
@@ -246,7 +245,6 @@ def test_formulas_at_the_bound_pass_every_stage(tmp_path, capsys):
     assert main(["check", str(model)]) == 0
     scheme = load_structured(structured.read_text())
     assert load_structured(emit_structured(scheme)) == scheme
-    assert apply_actions(scheme, []) == scheme
 
 
 def test_translate_output_and_sidecar_files(tmp_path, capsys, golden_scheme_text):

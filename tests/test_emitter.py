@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -249,13 +250,27 @@ def test_provenance_naming_no_scheme_element_is_stray():
     doc["provenance"]["mapping:Z.v#total"] = "restriction:R1"
     doc["provenance"]["key:Z.R9"] = "restriction:R9"
     doc["provenance"]["constraint:R9"] = "restriction:R9"
+    # A member or key that set A does not hold is no element either.
+    doc["provenance"]["mapping:A.zz"] = "restriction:R1"
+    doc["provenance"]["key:A.R77"] = "restriction:R1"
+    doc["provenance"]["mapping:A.zz#total"] = "restriction:R1"
     scheme = load_structured(json.dumps(doc))
     assert [(d.code, d.element) for d in check_scheme(scheme)] == [
         ("stray-provenance", ref)
-        for ref in ("set:Z", "mapping:Z.v#total", "key:Z.R9", "constraint:R9")
+        for ref in ("set:Z", "mapping:Z.v#total", "key:Z.R9", "constraint:R9",
+                    "mapping:A.zz", "key:A.R77", "mapping:A.zz#total")
     ]
     with pytest.raises(EmitError, match="stray-provenance"):
         emit_text(scheme)
+
+
+def _set_at(doc: dict, where: tuple, value) -> str:
+    """Set the field at *where* in *doc* to *value*; return its JSON path."""
+    owner = doc
+    for step in where[:-1]:
+        owner = owner[step]
+    owner[where[-1]] = value
+    return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
 
 
 INCLUSION_SOURCE = (
@@ -274,15 +289,46 @@ INCLUSION_SOURCE = (
 ])
 def test_loaded_text_field_that_is_not_a_string_or_null_is_refused(where, value):
     doc = _loaded_document(INCLUSION_SOURCE)
-    owner = doc
-    for step in where[:-1]:
-        owner = owner[step]
-    owner[where[-1]] = value
-    path = "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
+    path = _set_at(doc, where, value)
     with pytest.raises(StructuredFormatError) as info:
         load_structured(json.dumps(doc))
     assert info.value.path == path
     assert str(info.value) == f"{path}: {where[-1]} must be a string or null"
+
+
+# In the every-codomain fixture, PERSONS is the first set. Its mappings are
+# Twin, Born, Height ([-5, 10^3]), Name (ASCII(64), total) and Code (NAT(6)).
+TYPED_FIELDS = [
+    (("sets", 0, "mappings", 3, "total"), "false", "true or false"),
+    (("sets", 0, "mappings", 3, "one_to_one"), 0, "true or false"),
+    (("sets", 0, "keys", 0, "implicit"), "true", "true or false"),
+    (("sets", 0, "mappings", 3, "codomain", "length"), 2.9, "an integer"),
+    (("sets", 0, "mappings", 4, "codomain", "digits"), True, "an integer"),
+    (("sets", 0, "mappings", 2, "codomain", "lo", "value"), "-5", "an integer"),
+    (("sets", 0, "mappings", 2, "codomain", "hi", "exponent"), 3.0, "an integer"),
+]
+
+
+@pytest.mark.parametrize("where, value, expected", TYPED_FIELDS,
+                         ids=[where[-1] for where, _, _ in TYPED_FIELDS])
+def test_loaded_flag_or_size_of_the_wrong_json_type_is_refused(where, value, expected):
+    source = (Path(__file__).parent / "fixtures" / "every_codomain.erdm").read_text("utf-8")
+    doc = _loaded_document(source)
+    path = _set_at(doc, where, value)
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: {where[-1]} must be {expected}"
+
+
+@pytest.mark.parametrize("labels", [["R1"], {"total": 1}, "R1"])
+def test_loaded_source_labels_that_are_not_an_object_of_strings_are_refused(labels):
+    doc = _loaded_document(INCLUSION_SOURCE)
+    path = _set_at(doc, ("sets", 0, "mappings", 0, "source_labels"), labels)
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(json.dumps(doc))
+    assert info.value.path == path
+    assert str(info.value) == f"{path}: source_labels must be an object of strings"
 
 
 def test_loaded_self_inclusion_is_refused():

@@ -15,7 +15,7 @@ from erdmc.enrichment import (
     EnrichmentLog,
     PendingQuestion,
     Question,
-    apply_actions,
+    _collapse,
     apply_input_defaults,
     collapse_binary_relationships,
     enrich_scheme,
@@ -200,8 +200,9 @@ def test_rule_iv_answers_file_fills_computed_members(tmp_path, capsys):
     outcome = apply_input_defaults(
         parse_model(MEMBERS_SOURCE), DBMS_MAX, json.loads(answers_path.read_text())
     )
-    assert [a.details for a in outcome.actions] == [
-        {"definition": "a + 1"}, {"definition": "B.b"},
+    assert [a.description for a in outcome.actions] == [
+        "filled definition of computed attribute A.c",
+        "filled definition of computed function A.f",
     ]
     a = outcome.model.set("A")
     assert a.attributes[1].computed_definition == "a + 1"
@@ -542,7 +543,7 @@ def test_rule_viii_informal_constraints_reference_no_set():
     scheme = _pre_enrichment_scheme(MARRIAGE_SOURCE)
     scheme.constraints.append(NonrelationalConstraint("R09", None, "about MARRIAGE"))
     log = _run(collapse_binary_relationships, scheme)
-    assert [a.details["relationship"] for a in log.actions] == ["MARRIAGE"]
+    assert [a.target for a in log.actions] == ["set:MARRIAGE"]
 
 
 def test_rule_viii_a_collapse_keeps_its_target_referenced():
@@ -559,7 +560,7 @@ def test_rule_viii_a_collapse_keeps_its_target_referenced():
         "}\n"
     )
     log = _run(collapse_binary_relationships, scheme)
-    assert [a.details["relationship"] for a in log.actions] == ["HOLDS"]
+    assert [a.target for a in log.actions] == ["set:HOLDS"]
     assert scheme.set("PEOPLE").mapping("HOLDS").codomain == "CARDS"
     assert [(d.code, d.element) for d in log.diagnostics if d.severity == WARNING] == [
         ("collapse-skipped", "CARDS"),
@@ -596,17 +597,13 @@ CHAIN_SOURCE = (
 def test_rule_viii_collapse_chain_moves_provenance_in_order():
     # R collapses onto H, a relationship-derived set; H then collapses onto
     # A, carrying R's entries along. Rule (viii) itself never plans the
-    # second step (H then holds three mappings), so it is recorded by hand.
-    before = _pre_enrichment_scheme(CHAIN_SOURCE)
-    once = copy.deepcopy(before)
-    first = _run(collapse_binary_relationships, once).actions
-    assert [a.details["relationship"] for a in first] == ["R"]
-    second = EnrichmentAction("viii", "set:H", "replaced H", details={
-        "relationship": "H", "home": "A", "mapping": "H", "target": "B",
-        "source_role": "h1", "one_to_one": False,
-    })
-    enriched = apply_actions(once, [second])
-    assert apply_actions(before, first + [second]) == enriched
+    # second step (H then holds three mappings), so the test makes it through
+    # the collapse helper.
+    enriched = _pre_enrichment_scheme(CHAIN_SOURCE)
+    first = _run(collapse_binary_relationships, enriched).actions
+    assert [a.target for a in first] == ["set:R"]
+    h = enriched.set("H")
+    _collapse(enriched, h, enriched.set("A"), "H", h.mapping("h1"), h.mapping("h2"), False)
     assert [s.name for s in enriched.sets] == ["A", "B", "C"]
     assert list(enriched.provenance.items()) == [
         ("set:A", "set:A"),
@@ -708,16 +705,6 @@ def test_full_pass_is_idempotent():
     assert scheme == snapshot
 
 
-def test_recorded_actions_replay_to_the_same_scheme():
-    sources = [TOTALITY_SOURCE, MARRIAGE_SOURCE, CLASH_SOURCE, SINGLE_ROLE_SOURCE]
-    sources += [random_model(seed) for seed in range(300)]
-    for source in sources:
-        scheme = _pre_enrichment_scheme(source)
-        before = copy.deepcopy(scheme)
-        actions = _run(enrich_scheme, scheme).actions
-        assert apply_actions(before, actions) == scheme
-
-
 def test_rules_change_the_given_scheme_in_place():
     sources = {
         ensure_totality: TOTALITY_SOURCE,
@@ -732,7 +719,6 @@ def test_rules_change_the_given_scheme_in_place():
         before = copy.deepcopy(scheme)
         log = _run(rule, scheme)
         assert log.actions and scheme != before, rule.__name__
-        assert apply_actions(before, log.actions) == scheme, rule.__name__
 
 
 def _linear_set(model: ERModel, name: str):
@@ -758,7 +744,7 @@ def test_model_and_scheme_indexes_agree_with_linear_scans(teaching_model):
     collapses = 0
     for model in models:
         result = translate(model)
-        collapsed = [a.details["relationship"] for a in result.report.enrichment_actions
+        collapsed = [a.target.removeprefix("set:") for a in result.report.enrichment_actions
                      if a.rule == "viii"]
         collapses += len(collapsed)
         reloaded = load_structured(emit_structured(result.scheme))
@@ -813,12 +799,13 @@ def test_label_allocation_numbers_every_key_of_one_pass():
         "}\n"
         "restriction R98 on A compulsory a\n"
     )
-    replayed = copy.deepcopy(scheme)
+    before = copy.deepcopy(scheme)
     actions = _run(ensure_structural_key, scheme).actions
+    # Each label is what a fresh scan gives once the keys before it are in.
     rescanned = []
-    for action in actions:
-        rescanned.append(next_label(replayed))
-        replayed = apply_actions(replayed, [action])
+    for name in ("L1", "L2", "L3"):
+        rescanned.append(next_label(before))
+        before.set(name).keys.extend(scheme.set(name).keys)
     labels = [lbl for a in actions for lbl in a.resulting_labels]
     assert labels == rescanned == ["R99", "R100", "R101"]
 

@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import copy
+import re
+from pathlib import Path
 
 import pytest
 
+from erdmc import scheme as sch
+from erdmc.formula import parse_formula
+from erdmc.model import AsciiRange, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import (
     EMDMScheme,
     EMDMSet,
+    InclusionConstraint,
     Key,
     check_scheme,
     is_implicit_key,
@@ -161,3 +167,83 @@ def test_take_provenance_returns_an_owners_entries_in_recorded_order():
     assert scheme.provenance == {"constraint:R01": "from constraint:R01"}
     assert scheme == EMDMScheme(provenance={"constraint:R01": "from constraint:R01"})
     assert "_refs_by_owner" not in repr(scheme)
+
+
+def _constraint(scheme: EMDMScheme, label: str):
+    return next(c for c in scheme.constraints if getattr(c, "label", None) == label)
+
+
+def _member(scheme: EMDMScheme, name: str) -> sch.Mapping:
+    set_name, _, mapping = name.partition(".")
+    return scheme.set(set_name).mapping(mapping)
+
+
+# One mutation of the teaching scheme for each check_scheme code, with the
+# element its diagnostic names.
+CHECK_CASES = [
+    ("duplicate-set", "ROOMS", lambda m: m.add_set(copy.deepcopy(m.set("ROOMS")))),
+    ("missing-definition", "V", lambda m: m.add_set(EMDMSet("V", sch.COMPUTED))),
+    ("computed-set-structure", "V", lambda m: m.add_set(
+        EMDMSet("V", sch.COMPUTED, keys=[Key("R90", ("a", "b"))], computed_definition="all"))),
+    ("missing-identifier", "ROOMS",
+     lambda m: setattr(m.set("ROOMS"), "object_identifier", None)),
+    ("identifier-flags", "ROOMS", lambda m: setattr(_member(m, "ROOMS.x"), "total", False)),
+    ("identifier-codomain", "ROOMS",
+     lambda m: setattr(_member(m, "ROOMS.x"), "codomain", NatRange(0))),
+    ("duplicate-mapping", "ROOMS.Room#",
+     lambda m: m.set("ROOMS").mappings.append(copy.deepcopy(_member(m, "ROOMS.Room#")))),
+    ("role-codomain", "SCHEDULES.Room",
+     lambda m: setattr(_member(m, "SCHEDULES.Room"), "codomain", AsciiRange(8))),
+    ("role-totality", "SCHEDULES.Room",
+     lambda m: setattr(_member(m, "SCHEDULES.Room"), "total", False)),
+    ("stray-identifier", "ROOMS.Room#",
+     lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.OBJECT_IDENTIFIER)),
+    ("unresolved-codomain", "SCHEDULES.Room",
+     lambda m: setattr(_member(m, "SCHEDULES.Room"), "codomain", "ROOMZ")),
+    ("missing-codomain", "ROOMS.Room#",
+     lambda m: setattr(_member(m, "ROOMS.Room#"), "codomain", None)),
+    ("role-signature", "SCHEDULES", lambda m: setattr(m.set("SCHEDULES"), "role_signature", ())),
+    ("roles-on-entity", "ROOMS", lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.ROLE)),
+    ("singleton-key", "ROOMS.R90", lambda m: m.set("ROOMS").keys.append(Key("R90", ("Room#",)))),
+    ("unresolved-key-mapping", "SCHEDULES.R90",
+     lambda m: m.set("SCHEDULES").keys.append(Key("R90", ("Weekday", "Nope")))),
+    ("duplicate-key", "SCHEDULES.R90",
+     lambda m: m.set("SCHEDULES").keys.append(Key("R90", ("StartH", "Weekday", "Room")))),
+    ("implicit-flag", "SCHEDULES.R33",
+     lambda m: setattr(m.set("SCHEDULES").keys[0], "implicit", True)),
+    ("unlabeled-key", "SCHEDULES.",
+     lambda m: m.set("SCHEDULES").keys.append(Key("", ("Weekday", "EndH")))),
+    ("duplicate-label", "SCHEDULES.R32",
+     lambda m: m.set("SCHEDULES").keys.append(Key("R32", ("Weekday", "EndH")))),
+    ("self-inclusion", "constraint:inclusion:ROOMS<=ROOMS",
+     lambda m: m.constraints.append(InclusionConstraint("ROOMS", "ROOMS"))),
+    ("unresolved-inclusion", "constraint:inclusion:ROOMS<=NOPE",
+     lambda m: m.constraints.append(InclusionConstraint("ROOMS", "NOPE"))),
+    ("unresolved-set", "constraint:R37",
+     lambda m: setattr(_constraint(m, "R37"), "set_name", "NOPE")),
+    ("tuple-arity", "constraint:R37",
+     lambda m: setattr(_constraint(m, "R37"), "formula", _constraint(m, "R41").formula)),
+    ("formula-resolution", "constraint:R41", lambda m: setattr(
+        _constraint(m, "R41"), "formula",
+        parse_formula("(forall x in STUDENTS)(forall y in TEACHERS)(Nope(x) <> SSN(y))"))),
+    ("empty-constraint", "constraint:R41",
+     lambda m: vars(_constraint(m, "R41")).update(formula=None, informal=None)),
+    ("nonrelational-arity", "constraint:R41",
+     lambda m: setattr(_constraint(m, "R41"), "formula", _constraint(m, "R37").formula)),
+    ("missing-provenance", "set:STUDENTS", lambda m: m.provenance.pop("set:STUDENTS")),
+    ("stray-provenance", "mapping:ROOMS.zz", lambda m: m.record("mapping:ROOMS.zz", "set:ROOMS")),
+]
+
+
+@pytest.mark.parametrize("code, element, mutate", CHECK_CASES, ids=[c[0] for c in CHECK_CASES])
+def test_check_scheme_names_the_element_of_each_code(golden_scheme, code, element, mutate):
+    mutated = copy.deepcopy(golden_scheme)
+    mutate(mutated)
+    found = [(d.code, d.element) for d in check_scheme(mutated) if d.code == code]
+    assert found == [(code, element)]
+
+
+def test_every_check_scheme_code_has_a_case():
+    source = Path(sch.__file__).read_text(encoding="utf-8")
+    codes = set(re.findall(r'\bbad\("([^"]+)"', source))
+    assert codes and codes <= {code for code, _, _ in CHECK_CASES}
