@@ -326,7 +326,9 @@ def load_structured(text: str) -> EMDMScheme:
     if not isinstance(provenance, dict):
         raise StructuredFormatError("must be an object", "$.provenance")
     for ref, source in provenance.items():
-        scheme.record(str(ref), str(source))
+        if not isinstance(source, str):
+            raise StructuredFormatError("must be a string", f"$.provenance[{json.dumps(ref)}]")
+        scheme.record(ref, source)
     return scheme
 
 
@@ -345,16 +347,24 @@ def _text(raw: dict, key: str, path: str) -> str | None:
     return value
 
 
+_JSON_TYPE = {bool: "true or false", int: "an integer", str: "a string"}
+
+
 def _typed(raw: dict, key: str, kind: type, path: str) -> Any:
-    """The field *key* of *raw*, which must be of *kind*: bool or int.
+    """The field *key* of *raw*, which must be of *kind*: bool, int or str.
 
     An absent flag is false, and JSON's true and false are not ints.
     """
     value = raw.get(key, False) if kind is bool else raw[key]
     if type(value) is not kind:
-        expected = "true or false" if kind is bool else "an integer"
-        raise StructuredFormatError(f"{key} must be {expected}", f"{path}.{key}")
+        raise StructuredFormatError(f"{key} must be {_JSON_TYPE[kind]}", f"{path}.{key}")
     return value
+
+
+def _is_strings(value: Any, size: int | None = None) -> bool:
+    """Whether *value* is an array of strings, of *size* items when given."""
+    return (isinstance(value, list) and (size is None or len(value) == size)
+            and all(isinstance(item, str) for item in value))
 
 
 def _range_from_json(raw: Any, path: str) -> Range | str | None:
@@ -365,7 +375,7 @@ def _range_from_json(raw: Any, path: str) -> Range | str | None:
     kind = raw["kind"]
     try:
         if kind == "set":
-            return str(raw["name"])
+            return _typed(raw, "name", str, path)
         if kind == "interval":
             return Interval(
                 _bound_from_json(raw["lo"], f"{path}.lo"), _bound_from_json(raw["hi"], f"{path}.hi")
@@ -388,9 +398,9 @@ def _bound_from_json(raw: Any, path: str) -> Bound:
     if kind == "pow10":
         return Pow10Bound(_typed(raw, "exponent", int, path))
     if kind == "date":
-        return DateBound(str(raw["text"]))
+        return DateBound(_typed(raw, "text", str, path))
     if kind == "func":
-        return FuncBound(str(raw["text"]))
+        return FuncBound(_typed(raw, "text", str, path))
     raise StructuredFormatError(f"unknown bound kind {kind!r}", path)
 
 
@@ -403,10 +413,10 @@ def _mapping_from_json(raw: Any, path: str) -> Mapping:
                                     f"{path}.source_labels")
     try:
         return Mapping(
-            name=str(raw["name"]),
-            source=str(raw["source"]),
+            name=_typed(raw, "name", str, path),
+            source=_typed(raw, "source", str, path),
             codomain=_range_from_json(raw.get("codomain"), f"{path}.codomain"),
-            flavor=str(raw["flavor"]),
+            flavor=_typed(raw, "flavor", str, path),
             total=_typed(raw, "total", bool, path),
             one_to_one=_typed(raw, "one_to_one", bool, path),
             computed_definition=_text(raw, "computed_definition", path),
@@ -423,14 +433,22 @@ def _set_from_json(raw: Any, path: str) -> EMDMSet:
         ident = raw.get("object_identifier")
         keys = []
         for i, k in enumerate(raw.get("keys", [])):
+            key_path = f"{path}.keys[{i}]"
+            if not _is_strings(k["mappings"]):
+                raise StructuredFormatError("mappings must be an array of strings",
+                                            f"{key_path}.mappings")
             keys.append(Key(
-                label=str(k["label"]),
-                mappings=tuple(str(n) for n in k["mappings"]),
-                implicit=_typed(k, "implicit", bool, f"{path}.keys[{i}]"),
+                label=_typed(k, "label", str, key_path),
+                mappings=tuple(k["mappings"]),
+                implicit=_typed(k, "implicit", bool, key_path),
             ))
+        signature = raw.get("role_signature", [])
+        if not isinstance(signature, list) or not all(_is_strings(p, 2) for p in signature):
+            raise StructuredFormatError("role_signature must be an array of string pairs",
+                                        f"{path}.role_signature")
         return EMDMSet(
-            name=str(raw["name"]),
-            kind=str(raw["kind"]),
+            name=_typed(raw, "name", str, path),
+            kind=_typed(raw, "kind", str, path),
             object_identifier=(
                 _mapping_from_json(ident, f"{path}.object_identifier") if ident else None
             ),
@@ -439,9 +457,7 @@ def _set_from_json(raw: Any, path: str) -> EMDMSet:
                 for i, m in enumerate(raw.get("mappings", []))
             ],
             keys=keys,
-            role_signature=tuple(
-                (str(a), str(b)) for a, b in raw.get("role_signature", [])
-            ),
+            role_signature=tuple((a, b) for a, b in signature),
             computed_definition=_text(raw, "computed_definition", path),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -455,18 +471,19 @@ def _constraint_from_json(raw: Any, path: str):
     try:
         if kind == "inclusion":
             return InclusionConstraint(
-                subset=str(raw["subset"]), superset=str(raw["superset"]),
+                subset=_typed(raw, "subset", str, path),
+                superset=_typed(raw, "superset", str, path),
                 label=_text(raw, "label", path),
             )
         if kind == "tuple":
             return TupleConstraint(
-                label=str(raw["label"]), set_name=str(raw["set"]),
-                formula=parse_formula(raw["formula"]),
+                label=_typed(raw, "label", str, path), set_name=_typed(raw, "set", str, path),
+                formula=parse_formula(_typed(raw, "formula", str, path)),
             )
         if kind == "nonrelational":
-            formula = raw.get("formula")
+            formula = _text(raw, "formula", path)
             return NonrelationalConstraint(
-                label=str(raw["label"]),
+                label=_typed(raw, "label", str, path),
                 formula=parse_formula(formula) if formula is not None else None,
                 informal=_text(raw, "informal", path),
             )

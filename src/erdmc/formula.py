@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .diagnostics import ParseError, ParseFailure
-from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, TokenStream, quote_string, tokenize
+from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, Token, TokenStream, quote_string
 
 # --- terms ---
 
@@ -101,7 +100,7 @@ def parse_formula(source: str) -> Formula:
     Raises ParseFailure for syntax errors, unbound variables, and
     duplicate quantified variable names.
     """
-    stream = TokenStream(tokenize(source))
+    stream = TokenStream(source)
     node = parse_formula_tokens(stream, bound=frozenset())
     if not stream.at(EOF):
         raise stream.error(f"trailing input after formula: {stream.peek().value!r}")
@@ -110,26 +109,30 @@ def parse_formula(source: str) -> Formula:
 
 def parse_formula_tokens(stream: TokenStream, bound: frozenset[str]) -> Formula:
     """Parse one formula from *stream*; used standalone and by the DSL parser."""
-    if stream.at(OP, "(") and stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
+    if _at_quantifier(stream):
         return _parse_quantified(stream, bound, 0)
     return _parse_implies(stream, bound, 0)
 
 
-def _deeper(stream: TokenStream, depth: int) -> int:
-    """Open one more level at the current token, or fail past the bound."""
+def _at_quantifier(stream: TokenStream) -> bool:
+    """Whether a ``(forall`` binder starts at the cursor."""
+    return stream.at(OP, "(") and stream.peek(1)[:2] == (NAME, "forall")
+
+
+def _deeper(stream: TokenStream, depth: int, at: Token) -> int:
+    """Open one more level at token *at*, or fail past the bound."""
     if depth >= MAX_FORMULA_DEPTH:
-        raise stream.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+        raise stream.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at=at)
     return depth + 1
 
 
 def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     stream.expect(OP, "(")
     stream.expect(NAME, "forall")
-    depth = _deeper(stream, depth)
+    depth = _deeper(stream, depth, stream.peek())
     variables = [stream.expect(NAME, label="variable name").value]
-    while stream.at(OP, ","):
-        stream.advance()
-        depth = _deeper(stream, depth)
+    while stream.accept(OP, ","):
+        depth = _deeper(stream, depth, stream.peek())
         variables.append(stream.expect(NAME, label="variable name").value)
     stream.expect(NAME, "in", label="'in'")
     domain = stream.expect(NAME, label="set name").value
@@ -140,7 +143,7 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
     if len(set(variables)) != len(variables):
         raise stream.error("duplicate variable in quantifier")
     inner_bound = bound.union(variables)
-    if stream.at(OP, "(") and stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
+    if _at_quantifier(stream):
         body: Formula = _parse_quantified(stream, inner_bound, depth)
     else:
         stream.expect(OP, "(")
@@ -153,42 +156,34 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
 
 def _parse_implies(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     left = _parse_or(stream, bound, depth)
-    if stream.at(OP, "=>"):
-        depth = _deeper(stream, depth)
-        stream.advance()
-        return Implies(left, _parse_implies(stream, bound, depth))
+    if op := stream.accept(OP, "=>"):
+        return Implies(left, _parse_implies(stream, bound, _deeper(stream, depth, op)))
     return left
 
 
 def _parse_or(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     node = _parse_and(stream, bound, depth)
-    while stream.at(OP, "|"):
-        depth = _deeper(stream, depth)
-        stream.advance()
+    while op := stream.accept(OP, "|"):
+        depth = _deeper(stream, depth, op)
         node = Or(node, _parse_and(stream, bound, depth))
     return node
 
 
 def _parse_and(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     node = _parse_unary(stream, bound, depth)
-    while stream.at(OP, "&"):
-        depth = _deeper(stream, depth)
-        stream.advance()
+    while op := stream.accept(OP, "&"):
+        depth = _deeper(stream, depth, op)
         node = And(node, _parse_unary(stream, bound, depth))
     return node
 
 
 def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    if stream.at(OP, "!"):
-        depth = _deeper(stream, depth)
-        stream.advance()
-        return Not(_parse_unary(stream, bound, depth))
-    if stream.at(OP, "("):
-        if stream.peek(1).kind == NAME and stream.peek(1).value == "forall":
-            return _parse_quantified(stream, bound, depth)
-        depth = _deeper(stream, depth)
-        stream.advance()
-        node = _parse_implies(stream, bound, depth)
+    if op := stream.accept(OP, "!"):
+        return Not(_parse_unary(stream, bound, _deeper(stream, depth, op)))
+    if _at_quantifier(stream):
+        return _parse_quantified(stream, bound, depth)
+    if op := stream.accept(OP, "("):
+        node = _parse_implies(stream, bound, _deeper(stream, depth, op))
         stream.expect(OP, ")")
         return node
     return _parse_comparison(stream, bound, depth)
@@ -205,31 +200,21 @@ def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) ->
 
 
 def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
-    tok = stream.peek()
-    if tok.kind == INT:
-        stream.advance()
+    if tok := stream.accept(INT):
         return IntLit(int(tok.value))
-    if tok.kind == OP and tok.value == "-":
-        stream.advance()
-        value = stream.expect(INT, label="integer")
-        return IntLit(-int(value.value))
-    if tok.kind == STRING:
-        stream.advance()
+    if stream.accept(OP, "-"):
+        return IntLit(-int(stream.expect(INT, label="integer").value))
+    if tok := stream.accept(STRING):
         return TextLit(tok.value)
-    if tok.kind == NAME:
-        stream.advance()
-        if stream.at(OP, "("):
-            depth = _deeper(stream, depth)
-            stream.advance()
-            arg = _parse_term(stream, bound, depth)
+    if tok := stream.accept(NAME):
+        if op := stream.accept(OP, "("):
+            arg = _parse_term(stream, bound, _deeper(stream, depth, op))
             stream.expect(OP, ")")
             return Apply(tok.value, arg)
         if tok.value not in bound:
-            raise ParseFailure(
-                [ParseError(tok.line, tok.column, f"unbound variable {tok.value!r}")]
-            )
+            raise stream.error(f"unbound variable {tok.value!r}", at=tok)
         return Var(tok.value)
-    raise stream.error(f"found {tok.value!r}", expected="term")
+    raise stream.error(f"found {stream.peek().value!r}", expected="term")
 
 
 # --- queries ---
@@ -256,13 +241,7 @@ def free_variables(node: Formula | Term) -> frozenset[str]:
 
 def quantifier_count(node: Formula) -> int:
     """Number of quantified variables; drives tuple vs nonrelational routing."""
-    if isinstance(node, Forall):
-        return 1 + quantifier_count(node.body)
-    if isinstance(node, (And, Or, Implies)):
-        return quantifier_count(node.left) + quantifier_count(node.right)
-    if isinstance(node, Not):
-        return quantifier_count(node.body)
-    return 0
+    return len(quantifier_domains(node))
 
 
 def quantifier_domains(node: Formula) -> list[str]:

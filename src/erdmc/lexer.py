@@ -50,8 +50,7 @@ PLAIN = {surface: surface for surface in GLYPH_OF}
 # A string ends at its line: a backslash escapes any character but a newline.
 # Operators are listed longest first so "<->" is not read as "<" + "->".
 _TOKEN_RE = re.compile("|".join([
-    r"(?P<newline>\n)",
-    r"(?P<blank>[ \t\r]+|#[^\n]*)",  # a '#' that does not continue a name
+    r"(?P<blank>[ \t\r\n]+|#[^\n]*)",  # a '#' that does not continue a name
     r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
     r"(?P<date>\d+/\d+/\d+)",
     r"(?P<int>\d+)",
@@ -78,55 +77,54 @@ _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{0,4}|.)")
 class Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    column: int
+    offset: int  # of the token's first character in the text
 
     def __repr__(self) -> str:  # compact for test failures
-        return f"{self.kind}({self.value!r})@{self.line}:{self.column}"
+        return f"{self.kind}({self.value!r})@{self.offset}"
+
+
+def parse_error(text: str, offset: int, message: str, expected: str | None = None) -> ParseError:
+    """A ParseError at *offset* of *text*, placed by its 1-based line and column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
 
 
 def tokenize(text: str) -> list[Token]:
     """Split *text* into tokens, raising ParseFailure on lexical errors."""
     tokens: list[Token] = []
     append = tokens.append
-    line = 1
-    line_start = 0
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "blank":
             continue
         start = m.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-        elif kind == "string":
+        if kind == "string":
             value = text[start + 1:m.end() - 1]
             if "\\" in value:
-                value = _unescape(value, line, start - line_start + 2)
-            append(Token(STRING, value, line, start - line_start + 1))
+                value = _unescape(value, text, start + 1)
+            append(Token(STRING, value, start))
         elif kind == "glyph":
-            append(Token(*_GLYPHS[m.group()], line, start - line_start + 1))
+            append(Token(*_GLYPHS[m.group()], start))
         elif kind == "error":
             ch = m.group()
-            message = ("unterminated string literal" if ch == '"'
-                       else f"unexpected character {ch!r}")
-            raise ParseFailure([ParseError(line, start - line_start + 1, message)])
+            raise ParseFailure([parse_error(text, start, "unterminated string literal"
+                                            if ch == '"' else f"unexpected character {ch!r}")])
         else:
-            append(Token(kind, m.group(), line, start - line_start + 1))
-    append(Token(EOF, "", line, max(1, len(text) - line_start + 1)))
+            append(Token(kind, m.group(), start))
+    append(Token(EOF, "", len(text)))
     return tokens
 
 
-def _unescape(body: str, line: int, column: int) -> str:
-    """The value of a string literal whose text from *column* on is *body*."""
+def _unescape(body: str, text: str, offset: int) -> str:
+    """The value of the string literal *body*, found at *offset* of *text*."""
     def replace(m: re.Match) -> str:
         esc = m.group(1)
         if esc[0] != "u":
             return _ESCAPES.get(esc, esc)
         if len(esc) == 5 and not 0xD800 <= (code := int(esc[1:], 16)) <= 0xDFFF:
             return chr(code)
-        raise ParseFailure([ParseError(
-            line, column + m.start(), "malformed \\u escape",
+        raise ParseFailure([parse_error(
+            text, offset + m.start(), "malformed \\u escape",
             expected="four hex digits naming a character that is not a surrogate",
         )])
 
@@ -139,38 +137,49 @@ def quote_string(text: str) -> str:
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over the tokens of *text*; it never moves past the final EOF token."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        if not ahead:  # the cursor never passes the final EOF token
+        if not ahead:
             return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.peek()
+        t = self.tokens[self.pos]
         return t.kind == kind and (value is None or t.value == value)
 
-    def at_name(self, value: str) -> bool:
-        return self.at(NAME, value)
+    def accept(self, kind: str, value: str | None = None) -> Token | None:
+        """Consume and return the current token if it is *kind* (and *value*).
+
+        *kind* is never EOF, so the cursor stays on the final token.
+        """
+        t = self.tokens[self.pos]
+        if t.kind == kind and (value is None or t.value == value):
+            self.pos += 1
+            return t
+        return None
 
     def advance(self) -> Token:
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind != EOF:
             self.pos += 1
         return t
 
-    def error(self, message: str, expected: str | None = None) -> ParseFailure:
-        t = self.peek()
-        return ParseFailure([ParseError(t.line, t.column, message, expected)])
+    def error(self, message: str, expected: str | None = None,
+              at: Token | None = None) -> ParseFailure:
+        """A failure at token *at*, by default the current one."""
+        offset = (at or self.tokens[self.pos]).offset
+        return ParseFailure([parse_error(self.text, offset, message, expected)])
 
     def expect(self, kind: str, value: str | None = None, label: str | None = None) -> Token:
-        t = self.peek()
-        if t.kind == kind and (value is None or t.value == value):
-            return self.advance()
-        want = label or value or kind
-        got = t.value if t.kind != EOF else "end of input"
-        raise self.error(f"found {got!r}", expected=str(want))
+        t = self.accept(kind, value)
+        if t is None:
+            t = self.tokens[self.pos]
+            got = t.value if t.kind != EOF else "end of input"
+            raise self.error(f"found {got!r}", expected=str(label or value or kind))
+        return t

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .diagnostics import ParseError, ParseFailure
 from .formula import parse_formula_tokens
-from .lexer import EOF, INT, NAME, OP, STRING, DATE, TokenStream, tokenize
+from .lexer import DATE, EOF, INT, NAME, OP, STRING, TokenStream, parse_error
 from .model import (
     AsciiRange,
     Attribute,
@@ -53,6 +53,7 @@ from .model import (
     Range,
     RangeBody,
     Restriction,
+    RestrictionBody,
     Role,
     StructuralFunction,
     UniquenessBody,
@@ -60,6 +61,11 @@ from .model import (
 
 _SET_KINDS = ("entity", "relationship", "computed")
 _TOPLEVEL = ("diagram", "restriction", "description")
+# Each keyword of a sized range: the range it builds and the label of its size.
+_SIZED_RANGES = {
+    "ascii": (AsciiRange, "length"), "ASCII": (AsciiRange, "length"),
+    "nat": (NatRange, "digits"), "NAT": (NatRange, "digits"),
+}
 
 
 def parse_model(source: str) -> ERModel:
@@ -68,7 +74,7 @@ def parse_model(source: str) -> ERModel:
     Raises ParseFailure carrying every collected ParseError; recovery skips
     to the next top-level statement so several errors can be reported at once.
     """
-    stream = TokenStream(tokenize(source))
+    stream = TokenStream(source)
     diagrams: list[Diagram] = []
     restrictions: list[Restriction] = []
     description: str | None = None
@@ -76,22 +82,19 @@ def parse_model(source: str) -> ERModel:
 
     while not stream.at(EOF):
         try:
-            tok = stream.peek()
-            if stream.at_name("diagram"):
+            if stream.accept(NAME, "diagram"):
                 diagrams.append(_parse_diagram(stream))
-            elif stream.at_name("restriction"):
+            elif stream.accept(NAME, "restriction"):
                 restrictions.append(_parse_restriction(stream))
-            elif stream.at_name("description"):
-                stream.advance()
+            elif tok := stream.accept(NAME, "description"):
                 text = stream.expect(STRING, label="description text").value
                 if description is not None:
-                    errors.append(
-                        ParseError(tok.line, tok.column, "description declared twice")
-                    )
+                    errors.append(parse_error(source, tok.offset, "description declared twice"))
                 description = text
             else:
                 raise stream.error(
-                    f"found {tok.value!r}", expected="'diagram', 'restriction', or 'description'"
+                    f"found {stream.peek().value!r}",
+                    expected="'diagram', 'restriction', or 'description'",
                 )
         except ParseFailure as failure:
             errors.extend(failure.errors)
@@ -106,24 +109,17 @@ def _skip_to_toplevel(stream: TokenStream) -> None:
     # An error reported at the next statement's keyword means the failed
     # statement is already fully consumed; resume right there.
     t = stream.peek()
-    if t.kind == NAME and t.value in _TOPLEVEL:
-        return
-    stream.advance()
-    while not stream.at(EOF):
-        t = stream.peek()
-        if t.kind == NAME and t.value in _TOPLEVEL:
-            return
+    while t.kind != EOF and not (t.kind == NAME and t.value in _TOPLEVEL):
         stream.advance()
+        t = stream.peek()
 
 
 def _parse_diagram(stream: TokenStream) -> Diagram:
-    stream.expect(NAME, "diagram")
     name = stream.expect(NAME, label="diagram name").value
     stream.expect(OP, "{")
     sets: list[ObjectSet] = []
-    while not stream.at(OP, "}"):
+    while not stream.accept(OP, "}"):
         sets.append(_parse_set(stream))
-    stream.expect(OP, "}")
     return Diagram(name, tuple(sets))
 
 
@@ -134,112 +130,94 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
             f"found {kind_tok.value!r}", expected="'entity', 'relationship', or 'computed'"
         )
     stream.advance()
-    kind = kind_tok.value
     name = stream.expect(NAME, label="set name").value
 
-    included: list[str] = []
+    included: tuple[str, ...] = ()
     max_card: int | None = None
     card_pow: int | None = None
     definition: str | None = None
-    if stream.at_name("subset_of"):
-        stream.advance()
-        included.append(stream.expect(NAME, label="superset name").value)
-        while stream.at(OP, ","):
-            stream.advance()
-            included.append(stream.expect(NAME, label="superset name").value)
-    if stream.at_name("card"):
-        stream.advance()
+    if stream.accept(NAME, "subset_of"):
+        included = _parse_names(stream, "superset name")
+    if stream.accept(NAME, "card"):
         max_card, card_pow = _parse_cardinality(stream)
-    if stream.at(OP, "="):
-        stream.advance()
+    if stream.accept(OP, "="):
         definition = stream.expect(STRING, label="definition text").value
 
     stream.expect(OP, "{")
     attributes: list[Attribute] = []
     roles: list[Role] = []
     functions: list[StructuralFunction] = []
-    while not stream.at(OP, "}"):
-        if stream.at_name("attr"):
+    while not stream.accept(OP, "}"):
+        if stream.accept(NAME, "attr"):
             attributes.append(_parse_attribute(stream))
-        elif stream.at_name("role"):
+        elif stream.accept(NAME, "role"):
             roles.append(_parse_role(stream))
-        elif stream.at_name("fn"):
+        elif stream.accept(NAME, "fn"):
             functions.append(_parse_function(stream))
         else:
             raise stream.error(
                 f"found {stream.peek().value!r}", expected="'attr', 'role', 'fn', or '}'"
             )
-    stream.expect(OP, "}")
     return ObjectSet(
         name=name,
-        kind=kind,
+        kind=kind_tok.value,
         attributes=tuple(attributes),
         roles=tuple(roles),
         structural_functions=tuple(functions),
-        included_in=tuple(included),
+        included_in=included,
         max_cardinality=max_card,
         cardinality_pow10=card_pow,
         computed_definition=definition,
     )
 
 
+def _parse_names(stream: TokenStream, label: str) -> tuple[str, ...]:
+    names = [stream.expect(NAME, label=label).value]
+    while stream.accept(OP, ","):
+        names.append(stream.expect(NAME, label=label).value)
+    return tuple(names)
+
+
 def _parse_cardinality(stream: TokenStream) -> tuple[int, int | None]:
     base = int(stream.expect(INT, label="cardinality").value)
-    if stream.at(OP, "^"):
-        stream.advance()
-        exp_tok = stream.peek()
-        exponent = int(stream.expect(INT, label="exponent").value)
+    if stream.accept(OP, "^"):
+        exp_tok = stream.expect(INT, label="exponent")
         if base != 10:
-            raise ParseFailure(
-                [ParseError(exp_tok.line, exp_tok.column, "cardinality powers must use base 10")]
-            )
+            raise stream.error("cardinality powers must use base 10", at=exp_tok)
+        exponent = int(exp_tok.value)
         return 10 ** exponent, exponent
     return base, None
 
 
+def _parse_computed(stream: TokenStream) -> str | None:
+    if not stream.accept(NAME, "computed"):
+        return None
+    stream.expect(OP, "=")
+    return stream.expect(STRING, label="computed expression").value
+
+
 def _parse_attribute(stream: TokenStream) -> Attribute:
-    stream.expect(NAME, "attr")
     name = stream.expect(NAME, label="attribute name").value
-    rng: Range | None = None
-    definition: str | None = None
-    if stream.at(OP, ":"):
-        stream.advance()
-        rng = _parse_range(stream)
-    if stream.at_name("computed"):
-        stream.advance()
-        stream.expect(OP, "=")
-        definition = stream.expect(STRING, label="computed expression").value
-    return Attribute(name, rng, definition)
+    rng = _parse_range(stream) if stream.accept(OP, ":") else None
+    return Attribute(name, rng, _parse_computed(stream))
 
 
 def _parse_role(stream: TokenStream) -> Role:
-    stream.expect(NAME, "role")
     name = stream.expect(NAME, label="role name").value
     stream.expect(OP, "->")
     target = stream.expect(NAME, label="target set").value
-    unique = False
-    if stream.at_name("unique"):
-        stream.advance()
-        unique = True
-    return Role(name, target, unique)
+    return Role(name, target, stream.accept(NAME, "unique") is not None)
 
 
 def _parse_function(stream: TokenStream) -> StructuralFunction:
-    stream.expect(NAME, "fn")
     name = stream.expect(NAME, label="function name").value
     stream.expect(OP, "->")
     target = stream.expect(NAME, label="target set").value
-    definition: str | None = None
-    if stream.at_name("computed"):
-        stream.advance()
-        stream.expect(OP, "=")
-        definition = stream.expect(STRING, label="computed expression").value
-    return StructuralFunction(name, target, definition)
+    return StructuralFunction(name, target, _parse_computed(stream))
 
 
 def _parse_range(stream: TokenStream) -> Range:
-    if stream.at(OP, "["):
-        open_tok = stream.advance()
+    if open_tok := stream.accept(OP, "["):
         try:
             lo = _parse_bound(stream)
             stream.expect(OP, ",")
@@ -247,111 +225,77 @@ def _parse_range(stream: TokenStream) -> Range:
             stream.expect(OP, "]")
         except ParseFailure:
             if stream.at(EOF):
-                raise ParseFailure(
-                    [ParseError(open_tok.line, open_tok.column,
-                                "unterminated range bracket", expected="]")]
+                raise stream.error(
+                    "unterminated range bracket", expected="]", at=open_tok
                 ) from None
             raise
         return Interval(lo, hi)
-    if stream.at_name("ascii") or stream.at_name("ASCII"):
+    tok = stream.peek()
+    if tok.kind == NAME and tok.value in _SIZED_RANGES:
         stream.advance()
+        sized, label = _SIZED_RANGES[tok.value]
         stream.expect(OP, "(")
-        length = int(stream.expect(INT, label="length").value)
+        size = int(stream.expect(INT, label=label).value)
         stream.expect(OP, ")")
-        return AsciiRange(length)
-    if stream.at_name("nat") or stream.at_name("NAT"):
-        stream.advance()
-        stream.expect(OP, "(")
-        digits = int(stream.expect(INT, label="digits").value)
-        stream.expect(OP, ")")
-        return NatRange(digits)
-    raise stream.error(f"found {stream.peek().value!r}", expected="'[', 'ascii', or 'nat'")
+        return sized(size)
+    raise stream.error(f"found {tok.value!r}", expected="'[', 'ascii', or 'nat'")
 
 
 def _parse_bound(stream: TokenStream) -> Bound:
-    tok = stream.peek()
-    if tok.kind == DATE:
-        stream.advance()
+    if tok := stream.accept(DATE):
         return DateBound(tok.value)
-    if tok.kind == OP and tok.value == "-":
-        stream.advance()
-        value = stream.expect(INT, label="integer")
-        return IntBound(-int(value.value))
-    if tok.kind == INT:
-        stream.advance()
-        if stream.at(OP, "^"):
-            stream.advance()
-            exp_tok = stream.peek()
-            exponent = int(stream.expect(INT, label="exponent").value)
+    if stream.accept(OP, "-"):
+        return IntBound(-int(stream.expect(INT, label="integer").value))
+    if tok := stream.accept(INT):
+        if stream.accept(OP, "^"):
+            exp_tok = stream.expect(INT, label="exponent")
             if int(tok.value) != 10:
-                raise ParseFailure(
-                    [ParseError(exp_tok.line, exp_tok.column, "power bounds must use base 10")]
-                )
-            return Pow10Bound(exponent)
+                raise stream.error("power bounds must use base 10", at=exp_tok)
+            return Pow10Bound(int(exp_tok.value))
         return IntBound(int(tok.value))
-    if tok.kind == NAME:
-        stream.advance()
+    if tok := stream.accept(NAME):
         stream.expect(OP, "(")
         stream.expect(OP, ")")
         return FuncBound(f"{tok.value}()")
-    raise stream.error(f"found {tok.value!r}", expected="bound")
+    raise stream.error(f"found {stream.peek().value!r}", expected="bound")
 
 
 def _parse_restriction(stream: TokenStream) -> Restriction:
-    stream.expect(NAME, "restriction")
     label = stream.expect(NAME, label="restriction label").value
     stream.expect(NAME, "on", label="'on'")
     target = stream.expect(NAME, label="target set").value
 
-    if stream.at_name("subset_of"):
-        stream.advance()
-        superset = stream.expect(NAME, label="superset name").value
-        return Restriction(label, target, InclusionBody(target, superset))
-    if stream.at_name("card"):
-        stream.advance()
-        maximum, pow10 = _parse_cardinality(stream)
-        return Restriction(label, target, CardinalityBody(maximum, pow10))
-    if stream.at_name("range"):
-        stream.advance()
-        attr_tok = stream.peek()
-        attr = stream.expect(NAME, label="attribute name").value
-        if stream.at(OP, "."):
-            stream.advance()
+    body: RestrictionBody
+    if stream.accept(NAME, "subset_of"):
+        body = InclusionBody(target, stream.expect(NAME, label="superset name").value)
+    elif stream.accept(NAME, "card"):
+        body = CardinalityBody(*_parse_cardinality(stream))
+    elif stream.accept(NAME, "range"):
+        attr_tok = stream.expect(NAME, label="attribute name")
+        attr = attr_tok.value
+        if stream.accept(OP, "."):
             inner = stream.expect(NAME, label="attribute name").value
             if attr != target:
-                raise ParseFailure(
-                    [ParseError(attr_tok.line, attr_tok.column,
-                                f"path {attr}.{inner} does not start at target set {target}")]
+                raise stream.error(
+                    f"path {attr}.{inner} does not start at target set {target}", at=attr_tok
                 )
             attr = inner
-        rng = _parse_range(stream)
-        return Restriction(label, target, RangeBody(attr, rng))
-    if stream.at_name("compulsory"):
-        stream.advance()
-        return Restriction(label, target, CompulsoryBody(_parse_name_list(stream)))
-    if stream.at_name("unique"):
-        stream.advance()
-        return Restriction(label, target, UniquenessBody(_parse_name_list(stream)))
-    if stream.at_name("other"):
-        stream.advance()
+        body = RangeBody(attr, _parse_range(stream))
+    elif stream.accept(NAME, "compulsory"):
+        body = CompulsoryBody(_parse_names(stream, "mapping name"))
+    elif stream.accept(NAME, "unique"):
+        body = UniquenessBody(_parse_names(stream, "mapping name"))
+    elif stream.accept(NAME, "other"):
         informal: str | None = None
         formal = None
-        if stream.at_name("informal"):
-            stream.advance()
+        if stream.accept(NAME, "informal"):
             informal = stream.expect(STRING, label="informal text").value
-        if stream.at_name("formal"):
-            stream.advance()
+        if stream.accept(NAME, "formal"):
             formal = parse_formula_tokens(stream, bound=frozenset())
-        return Restriction(label, target, OtherBody(informal, formal))
-    raise stream.error(
-        f"found {stream.peek().value!r}",
-        expected="'subset_of', 'card', 'range', 'compulsory', 'unique', or 'other'",
-    )
-
-
-def _parse_name_list(stream: TokenStream) -> tuple[str, ...]:
-    names = [stream.expect(NAME, label="mapping name").value]
-    while stream.at(OP, ","):
-        stream.advance()
-        names.append(stream.expect(NAME, label="mapping name").value)
-    return tuple(names)
+        body = OtherBody(informal, formal)
+    else:
+        raise stream.error(
+            f"found {stream.peek().value!r}",
+            expected="'subset_of', 'card', 'range', 'compulsory', 'unique', or 'other'",
+        )
+    return Restriction(label, target, body)

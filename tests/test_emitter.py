@@ -321,6 +321,62 @@ def test_loaded_flag_or_size_of_the_wrong_json_type_is_refused(where, value, exp
     assert str(info.value) == f"{path}: {where[-1]} must be {expected}"
 
 
+# In the every-codomain fixture, set 4 is LIVES, whose roles are Who and
+# Where; constraint 0 is tuple R06, 1 the inclusion of STUDENTS in PERSONS,
+# 2 the informal R05 and 3 the formal R07.
+TEXT_FIELDS = [
+    (("sets", 0, "name"), 7, "$.sets[0].name: name must be a string"),
+    (("sets", 0, "kind"), ["x"], "$.sets[0].kind: kind must be a string"),
+    (("sets", 0, "mappings", 0, "name"), 7, "$.sets[0].mappings[0].name: name must be a string"),
+    (("sets", 0, "mappings", 0, "source"), None,
+     "$.sets[0].mappings[0].source: source must be a string"),
+    (("sets", 0, "mappings", 0, "flavor"), 1.5,
+     "$.sets[0].mappings[0].flavor: flavor must be a string"),
+    (("sets", 0, "mappings", 0, "codomain", "name"), ["PERSONS"],
+     "$.sets[0].mappings[0].codomain.name: name must be a string"),
+    (("sets", 0, "mappings", 1, "codomain", "lo", "text"), 1900,
+     "$.sets[0].mappings[1].codomain.lo.text: text must be a string"),
+    (("sets", 0, "mappings", 1, "codomain", "hi", "text"), None,
+     "$.sets[0].mappings[1].codomain.hi.text: text must be a string"),
+    (("sets", 0, "keys", 0, "label"), None, "$.sets[0].keys[0].label: label must be a string"),
+    (("sets", 0, "keys", 0, "mappings"), "ab",
+     "$.sets[0].keys[0].mappings: mappings must be an array of strings"),
+    (("sets", 0, "keys", 0, "mappings"), ["Name", 3],
+     "$.sets[0].keys[0].mappings: mappings must be an array of strings"),
+    (("sets", 4, "role_signature"), ["ab"],
+     "$.sets[4].role_signature: role_signature must be an array of string pairs"),
+    (("sets", 4, "role_signature"), [["Who", "PERSONS", "x"]],
+     "$.sets[4].role_signature: role_signature must be an array of string pairs"),
+    (("sets", 4, "role_signature"), [["Who", None]],
+     "$.sets[4].role_signature: role_signature must be an array of string pairs"),
+    (("constraints", 0, "label"), 6, "$.constraints[0].label: label must be a string"),
+    (("constraints", 0, "set"), None, "$.constraints[0].set: set must be a string"),
+    (("constraints", 0, "formula"), 5, "$.constraints[0].formula: formula must be a string"),
+    (("constraints", 1, "subset"), 1, "$.constraints[1].subset: subset must be a string"),
+    (("constraints", 1, "superset"), None,
+     "$.constraints[1].superset: superset must be a string"),
+    (("constraints", 2, "label"), None, "$.constraints[2].label: label must be a string"),
+    (("constraints", 3, "formula"), ["x"],
+     "$.constraints[3].formula: formula must be a string or null"),
+    (("provenance", "set:PERSONS"), None, '$.provenance["set:PERSONS"]: must be a string'),
+    (("provenance", "mapping:PERSONS.Twin"), 7,
+     '$.provenance["mapping:PERSONS.Twin"]: must be a string'),
+]
+
+
+@pytest.mark.parametrize("where, value, error", TEXT_FIELDS,
+                         ids=[error.partition(": ")[0] for _, _, error in TEXT_FIELDS])
+def test_loaded_required_text_field_that_is_not_a_string_is_refused(where, value, error):
+    """A field that must be text is never coerced with str()."""
+    source = (Path(__file__).parent / "fixtures" / "every_codomain.erdm").read_text("utf-8")
+    doc = _loaded_document(source)
+    _set_at(doc, where, value)
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(json.dumps(doc))
+    assert str(info.value) == error
+    assert info.value.path == error.partition(": ")[0]
+
+
 @pytest.mark.parametrize("labels", [["R1"], {"total": 1}, "R1"])
 def test_loaded_source_labels_that_are_not_an_object_of_strings_are_refused(labels):
     doc = _loaded_document(INCLUSION_SOURCE)

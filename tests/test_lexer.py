@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from erdmc.diagnostics import ParseFailure
-from erdmc.lexer import EOF, STRING, quote_string, tokenize
+from erdmc.lexer import EOF, STRING, parse_error, quote_string, tokenize
 
 
 def kinds(text: str) -> list[tuple[str, str, int, int]]:
-    return [(t.kind, t.value, t.line, t.column) for t in tokenize(text)]
+    """Each token's kind and value, and the line and column of its offset."""
+    placed = [(t, parse_error(text, t.offset, "")) for t in tokenize(text)]
+    return [(t.kind, t.value, at.line, at.column) for t, at in placed]
 
 
 def failure(text: str) -> tuple[int, int, str]:

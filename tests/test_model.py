@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
+import pytest
+
+import erdmc.model
 from erdmc.model import (
     Attribute,
     CardinalityBody,
     CompulsoryBody,
     Diagram,
     ERModel,
+    InclusionBody,
     IntBound,
     Interval,
     ObjectSet,
@@ -169,3 +175,72 @@ def test_other_restriction_needs_informal_or_formal():
         Restriction("R01", "A", OtherBody(None, None)),
     ])
     assert any(e.code == "empty-restriction" for e in validation_errors(model))
+
+
+def _dsl(sets: str = "", restrictions: str = "") -> ERModel:
+    """Sets A (members a, b) and B (member b) in one diagram with *sets* added."""
+    return parse_model(
+        f"diagram D {{ entity A {{ attr a attr b }} entity B {{ attr b }} {sets} }}\n"
+        + restrictions
+    )
+
+
+_A, _B, _C = (ObjectSet(name=name, kind="entity") for name in "ABC")
+
+# One model for each validate_model code, with the element its diagnostic
+# names; each model draws that diagnostic and no other. A model the DSL
+# cannot write is built directly.
+VALIDATE_CASES = [
+    ("duplicate-set-name", "A", _dsl("entity A { }")),
+    ("duplicate-label", "R1",
+     _dsl(restrictions="restriction R1 on A compulsory a\nrestriction R1 on A unique a\n")),
+    ("unresolved-set", "R1", _dsl(restrictions="restriction R1 on Z compulsory a\n")),
+    ("restriction-on-computed-set", "R1",
+     _dsl('computed V = "all" { }', "restriction R1 on V card 5\n")),
+    ("duplicate-range", "A.a", _dsl(restrictions=(
+        "restriction R1 on A range a ascii(3)\nrestriction R2 on A range a nat(2)\n"))),
+    ("duplicate-cardinality", "C", _dsl("entity C card 5 { }", "restriction R1 on C card 6\n")),
+    ("duplicate-inclusion", "C",
+     _dsl("entity C subset_of A { }", "restriction R1 on C subset_of A\n")),
+    ("duplicate-key", "A",
+     _dsl(restrictions="restriction R1 on A unique a, b\nrestriction R2 on A unique b, a\n")),
+    ("reserved-identifier", "C.x", _dsl("entity C { attr x }")),
+    ("duplicate-member", "C.c", _dsl("entity C { attr c attr c }")),
+    ("duplicate-member", "R1", _dsl(restrictions="restriction R1 on A compulsory a, b, a\n")),
+    ("reference-collision", "C.c#total", _dsl("entity C { attr c attr c#total }")),
+    ("relationship-without-roles", "L", _dsl("relationship L { }")),
+    ("relationship-single-role", "L", _dsl("relationship L { role r -> A }")),
+    ("roles-on-non-relationship", "C", _dsl("entity C { role r -> A }")),
+    ("computed-set-structure", "V", _dsl('computed V = "all" { attr v }')),
+    ("computed-set-cardinality", "V", _dsl('computed V card 5 = "all" { }')),
+    ("definition-line-break", "C.c", _dsl('entity C { attr c computed = "one\\ntwo" }')),
+    ("computed-attribute-range", "C.c", _dsl('entity C { attr c : ascii(3) computed = "x" }')),
+    ("computed-attribute-range", "R1",
+     _dsl('entity C { attr c computed = "x" }', "restriction R1 on C range c nat(2)\n")),
+    ("self-inclusion", "C", _dsl("entity C subset_of C { }")),
+    ("bad-cardinality", "C", _dsl("entity C card 0 { }")),
+    ("bad-cardinality", "R1", _dsl(restrictions="restriction R1 on A card 0\n")),
+    ("bad-range", "C.c", _dsl("entity C { attr c : [9, 1] }")),
+    ("unknown-mapping", "R1", _dsl(restrictions="restriction R1 on A compulsory z\n")),
+    ("empty-restriction", "R1", _dsl(restrictions="restriction R1 on A other\n")),
+    ("tuple-domain-mismatch", "R1",
+     _dsl(restrictions="restriction R1 on A other formal (forall x in B)(b(x) = 1)\n")),
+    ("empty-mappings", "R1",
+     _single_set_model(_A, restrictions=[Restriction("R1", "A", CompulsoryBody(()))])),
+    ("inclusion-target-mismatch", "R1", _single_set_model(
+        _A, restrictions=[Restriction("R1", "A", InclusionBody("B", "C"))], extra_sets=(_B, _C),
+    )),
+]
+
+
+@pytest.mark.parametrize("code, element, model", VALIDATE_CASES,
+                         ids=[f"{code}@{element}" for code, element, _ in VALIDATE_CASES])
+def test_validate_model_names_the_element_of_each_code(code, element, model):
+    assert [(d.code, d.element) for d in validate_model(model)] == [(code, element)]
+
+
+def test_every_validate_model_code_has_a_case():
+    source = Path(erdmc.model.__file__).read_text(encoding="utf-8")
+    codes = set(re.findall(r'\berr\(\s*"([^"]+)"', source))
+    assert len(codes) >= 20
+    assert codes <= {code for code, _, _ in VALIDATE_CASES}

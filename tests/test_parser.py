@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
+import erdmc
 from erdmc.diagnostics import ParseFailure
+from erdmc.formula import parse_formula
 from erdmc.model import (
     AsciiRange,
     DateBound,
@@ -138,3 +144,146 @@ def test_role_unique_flag_and_computed_members():
     marriage = model.set("MARRIAGE")
     assert all(r.declared_unique for r in marriage.roles)
     assert model.set("STATS").attributes[0].computed_definition == "count of MARRIAGE"
+
+
+# --- rendered parse errors ---
+
+D = "diagram D { entity A { attr a } entity B { attr b } }\n"
+
+# Each case: a name, the parser, a source text and its rendered errors.
+PARSE_CASES = [
+    ("unterminated-string", parse_model, 'description "abc',
+     ["1:13: unterminated string literal"]),
+    ("string-ends-at-its-line", parse_model, 'description "abc\r\n"',
+     ["1:13: unterminated string literal"]),
+    ("stray-character", parse_model, "diagram D {\n  entity A { attr a $ }\n}",
+     ["2:21: unexpected character '$'"]),
+    ("glyph-at-line-start", parse_model, D + "→ restriction R1 on A compulsory a",
+     ["2:1: found '->' (expected 'diagram', 'restriction', or 'description')"]),
+    ("hash-in-name-and-after-blank", parse_model, "diagram D# { entity A#b { attr a #c } }",
+     ["1:40: found '' (expected 'attr', 'role', 'fn', or '}')"]),
+    ("crlf", parse_model, "diagram D {\r\n  entity A {\r\n    attr a\r\n    bogus\r\n  }\r\n}\r\n",
+     ["4:5: found 'bogus' (expected 'attr', 'role', 'fn', or '}')"]),
+    ("crlf-end-of-input", parse_model, "diagram D {\r\n  entity A {\r\n",
+     ["3:1: found '' (expected 'attr', 'role', 'fn', or '}')"]),
+    ("malformed-u-escape", parse_model, 'description "ab\\u12zz"',
+     ["1:16: malformed \\u escape"
+      " (expected four hex digits naming a character that is not a surrogate)"]),
+    ("u-escape-on-second-line", parse_model, '\n  description "\\ud83d"',
+     ["2:16: malformed \\u escape"
+      " (expected four hex digits naming a character that is not a surrogate)"]),
+    ("formula-65-levels-deep", parse_model,
+     D + "restriction R1 on A other formal (forall x in A)(" + "!" * 64 + "x = x)",
+     ["2:113: formula nested deeper than 64 levels"]),
+    ("description-twice", parse_model, 'description "a"\ndescription "b"\n',
+     ["2:1: description declared twice"]),
+    ("cardinality-power-not-10", parse_model, "diagram D { entity A card 2^3 { } }",
+     ["1:29: cardinality powers must use base 10"]),
+    ("restriction-cardinality-power-not-10", parse_model, D + "restriction R1 on A card 2^3",
+     ["2:28: cardinality powers must use base 10"]),
+    ("bound-power-not-10", parse_model, "diagram D { entity A { attr a : [1, 2^3] } }",
+     ["1:39: power bounds must use base 10"]),
+    ("range-path-off-target", parse_model, D + "restriction R1 on A range B.b ascii(3)",
+     ["2:27: path B.b does not start at target set A"]),
+    ("unterminated-bracket", parse_model, D + "restriction R1 on A range a [1, \n",
+     ["2:29: unterminated range bracket (expected ])"]),
+    ("uppercase-ascii", parse_model, "diagram D { entity A { attr a : ASCII(x) } }",
+     ["1:39: found 'x' (expected length)"]),
+    ("uppercase-nat", parse_model, "diagram D { entity A { attr a : NAT(2 attr b } }",
+     ["1:39: found 'attr' (expected ))"]),
+    ("lowercase-nat", parse_model, "diagram D { entity A { attr a : nat() } }",
+     ["1:37: found ')' (expected digits)"]),
+    ("lowercase-ascii", parse_model, "diagram D { entity A { attr a : ascii 3 } }",
+     ["1:39: found '3' (expected ()"]),
+    ("toplevel-keyword", parse_model, "bogus",
+     ["1:1: found 'bogus' (expected 'diagram', 'restriction', or 'description')"]),
+    ("set-kind", parse_model, "diagram D { view A { } }",
+     ["1:13: found 'view' (expected 'entity', 'relationship', or 'computed')"]),
+    ("set-kind-at-end-of-input", parse_model, "diagram D {",
+     ["1:12: found '' (expected 'entity', 'relationship', or 'computed')"]),
+    ("member-keyword", parse_model, "diagram D { entity A { key a } }",
+     ["1:24: found 'key' (expected 'attr', 'role', 'fn', or '}')"]),
+    ("range-keyword", parse_model, "diagram D { entity A { attr a : {1} } }",
+     ["1:33: found '{' (expected '[', 'ascii', or 'nat')"]),
+    ("bound", parse_model, "diagram D { entity A { attr a : [, 1] } }",
+     ["1:34: found ',' (expected bound)"]),
+    ("restriction-body", parse_model, D + "restriction R1 on A bogus a",
+     ["2:21: found 'bogus' (expected 'subset_of', 'card', 'range', 'compulsory', 'unique',"
+      " or 'other')"]),
+    ("name-list", parse_model, D + "restriction R1 on A unique a, 7",
+     ["2:31: found '7' (expected mapping name)"]),
+    ("several-statements", parse_model,
+     D + "restriction R1 on A range a [1, 2\nrestriction R2 on A bogus\n"
+     "restriction R3 on A compulsory a\n",
+     ["3:1: found 'restriction' (expected ])",
+      "3:21: found 'bogus' (expected 'subset_of', 'card', 'range', 'compulsory', 'unique',"
+      " or 'other')"]),
+    ("variable-already-quantified", parse_model,
+     D + "restriction R1 on A other formal (forall x in A)(forall x in A)(x = x)",
+     ["2:64: variable 'x' is already quantified"]),
+    ("duplicate-variable", parse_model,
+     D + "restriction R1 on A other formal (forall x, x in A)(x = x)",
+     ["2:52: duplicate variable in quantifier"]),
+    ("comparison-operator", parse_model,
+     D + "restriction R1 on A other formal (forall x in A)(a(x) 1)",
+     ["2:55: found '1' (expected comparison operator)"]),
+    ("term", parse_model, D + "restriction R1 on A other formal (forall x in A)(a(x) = ,)",
+     ["2:57: found ',' (expected term)"]),
+    ("unbound-variable", parse_model,
+     D + "restriction R1 on A other formal (forall x in A)(a(y) = 1)",
+     ["2:52: unbound variable 'y'"]),
+    ("trailing-input", parse_formula, "(forall x in A)(x = x) x",
+     ["1:24: trailing input after formula: 'x'"]),
+]
+
+
+@pytest.mark.parametrize("parse, source, rendered", [c[1:] for c in PARSE_CASES],
+                         ids=[c[0] for c in PARSE_CASES])
+def test_parse_errors_render_their_position_message_and_expectation(parse, source, rendered):
+    with pytest.raises(ParseFailure) as info:
+        parse(source)
+    assert [e.render() for e in info.value.errors] == rendered
+
+
+def _literal_patterns(node: ast.AST):
+    """A regex per string literal in *node*; an f-string's fields match any text."""
+    if isinstance(node, ast.JoinedStr):
+        yield "".join(re.escape(part.value) if isinstance(part, ast.Constant) else ".+"
+                      for part in node.values)
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        yield re.escape(node.value)
+    elif isinstance(node, ast.IfExp):  # either branch is shown, the test never
+        yield from _literal_patterns(node.body)
+        yield from _literal_patterns(node.orelse)
+    else:
+        for child in ast.iter_child_nodes(node):
+            yield from _literal_patterns(child)
+
+
+def _raised_literals() -> list[str]:
+    """A pattern of a rendered error line per message and ``expected=`` literal raised."""
+    patterns = []
+    for module in ("lexer", "parser", "formula"):
+        tree = ast.parse((Path(erdmc.__file__).parent / f"{module}.py").read_text("utf-8"))
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            message = {"error": 0, "parse_error": 2}.get(name)
+            if message is None:
+                continue
+            for literal in _literal_patterns(call.args[message]):
+                patterns.append(rf"\d+:\d+: {literal}( \(expected .+\))?")
+            for k in call.keywords:
+                if k.arg == "expected":
+                    patterns += [rf".+ \(expected {lit}\)" for lit in _literal_patterns(k.value)]
+    return patterns
+
+
+def test_every_parse_error_literal_has_a_case():
+    rendered = [line for case in PARSE_CASES for line in case[3]]
+    patterns = _raised_literals()
+    assert len(patterns) >= 15
+    missing = [p for p in patterns if not any(re.fullmatch(p, line) for line in rendered)]
+    assert missing == []

@@ -5,17 +5,21 @@ model lookups were indexed; those of the answered model, before the
 enrichment rules shared one log; the ``--unicode`` digests, before the
 printers took their glyphs from the lexer's table; those of the
 every-codomain model, while json.dumps still wrote the structured document
-and the report. A change meant to keep the output as it is must leave them
-as they are; a change meant to alter the output updates them in the same
-commit and says why.
+and the report; those of the mutation corpus's parse errors, while tokens
+still carried a line and a column. A change meant to keep the output as it
+is must leave them as they are; a change meant to alter the output updates
+them in the same commit and says why.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
+import random
 from pathlib import Path
 
+from erdmc.diagnostics import ParseFailure
 from erdmc.emitter import emit_structured, emit_text, encode_report
 from erdmc.generator import random_model, sized_model
 from erdmc.parser import parse_model
@@ -192,3 +196,61 @@ def test_documents_never_enter_the_pure_python_encoder(monkeypatch):
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     assert _digests([random_model(3, **RELATIONAL_LIMITS)]) == RELATIONAL_DIGESTS
+
+
+# --- the front end on malformed text ---
+
+def _write_model():
+    """The benchmark's `.erdm` writer, loaded from its file."""
+    path = Path(__file__).parent.parent / "perfbench" / "erdm_writer.py"
+    spec = importlib.util.spec_from_file_location("erdm_writer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.write_model
+
+
+# Characters that open, close or break a token, a string or a comment.
+_INSERTED = ['"', "\\", "#", "\n", "\r", " ", "$", "/", "(", ")", "[", "]", "{", "}",
+             ",", "^", "-", ".", "=", "→", "∀", "u", "7", "x"]
+
+
+def _mutation_corpus() -> list[str]:
+    """Truncations, one-character insertions and span deletions of model texts."""
+    write_model = _write_model()
+    sources = [(FIXTURES / name).read_text(encoding="utf-8")
+               for name in ("teaching.erdm", "every_codomain.erdm")]
+    sources += [write_model(random_model(seed)) for seed in range(60)]
+    rng = random.Random(12)
+
+    def insert(text: str) -> str:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(_INSERTED) + text[at:]
+
+    corpus = []
+    for text in sources:
+        for _ in range(12):
+            cut = rng.randrange(len(text) + 1)
+            corpus.append(text[:cut])
+            corpus.append(insert(text))
+            corpus.append(insert(insert(text)))  # two faults, often in two statements
+            at = rng.randrange(len(text) + 1)
+            corpus.append(text[:at] + text[at + rng.randint(1, 12):])
+    return corpus
+
+
+def test_parse_errors_of_a_mutation_corpus_are_pinned():
+    """Each input's rendered errors, or the repr of its model, as the parser gave them."""
+    h = hashlib.sha256()
+    failed = 0
+    corpus = _mutation_corpus()
+    for text in corpus:
+        try:
+            out = repr(parse_model(text))
+        except ParseFailure as failure:
+            failed += 1
+            out = "\n".join(e.render() for e in failure.errors)
+        h.update(out.encode() + b"\0")
+    assert (len(corpus), failed) == (2976, 2706)
+    assert h.hexdigest() == (
+        "faa8a63ae42bf03e5b403f3e8cbd310db4359e87cf6fada624ee4f74233bc76e"
+    )
