@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .diagnostics import ERROR, Diagnostic, ParseFailure
-from .formula import format_formula, parse_formula
+from .formula import Formula, format_formula, parse_formula
 from .lexer import GLYPH_OF, PLAIN, quote_string
 from .model import (
     AsciiRange,
@@ -309,8 +309,7 @@ def load_structured(text: str) -> EMDMScheme:
         raise StructuredFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise StructuredFormatError("document must be an object")
+    doc = _record(doc, "document", "$")
     version = doc.get("version")
     if version != STRUCTURED_VERSION:
         raise StructuredFormatError(
@@ -318,175 +317,158 @@ def load_structured(text: str) -> EMDMScheme:
             "$.version",
         )
     scheme = EMDMScheme()
-    for i, raw in enumerate(_expect_list(doc, "sets")):
-        scheme.add_set(_set_from_json(raw, f"$.sets[{i}]"))
-    for i, raw in enumerate(_expect_list(doc, "constraints")):
-        scheme.constraints.append(_constraint_from_json(raw, f"$.constraints[{i}]"))
-    provenance = doc.get("provenance", {})
-    if not isinstance(provenance, dict):
-        raise StructuredFormatError("must be an object", "$.provenance")
-    for ref, source in provenance.items():
+    for s in _records(doc, "sets", "$", _set_from_json):
+        scheme.add_set(s)
+    scheme.constraints = _records(doc, "constraints", "$", _constraint_from_json)
+    for ref, source in _field(doc, "provenance", "an object", "$", {}).items():
         if not isinstance(source, str):
             raise StructuredFormatError("must be a string", f"$.provenance[{json.dumps(ref)}]")
         scheme.record(ref, source)
     return scheme
 
 
-def _expect_list(doc: dict, key: str) -> list:
-    value = doc.get(key, [])
-    if not isinstance(value, list):
-        raise StructuredFormatError("must be an array", f"$.{key}")
+_REQUIRED = object()
+
+# What each kind of field accepts, keyed by the words that name it in messages.
+_FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: type(v) is int,  # JSON's true and false are no integers
+    "true or false": lambda v: type(v) is bool,
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "an array": lambda v: isinstance(v, list),
+    "an object": lambda v: isinstance(v, dict),
+    "an array of strings": lambda v: isinstance(v, list) and all(isinstance(i, str) for i in v),
+    "an array of string pairs": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in v),
+    "an object of strings":
+        lambda v: isinstance(v, dict) and all(isinstance(i, str) for i in v.values()),
+}
+
+
+def _field(raw: dict, key: str, kind: str, path: str, default: Any = _REQUIRED) -> Any:
+    """The field *key* of the object *raw* at *path*, of *kind*; *default* when absent."""
+    if key not in raw:
+        if default is _REQUIRED:
+            raise StructuredFormatError(f"{key} is missing", f"{path}.{key}")
+        return default
+    value = raw[key]
+    if not _FIELD_KINDS[kind](value):
+        raise StructuredFormatError(f"{key} must be {kind}", f"{path}.{key}")
     return value
 
 
-def _text(raw: dict, key: str, path: str) -> str | None:
-    """The text field *key* of *raw*: a string, or null when absent."""
-    value = raw.get(key)
-    if value is not None and not isinstance(value, str):
-        raise StructuredFormatError(f"{key} must be a string or null", f"{path}.{key}")
-    return value
+def _record(raw: Any, what: str, path: str) -> dict:
+    """*raw*, which must be a JSON object."""
+    if not isinstance(raw, dict):
+        raise StructuredFormatError(f"{what} must be an object", path)
+    return raw
 
 
-_JSON_TYPE = {bool: "true or false", int: "an integer", str: "a string"}
+def _records(raw: dict, key: str, path: str, read: Callable[[Any, str], Any]) -> list:
+    """Each item of the array field *key* of *raw*, as *read* gives it."""
+    items = _field(raw, key, "an array", path, [])
+    return [read(item, f"{path}.{key}[{i}]") for i, item in enumerate(items)]
 
 
-def _typed(raw: dict, key: str, kind: type, path: str) -> Any:
-    """The field *key* of *raw*, which must be of *kind*: bool, int or str.
-
-    An absent flag is false, and JSON's true and false are not ints.
-    """
-    value = raw.get(key, False) if kind is bool else raw[key]
-    if type(value) is not kind:
-        raise StructuredFormatError(f"{key} must be {_JSON_TYPE[kind]}", f"{path}.{key}")
-    return value
-
-
-def _is_strings(value: Any, size: int | None = None) -> bool:
-    """Whether *value* is an array of strings, of *size* items when given."""
-    return (isinstance(value, list) and (size is None or len(value) == size)
-            and all(isinstance(item, str) for item in value))
+# Each tagged codomain or bound kind but "interval": the field that holds
+# its value, that field's kind, and what the value builds.
+_TAGGED: dict[str, tuple[str, str, Callable[[Any], Any]]] = {
+    "set": ("name", "a string", str),
+    "ascii": ("length", "an integer", AsciiRange),
+    "nat": ("digits", "an integer", NatRange),
+    "int": ("value", "an integer", IntBound),
+    "pow10": ("exponent", "an integer", Pow10Bound),
+    "date": ("text", "a string", DateBound),
+    "func": ("text", "a string", FuncBound),
+}
+_CODOMAINS = ("set", "interval", "ascii", "nat")
+_BOUNDS = ("int", "pow10", "date", "func")
 
 
-def _range_from_json(raw: Any, path: str) -> Range | str | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise StructuredFormatError("codomain must be an object with a kind", path)
-    kind = raw["kind"]
-    try:
-        if kind == "set":
-            return _typed(raw, "name", str, path)
-        if kind == "interval":
-            return Interval(
-                _bound_from_json(raw["lo"], f"{path}.lo"), _bound_from_json(raw["hi"], f"{path}.hi")
-            )
-        if kind == "ascii":
-            return AsciiRange(_typed(raw, "length", int, path))
-        if kind == "nat":
-            return NatRange(_typed(raw, "digits", int, path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuredFormatError(f"malformed {kind} codomain: {exc}", path) from exc
-    raise StructuredFormatError(f"unknown codomain kind {kind!r}", path)
-
-
-def _bound_from_json(raw: Any, path: str) -> Bound:
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise StructuredFormatError("bound must be an object with a kind", path)
-    kind = raw["kind"]
-    if kind == "int":
-        return IntBound(_typed(raw, "value", int, path))
-    if kind == "pow10":
-        return Pow10Bound(_typed(raw, "exponent", int, path))
-    if kind == "date":
-        return DateBound(_typed(raw, "text", str, path))
-    if kind == "func":
-        return FuncBound(_typed(raw, "text", str, path))
-    raise StructuredFormatError(f"unknown bound kind {kind!r}", path)
+def _tagged(raw: Any, what: str, kinds: tuple[str, ...], path: str) -> Range | Bound | str:
+    """A codomain or bound as _codomain writes it; its kind must be one of *kinds*."""
+    raw = _record(raw, what, path)
+    kind = _field(raw, "kind", "a string", path)
+    if kind not in kinds:
+        raise StructuredFormatError(f"unknown {what} kind {kind!r}", path)
+    if kind == "interval":
+        lo, hi = (_tagged(_field(raw, end, "an object", path), "bound", _BOUNDS, f"{path}.{end}")
+                  for end in ("lo", "hi"))
+        return Interval(lo, hi)
+    key, field_kind, build = _TAGGED[kind]
+    return build(_field(raw, key, field_kind, path))
 
 
 def _mapping_from_json(raw: Any, path: str) -> Mapping:
-    if not isinstance(raw, dict):
-        raise StructuredFormatError("mapping must be an object", path)
-    labels = raw.get("source_labels", {})
-    if not isinstance(labels, dict) or not all(isinstance(v, str) for v in labels.values()):
-        raise StructuredFormatError("source_labels must be an object of strings",
-                                    f"{path}.source_labels")
-    try:
-        return Mapping(
-            name=_typed(raw, "name", str, path),
-            source=_typed(raw, "source", str, path),
-            codomain=_range_from_json(raw.get("codomain"), f"{path}.codomain"),
-            flavor=_typed(raw, "flavor", str, path),
-            total=_typed(raw, "total", bool, path),
-            one_to_one=_typed(raw, "one_to_one", bool, path),
-            computed_definition=_text(raw, "computed_definition", path),
-            source_labels=dict(labels),
-        )
-    except KeyError as exc:
-        raise StructuredFormatError(f"missing field {exc}", path) from exc
+    raw = _record(raw, "mapping", path)
+    codomain = raw.get("codomain")
+    return Mapping(
+        name=_field(raw, "name", "a string", path),
+        source=_field(raw, "source", "a string", path),
+        codomain=None if codomain is None else _tagged(
+            codomain, "codomain", _CODOMAINS, f"{path}.codomain"),
+        flavor=_field(raw, "flavor", "a string", path),
+        total=_field(raw, "total", "true or false", path, False),
+        one_to_one=_field(raw, "one_to_one", "true or false", path, False),
+        computed_definition=_field(raw, "computed_definition", "a string or null", path, None),
+        source_labels=dict(_field(raw, "source_labels", "an object of strings", path, {})),
+    )
+
+
+def _key_from_json(raw: Any, path: str) -> Key:
+    raw = _record(raw, "key", path)
+    return Key(
+        label=_field(raw, "label", "a string", path),
+        mappings=tuple(_field(raw, "mappings", "an array of strings", path)),
+        implicit=_field(raw, "implicit", "true or false", path, False),
+    )
 
 
 def _set_from_json(raw: Any, path: str) -> EMDMSet:
-    if not isinstance(raw, dict):
-        raise StructuredFormatError("set must be an object", path)
-    try:
-        ident = raw.get("object_identifier")
-        keys = []
-        for i, k in enumerate(raw.get("keys", [])):
-            key_path = f"{path}.keys[{i}]"
-            if not _is_strings(k["mappings"]):
-                raise StructuredFormatError("mappings must be an array of strings",
-                                            f"{key_path}.mappings")
-            keys.append(Key(
-                label=_typed(k, "label", str, key_path),
-                mappings=tuple(k["mappings"]),
-                implicit=_typed(k, "implicit", bool, key_path),
-            ))
-        signature = raw.get("role_signature", [])
-        if not isinstance(signature, list) or not all(_is_strings(p, 2) for p in signature):
-            raise StructuredFormatError("role_signature must be an array of string pairs",
-                                        f"{path}.role_signature")
-        return EMDMSet(
-            name=_typed(raw, "name", str, path),
-            kind=_typed(raw, "kind", str, path),
-            object_identifier=(
-                _mapping_from_json(ident, f"{path}.object_identifier") if ident else None
-            ),
-            mappings=[
-                _mapping_from_json(m, f"{path}.mappings[{i}]")
-                for i, m in enumerate(raw.get("mappings", []))
-            ],
-            keys=keys,
-            role_signature=tuple((a, b) for a, b in signature),
-            computed_definition=_text(raw, "computed_definition", path),
+    raw = _record(raw, "set", path)
+    ident = raw.get("object_identifier")
+    return EMDMSet(
+        name=_field(raw, "name", "a string", path),
+        kind=_field(raw, "kind", "a string", path),
+        object_identifier=None if ident is None else _mapping_from_json(
+            ident, f"{path}.object_identifier"),
+        mappings=_records(raw, "mappings", path, _mapping_from_json),
+        keys=_records(raw, "keys", path, _key_from_json),
+        role_signature=tuple(
+            map(tuple, _field(raw, "role_signature", "an array of string pairs", path, []))),
+        computed_definition=_field(raw, "computed_definition", "a string or null", path, None),
+    )
+
+
+def _constraint_from_json(raw: Any, path: str) -> Constraint:
+    raw = _record(raw, "constraint", path)
+    kind = _field(raw, "kind", "a string", path)
+    if kind == "inclusion":
+        return InclusionConstraint(
+            subset=_field(raw, "subset", "a string", path),
+            superset=_field(raw, "superset", "a string", path),
+            label=_field(raw, "label", "a string or null", path, None),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructuredFormatError(f"malformed set: {exc}", path) from exc
-
-
-def _constraint_from_json(raw: Any, path: str):
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise StructuredFormatError("constraint must be an object with a kind", path)
-    kind = raw["kind"]
-    try:
-        if kind == "inclusion":
-            return InclusionConstraint(
-                subset=_typed(raw, "subset", str, path),
-                superset=_typed(raw, "superset", str, path),
-                label=_text(raw, "label", path),
-            )
-        if kind == "tuple":
-            return TupleConstraint(
-                label=_typed(raw, "label", str, path), set_name=_typed(raw, "set", str, path),
-                formula=parse_formula(_typed(raw, "formula", str, path)),
-            )
-        if kind == "nonrelational":
-            formula = _text(raw, "formula", path)
-            return NonrelationalConstraint(
-                label=_typed(raw, "label", str, path),
-                formula=parse_formula(formula) if formula is not None else None,
-                informal=_text(raw, "informal", path),
-            )
-    except (KeyError, TypeError, ValueError, ParseFailure) as exc:
-        raise StructuredFormatError(f"malformed {kind} constraint: {exc}", path) from exc
+    if kind == "tuple":
+        return TupleConstraint(
+            label=_field(raw, "label", "a string", path),
+            set_name=_field(raw, "set", "a string", path),
+            formula=_formula(_field(raw, "formula", "a string", path), kind, path),
+        )
+    if kind == "nonrelational":
+        return NonrelationalConstraint(
+            label=_field(raw, "label", "a string", path),
+            formula=_formula(_field(raw, "formula", "a string or null", path, None), kind, path),
+            informal=_field(raw, "informal", "a string or null", path, None),
+        )
     raise StructuredFormatError(f"unknown constraint kind {kind!r}", path)
+
+
+def _formula(text: str | None, kind: str, path: str) -> Formula | None:
+    """The formula *text* of a *kind* constraint at *path*, parsed; None for null."""
+    if text is None:
+        return None
+    try:
+        return parse_formula(text)
+    except ParseFailure as exc:
+        raise StructuredFormatError(f"malformed {kind} constraint: {exc}", path) from exc

@@ -101,17 +101,17 @@ def parse_formula(source: str) -> Formula:
     duplicate quantified variable names.
     """
     stream = TokenStream(source)
-    node = parse_formula_tokens(stream, bound=frozenset())
+    node = parse_formula_tokens(stream)
     if not stream.at(EOF):
         raise stream.error(f"trailing input after formula: {stream.peek().value!r}")
     return node
 
 
-def parse_formula_tokens(stream: TokenStream, bound: frozenset[str]) -> Formula:
+def parse_formula_tokens(stream: TokenStream) -> Formula:
     """Parse one formula from *stream*; used standalone and by the DSL parser."""
     if _at_quantifier(stream):
-        return _parse_quantified(stream, bound, 0)
-    return _parse_implies(stream, bound, 0)
+        return _parse_quantified(stream, frozenset(), 0)
+    return _parse_implies(stream, frozenset(), 0)
 
 
 def _at_quantifier(stream: TokenStream) -> bool:
@@ -193,7 +193,7 @@ def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) ->
     lhs = _parse_term(stream, bound, depth)
     tok = stream.peek()
     if tok.kind != OP or tok.value not in COMPARE_OPS:
-        raise stream.error(f"found {tok.value!r}", expected="comparison operator")
+        raise stream.unexpected("comparison operator")
     stream.advance()
     rhs = _parse_term(stream, bound, depth)
     return Compare(tok.value, lhs, rhs)
@@ -214,7 +214,7 @@ def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
         if tok.value not in bound:
             raise stream.error(f"unbound variable {tok.value!r}", at=tok)
         return Var(tok.value)
-    raise stream.error(f"found {stream.peek().value!r}", expected="term")
+    raise stream.unexpected("term")
 
 
 # --- queries ---

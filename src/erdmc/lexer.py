@@ -176,10 +176,14 @@ class TokenStream:
         offset = (at or self.tokens[self.pos]).offset
         return ParseFailure([parse_error(self.text, offset, message, expected)])
 
+    def unexpected(self, expected: str) -> ParseFailure:
+        """A failure at the current token, which is not the *expected* one."""
+        t = self.tokens[self.pos]
+        got = t.value if t.kind != EOF else "end of input"
+        return self.error(f"found {got!r}", expected)
+
     def expect(self, kind: str, value: str | None = None, label: str | None = None) -> Token:
         t = self.accept(kind, value)
         if t is None:
-            t = self.tokens[self.pos]
-            got = t.value if t.kind != EOF else "end of input"
-            raise self.error(f"found {got!r}", expected=str(label or value or kind))
+            raise self.unexpected(str(label or value or kind))
         return t

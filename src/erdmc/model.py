@@ -359,89 +359,71 @@ def validate_model(model: ERModel) -> list[Diagnostic]:
     One-role relationships are tolerated with a warning.
     """
     errors: list[Diagnostic] = []
-    sets_by_name: dict[str, ObjectSet] = {}
+    sets = model._sets_by_name
 
     def err(code: str, element: str, message: str, severity: str = ERROR) -> None:
         errors.append(Diagnostic(severity, code, message, element))
 
-    for d in model.diagrams:
-        for s in d.sets:
-            if s.name in sets_by_name:
-                err("duplicate-set-name", s.name, f"object set {s.name!r} declared twice")
-            else:
-                sets_by_name[s.name] = s
+    names: set[str] = set()
+    for s in model.object_sets():
+        if s.name in names:
+            err("duplicate-set-name", s.name, f"object set {s.name!r} declared twice")
+        names.add(s.name)
+    for s in model.object_sets():
+        _validate_set(s, sets, err)
 
-    def resolves(name: str) -> bool:
-        return name in sets_by_name
-
-    for d in model.diagrams:
-        for s in d.sets:
-            _validate_set(s, resolves, err)
-
-    labels: set[str] = set()
-    range_owners: dict[tuple[str, str], list[str]] = {}
-    card_owners: dict[str, list[str]] = {}
-    inclusion_pairs: dict[tuple[str, str], int] = {}
-    key_sets: dict[tuple[str, frozenset[str]], list[str]] = {}
-
-    for s in sets_by_name.values():
+    # Each kind of declaration to its subjects, and each subject to the
+    # sources that declared it: inline declarations first, then restrictions.
+    declared: dict[str, dict] = {"range": {}, "cardinality": {}, "inclusion": {}, "key": {}}
+    for s in sets.values():
         for sup in s.included_in:
-            inclusion_pairs[(s.name, sup)] = inclusion_pairs.get((s.name, sup), 0) + 1
+            declared["inclusion"].setdefault((s.name, sup), []).append("(inline)")
         if s.max_cardinality is not None:
-            card_owners.setdefault(s.name, []).append("(inline)")
+            declared["cardinality"].setdefault(s.name, []).append("(inline)")
         for a in s.attributes:
             if a.range is not None:
-                range_owners.setdefault((s.name, a.name), []).append("(inline)")
+                declared["range"].setdefault((s.name, a.name), []).append("(inline)")
 
+    labels: set[str] = set()
     for r in model.restrictions:
         if r.label in labels:
             err("duplicate-label", r.label, f"restriction label {r.label!r} reused")
         labels.add(r.label)
-        target = sets_by_name.get(r.target)
+        target = sets.get(r.target)
         if target is None:
             err("unresolved-set", r.label, f"restriction {r.label} targets unknown set {r.target!r}")
-            continue
-        if target.kind == COMPUTED and not isinstance(r.body, OtherBody):
+        elif target.kind == COMPUTED and not isinstance(r.body, OtherBody):
             err(
                 "restriction-on-computed-set",
                 r.label,
                 f"restriction {r.label} targets computed set {r.target!r}; "
                 "computed sets carry only their definition",
             )
-            continue
-        _validate_restriction_body(
-            r, target, sets_by_name, err,
-            range_owners, card_owners, inclusion_pairs, key_sets,
-        )
+        elif claim := _validate_restriction_body(r, target, sets, err):
+            kind, subject = claim
+            declared[kind].setdefault(subject, []).append(r.label)
 
-    for (set_name, attr), sources in range_owners.items():
-        if len(sources) > 1:
-            err(
-                "duplicate-range",
-                f"{set_name}.{attr}",
-                f"range declared more than once for {set_name}.{attr}: {', '.join(sources)}",
-            )
-    for set_name, sources in card_owners.items():
-        if len(sources) > 1:
-            err(
-                "duplicate-cardinality",
-                set_name,
-                f"maximum cardinality declared more than once for {set_name}",
-            )
-    for (sub, sup), count in inclusion_pairs.items():
-        if count > 1:
-            err("duplicate-inclusion", sub, f"inclusion {sub} in {sup} declared more than once")
-    for (set_name, mappings), labels_ in key_sets.items():
-        if len(labels_) > 1:
-            err(
-                "duplicate-key",
-                set_name,
-                f"identical uniqueness over {sorted(mappings)} declared by {', '.join(labels_)}",
-            )
+    for kind, subjects in declared.items():
+        for subject, sources in subjects.items():
+            if len(sources) < 2:
+                continue
+            if kind == "range":
+                element = ".".join(subject)
+                err("duplicate-range", element,
+                    f"range declared more than once for {element}: {', '.join(sources)}")
+            elif kind == "cardinality":
+                err("duplicate-cardinality", subject,
+                    f"maximum cardinality declared more than once for {subject}")
+            elif kind == "inclusion":
+                err("duplicate-inclusion", subject[0],
+                    f"inclusion {subject[0]} in {subject[1]} declared more than once")
+            else:
+                err("duplicate-key", subject[0], "identical uniqueness over "
+                    f"{sorted(subject[1])} declared by {', '.join(sources)}")
     return errors
 
 
-def _validate_set(s: ObjectSet, resolves, err) -> None:
+def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
     seen: set[str] = set()
     names = s.member_names()
     for name in names:
@@ -512,14 +494,14 @@ def _validate_set(s: ObjectSet, resolves, err) -> None:
         if a.range is not None:
             _validate_range(a.range, f"{s.name}.{a.name}", err)
     for role in s.roles:
-        if not resolves(role.target):
+        if role.target not in sets:
             err(
                 "unresolved-set",
                 f"{s.name}.{role.name}",
                 f"role {role.name} targets unknown set {role.target!r}",
             )
     for fn in s.structural_functions:
-        if not resolves(fn.target):
+        if fn.target not in sets:
             err(
                 "unresolved-set",
                 f"{s.name}.{fn.name}",
@@ -528,7 +510,7 @@ def _validate_set(s: ObjectSet, resolves, err) -> None:
     for sup in s.included_in:
         if sup == s.name:
             err("self-inclusion", s.name, f"{s.name} cannot be included in itself")
-        elif not resolves(sup):
+        elif sup not in sets:
             err("unresolved-set", s.name, f"{s.name} included in unknown set {sup!r}")
     if s.max_cardinality is not None and s.max_cardinality < 1:
         err("bad-cardinality", s.name, "maximum cardinality must be at least 1")
@@ -550,28 +532,22 @@ def _validate_range(r: Range, element: str, err) -> None:
 
 
 def _validate_restriction_body(
-    r: Restriction,
-    target: ObjectSet,
-    sets_by_name: dict[str, ObjectSet],
-    err,
-    range_owners,
-    card_owners,
-    inclusion_pairs,
-    key_sets,
-) -> None:
+    r: Restriction, target: ObjectSet, sets: dict[str, ObjectSet], err
+) -> tuple[str, object] | None:
+    """Check the body of *r*; return the kind and subject it declares, if any."""
     body = r.body
     if isinstance(body, InclusionBody):
         if body.subset != r.target:
             err("inclusion-target-mismatch", r.label, f"{r.label} subset differs from its target set")
         if body.superset == body.subset:
             err("self-inclusion", r.label, f"{r.label} includes {body.subset} in itself")
-        elif body.superset not in sets_by_name:
+        elif body.superset not in sets:
             err("unresolved-set", r.label, f"{r.label} names unknown superset {body.superset!r}")
-        pair = (body.subset, body.superset)
-        inclusion_pairs[pair] = inclusion_pairs.get(pair, 0) + 1
+        return "inclusion", (body.subset, body.superset)
     elif isinstance(body, RangeBody):
         member = target.member(body.attribute)
-        if member is None or not isinstance(member, Attribute):
+        claim = None
+        if not isinstance(member, Attribute):
             err(
                 "unknown-mapping",
                 r.label,
@@ -580,12 +556,13 @@ def _validate_restriction_body(
         elif member.is_computed:
             err("computed-attribute-range", r.label, f"{r.label} ranges computed attribute {member.name}")
         else:
-            range_owners.setdefault((target.name, body.attribute), []).append(r.label)
+            claim = "range", (target.name, body.attribute)
         _validate_range(body.range, r.label, err)
+        return claim
     elif isinstance(body, CardinalityBody):
         if body.maximum < 1:
             err("bad-cardinality", r.label, "maximum cardinality must be at least 1")
-        card_owners.setdefault(target.name, []).append(r.label)
+        return "cardinality", target.name
     elif isinstance(body, (CompulsoryBody, UniquenessBody)):
         if not body.mappings:
             err("empty-mappings", r.label, f"{r.label} lists no mappings")
@@ -599,14 +576,14 @@ def _validate_restriction_body(
         if isinstance(body, UniquenessBody) and body.mappings and not (
             seen - set(target.member_names())
         ):
-            key_sets.setdefault((target.name, frozenset(body.mappings)), []).append(r.label)
+            return "key", (target.name, frozenset(body.mappings))
     elif isinstance(body, OtherBody):
         if body.informal is None and body.formal is None:
             err("empty-restriction", r.label, f"{r.label} carries neither informal nor formal text")
         if body.formal is not None:
             domains = quantifier_domains(body.formal)
             for dom in domains:
-                owner = sets_by_name.get(dom)
+                owner = sets.get(dom)
                 if owner is None:
                     err("unresolved-set", r.label, f"{r.label} quantifies over unknown set {dom!r}")
                 elif owner.kind == COMPUTED and quantifier_count(body.formal) == 1:

@@ -92,10 +92,7 @@ def parse_model(source: str) -> ERModel:
                     errors.append(parse_error(source, tok.offset, "description declared twice"))
                 description = text
             else:
-                raise stream.error(
-                    f"found {stream.peek().value!r}",
-                    expected="'diagram', 'restriction', or 'description'",
-                )
+                raise stream.unexpected("'diagram', 'restriction', or 'description'")
         except ParseFailure as failure:
             errors.extend(failure.errors)
             _skip_to_toplevel(stream)
@@ -126,9 +123,7 @@ def _parse_diagram(stream: TokenStream) -> Diagram:
 def _parse_set(stream: TokenStream) -> ObjectSet:
     kind_tok = stream.peek()
     if kind_tok.kind != NAME or kind_tok.value not in _SET_KINDS:
-        raise stream.error(
-            f"found {kind_tok.value!r}", expected="'entity', 'relationship', or 'computed'"
-        )
+        raise stream.unexpected("'entity', 'relationship', or 'computed'")
     stream.advance()
     name = stream.expect(NAME, label="set name").value
 
@@ -155,9 +150,7 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
         elif stream.accept(NAME, "fn"):
             functions.append(_parse_function(stream))
         else:
-            raise stream.error(
-                f"found {stream.peek().value!r}", expected="'attr', 'role', 'fn', or '}'"
-            )
+            raise stream.unexpected("'attr', 'role', 'fn', or '}'")
     return ObjectSet(
         name=name,
         kind=kind_tok.value,
@@ -238,7 +231,7 @@ def _parse_range(stream: TokenStream) -> Range:
         size = int(stream.expect(INT, label=label).value)
         stream.expect(OP, ")")
         return sized(size)
-    raise stream.error(f"found {tok.value!r}", expected="'[', 'ascii', or 'nat'")
+    raise stream.unexpected("'[', 'ascii', or 'nat'")
 
 
 def _parse_bound(stream: TokenStream) -> Bound:
@@ -257,7 +250,7 @@ def _parse_bound(stream: TokenStream) -> Bound:
         stream.expect(OP, "(")
         stream.expect(OP, ")")
         return FuncBound(f"{tok.value}()")
-    raise stream.error(f"found {stream.peek().value!r}", expected="bound")
+    raise stream.unexpected("bound")
 
 
 def _parse_restriction(stream: TokenStream) -> Restriction:
@@ -291,11 +284,10 @@ def _parse_restriction(stream: TokenStream) -> Restriction:
         if stream.accept(NAME, "informal"):
             informal = stream.expect(STRING, label="informal text").value
         if stream.accept(NAME, "formal"):
-            formal = parse_formula_tokens(stream, bound=frozenset())
+            formal = parse_formula_tokens(stream)
         body = OtherBody(informal, formal)
     else:
-        raise stream.error(
-            f"found {stream.peek().value!r}",
-            expected="'subset_of', 'card', 'range', 'compulsory', 'unique', or 'other'",
+        raise stream.unexpected(
+            "'subset_of', 'card', 'range', 'compulsory', 'unique', or 'other'"
         )
     return Restriction(label, target, body)

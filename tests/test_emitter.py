@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import ast
+import functools
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import erdmc.emitter
 
 from erdmc.emitter import (
     EmitError,
@@ -19,6 +25,7 @@ from erdmc.lexer import STRING, tokenize
 from erdmc.parser import parse_model
 from erdmc.scheme import EMDMScheme, check_scheme
 from erdmc.translator import translate
+from test_parser import _literal_patterns
 
 
 @pytest.fixture(scope="module")
@@ -264,12 +271,18 @@ def test_provenance_naming_no_scheme_element_is_stray():
         emit_text(scheme)
 
 
+_DELETE = object()
+
+
 def _set_at(doc: dict, where: tuple, value) -> str:
-    """Set the field at *where* in *doc* to *value*; return its JSON path."""
+    """Set the field at *where* in *doc* to *value*, or delete it; return its JSON path."""
     owner = doc
     for step in where[:-1]:
         owner = owner[step]
-    owner[where[-1]] = value
+    if value is _DELETE:
+        del owner[where[-1]]
+    else:
+        owner[where[-1]] = value
     return "$" + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where)
 
 
@@ -399,3 +412,227 @@ def test_loaded_self_inclusion_is_refused():
     ]
     with pytest.raises(EmitError, match="self-inclusion: B cannot be included in itself"):
         emit_text(scheme)
+
+
+@functools.lru_cache(maxsize=None)
+def _every_codomain_text() -> str:
+    source = (Path(__file__).parent / "fixtures" / "every_codomain.erdm").read_text("utf-8")
+    result = translate(parse_model(source))
+    assert result.scheme is not None
+    return emit_structured(result.scheme)
+
+
+# One case per way the reader refuses a document: a whole text, or an edit of
+# the every-codomain document (see TEXT_FIELDS), and the error it raises.
+# Mapping 0 of set 0 is Twin (set codomain), 1 Born ([date, func]), 2 Height
+# ([int, pow10]), 3 Name (ASCII) and 4 Code (NAT).
+_M = ("sets", 0, "mappings")
+READER_CASES = [
+    ("not-json", "{ not json",
+     "$: not valid JSON at line 1, column 3: Expecting property name enclosed in double quotes"),
+    ("document-not-object", "[]", "$: document must be an object"),
+    ("unknown-version", (("version",), 2),
+     "$.version: unknown version 2; this reader understands 1"),
+    ("sets-not-array", (("sets",), {}), "$.sets: sets must be an array"),
+    ("constraints-not-array", (("constraints",), "R06"),
+     "$.constraints: constraints must be an array"),
+    ("provenance-not-object", (("provenance",), []), "$.provenance: provenance must be an object"),
+    ("provenance-value", (("provenance", "set:PERSONS"), 1),
+     '$.provenance["set:PERSONS"]: must be a string'),
+    # records that are not objects
+    ("set-not-object", (("sets", 0), "PERSONS"), "$.sets[0]: set must be an object"),
+    ("mapping-not-object", ((*_M, 0), ["Twin"]),
+     "$.sets[0].mappings[0]: mapping must be an object"),
+    ("key-not-object", (("sets", 0, "keys", 0), "R01"), "$.sets[0].keys[0]: key must be an object"),
+    ("constraint-not-object", (("constraints", 0), None),
+     "$.constraints[0]: constraint must be an object"),
+    ("codomain-not-object", ((*_M, 0, "codomain"), "PERSONS"),
+     "$.sets[0].mappings[0].codomain: codomain must be an object"),
+    ("bound-not-object", ((*_M, 2, "codomain", "lo"), -5),
+     "$.sets[0].mappings[2].codomain.lo: lo must be an object"),
+    # values that once loaded as something else
+    ("mappings-object", ((*_M,), {}), "$.sets[0].mappings: mappings must be an array"),
+    ("keys-string", (("sets", 0, "keys"), ""), "$.sets[0].keys: keys must be an array"),
+    *[(f"identifier-{json.dumps(value)}", (("sets", 0, "object_identifier"), value),
+       "$.sets[0].object_identifier: mapping must be an object")
+      for value in (False, 0, "", [])],
+    ("identifier-{}", (("sets", 0, "object_identifier"), {}),
+     "$.sets[0].object_identifier.name: name is missing"),
+    # kinds
+    ("unknown-codomain-kind", ((*_M, 0, "codomain", "kind"), "colour"),
+     "$.sets[0].mappings[0].codomain: unknown codomain kind 'colour'"),
+    ("bound-kind-as-codomain", ((*_M, 3, "codomain"), {"kind": "int", "value": 64}),
+     "$.sets[0].mappings[3].codomain: unknown codomain kind 'int'"),
+    ("codomain-kind-as-bound", ((*_M, 2, "codomain", "hi", "kind"), "interval"),
+     "$.sets[0].mappings[2].codomain.hi: unknown bound kind 'interval'"),
+    ("unknown-constraint-kind", (("constraints", 0, "kind"), "check"),
+     "$.constraints[0]: unknown constraint kind 'check'"),
+    ("malformed-formula", (("constraints", 0, "formula"), "(forall x in PERSONS)(Height(x) >="),
+     "$.constraints[0]: malformed tuple constraint: "
+     "1:35: found 'end of input' (expected term)"),
+    # each field type
+    ("not-a-string", (("constraints", 0, "kind"), 1),
+     "$.constraints[0].kind: kind must be a string"),
+    ("not-an-integer", ((*_M, 4, "codomain", "digits"), "6"),
+     "$.sets[0].mappings[4].codomain.digits: digits must be an integer"),
+    ("not-a-flag", ((*_M, 3, "total"), 1),
+     "$.sets[0].mappings[3].total: total must be true or false"),
+    ("not-text", (("sets", 0, "computed_definition"), 0),
+     "$.sets[0].computed_definition: computed_definition must be a string or null"),
+    ("not-strings", (("sets", 0, "keys", 0, "mappings"), "Name"),
+     "$.sets[0].keys[0].mappings: mappings must be an array of strings"),
+    ("not-string-pairs", (("sets", 4, "role_signature"), [["Who"]]),
+     "$.sets[4].role_signature: role_signature must be an array of string pairs"),
+    ("not-labels", ((*_M, 3, "source_labels"), {"total": None}),
+     "$.sets[0].mappings[3].source_labels: source_labels must be an object of strings"),
+    # each required field, missing
+    ("missing-set-name", (("sets", 0, "name"), _DELETE), "$.sets[0].name: name is missing"),
+    ("missing-set-kind", (("sets", 0, "kind"), _DELETE), "$.sets[0].kind: kind is missing"),
+    ("missing-mapping-name", ((*_M, 0, "name"), _DELETE),
+     "$.sets[0].mappings[0].name: name is missing"),
+    ("missing-mapping-source", ((*_M, 0, "source"), _DELETE),
+     "$.sets[0].mappings[0].source: source is missing"),
+    ("missing-mapping-flavor", ((*_M, 0, "flavor"), _DELETE),
+     "$.sets[0].mappings[0].flavor: flavor is missing"),
+    ("missing-key-label", (("sets", 0, "keys", 0, "label"), _DELETE),
+     "$.sets[0].keys[0].label: label is missing"),
+    ("missing-key-mappings", (("sets", 0, "keys", 0, "mappings"), _DELETE),
+     "$.sets[0].keys[0].mappings: mappings is missing"),
+    ("missing-codomain-kind", ((*_M, 0, "codomain", "kind"), _DELETE),
+     "$.sets[0].mappings[0].codomain.kind: kind is missing"),
+    ("missing-set-codomain-name", ((*_M, 0, "codomain", "name"), _DELETE),
+     "$.sets[0].mappings[0].codomain.name: name is missing"),
+    ("missing-ascii-length", ((*_M, 3, "codomain", "length"), _DELETE),
+     "$.sets[0].mappings[3].codomain.length: length is missing"),
+    ("missing-nat-digits", ((*_M, 4, "codomain", "digits"), _DELETE),
+     "$.sets[0].mappings[4].codomain.digits: digits is missing"),
+    ("missing-interval-lo", ((*_M, 1, "codomain", "lo"), _DELETE),
+     "$.sets[0].mappings[1].codomain.lo: lo is missing"),
+    ("missing-interval-hi", ((*_M, 1, "codomain", "hi"), _DELETE),
+     "$.sets[0].mappings[1].codomain.hi: hi is missing"),
+    ("missing-bound-kind", ((*_M, 1, "codomain", "lo", "kind"), _DELETE),
+     "$.sets[0].mappings[1].codomain.lo.kind: kind is missing"),
+    ("missing-date-text", ((*_M, 1, "codomain", "lo", "text"), _DELETE),
+     "$.sets[0].mappings[1].codomain.lo.text: text is missing"),
+    ("missing-func-text", ((*_M, 1, "codomain", "hi", "text"), _DELETE),
+     "$.sets[0].mappings[1].codomain.hi.text: text is missing"),
+    ("missing-int-value", ((*_M, 2, "codomain", "lo", "value"), _DELETE),
+     "$.sets[0].mappings[2].codomain.lo.value: value is missing"),
+    ("missing-pow10-exponent", ((*_M, 2, "codomain", "hi", "exponent"), _DELETE),
+     "$.sets[0].mappings[2].codomain.hi.exponent: exponent is missing"),
+    ("missing-constraint-kind", (("constraints", 0, "kind"), _DELETE),
+     "$.constraints[0].kind: kind is missing"),
+    ("missing-tuple-label", (("constraints", 0, "label"), _DELETE),
+     "$.constraints[0].label: label is missing"),
+    ("missing-tuple-set", (("constraints", 0, "set"), _DELETE),
+     "$.constraints[0].set: set is missing"),
+    ("missing-tuple-formula", (("constraints", 0, "formula"), _DELETE),
+     "$.constraints[0].formula: formula is missing"),
+    ("missing-inclusion-subset", (("constraints", 1, "subset"), _DELETE),
+     "$.constraints[1].subset: subset is missing"),
+    ("missing-inclusion-superset", (("constraints", 1, "superset"), _DELETE),
+     "$.constraints[1].superset: superset is missing"),
+    ("missing-nonrelational-label", (("constraints", 2, "label"), _DELETE),
+     "$.constraints[2].label: label is missing"),
+]
+
+
+def _edited_text(edit) -> str:
+    if isinstance(edit, str):
+        return edit
+    doc = json.loads(_every_codomain_text())
+    _set_at(doc, *edit)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edit, rendered", [case[1:] for case in READER_CASES],
+                         ids=[case[0] for case in READER_CASES])
+def test_reader_names_the_path_and_the_fault_of_each_malformed_document(edit, rendered):
+    with pytest.raises(StructuredFormatError) as info:
+        load_structured(_edited_text(edit))
+    assert str(info.value) == rendered
+    assert info.value.path == rendered.partition(": ")[0]
+
+
+def _reader_message_patterns() -> list[str]:
+    """A pattern of a message per literal the reader raises or builds one from."""
+    tree = ast.parse(Path(erdmc.emitter.__file__).read_text("utf-8"))
+    patterns = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            name, args = node.func.id, node.args
+            if name == "StructuredFormatError":
+                patterns += _literal_patterns(args[0])
+            elif name == "_record" and isinstance(args[1], ast.Constant):
+                patterns.append(f"{args[1].value} must be an object")
+            elif name == "_tagged" and isinstance(args[1], ast.Constant):
+                patterns.append(f"unknown {args[1].value} kind .+")
+        elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "_FIELD_KINDS":
+            patterns += [f".+ must be {re.escape(kind.value)}" for kind in node.value.keys]
+    return patterns
+
+
+def test_every_reader_message_has_a_case():
+    messages = [case[2].partition(": ")[2] for case in READER_CASES]
+    patterns = _reader_message_patterns()
+    assert len(patterns) >= 20
+    missing = [p for p in patterns if not any(re.fullmatch(p, m) for m in messages)]
+    assert missing == []
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_documents() -> tuple[str, ...]:
+    fixtures = Path(__file__).parent / "fixtures"
+    models = [parse_model((fixtures / name).read_text("utf-8"))
+              for name in ("teaching.erdm", "every_codomain.erdm")]
+    models += [random_model(seed) for seed in range(20)]
+    return tuple(emit_structured(translate(model).scheme) for model in models)
+
+
+def _steps(value, path: tuple = ()):
+    """The steps from *value* to each value inside it, parents first."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for step, item in items:
+        yield path + (step,)
+        yield from _steps(item, path + (step,))
+
+
+def _json_path(steps: tuple) -> str:
+    return "$" + "".join(
+        f"[{s}]" if isinstance(s, int) else f".{s}" if re.fullmatch(r"\w+", s)
+        else f"[{json.dumps(s)}]" for s in steps)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 99) | st.floats(allow_nan=False)
+    | st.text(max_size=4) | st.sampled_from(["set", "interval", "int", "date", "tuple", "x"]),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=5,
+)
+# Words of Python's own exception messages, which a reader message never holds.
+_PYTHON_INTERNALS = ("object is not", "indices must", "unhashable", "NoneType",
+                     "has no attribute", "not supported between", "argument")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_an_edited_document_loads_or_names_the_object_that_held_the_edit(data):
+    """Any field of a valid document replaced or deleted: the document loads, or
+    the error's path starts at the innermost object that held the field."""
+    doc = json.loads(data.draw(st.sampled_from(_valid_documents())))
+    where = data.draw(st.sampled_from(list(_steps(doc))))
+    node, holder = doc, ()
+    for k, step in enumerate(where):
+        if isinstance(node, dict):
+            holder = where[:k]
+        node = node[step]
+    _set_at(doc, where, data.draw(st.just(_DELETE) | _JSON_VALUES))
+    try:
+        load_structured(json.dumps(doc))
+    except StructuredFormatError as error:
+        prefix = _json_path(holder)
+        assert error.path == prefix or error.path.startswith((prefix + ".", prefix + "[")), (
+            error.path, prefix)
+        assert not any(word in str(error) for word in _PYTHON_INTERNALS), str(error)

@@ -195,8 +195,15 @@ VALIDATE_CASES = [
     ("duplicate-label", "R1",
      _dsl(restrictions="restriction R1 on A compulsory a\nrestriction R1 on A unique a\n")),
     ("unresolved-set", "R1", _dsl(restrictions="restriction R1 on Z compulsory a\n")),
+    ("unresolved-set", "C.f", _dsl("entity C { fn f -> Z }")),
+    ("unresolved-set", "C", _dsl("entity C subset_of Z { }")),
+    ("unresolved-set", "R1", _dsl(restrictions="restriction R1 on A subset_of Z\n")),
+    ("unresolved-set", "R1", _dsl(restrictions=(
+        "restriction R1 on A other formal (forall x in A)(forall y in Z)(a(x) = b(y))\n"))),
     ("restriction-on-computed-set", "R1",
      _dsl('computed V = "all" { }', "restriction R1 on V card 5\n")),
+    ("restriction-on-computed-set", "R1",
+     _dsl('computed V = "all" { }', "restriction R1 on V other formal (forall v in V)(v = v)\n")),
     ("duplicate-range", "A.a", _dsl(restrictions=(
         "restriction R1 on A range a ascii(3)\nrestriction R2 on A range a nat(2)\n"))),
     ("duplicate-cardinality", "C", _dsl("entity C card 5 { }", "restriction R1 on C card 6\n")),
@@ -221,7 +228,11 @@ VALIDATE_CASES = [
     ("bad-cardinality", "C", _dsl("entity C card 0 { }")),
     ("bad-cardinality", "R1", _dsl(restrictions="restriction R1 on A card 0\n")),
     ("bad-range", "C.c", _dsl("entity C { attr c : [9, 1] }")),
+    ("bad-range", "C.c", _dsl("entity C { attr c : ascii(0) }")),
+    ("bad-range", "C.c", _dsl("entity C { attr c : nat(0) }")),
+    ("bad-range", "C.c", _dsl("entity C { attr c : [02/01/2000, 01/01/2000] }")),
     ("unknown-mapping", "R1", _dsl(restrictions="restriction R1 on A compulsory z\n")),
+    ("unknown-mapping", "R1", _dsl(restrictions="restriction R1 on A range z ascii(3)\n")),
     ("empty-restriction", "R1", _dsl(restrictions="restriction R1 on A other\n")),
     ("tuple-domain-mismatch", "R1",
      _dsl(restrictions="restriction R1 on A other formal (forall x in B)(b(x) = 1)\n")),

@@ -161,11 +161,11 @@ PARSE_CASES = [
     ("glyph-at-line-start", parse_model, D + "→ restriction R1 on A compulsory a",
      ["2:1: found '->' (expected 'diagram', 'restriction', or 'description')"]),
     ("hash-in-name-and-after-blank", parse_model, "diagram D# { entity A#b { attr a #c } }",
-     ["1:40: found '' (expected 'attr', 'role', 'fn', or '}')"]),
+     ["1:40: found 'end of input' (expected 'attr', 'role', 'fn', or '}')"]),
     ("crlf", parse_model, "diagram D {\r\n  entity A {\r\n    attr a\r\n    bogus\r\n  }\r\n}\r\n",
      ["4:5: found 'bogus' (expected 'attr', 'role', 'fn', or '}')"]),
     ("crlf-end-of-input", parse_model, "diagram D {\r\n  entity A {\r\n",
-     ["3:1: found '' (expected 'attr', 'role', 'fn', or '}')"]),
+     ["3:1: found 'end of input' (expected 'attr', 'role', 'fn', or '}')"]),
     ("malformed-u-escape", parse_model, 'description "ab\\u12zz"',
      ["1:16: malformed \\u escape"
       " (expected four hex digits naming a character that is not a surrogate)"]),
@@ -200,7 +200,7 @@ PARSE_CASES = [
     ("set-kind", parse_model, "diagram D { view A { } }",
      ["1:13: found 'view' (expected 'entity', 'relationship', or 'computed')"]),
     ("set-kind-at-end-of-input", parse_model, "diagram D {",
-     ["1:12: found '' (expected 'entity', 'relationship', or 'computed')"]),
+     ["1:12: found 'end of input' (expected 'entity', 'relationship', or 'computed')"]),
     ("member-keyword", parse_model, "diagram D { entity A { key a } }",
      ["1:24: found 'key' (expected 'attr', 'role', 'fn', or '}')"]),
     ("range-keyword", parse_model, "diagram D { entity A { attr a : {1} } }",
@@ -270,6 +270,9 @@ def _raised_literals() -> list[str]:
                 continue
             func = call.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name == "unexpected":
+                patterns += [rf".+ \(expected {lit}\)" for lit in _literal_patterns(call.args[0])]
+                continue
             message = {"error": 0, "parse_error": 2}.get(name)
             if message is None:
                 continue

@@ -6,9 +6,11 @@ enrichment rules shared one log; the ``--unicode`` digests, before the
 printers took their glyphs from the lexer's table; those of the
 every-codomain model, while json.dumps still wrote the structured document
 and the report; those of the mutation corpus's parse errors, while tokens
-still carried a line and a column. A change meant to keep the output as it
-is must leave them as they are; a change meant to alter the output updates
-them in the same commit and says why.
+still carried a line and a column, and again when an unexpected end of input
+came to be named as such; those of the validation corpus, while
+validate_model kept one accumulator per kind of declaration. A change meant
+to keep the output as it is must leave them as they are; a change meant to
+alter the output updates them in the same commit and says why.
 """
 
 from __future__ import annotations
@@ -17,11 +19,35 @@ import hashlib
 import importlib.util
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from erdmc.diagnostics import ParseFailure
 from erdmc.emitter import emit_structured, emit_text, encode_report
+from erdmc.formula import Compare, Forall, Var
 from erdmc.generator import random_model, sized_model
+from erdmc.model import (
+    AsciiRange,
+    Attribute,
+    CardinalityBody,
+    CompulsoryBody,
+    DateBound,
+    ERModel,
+    FuncBound,
+    InclusionBody,
+    IntBound,
+    Interval,
+    NatRange,
+    ObjectSet,
+    OtherBody,
+    Pow10Bound,
+    RangeBody,
+    Restriction,
+    Role,
+    StructuralFunction,
+    UniquenessBody,
+    validate_model,
+)
 from erdmc.parser import parse_model
 from erdmc.translator import TranslationOptions, translate
 
@@ -252,5 +278,99 @@ def test_parse_errors_of_a_mutation_corpus_are_pinned():
         h.update(out.encode() + b"\0")
     assert (len(corpus), failed) == (2976, 2706)
     assert h.hexdigest() == (
-        "faa8a63ae42bf03e5b403f3e8cbd310db4359e87cf6fada624ee4f74233bc76e"
+        "cf63b292b2f2669e789c3fda26fcd2fbead7f60fefd7346cc3922f59cadcc850"
+    )
+
+
+# --- validate_model on ill-formed models ---
+
+_MUTANT_RANGES = [AsciiRange(0), AsciiRange(8), NatRange(0), NatRange(3),
+                  Interval(IntBound(9), IntBound(1)), Interval(IntBound(1), IntBound(9)),
+                  Interval(Pow10Bound(3), IntBound(5)),
+                  Interval(DateBound("31/12/2000"), DateBound("01/01/2000")),
+                  Interval(DateBound("01/01/2000"), FuncBound("SysDate()"))]
+
+
+def _mutant(model: ERModel, rng: random.Random) -> ERModel:
+    """*model* with one injected duplicate or ill-formed declaration."""
+    diagrams = list(model.diagrams)
+    restrictions = list(model.restrictions)
+    at = rng.randrange(len(diagrams))
+    sets = list(diagrams[at].sets)
+    everything = model.object_sets()
+    names = [s.name for s in everything] + ["ZZ"]
+    s = rng.choice(everything)
+    members = s.member_names() + ["zz", "x"]
+    label = f"M{len(restrictions)}"
+    choice = rng.randrange(12)
+    if choice == 0:  # the same set object listed twice
+        sets.insert(rng.randrange(len(sets) + 1), s)
+    elif choice == 1:  # another set under a taken name
+        sets.append(ObjectSet(s.name, rng.choice(("entity", "relationship", "computed")),
+                              attributes=(Attribute("z"),)))
+    elif choice == 2 and restrictions:  # a reused label
+        i = rng.randrange(len(restrictions))
+        restrictions[i] = replace(restrictions[i], label=rng.choice(restrictions).label)
+    elif choice == 3 and restrictions:  # a restriction declared twice
+        restrictions.append(replace(rng.choice(restrictions), label=label))
+    elif choice == 4:  # inline declarations next to restrictions
+        attributes = list(s.attributes)
+        if attributes:
+            i = rng.randrange(len(attributes))
+            attributes[i] = replace(attributes[i], range=rng.choice(_MUTANT_RANGES))
+        sets = [replace(t, max_cardinality=rng.choice((None, 0, 5)), attributes=tuple(attributes),
+                        included_in=t.included_in + (rng.choice(names),)) if t is s else t
+                for t in sets]
+    elif choice == 5:
+        restrictions.append(Restriction(label, s.name, RangeBody(
+            rng.choice(members), rng.choice(_MUTANT_RANGES))))
+    elif choice == 6:
+        restrictions.append(Restriction(label, s.name, CardinalityBody(rng.choice((0, 1, 10)))))
+    elif choice == 7:
+        restrictions.append(Restriction(label, s.name, InclusionBody(
+            rng.choice((s.name, rng.choice(names))), rng.choice((s.name, rng.choice(names))))))
+    elif choice == 8:
+        body = rng.choice((CompulsoryBody, UniquenessBody))
+        restrictions.append(Restriction(label, s.name, body(tuple(
+            rng.choice(members) for _ in range(rng.randint(0, 3))))))
+    elif choice == 9:
+        inner = Compare("=", Var("x"), Var("x"))
+        nested = (Forall("x", rng.choice(names), inner),
+                  Forall("y", rng.choice(names), Forall("x", rng.choice(names), inner)))
+        formula = rng.choice((None, *nested))
+        restrictions.append(Restriction(label, rng.choice(names), OtherBody(
+            rng.choice((None, "rule")), formula)))
+    elif choice == 10:  # members the set may not carry
+        extra = rng.choice((Attribute("x"), Attribute(rng.choice(members)), Attribute("a1#total"),
+                            Attribute("c", computed_definition="one\ntwo")))
+        sets = [replace(t, attributes=t.attributes + (extra,)) if t is s else t for t in sets]
+    else:
+        roles = tuple(Role(f"q{i}", rng.choice(names)) for i in range(rng.randint(0, 2)))
+        sets.append(ObjectSet(f"N{len(sets)}", rng.choice(("entity", "relationship", "computed")),
+                              roles=roles, max_cardinality=rng.choice((None, 3)),
+                              structural_functions=(StructuralFunction("f", rng.choice(names)),)))
+    diagrams[at] = replace(diagrams[at], sets=tuple(sets))
+    return replace(model, diagrams=tuple(diagrams), restrictions=tuple(restrictions))
+
+
+def test_validation_of_a_mutation_corpus_is_pinned():
+    """Each mutated model's diagnostics, in order, as validate_model gave them."""
+    bases = [parse_model((FIXTURES / name).read_text(encoding="utf-8"))
+             for name in ("teaching.erdm", "every_codomain.erdm")]
+    bases += [random_model(seed) for seed in range(60)]
+    rng = random.Random(13)
+    h = hashlib.sha256()
+    count = flagged = 0
+    for base in bases:
+        for _ in range(50):
+            model = base
+            for _ in range(rng.randint(1, 3)):
+                model = _mutant(model, rng)
+            out = "\n".join(d.render() for d in validate_model(model))
+            count += 1
+            flagged += bool(out)
+            h.update(out.encode() + b"\0")
+    assert (count, flagged) == (3100, 2955)
+    assert h.hexdigest() == (
+        "ac798bc1a2a7c546583f9c0179b1979ddec514de06407b9008267040af85a7e1"
     )
