@@ -5,16 +5,7 @@ touch, one number per element class. It deliberately shares no code with
 the translation loops: agreement between the two is the evidence that the
 translation performs exactly one step per element.
 
-Counting conventions:
-
-* attribute ranges and cardinality bounds are consumed while translating
-  their attribute or set and add no steps of their own;
-* compulsory declarations count one step per listed mapping (a per-line
-  figure is carried alongside);
-* single-mapping uniqueness counts one step per declaration, concatenated
-  uniqueness one step per declaration;
-* formalized single-variable rules count as tuple checks, everything else
-  declared as "other" counts as nonrelational.
+The counting conventions are :data:`CONVENTIONS`, which every report carries.
 
 :func:`verify_translation` is the four-property audit built on the census.
 """
@@ -43,6 +34,35 @@ if TYPE_CHECKING:
     from .translator import TranslationResult
 
 
+# How the translator and the census count steps; every report carries these lines.
+CONVENTIONS = (
+    "one step per object set, role, structural function, and attribute",
+    "ranges and cardinality bounds are consumed by their owning step",
+    "compulsory declarations count one step per listed mapping",
+    "single-mapping uniqueness counts per declaration; concatenations count per declaration",
+    "formalized single-variable rules are tuple checks; the rest are nonrelational",
+    "enrichment additions are recorded as actions, not steps",
+)
+
+# Every element class the census counts, in report order: the ``Tallies``
+# field, the step kind the translator logs for it, and the group total it
+# adds to. The translator names its steps by these classes.
+ELEMENT_CLASSES: dict[str, tuple[str, str]] = {
+    "entity_sets": ("entity-set", "sets_total"),
+    "relationship_sets": ("relationship-set", "sets_total"),
+    "computed_sets": ("computed-set", "sets_total"),
+    "roles": ("role", "mappings_total"),
+    "structural_functions": ("structural-function", "mappings_total"),
+    "attributes": ("attribute", "mappings_total"),
+    "nonrelational": ("nonrelational", "constraints_total"),
+    "inclusions": ("inclusion", "constraints_total"),
+    "compulsory_members": ("compulsory", "constraints_total"),
+    "unique_singletons": ("unique-singleton", "constraints_total"),
+    "concatenated_keys": ("concatenated-key", "constraints_total"),
+    "tuple_checks": ("tuple-check", "constraints_total"),
+}
+
+
 @dataclass(frozen=True)
 class Tallies:
     entity_sets: int = 0
@@ -60,89 +80,49 @@ class Tallies:
     compulsory_lines: int = 0  # alternative per-declaration reading, not in totals
 
     @property
-    def sets_total(self) -> int:
-        return self.entity_sets + self.relationship_sets + self.computed_sets
-
-    @property
-    def mappings_total(self) -> int:
-        return self.roles + self.structural_functions + self.attributes
-
-    @property
-    def constraints_total(self) -> int:
-        return (
-            self.nonrelational
-            + self.inclusions
-            + self.compulsory_members
-            + self.unique_singletons
-            + self.concatenated_keys
-            + self.tuple_checks
-        )
-
-    @property
     def total(self) -> int:
-        return self.sets_total + self.mappings_total + self.constraints_total
+        return sum(getattr(self, name) for name in ELEMENT_CLASSES)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            **asdict(self),
-            "sets_total": self.sets_total,
-            "mappings_total": self.mappings_total,
-            "constraints_total": self.constraints_total,
-            "total": self.total,
-        }
+        """The fields, then each group total, then the total."""
+        counts = asdict(self)
+        groups: dict[str, int] = {}
+        for name, (_, group) in ELEMENT_CLASSES.items():
+            groups[group] = groups.get(group, 0) + counts[name]
+        return {**counts, **groups, "total": sum(groups.values())}
+
+
+_SET_CLASSES = {
+    ENTITY: "entity_sets", RELATIONSHIP: "relationship_sets", COMPUTED: "computed_sets",
+}
 
 
 def census(model: ERModel) -> Tallies:
     """Count every translatable element of *model*."""
-    entity_sets = relationship_sets = computed_sets = 0
-    roles = functions = attributes = inclusions = 0
+    counts = dict.fromkeys(ELEMENT_CLASSES, 0)
+    counts["compulsory_lines"] = 0
     for s in model.object_sets():
-        if s.kind == ENTITY:
-            entity_sets += 1
-        elif s.kind == RELATIONSHIP:
-            relationship_sets += 1
-        elif s.kind == COMPUTED:
-            computed_sets += 1
-        roles += len(s.roles)
-        functions += len(s.structural_functions)
-        attributes += len(s.attributes)
-        inclusions += len(s.included_in)
+        counts[_SET_CLASSES[s.kind]] += 1
+        counts["roles"] += len(s.roles)
+        counts["structural_functions"] += len(s.structural_functions)
+        counts["attributes"] += len(s.attributes)
+        counts["inclusions"] += len(s.included_in)
 
-    nonrelational = compulsory_members = compulsory_lines = 0
-    unique_singletons = concatenated_keys = tuple_checks = 0
     for r in model.restrictions:
         body = r.body
         if isinstance(body, InclusionBody):
-            inclusions += 1
+            counts["inclusions"] += 1
         elif isinstance(body, CompulsoryBody):
-            compulsory_lines += 1
-            compulsory_members += len(body.mappings)
+            counts["compulsory_lines"] += 1
+            counts["compulsory_members"] += len(body.mappings)
         elif isinstance(body, UniquenessBody):
-            if body.is_singleton:
-                unique_singletons += 1
-            else:
-                concatenated_keys += 1
+            counts["unique_singletons" if body.is_singleton else "concatenated_keys"] += 1
         elif isinstance(body, OtherBody):
             if body.formal is not None and quantifier_count(body.formal) == 1:
-                tuple_checks += 1
+                counts["tuple_checks"] += 1
             else:
-                nonrelational += 1
-
-    return Tallies(
-        entity_sets=entity_sets,
-        relationship_sets=relationship_sets,
-        computed_sets=computed_sets,
-        roles=roles,
-        structural_functions=functions,
-        attributes=attributes,
-        nonrelational=nonrelational,
-        inclusions=inclusions,
-        compulsory_members=compulsory_members,
-        unique_singletons=unique_singletons,
-        concatenated_keys=concatenated_keys,
-        tuple_checks=tuple_checks,
-        compulsory_lines=compulsory_lines,
-    )
+                counts["nonrelational"] += 1
+    return Tallies(**counts)
 
 
 def verify_translation(result: TranslationResult) -> dict[str, list[str]]:

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import sys
 from pathlib import Path
 
 from .census import verify_translation
 from .diagnostics import ParseFailure
-from .emitter import emit_structured, emit_text, encode_report
+from .emitter import StructuredFormatError, emit_structured, emit_text, encode_report, read_json
 from .enrichment import Question
 from .generator import random_model
 from .model import ERModel, validate_model
@@ -104,13 +103,13 @@ def _read_input(path: str) -> str:
 def _read_answers(path: str) -> dict:
     """The scripted answers: an object of objects, one per question subject."""
     try:
-        answers = json.loads(Path(path).read_text(encoding="utf-8"))
+        answers = read_json(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         reason = exc.strerror or str(exc)
     except UnicodeDecodeError as exc:
         reason = f"not UTF-8 text ({exc.reason})"
-    except json.JSONDecodeError as exc:
-        reason = f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+    except StructuredFormatError as exc:
+        reason = exc.reason
     else:
         if not isinstance(answers, dict):
             reason = "the document must be an object"

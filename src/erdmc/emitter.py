@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 from .diagnostics import ERROR, Diagnostic, ParseFailure
 from .formula import Formula, format_formula, parse_formula
-from .lexer import GLYPH_OF, PLAIN, quote_string
+from .lexer import GLYPH_OF, MAX_DIGITS, PLAIN, quote_string
 from .model import (
     AsciiRange,
     Bound,
@@ -66,6 +66,7 @@ class StructuredFormatError(Exception):
 
     def __init__(self, message: str, path: str = "$"):
         self.path = path
+        self.reason = message
         super().__init__(f"{path}: {message}")
 
 
@@ -301,16 +302,28 @@ def _constraint(c: Constraint) -> str:
     return f"{{\n      {fields}\n    }}"
 
 
-def load_structured(text: str) -> EMDMScheme:
-    """Parse a structured document; unknown top-level fields are ignored."""
+def read_json(text: str) -> Any:
+    """*text* as JSON; a StructuredFormatError at ``$`` says why it cannot be read."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise StructuredFormatError(
             f"not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    doc = _record(doc, "document", "$")
-    version = doc.get("version")
+    except ValueError as exc:  # int() refuses a longer number
+        raise StructuredFormatError(
+            f"not readable JSON: an integer longer than {MAX_DIGITS} digits"
+        ) from exc
+    except RecursionError as exc:
+        raise StructuredFormatError(
+            "not readable JSON: arrays or objects nested too deeply"
+        ) from exc
+
+
+def load_structured(text: str) -> EMDMScheme:
+    """Parse a structured document; unknown top-level fields are ignored."""
+    doc = _record(read_json(text), "document", "$")
+    version = _field(doc, "version", "an integer", "$")
     if version != STRUCTURED_VERSION:
         raise StructuredFormatError(
             f"unknown version {version!r}; this reader understands {STRUCTURED_VERSION}",

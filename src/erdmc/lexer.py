@@ -44,6 +44,10 @@ _GLYPHS = {
 GLYPH_OF = {surface: glyph for glyph, (_, surface) in _GLYPHS.items()}
 PLAIN = {surface: surface for surface in GLYPH_OF}
 
+# The most digits an integer may have, written out or as 10^n: int() and
+# str() refuse longer decimals, and computing 10^n for a long n takes seconds.
+MAX_DIGITS = 4300
+
 # One alternative per token kind, each named after the kind it yields. Their
 # first characters are disjoint, so at most one can start at any position;
 # "error" takes any other character, an unclosed quote included.
@@ -110,7 +114,14 @@ def tokenize(text: str) -> list[Token]:
             raise ParseFailure([parse_error(text, start, "unterminated string literal"
                                             if ch == '"' else f"unexpected character {ch!r}")])
         else:
-            append(Token(kind, m.group(), start))
+            value = m.group()
+            if len(value) > MAX_DIGITS and kind in (INT, DATE) and (
+                max(map(len, value.split("/"))) > MAX_DIGITS
+            ):
+                raise ParseFailure([parse_error(
+                    text, start, f"integer longer than {MAX_DIGITS} digits",
+                )])
+            append(Token(kind, value, start))
     append(Token(EOF, "", len(text)))
     return tokens
 

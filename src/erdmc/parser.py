@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .diagnostics import ParseError, ParseFailure
 from .formula import parse_formula_tokens
-from .lexer import DATE, EOF, INT, NAME, OP, STRING, TokenStream, parse_error
+from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, OP, STRING, Token, TokenStream, parse_error
 from .model import (
     AsciiRange,
     Attribute,
@@ -177,9 +177,17 @@ def _parse_cardinality(stream: TokenStream) -> tuple[int, int | None]:
         exp_tok = stream.expect(INT, label="exponent")
         if base != 10:
             raise stream.error("cardinality powers must use base 10", at=exp_tok)
-        exponent = int(exp_tok.value)
+        exponent = _exponent(stream, exp_tok)
         return 10 ** exponent, exponent
     return base, None
+
+
+def _exponent(stream: TokenStream, exp_tok: Token) -> int:
+    """The n of ``10^n``, at most MAX_DIGITS - 1 so that 10^n has at most MAX_DIGITS digits."""
+    exponent = int(exp_tok.value)
+    if exponent >= MAX_DIGITS:
+        raise stream.error(f"integer longer than {MAX_DIGITS} digits", at=exp_tok)
+    return exponent
 
 
 def _parse_computed(stream: TokenStream) -> str | None:
@@ -244,7 +252,7 @@ def _parse_bound(stream: TokenStream) -> Bound:
             exp_tok = stream.expect(INT, label="exponent")
             if int(tok.value) != 10:
                 raise stream.error("power bounds must use base 10", at=exp_tok)
-            return Pow10Bound(int(exp_tok.value))
+            return Pow10Bound(_exponent(stream, exp_tok))
         return IntBound(int(tok.value))
     if tok := stream.accept(NAME):
         stream.expect(OP, "(")

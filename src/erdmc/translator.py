@@ -9,10 +9,11 @@ log can be audited against the independent census.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping as MappingType
 
-from .census import Tallies
+from .census import CONVENTIONS, ELEMENT_CLASSES, Tallies
 from .diagnostics import ERROR, WARNING, Diagnostic
 from .enrichment import (
     EnrichmentAction,
@@ -27,7 +28,6 @@ from .formula import Formula, parse_formula, quantifier_count, quantifier_domain
 from .model import (
     COMPUTED,
     RELATIONSHIP,
-    Attribute,
     CompulsoryBody,
     ERModel,
     NatRange,
@@ -63,44 +63,6 @@ from .scheme import (
     ref_set,
     resolve_formula,
 )
-
-STEP_ENTITY_SET = "entity-set"
-STEP_RELATIONSHIP_SET = "relationship-set"
-STEP_COMPUTED_SET = "computed-set"
-STEP_ROLE = "role"
-STEP_STRUCTURAL_FUNCTION = "structural-function"
-STEP_ATTRIBUTE = "attribute"
-STEP_NONRELATIONAL = "nonrelational"
-STEP_INCLUSION = "inclusion"
-STEP_COMPULSORY = "compulsory"
-STEP_UNIQUE = "unique-singleton"
-STEP_KEY = "concatenated-key"
-STEP_TUPLE = "tuple-check"
-
-_STEP_TO_TALLY = {
-    STEP_ENTITY_SET: "entity_sets",
-    STEP_RELATIONSHIP_SET: "relationship_sets",
-    STEP_COMPUTED_SET: "computed_sets",
-    STEP_ROLE: "roles",
-    STEP_STRUCTURAL_FUNCTION: "structural_functions",
-    STEP_ATTRIBUTE: "attributes",
-    STEP_NONRELATIONAL: "nonrelational",
-    STEP_INCLUSION: "inclusions",
-    STEP_COMPULSORY: "compulsory_members",
-    STEP_UNIQUE: "unique_singletons",
-    STEP_KEY: "concatenated_keys",
-    STEP_TUPLE: "tuple_checks",
-}
-
-CONVENTIONS = (
-    "one step per object set, role, structural function, and attribute",
-    "ranges and cardinality bounds are consumed by their owning step",
-    "compulsory declarations count one step per listed mapping",
-    "single-mapping uniqueness counts per declaration; concatenations count per declaration",
-    "formalized single-variable rules are tuple checks; the rest are nonrelational",
-    "enrichment additions are recorded as actions, not steps",
-)
-
 
 @dataclass
 class Step:
@@ -155,9 +117,8 @@ class TranslationResult:
 
 
 def tallies_from_steps(steps: list[Step], compulsory_lines: int = 0) -> Tallies:
-    counts = {name: 0 for name in _STEP_TO_TALLY.values()}
-    for step in steps:
-        counts[_STEP_TO_TALLY[step.kind]] += 1
+    logged = Counter(step.kind for step in steps)
+    counts = {name: logged[kind] for name, (kind, _) in ELEMENT_CLASSES.items()}
     return Tallies(compulsory_lines=compulsory_lines, **counts)
 
 
@@ -216,7 +177,7 @@ def _reference_order(sets: list[ObjectSet], diagnostics: list[Diagnostic]) -> li
             continue
         i = heapq.heappop(ready)
         order.append(i)
-        for j in sorted(dependents[i]):
+        for j in dependents[i]:
             if j in remaining:
                 depends[j].discard(i)
                 if not depends[j]:
@@ -247,10 +208,10 @@ class Translator:
 
     # -- plumbing --
 
-    def _step(self, kind: str, source: str, produced: str) -> None:
-        """Record one step and the provenance of what it produced."""
+    def _step(self, element_class: str, source: str, produced: str) -> None:
+        """Record one step of *element_class* and the provenance of what it produced."""
         self.scheme.record(produced, source)
-        self.report.steps.append(Step(kind, source, produced))
+        self.report.steps.append(Step(ELEMENT_CLASSES[element_class][0], source, produced))
 
     def _diag(self, severity: str, code: str, message: str, element: str = "") -> None:
         self.report.diagnostics.append(Diagnostic(severity, code, message, element))
@@ -276,19 +237,9 @@ class Translator:
         global_order = _reference_order(self.model.object_sets(), self.report.diagnostics)
         rank = {s.name: i for i, s in enumerate(global_order)}
         for d in self.model.diagrams:
-            rectangles = sorted(
-                (s for s in d.sets if s.kind != RELATIONSHIP), key=lambda s: rank[s.name]
-            )
-            for s in rectangles:
-                if s.kind == COMPUTED:
-                    self.add_computed_set(s)
-                else:
-                    self.add_set(s)
-            diamonds = sorted(
-                (s for s in d.sets if s.kind == RELATIONSHIP), key=lambda s: rank[s.name]
-            )
-            for s in diamonds:
-                self.add_relationship(s)
+            # Rectangles first, then diamonds, each in reference order.
+            for s in sorted(d.sets, key=lambda s: (s.kind == RELATIONSHIP, rank[s.name])):
+                self._add_set(s)
 
         self._translate_nonrelational()
         self._enrich()
@@ -302,66 +253,49 @@ class Translator:
 
     # -- sets --
 
-    def add_computed_set(self, s: ObjectSet) -> None:
-        self.scheme.add_set(EMDMSet(
-            name=s.name, kind=sch.COMPUTED, computed_definition=s.computed_definition,
-        ))
-        self._step(STEP_COMPUTED_SET, src_set(s.name), ref_set(s.name))
-
-    def add_set(self, s: ObjectSet) -> None:
-        """Add a rectangle: set, identifier, inclusions, then its members.
+    def _add_set(self, s: ObjectSet) -> None:
+        """Add *s*: the set, its identifier, inclusions, roles, structural
+        functions and attributes, then the restrictions on it.
 
         Precondition: the model passes validate_model after the input
-        defaults, and *s* has not been added yet.
+        defaults, and *s* has not been added yet. So a computed set brings
+        only its definition, only a relationship has roles, and every
+        mapping a restriction names exists on the set.
         """
-        self.complete_scheme(s, self._add_set_core(s, sch.ENTITY_DERIVED, STEP_ENTITY_SET))
-
-    def add_relationship(self, s: ObjectSet) -> None:
-        """Add a diamond: set, identifier, inclusions, roles, then members.
-
-        Precondition: the model passes validate_model after the input
-        defaults, and *s* has not been added yet.
-        """
-        target = self._add_set_core(s, sch.RELATIONSHIP_DERIVED, STEP_RELATIONSHIP_SET)
-        signature = []
-        for role in s.roles:
-            mapping = Mapping(
-                name=role.name, source=s.name, codomain=role.target,
-                flavor=sch.ROLE, total=False, one_to_one=role.declared_unique,
-            )
-            target.mappings.append(mapping)
-            signature.append((role.name, role.target))
-            self._step(STEP_ROLE, src_role(s.name, role.name), ref_mapping(s.name, role.name))
-        target.role_signature = tuple(signature)
-        self.complete_scheme(s, target)
-
-    def _add_set_core(self, s: ObjectSet, kind: str, step_kind: str) -> EMDMSet:
-        max_card, card_source = effective_cardinality(self.model, s)
-        identifier = Mapping(
-            name=OBJECT_IDENTIFIER, source=s.name,
-            codomain=NatRange(surrogate_digits(max_card)),
-            flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
+        if s.kind == COMPUTED:
+            kind, element_class = sch.COMPUTED, "computed_sets"
+        elif s.kind == RELATIONSHIP:
+            kind, element_class = sch.RELATIONSHIP_DERIVED, "relationship_sets"
+        else:
+            kind, element_class = sch.ENTITY_DERIVED, "entity_sets"
+        target = EMDMSet(
+            name=s.name, kind=kind,
+            role_signature=tuple((role.name, role.target) for role in s.roles),
         )
-        created = EMDMSet(name=s.name, kind=kind, object_identifier=identifier)
-        self.scheme.add_set(created)
-        self._step(step_kind, src_set(s.name), ref_set(s.name))
-        self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
+        self.scheme.add_set(target)
+        self._step(element_class, src_set(s.name), ref_set(s.name))
+        if s.kind == COMPUTED:
+            target.computed_definition = s.computed_definition
+        else:
+            max_card, card_source = effective_cardinality(self.model, s)
+            target.object_identifier = Mapping(
+                name=OBJECT_IDENTIFIER, source=s.name,
+                codomain=NatRange(surrogate_digits(max_card)),
+                flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
+            )
+            self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
 
         for superset, source, label in effective_inclusions(self.model, s):
             constraint = InclusionConstraint(subset=s.name, superset=superset, label=label)
             self.scheme.constraints.append(constraint)
-            self._step(STEP_INCLUSION, source, ref_constraint(constraint))
-        return created
+            self._step("inclusions", source, ref_constraint(constraint))
 
-    # -- members and per-set restrictions --
-
-    def complete_scheme(self, s: ObjectSet, target: EMDMSet) -> None:
-        """Add the members of *s* and the restrictions on it to *target*.
-
-        Precondition: the model passes validate_model after the input
-        defaults, so every mapping a restriction names exists on *target*.
-        """
-        restrictions = self.model.restrictions_on(s.name)
+        for role in s.roles:
+            target.mappings.append(Mapping(
+                name=role.name, source=s.name, codomain=role.target,
+                flavor=sch.ROLE, total=False, one_to_one=role.declared_unique,
+            ))
+            self._step("roles", src_role(s.name, role.name), ref_mapping(s.name, role.name))
 
         for fn in s.structural_functions:
             mapping = Mapping(
@@ -370,12 +304,23 @@ class Translator:
                 computed_definition=fn.computed_definition,
             )
             target.mappings.append(mapping)
-            self._step(STEP_STRUCTURAL_FUNCTION, src_function(s.name, fn.name),
+            self._step("structural_functions", src_function(s.name, fn.name),
                        ref_mapping(s.name, fn.name))
 
         for attr in s.attributes:
-            self._add_attribute(s, target, attr)
+            rng, rng_source = effective_range(self.model, s, attr)  # a computed one has none
+            mapping = Mapping(
+                name=attr.name, source=s.name, codomain=rng, flavor=sch.ATTRIBUTE,
+                computed_definition=attr.computed_definition,
+            )
+            if rng_source is not None and rng_source.startswith("restriction:"):
+                mapping.source_labels["codomain"] = rng_source.split(":", 1)[1]
+                self.scheme.record(ref_mapping(s.name, attr.name, "codomain"), rng_source)
+            target.mappings.append(mapping)
+            self._step("attributes", src_attribute(s.name, attr.name),
+                       ref_mapping(s.name, attr.name))
 
+        restrictions = self.model.restrictions_on(s.name)
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and r.body.is_singleton:
                 name = r.body.mappings[0]
@@ -383,7 +328,7 @@ class Translator:
                 mapping.one_to_one = True
                 mapping.source_labels["unique"] = r.label
                 facet = ref_mapping(s.name, name, f"unique:{r.label}")
-                self._step(STEP_UNIQUE, src_restriction(r.label), facet)
+                self._step("unique_singletons", src_restriction(r.label), facet)
 
         for r in restrictions:
             if isinstance(r.body, CompulsoryBody):
@@ -392,14 +337,14 @@ class Translator:
                     mapping.total = True
                     mapping.source_labels["total"] = r.label
                     facet = ref_mapping(s.name, name, f"total:{r.label}")
-                    self._step(STEP_COMPULSORY, src_restriction(r.label, name), facet)
+                    self._step("compulsory_members", src_restriction(r.label, name), facet)
 
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and not r.body.is_singleton:
                 key = Key(label=r.label, mappings=tuple(r.body.mappings))
                 key.implicit = is_implicit_key(key, target)
                 target.keys.append(key)
-                self._step(STEP_KEY, src_restriction(r.label), ref_key(s.name, r.label))
+                self._step("concatenated_keys", src_restriction(r.label), ref_key(s.name, r.label))
                 if key.implicit:
                     self.report.implicit_keys.append(ImplicitKeyNote(
                         s.name, r.label, key.mappings, "declared-absorbed",
@@ -410,37 +355,18 @@ class Translator:
                 if quantifier_count(r.body.formal) == 1:
                     self._add_constraint(
                         TupleConstraint(label=r.label, set_name=s.name, formula=r.body.formal),
-                        STEP_TUPLE, src_restriction(r.label),
+                        "tuple_checks", src_restriction(r.label),
                     )
 
-    def _add_attribute(self, s: ObjectSet, target: EMDMSet, attr: Attribute) -> None:
-        source = src_attribute(s.name, attr.name)
-        if attr.is_computed:
-            mapping = Mapping(
-                name=attr.name, source=s.name, codomain=None,
-                flavor=sch.ATTRIBUTE, computed_definition=attr.computed_definition,
-            )
-        else:
-            rng, rng_source = effective_range(self.model, s, attr)
-            mapping = Mapping(
-                name=attr.name, source=s.name, codomain=rng, flavor=sch.ATTRIBUTE,
-            )
-            if rng_source is not None and rng_source.startswith("restriction:"):
-                label = rng_source.split(":", 1)[1]
-                mapping.source_labels["codomain"] = label
-                self.scheme.record(ref_mapping(s.name, attr.name, "codomain"), rng_source)
-        target.mappings.append(mapping)
-        self._step(STEP_ATTRIBUTE, source, ref_mapping(s.name, attr.name))
-
     def _add_constraint(
-        self, constraint: TupleConstraint | NonrelationalConstraint, step_kind: str, source: str
+        self, constraint: TupleConstraint | NonrelationalConstraint, element_class: str, source: str
     ) -> None:
         label = constraint.label
         if constraint.formula is not None:
             for problem in resolve_formula(self.scheme, constraint.formula):
                 self._diag(ERROR, "formula-resolution", f"{label}: {problem}", label)
         self.scheme.constraints.append(constraint)
-        self._step(step_kind, source, ref_constraint(constraint))
+        self._step(element_class, source, ref_constraint(constraint))
 
     # -- trailing nonrelational pass --
 
@@ -464,7 +390,7 @@ class Translator:
                 constraint = NonrelationalConstraint(
                     label=r.label, formula=formula, informal=r.body.informal,
                 )
-            self._add_constraint(constraint, STEP_NONRELATIONAL, source)
+            self._add_constraint(constraint, "nonrelational", source)
 
     def _formalize(self, r: Restriction) -> Formula | None:
         answer = self.log.ask(

@@ -1,14 +1,25 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from erdmc import cli
 from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
 from erdmc.formula import MAX_FORMULA_DEPTH
+from erdmc.generator import random_model
+from erdmc.lexer import tokenize
+from erdmc.model import validate_model
+from erdmc.parser import parse_model
+from test_model import VALIDATE_CASES
+from test_parser import PARSE_CASES
+from test_pinned_outputs import _write_model
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
 
@@ -373,6 +384,39 @@ def test_validate_empty_file(tmp_path, capsys):
     assert "0 errors" in capsys.readouterr().out
 
 
+MODEL_PARSE_CASES = [case for case in PARSE_CASES if case[1] is parse_model]
+
+
+@pytest.mark.parametrize("command", ["validate", "translate"])
+@pytest.mark.parametrize("source, rendered", [case[2:] for case in MODEL_PARSE_CASES],
+                         ids=[case[0] for case in MODEL_PARSE_CASES])
+def test_each_parse_case_exits_2_with_its_lines(tmp_path, capsys, command, source, rendered):
+    path = tmp_path / "m.erdm"
+    path.write_bytes(source.encode("utf-8"))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == rendered
+
+
+DSL_VALIDATE_CASES = [case for case in VALIDATE_CASES if isinstance(case[2], str)]
+
+
+@pytest.mark.parametrize("code, element, source", DSL_VALIDATE_CASES,
+                         ids=[f"{code}@{element}" for code, element, _ in DSL_VALIDATE_CASES])
+def test_validate_prints_the_one_diagnostic_of_each_case(tmp_path, capsys, code, element, source):
+    path = tmp_path / "m.erdm"
+    path.write_bytes(source.encode("utf-8"))
+    [diagnostic] = validate_model(parse_model(source))
+    errors = int(code != "relationship-single-role")  # the one code that only warns
+    assert main(["validate", str(path)]) == errors
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [diagnostic.render()]
+    assert captured.err.startswith(f"{diagnostic.severity}: {code}: ")
+    assert captured.err.endswith(f" [{element}]\n")
+    assert captured.out == f"{errors} errors\n"
+
+
 def test_check_golden_fixture_passes_all_four(capsys):
     assert main(["check", FIXTURE]) == 0
     out = capsys.readouterr().out
@@ -438,6 +482,9 @@ def test_translate_bad_answers_files_exit_2(tmp_path, capsys):
                 "Expecting property name enclosed in double quotes",
         '["R03"]': "the document must be an object",
         '{"R03": "(forall x in A)(a(x) <> 1)"}': "the entry for 'R03' must be an object",
+        '{"R03": {"formalization": ' + "9" * 5000 + "}}":
+            "not readable JSON: an integer longer than 4300 digits",
+        "[" * 100_000: "not readable JSON: arrays or objects nested too deeply",
     }
     for text, reason in cases.items():
         answers = tmp_path / "answers.json"
@@ -455,3 +502,56 @@ def test_translate_unwritable_outputs_exit_2(tmp_path, capsys):
         assert main(["translate", FIXTURE, flag, str(target)]) == 2, flag
         last = capsys.readouterr().err.splitlines()[-1]
         assert last == f"cannot write output: {target}: No such file or directory", flag
+
+
+# --- any edit of a model ends in an exit code, never a traceback ---
+
+# DSL words and punctuation, and integers at and past the most digits allowed.
+_FUZZ_TOKENS = [
+    "diagram", "entity", "relationship", "computed", "restriction", "on", "attr", "role", "fn",
+    "card", "subset_of", "range", "compulsory", "unique", "other", "formal", "informal",
+    "description", "forall", "in", "ascii", "nat", "{", "}", "(", ")", "[", "]", ",", ":",
+    "->", "<->", "=", "<>", "^", "-", ".", "&", "|", "!", "x", "A", "R1", '"t"', "0", "10",
+    "01/01/2000", "SysDate()",
+    "9" * 4300, "9" * 4301, "10^4299", "10^4300", "10^3000000", "10^" + "9" * 4301,
+    "1/1/" + "9" * 4301,
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_sources() -> tuple[str, ...]:
+    fixtures = Path(__file__).parent / "fixtures"
+    write_model = _write_model()
+    return tuple([(fixtures / name).read_text(encoding="utf-8")
+                  for name in ("teaching.erdm", "every_codomain.erdm")]
+                 + [write_model(random_model(seed)) for seed in range(20)])
+
+
+@st.composite
+def _edited_models(draw) -> str:
+    """A model text with one to three of its tokens inserted before, deleted or replaced."""
+    text = draw(st.sampled_from(_fuzz_sources()))
+    starts = [t.offset for t in tokenize(text)]  # the last is the end of the text
+    at = draw(st.lists(st.integers(0, len(starts) - 2), min_size=1, max_size=3, unique=True))
+    for i in sorted(at, reverse=True):  # from the end, so earlier offsets stay put
+        start, end = starts[i], starts[i + 1]  # a token and the blanks after it
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        token = "" if edit == "delete" else draw(st.sampled_from(_FUZZ_TOKENS)) + " "
+        text = text[:start] + token + text[start if edit == "insert" else end:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edited_models())
+def test_an_edited_model_ends_in_an_exit_code(tmp_path_factory, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "m.erdm"
+    path.write_bytes(text.encode("utf-8"))
+    commands = [
+        ["translate", str(path), "--structured", str(work / "s.json"),
+         "--report", str(work / "r.json")],
+        ["check", str(path)],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2), argv

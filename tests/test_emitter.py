@@ -433,6 +433,13 @@ READER_CASES = [
     ("document-not-object", "[]", "$: document must be an object"),
     ("unknown-version", (("version",), 2),
      "$.version: unknown version 2; this reader understands 1"),
+    ("version-true", (("version",), True), "$.version: version must be an integer"),
+    ("version-float", (("version",), 1.0), "$.version: version must be an integer"),
+    ("missing-version", (("version",), _DELETE), "$.version: version is missing"),
+    ("integer-too-long", '{"version": 1, "sets": [' + "9" * 4301 + "]}",
+     "$: not readable JSON: an integer longer than 4300 digits"),
+    ("nested-too-deeply", "[" * 100_000,
+     "$: not readable JSON: arrays or objects nested too deeply"),
     ("sets-not-array", (("sets",), {}), "$.sets: sets must be an array"),
     ("constraints-not-array", (("constraints",), "R06"),
      "$.constraints: constraints must be an array"),

@@ -177,9 +177,9 @@ def test_other_restriction_needs_informal_or_formal():
     assert any(e.code == "empty-restriction" for e in validation_errors(model))
 
 
-def _dsl(sets: str = "", restrictions: str = "") -> ERModel:
-    """Sets A (members a, b) and B (member b) in one diagram with *sets* added."""
-    return parse_model(
+def _dsl(sets: str = "", restrictions: str = "") -> str:
+    """Source of sets A (members a, b) and B (member b) in one diagram with *sets* added."""
+    return (
         f"diagram D {{ entity A {{ attr a attr b }} entity B {{ attr b }} {sets} }}\n"
         + restrictions
     )
@@ -188,8 +188,8 @@ def _dsl(sets: str = "", restrictions: str = "") -> ERModel:
 _A, _B, _C = (ObjectSet(name=name, kind="entity") for name in "ABC")
 
 # One model for each validate_model code, with the element its diagnostic
-# names; each model draws that diagnostic and no other. A model the DSL
-# cannot write is built directly.
+# names; each model draws that diagnostic and no other. A model is its DSL
+# source text, or built directly where the DSL cannot write it.
 VALIDATE_CASES = [
     ("duplicate-set-name", "A", _dsl("entity A { }")),
     ("duplicate-label", "R1",
@@ -247,6 +247,8 @@ VALIDATE_CASES = [
 @pytest.mark.parametrize("code, element, model", VALIDATE_CASES,
                          ids=[f"{code}@{element}" for code, element, _ in VALIDATE_CASES])
 def test_validate_model_names_the_element_of_each_code(code, element, model):
+    if isinstance(model, str):
+        model = parse_model(model)
     assert [(d.code, d.element) for d in validate_model(model)] == [(code, element)]
 
 

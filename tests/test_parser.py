@@ -149,6 +149,7 @@ def test_role_unique_flag_and_computed_members():
 # --- rendered parse errors ---
 
 D = "diagram D { entity A { attr a } entity B { attr b } }\n"
+LONG = "9" * 4301  # one digit more than an integer may have
 
 # Each case: a name, the parser, a source text and its rendered errors.
 PARSE_CASES = [
@@ -234,6 +235,24 @@ PARSE_CASES = [
      ["2:52: unbound variable 'y'"]),
     ("trailing-input", parse_formula, "(forall x in A)(x = x) x",
      ["1:24: trailing input after formula: 'x'"]),
+    # the lexer refuses a digit run longer than an integer may be, wherever it stands
+    ("long-cardinality", parse_model, f"diagram D {{ entity A card {LONG} {{ }} }}",
+     ["1:27: integer longer than 4300 digits"]),
+    ("long-negative-bound", parse_model, f"diagram D {{ entity A {{ attr a : [-{LONG}, 1] }} }}",
+     ["1:35: integer longer than 4300 digits"]),
+    ("long-ascii-length", parse_model, f"diagram D {{ entity A {{ attr a : ascii({LONG}) }} }}",
+     ["1:39: integer longer than 4300 digits"]),
+    ("long-formula-term", parse_model,
+     D + f"restriction R1 on A other formal (forall x in A)(a(x) = {LONG})",
+     ["2:57: integer longer than 4300 digits"]),
+    ("long-date-year", parse_model,
+     f"diagram D {{ entity A {{ attr a : [1/1/2000, 1/1/{LONG}] }} }}",
+     ["1:44: integer longer than 4300 digits"]),
+    # and the parser refuses a power of ten with more digits
+    ("long-cardinality-power", parse_model, D + "restriction R1 on A card 10^4300",
+     ["2:29: integer longer than 4300 digits"]),
+    ("long-bound-power", parse_model, "diagram D { entity A { attr a : [1, 10^4300] } }",
+     ["1:40: integer longer than 4300 digits"]),
 ]
 
 
@@ -243,6 +262,17 @@ def test_parse_errors_render_their_position_message_and_expectation(parse, sourc
     with pytest.raises(ParseFailure) as info:
         parse(source)
     assert [e.render() for e in info.value.errors] == rendered
+
+
+def test_integers_of_the_most_digits_parse():
+    most = "9" * 4300
+    model = parse_model(
+        f"diagram D {{ entity A card {most} {{ attr a : [-{most}, 10^4299] }} }}\n"
+        f"restriction R1 on A other formal (forall x in A)(a(x) = {most})\n"
+    )
+    a = model.set("A")
+    assert a.max_cardinality == int(most)
+    assert a.attributes[0].range == Interval(IntBound(-int(most)), Pow10Bound(4299))
 
 
 def _literal_patterns(node: ast.AST):

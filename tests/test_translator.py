@@ -16,7 +16,6 @@ from erdmc.parser import parse_model
 from erdmc.scheme import RELATIONSHIP_DERIVED, check_scheme
 from erdmc.translator import (
     TranslationOptions,
-    Translator,
     surrogate_digits,
     translate,
 )
@@ -160,9 +159,7 @@ def test_identifier_digits_follow_cardinalities(teaching_model):
 
 
 def test_add_set_builds_identifier(teaching_model):
-    translator = Translator(teaching_model)
-    translator.add_set(teaching_model.set("STUDENTS"))
-    students = translator.scheme.set("STUDENTS")
+    students = translate(teaching_model).scheme.set("STUDENTS")
     ident = students.object_identifier
     assert ident.codomain == NatRange(5)
     assert ident.total and ident.one_to_one
