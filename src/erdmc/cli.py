@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="prompt for missing definitions, directions, and formulas")
     p_translate.add_argument("--unicode", action="store_true",
                              help="render with mathematical glyphs instead of ASCII")
-    p_translate.add_argument("--dbms-max-card", type=int, default=dbms_max,
+    p_translate.add_argument("--dbms-max-card", type=_cardinality, default=dbms_max,
                              help="maximum cardinality assumed when a set declares none")
     p_translate.set_defaults(handler=_cmd_translate)
 
@@ -86,9 +86,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--fuzz", type=int, metavar="N",
                          help="check N randomly generated models instead of a file")
     p_check.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
-    p_check.add_argument("--dbms-max-card", type=int, default=dbms_max)
+    p_check.add_argument("--dbms-max-card", type=_cardinality, default=dbms_max)
     p_check.set_defaults(handler=_cmd_check)
     return parser
+
+
+def _cardinality(text: str) -> int:
+    """A --dbms-max-card value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _read_input(path: str) -> str:
@@ -111,14 +122,23 @@ def _read_answers(path: str) -> dict:
     except StructuredFormatError as exc:
         reason = exc.reason
     else:
-        if not isinstance(answers, dict):
-            reason = "the document must be an object"
-        else:
-            bad = next((k for k, v in answers.items() if not isinstance(v, dict)), None)
-            if bad is None:
-                return answers
-            reason = f"the entry for {bad!r} must be an object"
+        reason = _answers_problem(answers)
+        if reason is None:
+            return answers
     raise _CommandError(f"cannot read answers: {path}: {reason}")
+
+
+def _answers_problem(answers: object) -> str | None:
+    """Why *answers* is not an object of objects of strings or nulls; None if it is."""
+    if not isinstance(answers, dict):
+        return "the document must be an object"
+    for subject, entry in answers.items():
+        if not isinstance(entry, dict):
+            return f"the entry for {subject!r} must be an object"
+        for kind, answer in entry.items():
+            if answer is not None and not isinstance(answer, str):
+                return f"the {kind!r} answer for {subject!r} must be a string or null"
+    return None
 
 
 def _write_output(path: str, text: str) -> None:
@@ -145,9 +165,7 @@ def _cmd_translate(args) -> int:
     model = parse_model(source)
     answers = _read_answers(args.answers) if args.answers else None
     if args.interactive and args.input == "-":
-        print("--interactive cannot read prompts while the model comes from stdin",
-              file=sys.stderr)
-        return EXIT_PARSE
+        raise _CommandError("--interactive cannot read prompts while the model comes from stdin")
     options = TranslationOptions(
         dbms_max_cardinality=args.dbms_max_card,
         answers=answers,
@@ -199,7 +217,6 @@ def _cmd_check(args) -> int:
             all_ok &= _check_one(model, options, heading=f"model {i}: ")
         return EXIT_OK if all_ok else EXIT_TRANSLATION
     if not args.input:
-        print("provide an input file or --fuzz N", file=sys.stderr)
-        return EXIT_PARSE
+        raise _CommandError("provide an input file or --fuzz N")
     model = parse_model(_read_input(args.input))
     return EXIT_OK if _check_one(model, options, heading="") else EXIT_TRANSLATION

@@ -97,6 +97,8 @@ class EnrichmentAction:
 
 
 Prompter = Callable[[Question], "str | None"]
+# Each question subject to its answers by kind; None stands for no answer.
+Answers = MappingType[str, MappingType[str, "str | None"]]
 
 
 @dataclass
@@ -108,7 +110,7 @@ class EnrichmentLog:
     The translator builds one over its report's own lists.
     """
 
-    answers: MappingType | None = None
+    answers: Answers | None = None
     prompter: Prompter | None = None
     actions: list[EnrichmentAction] = field(default_factory=list)
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -123,8 +125,8 @@ class EnrichmentLog:
         question = Question(subject, kind, prompt)
         scripted = self.answers.get(subject, {}).get(kind) if self.answers else None
         if scripted is not None:
-            self.pending.append(PendingQuestion(question, str(scripted), "answers"))
-            return str(scripted)
+            self.pending.append(PendingQuestion(question, scripted, "answers"))
+            return scripted
         answer = self.prompter(question) if self.prompter is not None else None
         if answer:
             self.pending.append(PendingQuestion(question, answer, "prompt"))
@@ -155,7 +157,7 @@ class InputDefaultsResult:
 def apply_input_defaults(
     model: ERModel,
     dbms_max_cardinality: int,
-    answers: MappingType | None = None,
+    answers: Answers | None = None,
     prompter: Prompter | None = None,
     *,
     log: EnrichmentLog | None = None,

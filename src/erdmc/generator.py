@@ -18,11 +18,21 @@ from .model import (
     OtherBody,
     RangeBody,
     Restriction,
+    RestrictionBody,
     Role,
     StructuralFunction,
     UniquenessBody,
     validation_errors,
 )
+
+
+def _attributes(count: int) -> tuple[Attribute, ...]:
+    return tuple(Attribute(f"a{j + 1}") for j in range(count))
+
+
+def _restrict(restrictions: list[Restriction], target: str, body: RestrictionBody) -> None:
+    """Append a restriction on *target* under the next label: R01, R02, ..."""
+    restrictions.append(Restriction(f"R{len(restrictions) + 1:02d}", target, body))
 
 
 def random_model(
@@ -36,78 +46,55 @@ def random_model(
 ) -> ERModel:
     """A random valid model; identical seeds yield identical models."""
     rng = random.Random(seed)
-    label_counter = [0]
-
-    def next_label() -> str:
-        label_counter[0] += 1
-        return f"R{label_counter[0]:02d}"
-
-    entities: list[ObjectSet] = []
     n_entities = rng.randint(1, max(1, max_entities))
-    for i in range(n_entities):
-        attributes = tuple(
-            Attribute(f"a{j + 1}") for j in range(rng.randint(0, max_attributes))
-        )
-        entities.append(ObjectSet(name=f"SET{i + 1}", kind="entity", attributes=attributes))
-
+    entity_names = [f"SET{i + 1}" for i in range(n_entities)]
+    entity_attributes = [_attributes(rng.randint(0, max_attributes)) for _ in entity_names]
     # occasional entity-to-entity inclusions, kept acyclic by indexing down
-    for i in range(1, len(entities)):
-        if rng.random() < 0.15:
-            superset = entities[rng.randrange(i)].name
-            entities[i] = ObjectSet(
-                name=entities[i].name, kind="entity",
-                attributes=entities[i].attributes, included_in=(superset,),
-            )
+    entity_supersets = [()] + [
+        (entity_names[rng.randrange(i)],) if rng.random() < 0.15 else ()
+        for i in range(1, n_entities)
+    ]
 
-    computed: list[ObjectSet] = []
-    for i in range(rng.randint(0, max_computed)):
-        computed.append(ObjectSet(
-            name=f"VIEW{i + 1}", kind="computed",
-            computed_definition=f"selection over SET{rng.randint(1, n_entities)}",
-        ))
+    computed = [
+        ObjectSet(name=f"VIEW{i + 1}", kind="computed",
+                  computed_definition=f"selection over SET{rng.randint(1, n_entities)}")
+        for i in range(rng.randint(0, max_computed))
+    ]
 
     relationships: list[ObjectSet] = []
-    available = [s.name for s in entities]
+    available = list(entity_names)
     for i in range(rng.randint(0, max_relationships)):
         n_roles = rng.randint(2, min(3, max(2, len(available))))
         targets = [rng.choice(available) for _ in range(n_roles)]
-        unique_roles = 0
-        roles = []
-        for j, target in enumerate(targets):
-            declared_unique = n_roles == 2 and rng.random() < 0.15
-            unique_roles += declared_unique
-            roles.append(Role(f"r{j + 1}", target, declared_unique))
-        attributes = tuple(
-            Attribute(f"a{j + 1}") for j in range(rng.randint(0, 2))
+        roles = tuple(
+            Role(f"r{j + 1}", target, n_roles == 2 and rng.random() < 0.15)
+            for j, target in enumerate(targets)
         )
-        if unique_roles and rng.random() < 0.5:
+        attributes = _attributes(rng.randint(0, 2))
+        if any(role.declared_unique for role in roles) and rng.random() < 0.5:
             attributes = ()  # attribute-free so the collapse rule can fire
-        rel = ObjectSet(
-            name=f"LINK{i + 1}", kind="relationship",
-            attributes=attributes, roles=tuple(roles),
+        name = f"LINK{i + 1}"
+        relationships.append(
+            ObjectSet(name=name, kind="relationship", attributes=attributes, roles=roles)
         )
-        relationships.append(rel)
-        available.append(rel.name)
+        available.append(name)
 
     # structural functions from entities into any other set
-    all_names = [s.name for s in entities + computed + relationships]
-    new_entities = []
-    for s in entities:
-        functions = []
-        for j in range(rng.randint(0, 2)):
-            target = rng.choice(all_names)
-            functions.append(StructuralFunction(f"f{j + 1}", target))
-        new_entities.append(
-            ObjectSet(
-                name=s.name, kind=s.kind, attributes=s.attributes,
-                structural_functions=tuple(functions), included_in=s.included_in,
-            )
+    all_names = entity_names + [s.name for s in computed + relationships]
+    entities = [
+        ObjectSet(
+            name=name, kind="entity", attributes=attributes,
+            structural_functions=tuple(
+                StructuralFunction(f"f{j + 1}", rng.choice(all_names))
+                for j in range(rng.randint(0, 2))
+            ),
+            included_in=supersets,
         )
-    entities = new_entities
+        for name, attributes, supersets in zip(entity_names, entity_attributes, entity_supersets)
+    ]
 
     sets = entities + computed + relationships
     rng.shuffle(sets)
-    by_name = {s.name: s for s in sets}
 
     restrictions: list[Restriction] = []
 
@@ -118,10 +105,7 @@ def random_model(
         if s.kind == "computed":
             continue
         if rng.random() < 0.8 and room_for_more():
-            restrictions.append(Restriction(
-                next_label(), s.name,
-                CardinalityBody(10 ** rng.randint(1, 6), None),
-            ))
+            _restrict(restrictions, s.name, CardinalityBody(10 ** rng.randint(1, 6), None))
         for a in s.attributes:
             if rng.random() < 0.6 and room_for_more():
                 lo = rng.randint(0, 50)
@@ -130,22 +114,14 @@ def random_model(
                     if rng.random() < 0.7
                     else RangeBody(a.name, AsciiRange(rng.choice((32, 64, 255))))
                 )
-                restrictions.append(Restriction(next_label(), s.name, body))
+                _restrict(restrictions, s.name, body)
         members = s.member_names()
         if members and rng.random() < 0.7 and room_for_more():
             count = rng.randint(1, len(members))
-            restrictions.append(Restriction(
-                next_label(), s.name, CompulsoryBody(tuple(rng.sample(members, count))),
-            ))
-        used_key_sets: set[frozenset[str]] = set()
+            _restrict(restrictions, s.name, CompulsoryBody(tuple(rng.sample(members, count))))
         if members and rng.random() < 0.6 and room_for_more():
             count = rng.randint(1, min(3, len(members)))
-            mappings = tuple(rng.sample(members, count))
-            if frozenset(mappings) not in used_key_sets:
-                used_key_sets.add(frozenset(mappings))
-                restrictions.append(Restriction(
-                    next_label(), s.name, UniquenessBody(mappings),
-                ))
+            _restrict(restrictions, s.name, UniquenessBody(tuple(rng.sample(members, count))))
 
     # tuple checks over interval-ranged attributes
     interval_attrs: dict[str, list[str]] = {}
@@ -159,9 +135,7 @@ def random_model(
                 "x", set_name,
                 Compare(">=", Apply(attr, Var("x")), IntLit(0)),
             )
-            restrictions.append(Restriction(
-                next_label(), set_name, OtherBody(None, formula),
-            ))
+            _restrict(restrictions, set_name, OtherBody(None, formula))
 
     # cross-set and functional-dependency style nonrelational rules
     ranged_sets = [name for name, attrs in interval_attrs.items() if attrs]
@@ -173,9 +147,7 @@ def random_model(
                     Apply(rng.choice(interval_attrs[a_set]), Var("x")),
                     Apply(rng.choice(interval_attrs[b_set]), Var("y"))),
         ))
-        restrictions.append(Restriction(
-            next_label(), a_set, OtherBody("generated cross-set exclusion", formula),
-        ))
+        _restrict(restrictions, a_set, OtherBody("generated cross-set exclusion", formula))
     for set_name, attrs in interval_attrs.items():
         if len(attrs) >= 2 and rng.random() < 0.3 and room_for_more():
             p, q = rng.sample(attrs, 2)
@@ -186,16 +158,10 @@ def random_model(
                     Compare("=", Apply(q, Var("x")), Apply(q, Var("y"))),
                 ),
             ))
-            restrictions.append(Restriction(
-                next_label(), set_name,
-                OtherBody("generated functional dependency", formula),
-            ))
+            _restrict(restrictions, set_name, OtherBody("generated functional dependency", formula))
     if rng.random() < 0.2 and room_for_more():
         target = rng.choice([s.name for s in sets if s.kind != "computed"])
-        restrictions.append(Restriction(
-            next_label(), target,
-            OtherBody("generated rule awaiting formalization", None),
-        ))
+        _restrict(restrictions, target, OtherBody("generated rule awaiting formalization", None))
 
     model = ERModel(diagrams=(Diagram("generated", tuple(sets)),),
                     restrictions=tuple(restrictions))
@@ -209,36 +175,23 @@ def sized_model(seed: int, element_target: int) -> ERModel:
     rng = random.Random(seed)
     sets: list[ObjectSet] = []
     restrictions: list[Restriction] = []
-    label = [0]
-
-    def next_label() -> str:
-        label[0] += 1
-        return f"R{label[0]:02d}"
-
     elements = 0
     i = 0
     while elements < element_target:
         i += 1
         name = f"BULK{i}"
         n_attrs = rng.randint(1, 4)
-        attributes = tuple(Attribute(f"a{j + 1}") for j in range(n_attrs))
+        attributes = _attributes(n_attrs)
         sets.append(ObjectSet(name=name, kind="entity", attributes=attributes))
         elements += 1 + n_attrs
         if rng.random() < 0.7 and elements < element_target:
-            restrictions.append(Restriction(
-                next_label(), name, CardinalityBody(10 ** rng.randint(1, 6), None),
-            ))
+            _restrict(restrictions, name, CardinalityBody(10 ** rng.randint(1, 6), None))
             # cardinalities add no elements; attach a compulsory line instead
         if elements + n_attrs <= element_target and rng.random() < 0.8:
-            restrictions.append(Restriction(
-                next_label(), name,
-                CompulsoryBody(tuple(a.name for a in attributes)),
-            ))
+            _restrict(restrictions, name, CompulsoryBody(tuple(a.name for a in attributes)))
             elements += n_attrs
         if elements < element_target and rng.random() < 0.5:
-            restrictions.append(Restriction(
-                next_label(), name, UniquenessBody((attributes[0].name,)),
-            ))
+            _restrict(restrictions, name, UniquenessBody((attributes[0].name,)))
             elements += 1
     model = ERModel(diagrams=(Diagram("bulk", tuple(sets)),),
                     restrictions=tuple(restrictions))

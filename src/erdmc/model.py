@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Union
 
 from .diagnostics import ERROR, WARNING, Diagnostic
-from .formula import Formula, quantifier_count, quantifier_domains
+from .formula import Formula, quantifier_domains
 
 ENTITY = "entity"
 RELATIONSHIP = "relationship"
@@ -458,6 +458,9 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             )
     elif s.roles:
         err("roles-on-non-relationship", s.name, f"{s.kind} set {s.name} declares roles")
+    if s.kind != COMPUTED and s.computed_definition is not None:
+        err("definition-on-non-computed-set", s.name,
+            f"{s.kind} set {s.name} cannot carry a definition; only computed sets do")
 
     if s.kind == COMPUTED:
         if s.attributes or s.roles or s.structural_functions or s.included_in:
@@ -582,17 +585,19 @@ def _validate_restriction_body(
             err("empty-restriction", r.label, f"{r.label} carries neither informal nor formal text")
         if body.formal is not None:
             domains = quantifier_domains(body.formal)
+            if not domains:
+                err("unquantified-formula", r.label, f"{r.label} quantifies no variable")
             for dom in domains:
                 owner = sets.get(dom)
                 if owner is None:
                     err("unresolved-set", r.label, f"{r.label} quantifies over unknown set {dom!r}")
-                elif owner.kind == COMPUTED and quantifier_count(body.formal) == 1:
+                elif owner.kind == COMPUTED and len(domains) == 1:
                     err(
                         "restriction-on-computed-set",
                         r.label,
                         f"{r.label} is a tuple check over computed set {dom!r}",
                     )
-            if quantifier_count(body.formal) == 1 and domains and domains[0] != r.target:
+            if len(domains) == 1 and domains[0] != r.target:
                 err(
                     "tuple-domain-mismatch",
                     r.label,

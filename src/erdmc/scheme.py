@@ -12,6 +12,7 @@ immutable and is safe to share read-only across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .diagnostics import ERROR, Diagnostic
 from .formula import (
@@ -28,6 +29,7 @@ from .formula import (
     TextLit,
     Var,
     quantifier_count,
+    quantifier_domains,
 )
 from .model import NatRange, Range
 
@@ -419,37 +421,11 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
             seen_labels.add(k.label)
 
     for c in scheme.constraints:
-        element = ref_constraint(c)
-        if isinstance(c, InclusionConstraint):
-            if c.subset == c.superset:
-                bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
-            for endpoint in (c.subset, c.superset):
-                if scheme.set(endpoint) is None:
-                    bad("unresolved-inclusion", element,
-                        f"inclusion endpoint {endpoint!r} is not a scheme set")
-        elif isinstance(c, TupleConstraint):
-            if scheme.set(c.set_name) is None:
-                bad("unresolved-set", element, f"tuple constraint set {c.set_name!r} missing")
-            if quantifier_count(c.formula) != 1:
-                bad("tuple-arity", element,
-                    f"tuple constraint {c.label} must quantify exactly one variable")
-            for problem in resolve_formula(scheme, c.formula):
-                bad("formula-resolution", element, problem)
-        elif isinstance(c, NonrelationalConstraint):
-            if c.formula is None:
-                if not c.informal:
-                    bad("empty-constraint", element,
-                        f"constraint {c.label} has neither formula nor informal text")
-            else:
-                if quantifier_count(c.formula) < 2:
-                    bad("nonrelational-arity", element,
-                        f"nonrelational constraint {c.label} must quantify at least two variables")
-                for problem in resolve_formula(scheme, c.formula):
-                    bad("formula-resolution", element, problem)
+        check_constraint(scheme, c, bad)
         label = getattr(c, "label", None)
         if label:
             if label in seen_labels:
-                bad("duplicate-label", element, f"label {label} reused")
+                bad("duplicate-label", f"constraint:{label}", f"label {label} reused")
             seen_labels.add(label)
 
     refs = base_refs(scheme)
@@ -468,3 +444,45 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
             if cut == -1:
                 bad("stray-provenance", ref, f"{ref} names no element of the scheme")
     return diagnostics
+
+
+def check_constraint(
+    scheme: EMDMScheme, c: Constraint, bad: Callable[[str, str, str], None]
+) -> None:
+    """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's."""
+    element = ref_constraint(c)
+    if isinstance(c, InclusionConstraint):
+        if c.subset == c.superset:
+            bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
+        for endpoint in (c.subset, c.superset):
+            if scheme.set(endpoint) is None:
+                bad("unresolved-inclusion", element,
+                    f"inclusion endpoint {endpoint!r} is not a scheme set")
+    elif isinstance(c, TupleConstraint):
+        owner = scheme.set(c.set_name)
+        if owner is None:
+            bad("unresolved-set", element, f"tuple constraint set {c.set_name!r} missing")
+        elif owner.kind == COMPUTED:
+            bad("restriction-on-computed-set", element,
+                f"tuple constraint {c.label} is a check over computed set {c.set_name!r}")
+        domains = quantifier_domains(c.formula)
+        if len(domains) != 1:
+            bad("tuple-arity", element,
+                f"tuple constraint {c.label} must quantify exactly one variable")
+        elif domains[0] != c.set_name:
+            bad("tuple-domain-mismatch", element,
+                f"tuple constraint {c.label} quantifies over {domains[0]!r} "
+                f"but belongs to {c.set_name!r}")
+        for problem in resolve_formula(scheme, c.formula):
+            bad("formula-resolution", element, problem)
+    elif isinstance(c, NonrelationalConstraint):
+        if c.formula is None:
+            if not c.informal:
+                bad("empty-constraint", element,
+                    f"constraint {c.label} has neither formula nor informal text")
+        else:
+            if quantifier_count(c.formula) < 2:
+                bad("nonrelational-arity", element,
+                    f"nonrelational constraint {c.label} must quantify at least two variables")
+            for problem in resolve_formula(scheme, c.formula):
+                bad("formula-resolution", element, problem)

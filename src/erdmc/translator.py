@@ -11,11 +11,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping as MappingType
 
 from .census import CONVENTIONS, ELEMENT_CLASSES, Tallies
-from .diagnostics import ERROR, WARNING, Diagnostic
+from .diagnostics import ERROR, WARNING, Diagnostic, ParseFailure
 from .enrichment import (
+    Answers,
     EnrichmentAction,
     EnrichmentLog,
     PendingQuestion,
@@ -49,6 +49,7 @@ from .model import (
 from . import scheme as sch
 from .scheme import (
     ENRICHMENT_PREFIX,
+    Constraint,
     EMDMScheme,
     EMDMSet,
     InclusionConstraint,
@@ -56,12 +57,12 @@ from .scheme import (
     Mapping,
     NonrelationalConstraint,
     TupleConstraint,
+    check_constraint,
     is_implicit_key,
     ref_constraint,
     ref_key,
     ref_mapping,
     ref_set,
-    resolve_formula,
 )
 
 @dataclass
@@ -76,7 +77,7 @@ class TranslationOptions:
     """How to translate; the translator prompts only when *prompter* is given."""
 
     dbms_max_cardinality: int = 10 ** 9
-    answers: MappingType | None = None
+    answers: Answers | None = None
     prompter: Prompter | None = None
 
 
@@ -213,7 +214,7 @@ class Translator:
         self.scheme.record(produced, source)
         self.report.steps.append(Step(ELEMENT_CLASSES[element_class][0], source, produced))
 
-    def _diag(self, severity: str, code: str, message: str, element: str = "") -> None:
+    def _diag(self, code: str, element: str, message: str, severity: str = ERROR) -> None:
         self.report.diagnostics.append(Diagnostic(severity, code, message, element))
 
     # -- pipeline --
@@ -230,8 +231,7 @@ class Translator:
         post_issues = [i for i in validate_model(self.model) if i.is_error]
         if post_issues:
             for issue in post_issues:
-                self._diag(ERROR, issue.code,
-                           f"after input defaults: {issue.message}", issue.element)
+                self._diag(issue.code, issue.element, f"after input defaults: {issue.message}")
             return TranslationResult(None, self.report, self.model)
 
         global_order = _reference_order(self.model.object_sets(), self.report.diagnostics)
@@ -242,6 +242,9 @@ class Translator:
                 self._add_set(s)
 
         self._translate_nonrelational()
+        # Checked once all are in: a check may reach sets added after its own.
+        for c in self.scheme.constraints:
+            check_constraint(self.scheme, c, self._diag)
         self._enrich()
 
         compulsory_lines = sum(
@@ -286,9 +289,7 @@ class Translator:
             self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
 
         for superset, source, label in effective_inclusions(self.model, s):
-            constraint = InclusionConstraint(subset=s.name, superset=superset, label=label)
-            self.scheme.constraints.append(constraint)
-            self._step("inclusions", source, ref_constraint(constraint))
+            self._add_constraint(InclusionConstraint(s.name, superset, label), "inclusions", source)
 
         for role in s.roles:
             target.mappings.append(Mapping(
@@ -358,13 +359,7 @@ class Translator:
                         "tuple_checks", src_restriction(r.label),
                     )
 
-    def _add_constraint(
-        self, constraint: TupleConstraint | NonrelationalConstraint, element_class: str, source: str
-    ) -> None:
-        label = constraint.label
-        if constraint.formula is not None:
-            for problem in resolve_formula(self.scheme, constraint.formula):
-                self._diag(ERROR, "formula-resolution", f"{label}: {problem}", label)
+    def _add_constraint(self, constraint: Constraint, element_class: str, source: str) -> None:
         self.scheme.constraints.append(constraint)
         self._step(element_class, source, ref_constraint(constraint))
 
@@ -377,7 +372,6 @@ class Translator:
             formula = r.body.formal
             if formula is not None and quantifier_count(formula) == 1:
                 continue  # already placed in its set's block
-            source = src_restriction(r.label)
             if formula is None:
                 formula = self._formalize(r)
             if formula is not None and quantifier_count(formula) == 1:
@@ -390,7 +384,7 @@ class Translator:
                 constraint = NonrelationalConstraint(
                     label=r.label, formula=formula, informal=r.body.informal,
                 )
-            self._add_constraint(constraint, "nonrelational", source)
+            self._add_constraint(constraint, "nonrelational", src_restriction(r.label))
 
     def _formalize(self, r: Restriction) -> Formula | None:
         answer = self.log.ask(
@@ -399,15 +393,14 @@ class Translator:
             "provide a formula",
         )
         if answer is None:
-            self._diag(WARNING, "unformalized",
-                       f"{r.label} remains unformalized; carried as informal text only",
-                       r.label)
+            self._diag("unformalized", r.label,
+                       f"{r.label} remains unformalized; carried as informal text only", WARNING)
             return None
         try:
             return parse_formula(answer)
-        except Exception as exc:  # noqa: BLE001 - surfaced as a diagnostic
-            self._diag(WARNING, "bad-formalization",
-                       f"supplied formula for {r.label} does not parse: {exc}", r.label)
+        except ParseFailure as exc:
+            self._diag("bad-formalization", r.label,
+                       f"supplied formula for {r.label} does not parse: {exc}", WARNING)
             return None
 
     # -- enrichment --

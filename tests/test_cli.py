@@ -482,6 +482,10 @@ def test_translate_bad_answers_files_exit_2(tmp_path, capsys):
                 "Expecting property name enclosed in double quotes",
         '["R03"]': "the document must be an object",
         '{"R03": "(forall x in A)(a(x) <> 1)"}': "the entry for 'R03' must be an object",
+        '{"V": {"computed-definition": ["x", 1]}}':
+            "the 'computed-definition' answer for 'V' must be a string or null",
+        '{"R03": {"formalization": true}}':
+            "the 'formalization' answer for 'R03' must be a string or null",
         '{"R03": {"formalization": ' + "9" * 5000 + "}}":
             "not readable JSON: an integer longer than 4300 digits",
         "[" * 100_000: "not readable JSON: arrays or objects nested too deeply",
@@ -493,6 +497,106 @@ def test_translate_bad_answers_files_exit_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"cannot read answers: {answers}: {reason}"]
+
+
+def test_translate_unreadable_answers_files_exit_2(tmp_path, capsys):
+    missing, binary = tmp_path / "missing.json", tmp_path / "binary.json"
+    binary.write_bytes(b'{"R1": {"formalization": "\xff"}}')
+    for answers, reason in ((missing, "No such file or directory"),
+                            (binary, "not UTF-8 text (invalid start byte)")):
+        assert main(["translate", FIXTURE, "--answers", str(answers)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"cannot read answers: {answers}: {reason}"]
+
+
+def test_translate_null_answer_asks_no_further(tmp_path, capsys):
+    model = tmp_path / "m.erdm"
+    model.write_text("diagram D { entity A card 10 { attr a } }\n"
+                     "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+                     'restriction R03 on A other informal "asks a question"\n')
+    answers = tmp_path / "answers.json"
+    answers.write_text('{"R03": {"formalization": null}}')
+    assert main(["translate", str(model), "--answers", str(answers)]) == 0
+    assert "warning: unformalized: R03 remains unformalized" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+@pytest.mark.parametrize("value, reason", [
+    ("0", "must be at least 1, not 0"),
+    ("-3", "must be at least 1, not -3"),
+    ("ten", "invalid int value: 'ten'"),
+], ids=["zero", "negative", "not-an-integer"])
+def test_dbms_max_card_must_be_an_integer_of_at_least_1(capsys, command, value, reason):
+    with pytest.raises(SystemExit) as stopped:
+        main([command, FIXTURE, "--dbms-max-card", value])
+    assert stopped.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: argument --dbms-max-card: {reason}")
+
+
+def test_dbms_max_card_of_1_gives_one_digit_identifiers(capsys):
+    assert main(["translate", FIXTURE, "--dbms-max-card", "1"]) == 0
+    assert "  x <-> NAT(1), total\n" in capsys.readouterr().out
+
+
+def test_interactive_refuses_a_model_on_stdin(capsys, monkeypatch, teaching_source):
+    stdin = io.TextIOWrapper(io.BytesIO(teaching_source.encode("utf-8")), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["translate", "-", "--interactive"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "--interactive cannot read prompts while the model comes from stdin\n")
+
+
+def test_interactive_reads_each_answer_from_stdin(tmp_path, capsys, monkeypatch):
+    model = tmp_path / "m.erdm"
+    model.write_text("diagram D { entity A card 10 { attr a } }\n"
+                     "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+                     'restriction R03 on A other informal "no two alike"\n')
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "  (forall x in A)(forall y in A)(x = y)  \n"))
+    assert main(["translate", str(model), "--interactive"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("R03: (forall x, y in A)(x = y)\n")
+    assert captured.err.startswith(
+        "R03 [formalization]: R03 (no two alike) has no formal body; provide a formula\n> ")
+    monkeypatch.setattr("sys.stdin", io.StringIO("   \n"))
+    assert main(["translate", str(model), "--interactive"]) == 0
+    assert "R03: informal" in capsys.readouterr().out
+
+
+_NO_QUANTIFIER_SOURCE = (
+    'diagram D { entity A card 10 { attr a } computed V = "all" { } }\n'
+    "restriction R1 on A compulsory a\nrestriction R2 on A unique a\n"
+)
+
+
+@pytest.mark.parametrize("rule, answer, error", [
+    ("other formal 1 = 1", None, "error: unquantified-formula: R3 quantifies no variable [R3]"),
+    ('other informal "a rule"', "1 = 1",
+     "error: nonrelational-arity: nonrelational constraint R3 must quantify at least two "
+     "variables [constraint:R3]"),
+    ('other informal "a rule"', "(forall x in V)(1 = 1)",
+     "error: restriction-on-computed-set: tuple constraint R3 is a check over computed set "
+     "'V' [constraint:R3]"),
+], ids=["model", "answered", "answered-over-computed-set"])
+def test_translate_refuses_a_constraint_the_scheme_cannot_show(
+    tmp_path, capsys, rule, answer, error
+):
+    model = tmp_path / "m.erdm"
+    model.write_text(_NO_QUANTIFIER_SOURCE + f"restriction R3 on A {rule}\n")
+    argv = ["translate", str(model)]
+    if answer is not None:
+        answers = tmp_path / "answers.json"
+        answers.write_text(json.dumps({"R3": {"formalization": answer}}))
+        argv += ["--answers", str(answers)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error")] == [error]
 
 
 def test_translate_unwritable_outputs_exit_2(tmp_path, capsys):

@@ -325,6 +325,18 @@ def test_rule_vi_name_clash_appends_numeral():
     assert any(d.code == "name-clash" and d.severity == WARNING for d in log.diagnostics)
 
 
+
+def test_rule_vi_name_clash_skips_every_taken_numeral():
+    scheme = _pre_enrichment_scheme(
+        "diagram D { entity LOG card 10 { attr Compulsory attr Compulsory1 } }\n"
+        "restriction R01 on LOG unique Compulsory\n"
+    )
+    log = _run(ensure_compulsory, scheme)
+    assert scheme.set("LOG").mapping("Compulsory2") is not None
+    assert [d.message for d in log.diagnostics if d.code == "name-clash"] == [
+        "LOG already has a mapping named Compulsory; using Compulsory2",
+    ]
+
 # --- rule (vii): relationship sets gain a structural key ---
 
 

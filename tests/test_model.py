@@ -236,6 +236,10 @@ VALIDATE_CASES = [
     ("empty-restriction", "R1", _dsl(restrictions="restriction R1 on A other\n")),
     ("tuple-domain-mismatch", "R1",
      _dsl(restrictions="restriction R1 on A other formal (forall x in B)(b(x) = 1)\n")),
+    ("definition-on-non-computed-set", "C", _dsl('entity C = "all rooms" { }')),
+    ("definition-on-non-computed-set", "L",
+     _dsl('relationship L = "pairs" { role p -> A role q -> B }')),
+    ("unquantified-formula", "R1", _dsl(restrictions="restriction R1 on A other formal 1 = 1\n")),
     ("empty-mappings", "R1",
      _single_set_model(_A, restrictions=[Restriction("R1", "A", CompulsoryBody(()))])),
     ("inclusion-target-mismatch", "R1", _single_set_model(

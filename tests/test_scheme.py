@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from erdmc import scheme as sch
-from erdmc.formula import parse_formula
+from erdmc.formula import Apply, Compare, Forall, IntLit, Var, parse_formula
 from erdmc.model import AsciiRange, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import (
@@ -18,6 +18,7 @@ from erdmc.scheme import (
     check_scheme,
     is_implicit_key,
     ref_owner,
+    resolve_formula,
 )
 from erdmc.translator import translate
 
@@ -104,6 +105,23 @@ def test_check_scheme_flags_broken_formula(teaching_source):
     result = translate(parse_model(broken))
     assert result.scheme is None
     assert any(d.code == "formula-resolution" for d in result.report.diagnostics)
+
+
+@pytest.mark.parametrize("formula, problem", [
+    ("(forall x in STUDENTS)(forall y in TEACHERS)(x = y)",
+     "comparison mixes STUDENTS with TEACHERS"),
+    ("(forall x in STUDENTS)(x = 1)", "comparison mixes an object set with a plain value"),
+    ("(forall x in STUDENTS)(SSN(1) = SSN(x))", "'SSN' applied to a plain value"),
+    ("(forall x in NOPE)(1 = 1)", "quantifier domain 'NOPE' is not a scheme set"),
+    ("(forall x in STUDENTS)(Nope(x) = 1)", "'Nope' is not a mapping on STUDENTS"),
+    # The formula parser refuses a free variable; a hand-built formula may hold one.
+    (Forall("x", "STUDENTS", Compare("=", Apply("SSN", Var("y")), IntLit(1))),
+     "variable 'y' is not quantified"),
+])
+def test_resolve_formula_names_each_problem(golden_scheme, formula, problem):
+    if isinstance(formula, str):
+        formula = parse_formula(formula)
+    assert resolve_formula(golden_scheme, formula) == [problem]
 
 
 def test_no_two_keys_share_a_mapping_set(golden_scheme):
@@ -221,6 +239,10 @@ CHECK_CASES = [
      lambda m: m.constraints.append(InclusionConstraint("ROOMS", "NOPE"))),
     ("unresolved-set", "constraint:R37",
      lambda m: setattr(_constraint(m, "R37"), "set_name", "NOPE")),
+    ("restriction-on-computed-set", "constraint:R37",
+     lambda m: setattr(m.set("SCHEDULES"), "kind", sch.COMPUTED)),
+    ("tuple-domain-mismatch", "constraint:R37",
+     lambda m: setattr(_constraint(m, "R37"), "set_name", "ROOMS")),
     ("tuple-arity", "constraint:R37",
      lambda m: setattr(_constraint(m, "R37"), "formula", _constraint(m, "R41").formula)),
     ("formula-resolution", "constraint:R41", lambda m: setattr(
@@ -241,6 +263,13 @@ def test_check_scheme_names_the_element_of_each_code(golden_scheme, code, elemen
     mutate(mutated)
     found = [(d.code, d.element) for d in check_scheme(mutated) if d.code == code]
     assert found == [(code, element)]
+
+
+def test_check_scheme_flags_a_reused_constraint_label(golden_scheme):
+    mutated = copy.deepcopy(golden_scheme)
+    mutated.constraints.append(copy.deepcopy(_constraint(mutated, "R37")))
+    found = [(d.code, d.element) for d in check_scheme(mutated) if d.code == "duplicate-label"]
+    assert found == [("duplicate-label", "constraint:R37")]
 
 
 def test_every_check_scheme_code_has_a_case():

@@ -389,3 +389,43 @@ def test_multi_diagram_cross_references():
     assert result.scheme is not None
     assert check_scheme(result.scheme) == []
     assert result.report.tallies.total == census(parse_model(source)).total
+
+
+# --- constraints are checked once, after the last one is added ---
+
+
+@pytest.mark.parametrize("source", [
+    # S's check reaches into R, a diamond, which is added after every rectangle.
+    "diagram D { entity A { attr a } entity S { attr s fn g -> R } "
+    "relationship R { role r1 -> A role r2 -> A } }\n"
+    "restriction R1 on S other formal (forall x in S)(a(r1(g(x))) = 1)\n",
+    # A and B reference each other, so A is added first and its check reaches into B.
+    "diagram D { entity A { attr a fn f -> B } entity B { attr b fn g -> A } }\n"
+    "restriction R1 on A other formal (forall x in A)(b(f(x)) = 1)\n",
+], ids=["diamond-after-rectangle", "reference-cycle"])
+def test_a_check_may_reach_sets_added_after_its_own(source):
+    result = translate(parse_model(source))
+    assert not result.report.has_errors
+    assert not any(verify_translation(result).values())
+
+
+_INFORMAL_RULE = (
+    'diagram D { entity A card 10 { attr a } computed V = "all" { } }\n'
+    "restriction R1 on A compulsory a\nrestriction R2 on A unique a\n"
+    'restriction R3 on A other informal "a rule"\n'
+)
+
+
+@pytest.mark.parametrize("formula, code, message", [
+    ("1 = 1", "nonrelational-arity",
+     "nonrelational constraint R3 must quantify at least two variables"),
+    ("(forall x in V)(1 = 1)", "restriction-on-computed-set",
+     "tuple constraint R3 is a check over computed set 'V'"),
+    ("(forall x in A)(b(x) = 1)", "formula-resolution", "'b' is not a mapping on A"),
+], ids=["no-quantifier", "over-computed-set", "unknown-mapping"])
+def test_an_answered_formalization_is_checked_like_any_constraint(formula, code, message):
+    options = TranslationOptions(answers={"R3": {"formalization": formula}})
+    result = translate(parse_model(_INFORMAL_RULE), options)
+    assert result.scheme is None
+    errors = [(d.code, d.message, d.element) for d in result.report.diagnostics if d.is_error]
+    assert errors == [(code, message, "constraint:R3")]
