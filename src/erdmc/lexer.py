@@ -48,13 +48,14 @@ PLAIN = {surface: surface for surface in GLYPH_OF}
 # str() refuse longer decimals, and computing 10^n for a long n takes seconds.
 MAX_DIGITS = 4300
 
-# One alternative per token kind, each named after the kind it yields. Their
-# first characters are disjoint, so at most one can start at any position;
-# "error" takes any other character, an unclosed quote included.
+# Each match is one token: blanks and comments (a '#' that does not continue
+# a name), then one alternative per token kind, each named after the kind it
+# yields, so the token is the last group that matched. Their first characters
+# are disjoint, so at most one can start at any position; "error" takes any
+# other character, an unclosed quote included, and "eof" the end of the text.
 # A string ends at its line: a backslash escapes any character but a newline.
 # Operators are listed longest first so "<->" is not read as "<" + "->".
-_TOKEN_RE = re.compile("|".join([
-    r"(?P<blank>[ \t\r\n]+|#[^\n]*)",  # a '#' that does not continue a name
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join([
     r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
     r"(?P<date>\d+/\d+/\d+)",
     r"(?P<int>\d+)",
@@ -62,7 +63,8 @@ _TOKEN_RE = re.compile("|".join([
     r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
     "(?P<glyph>[" + "".join(_GLYPHS) + "])",
     r"(?P<error>.)",
-]))
+    r"(?P<eof>\Z)",
+]) + ")")
 
 # String-literal escapes, by the letter after the backslash: tokenize reads
 # them, quote_string writes them. Any other letter stands for itself, except
@@ -97,32 +99,35 @@ def tokenize(text: str) -> list[Token]:
     """Split *text* into tokens, raising ParseFailure on lexical errors."""
     tokens: list[Token] = []
     append = tokens.append
+    new = tuple.__new__  # builds the same Token as Token(...), without its __new__ frame
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind == "blank":
-            continue
-        start = m.start()
-        if kind == "string":
+        group = m.lastindex
+        start = m.start(group)
+        if kind == STRING:
             value = text[start + 1:m.end() - 1]
             if "\\" in value:
                 value = _unescape(value, text, start + 1)
-            append(Token(STRING, value, start))
+            append(new(Token, (STRING, value, start)))
         elif kind == "glyph":
-            append(Token(*_GLYPHS[m.group()], start))
+            append(new(Token, (*_GLYPHS[m.group(group)], start)))
         elif kind == "error":
-            ch = m.group()
+            ch = m.group(group)
             raise ParseFailure([parse_error(text, start, "unterminated string literal"
                                             if ch == '"' else f"unexpected character {ch!r}")])
+        elif kind == EOF:
+            # Stop: after blanks that run to the end, the end matches once more, empty.
+            append(new(Token, (EOF, "", start)))
+            break
         else:
-            value = m.group()
+            value = m.group(group)
             if len(value) > MAX_DIGITS and kind in (INT, DATE) and (
                 max(map(len, value.split("/"))) > MAX_DIGITS
             ):
                 raise ParseFailure([parse_error(
                     text, start, f"integer longer than {MAX_DIGITS} digits",
                 )])
-            append(Token(kind, value, start))
-    append(Token(EOF, "", len(text)))
+            append(new(Token, (kind, value, start)))
     return tokens
 
 

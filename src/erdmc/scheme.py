@@ -454,10 +454,14 @@ def check_constraint(
     if isinstance(c, InclusionConstraint):
         if c.subset == c.superset:
             bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
-        for endpoint in (c.subset, c.superset):
-            if scheme.set(endpoint) is None:
+        for is_subset, endpoint in ((True, c.subset), (False, c.superset)):
+            found = scheme.set(endpoint)
+            if found is None:
                 bad("unresolved-inclusion", element,
                     f"inclusion endpoint {endpoint!r} is not a scheme set")
+            elif is_subset and found.kind == COMPUTED:  # its text is its definition alone
+                bad("restriction-on-computed-set", element,
+                    f"computed set {endpoint!r} cannot carry an inclusion in {c.superset!r}")
     elif isinstance(c, TupleConstraint):
         owner = scheme.set(c.set_name)
         if owner is None:

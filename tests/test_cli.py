@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import io
 import json
 from pathlib import Path
@@ -20,6 +21,7 @@ from erdmc.parser import parse_model
 from test_model import VALIDATE_CASES
 from test_parser import PARSE_CASES
 from test_pinned_outputs import _write_model
+from test_scaling import _relational_model
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
 
@@ -659,3 +661,58 @@ def test_an_edited_model_ends_in_an_exit_code(tmp_path_factory, text):
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+# --- the collector pause ---
+
+
+def test_commands_leave_no_reference_cycle(tmp_path, capsys):
+    # cli.main pauses the cyclic collector while a command runs, which is
+    # safe only while a command leaves nothing for the collector to free.
+    write_model = _write_model()
+    sources = [Path(FIXTURE).read_text(encoding="utf-8")]
+    sources += [write_model(random_model(seed)) for seed in range(100)]
+    sources.append(write_model(_relational_model(4)))
+    main(["check", FIXTURE])  # a first command leaves the objects of lazy set-up
+    gc.collect()
+    # Then each collection walks what the commands made, not every object the
+    # test process holds: a cycle a command leaves is one of objects it made.
+    gc.freeze()
+    try:
+        out = [str(tmp_path / name) for name in ("s.txt", "s.json", "r.json")]
+        for i, source in enumerate(sources):
+            path = tmp_path / f"m{i}.erdm"
+            path.write_text(source, encoding="utf-8")
+            for argv in (
+                ["translate", str(path), "-o", out[0], "--structured", out[1], "--report", out[2]],
+                ["check", str(path)],
+                ["validate", str(path)],
+            ):
+                assert main(argv) == 0, argv
+                assert gc.collect() == 0, argv
+            capsys.readouterr()
+        assert main(["check", "--fuzz", "100"]) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+    tmp_path, capsys, monkeypatch, enabled
+):
+    invalid = tmp_path / "invalid.erdm"
+    invalid.write_text("diagram D { entity A { } entity A { } }\n")
+    paused = []
+    validate = cli.validate_model
+    monkeypatch.setattr(cli, "validate_model",
+                        lambda model: paused.append(not gc.isenabled()) or validate(model))
+    caller = gc.isenabled()
+    try:
+        for path, code in ((FIXTURE, 0), (invalid, 1), (tmp_path / "missing.erdm", 2)):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["validate", str(path)]) == code
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if caller else gc.disable)()
+    assert paused == [True, True]

@@ -23,7 +23,7 @@ from erdmc.formula import MAX_FORMULA_DEPTH, format_formula, parse_formula
 from erdmc.generator import random_model
 from erdmc.lexer import STRING, tokenize
 from erdmc.parser import parse_model
-from erdmc.scheme import EMDMScheme, check_scheme
+from erdmc.scheme import EMDMScheme, InclusionConstraint, check_scheme, ref_constraint
 from erdmc.translator import translate
 from test_parser import _literal_patterns
 
@@ -411,6 +411,21 @@ def test_loaded_self_inclusion_is_refused():
         ("self-inclusion", "constraint:inclusion:B<=B")
     ]
     with pytest.raises(EmitError, match="self-inclusion: B cannot be included in itself"):
+        emit_text(scheme)
+
+
+def test_inclusion_of_a_computed_set_is_refused_not_dropped():
+    # A computed set's text is its definition alone, so it has no line for
+    # the inclusion.
+    scheme = translate(parse_model(
+        'diagram D { entity A card 10 { attr a } computed V = "all" { } }')).scheme
+    inclusion = InclusionConstraint("V", "A")
+    scheme.constraints.append(inclusion)
+    scheme.record(ref_constraint(inclusion), "hand-built")
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [
+        ("restriction-on-computed-set", "constraint:inclusion:V<=A")
+    ]
+    with pytest.raises(EmitError, match="restriction-on-computed-set: computed set 'V'"):
         emit_text(scheme)
 
 

@@ -1,10 +1,25 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from erdmc.diagnostics import ParseFailure
-from erdmc.lexer import EOF, STRING, parse_error, quote_string, tokenize
+from erdmc.generator import random_model
+from erdmc.lexer import (
+    _GLYPHS,
+    EOF,
+    MAX_DIGITS,
+    STRING,
+    Token,
+    _unescape,
+    parse_error,
+    quote_string,
+    tokenize,
+)
+from test_pinned_outputs import _write_model
 
 
 def kinds(text: str) -> list[tuple[str, str, int, int]]:
@@ -112,3 +127,88 @@ def test_quoted_strings_read_back_unchanged(s):
 @given(st.text())
 def test_quoted_strings_stay_on_one_line(s):
     assert len(quote_string(s).splitlines()) == 1
+
+
+def test_token_repr_is_kind_value_and_offset():
+    assert repr(tokenize("a")[0]) == "name('a')@0"
+
+
+# --- a reference scanner: one match per token or run of blanks ---
+
+_REFERENCE_RE = re.compile("|".join([
+    r"(?P<blank>[ \t\r\n]+|#[^\n]*)",
+    r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
+    r"(?P<date>\d+/\d+/\d+)",
+    r"(?P<int>\d+)",
+    r"(?P<name>[A-Za-z_][A-Za-z0-9_#]*)",
+    r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
+    "(?P<glyph>[" + "".join(_GLYPHS) + "])",
+    r"(?P<error>.)",
+]))
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    tokens = []
+    for m in _REFERENCE_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "blank":
+            continue
+        start = m.start()
+        if kind == "string":
+            value = text[start + 1:m.end() - 1]
+            if "\\" in value:
+                value = _unescape(value, text, start + 1)
+            tokens.append(Token(STRING, value, start))
+        elif kind == "glyph":
+            tokens.append(Token(*_GLYPHS[m.group()], start))
+        elif kind == "error":
+            ch = m.group()
+            raise ParseFailure([parse_error(text, start, "unterminated string literal"
+                                            if ch == '"' else f"unexpected character {ch!r}")])
+        else:
+            value = m.group()
+            if len(value) > MAX_DIGITS and kind in ("int", "date") and (
+                max(map(len, value.split("/"))) > MAX_DIGITS
+            ):
+                raise ParseFailure([parse_error(
+                    text, start, f"integer longer than {MAX_DIGITS} digits",
+                )])
+            tokens.append(Token(kind, value, start))
+    tokens.append(Token(EOF, "", len(text)))
+    return tokens
+
+
+def scanned(scan, text: str) -> list[Token] | tuple[int, int, str]:
+    """The tokens of *text*, or the line, column and message of its error."""
+    try:
+        return scan(text)
+    except ParseFailure as failure:
+        [error] = failure.errors
+        return error.line, error.column, error.message
+
+
+_PIECES = [
+    "a", "Room", "x_1", "forall", "7", "12", "1/2/2020", "3/4", "9" * (MAX_DIGITS + 1),
+    "<->", "->", "=>", "<=", ">=", "<>", "<", ">", "-", "(", ")", "[", "]", "{", "}", ",",
+    ":", "^", ".", "=", "&", "|", "!", '"ab"', '""', '"a\\"b"', '"\\n\\q"', '"\\u00e9"',
+    '"\\uzz"', '"\\ud800"', '"a\nb"', " ", "\t", "\r\n", "\n", "# note", "#", "Room#",
+    "a#b", '"', "\\", "$", "/", *_GLYPHS,
+]
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+    st.text(alphabet=sorted({c for piece in _PIECES for c in piece}), max_size=40),
+))
+def test_tokenize_scans_as_the_reference_does(text):
+    assert scanned(tokenize, text) == scanned(reference_tokenize, text)
+
+
+def test_tokenize_scans_the_fixtures_and_generated_models_as_the_reference_does():
+    fixtures = Path(__file__).parent / "fixtures"
+    write_model = _write_model()
+    texts = [(fixtures / name).read_text(encoding="utf-8")
+             for name in ("teaching.erdm", "every_codomain.erdm")]
+    texts += [write_model(random_model(seed)) for seed in range(100)]
+    for text in texts:
+        assert tokenize(text) == reference_tokenize(text)

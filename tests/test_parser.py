@@ -264,6 +264,12 @@ def test_parse_errors_render_their_position_message_and_expectation(parse, sourc
     assert [e.render() for e in info.value.errors] == rendered
 
 
+def test_a_range_path_from_the_target_set_reads_as_its_mapping():
+    # The path that range-path-off-target refuses, started at the target set.
+    assert (parse_model(D + "restriction R1 on A range A.a ascii(5)")
+            == parse_model(D + "restriction R1 on A range a ascii(5)"))
+
+
 def test_integers_of_the_most_digits_parse():
     most = "9" * 4300
     model = parse_model(

@@ -196,6 +196,11 @@ def _member(scheme: EMDMScheme, name: str) -> sch.Mapping:
     return scheme.set(set_name).mapping(mapping)
 
 
+def _include_computed(scheme: EMDMScheme) -> None:
+    scheme.add_set(EMDMSet("V", sch.COMPUTED, computed_definition="all"))
+    scheme.constraints.append(InclusionConstraint("V", "ROOMS"))
+
+
 # One mutation of the teaching scheme for each check_scheme code, with the
 # element its diagnostic names.
 CHECK_CASES = [
@@ -241,6 +246,7 @@ CHECK_CASES = [
      lambda m: setattr(_constraint(m, "R37"), "set_name", "NOPE")),
     ("restriction-on-computed-set", "constraint:R37",
      lambda m: setattr(m.set("SCHEDULES"), "kind", sch.COMPUTED)),
+    ("restriction-on-computed-set", "constraint:inclusion:V<=ROOMS", _include_computed),
     ("tuple-domain-mismatch", "constraint:R37",
      lambda m: setattr(_constraint(m, "R37"), "set_name", "ROOMS")),
     ("tuple-arity", "constraint:R37",
@@ -257,7 +263,11 @@ CHECK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("code, element, mutate", CHECK_CASES, ids=[c[0] for c in CHECK_CASES])
+@pytest.mark.parametrize("code, element, mutate", CHECK_CASES, ids=[
+    # a code's first case is named by the code alone, a later one by its element too
+    code if code not in [c[0] for c in CHECK_CASES[:i]] else f"{code}:{element}"
+    for i, (code, element, _) in enumerate(CHECK_CASES)
+])
 def test_check_scheme_names_the_element_of_each_code(golden_scheme, code, element, mutate):
     mutated = copy.deepcopy(golden_scheme)
     mutate(mutated)
