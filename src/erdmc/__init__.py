@@ -4,8 +4,8 @@ from .census import Tallies, census, verify_translation
 from .diagnostics import Diagnostic, ParseError, ParseFailure
 from .emitter import emit_structured, emit_text, encode_report, load_structured
 from .enrichment import EnrichmentAction, enrich_scheme
-from .formula import Formula, format_formula, free_variables, parse_formula, quantifier_count
-from .model import ERModel, classify_restriction, validate_model
+from .formula import Formula, format_formula, parse_formula, quantifier_count
+from .model import ERModel, validate_model
 from .parser import parse_model
 from .scheme import EMDMScheme, check_scheme, is_implicit_key
 from .translator import (
@@ -33,11 +33,9 @@ __all__ = [
     "enrich_scheme",
     "Formula",
     "format_formula",
-    "free_variables",
     "parse_formula",
     "quantifier_count",
     "ERModel",
-    "classify_restriction",
     "validate_model",
     "parse_model",
     "EMDMScheme",

@@ -77,9 +77,7 @@ def format_bound(b: Bound) -> str:
         return str(b.value)
     if isinstance(b, Pow10Bound):
         return f"10^{b.exponent}"
-    if isinstance(b, (DateBound, FuncBound)):
-        return b.text
-    raise TypeError(f"not a bound: {b!r}")
+    return b.text  # a DateBound or FuncBound
 
 
 def format_range(r: Range) -> str:
@@ -87,9 +85,7 @@ def format_range(r: Range) -> str:
         return f"[{format_bound(r.lo)}, {format_bound(r.hi)}]"
     if isinstance(r, AsciiRange):
         return f"ASCII({r.length})"
-    if isinstance(r, NatRange):
-        return f"NAT({r.digits})"
-    raise TypeError(f"not a range: {r!r}")
+    return f"NAT({r.digits})"
 
 
 def emit_text(scheme: EMDMScheme, unicode: bool = False) -> str:
@@ -267,23 +263,10 @@ def _codomain(r: Range | Bound | str | None, pad: str) -> str:
         inner = pad + "  "
         return (f'{{\n{inner}"kind": "interval",\n{inner}"lo": {_codomain(r.lo, inner)},'
                 f'\n{inner}"hi": {_codomain(r.hi, inner)}\n{pad}}}')
-    if isinstance(r, str):
-        kind, field, value = "set", "name", _q(r)
-    elif isinstance(r, AsciiRange):
-        kind, field, value = "ascii", "length", repr(r.length)
-    elif isinstance(r, NatRange):
-        kind, field, value = "nat", "digits", repr(r.digits)
-    elif isinstance(r, IntBound):
-        kind, field, value = "int", "value", repr(r.value)
-    elif isinstance(r, Pow10Bound):
-        kind, field, value = "pow10", "exponent", repr(r.exponent)
-    elif isinstance(r, DateBound):
-        kind, field, value = "date", "text", _q(r.text)
-    elif isinstance(r, FuncBound):
-        kind, field, value = "func", "text", _q(r.text)
-    else:
-        raise TypeError(f"not a codomain or bound: {r!r}")
-    return f'{{\n{pad}  "kind": "{kind}",\n{pad}  "{field}": {value}\n{pad}}}'
+    kind, field = _TAG_OF[type(r)]
+    value = r if kind == "set" else getattr(r, field)
+    text = _q(value) if isinstance(value, str) else repr(value)
+    return f'{{\n{pad}  "kind": "{kind}",\n{pad}  "{field}": {text}\n{pad}}}'
 
 
 def _constraint(c: Constraint) -> str:
@@ -293,12 +276,10 @@ def _constraint(c: Constraint) -> str:
     elif isinstance(c, TupleConstraint):
         fields = (f'"kind": "tuple",\n      "label": {_q(c.label)},\n      "set": '
                   f'{_q(c.set_name)},\n      "formula": {_q(format_formula(c.formula))}')
-    elif isinstance(c, NonrelationalConstraint):
+    else:
         formula = None if c.formula is None else format_formula(c.formula)
         fields = (f'"kind": "nonrelational",\n      "label": {_q(c.label)},\n      "formula": '
                   f'{_nullable(formula)},\n      "informal": {_nullable(c.informal)}')
-    else:
-        raise TypeError(f"not a constraint: {c!r}")
     return f"{{\n      {fields}\n    }}"
 
 
@@ -394,6 +375,8 @@ _TAGGED: dict[str, tuple[str, str, Callable[[Any], Any]]] = {
     "date": ("text", "a string", DateBound),
     "func": ("text", "a string", FuncBound),
 }
+# What the writer reads of the same table: the kind and field of each class.
+_TAG_OF = {build: (kind, key) for kind, (key, _, build) in _TAGGED.items()}
 _CODOMAINS = ("set", "interval", "ascii", "nat")
 _BOUNDS = ("int", "pow10", "date", "func")
 

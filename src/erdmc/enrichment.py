@@ -309,14 +309,15 @@ def ensure_totality(scheme: EMDMScheme, log: EnrichmentLog) -> None:
 
 
 _LABEL = re.compile(r"R0*(\d+)")
-_RESTRICTION_LABEL = re.compile(r"restriction:R0*(\d+)")
+# A restriction's provenance: "restriction:", its label, then a [member] for some.
+_RESTRICTION_LABEL = re.compile(rf"restriction:{_LABEL.pattern}(?:\[|\Z)")
 
 
 def _labels_in_use(scheme: EMDMScheme) -> set[int]:
     """Numeric values of every Rnn label visible anywhere in the scheme."""
     labels = [k.label for s in scheme.sets for k in s.keys]
     labels += [lbl for s in scheme.sets for m in s.mappings for lbl in m.source_labels.values()]
-    labels += [getattr(c, "label", None) for c in scheme.constraints]
+    labels += [c.label for c in scheme.constraints]
     values = {int(m.group(1)) for m in map(_LABEL.fullmatch, filter(None, labels)) if m}
     values.update(int(m.group(1))
                   for m in map(_RESTRICTION_LABEL.match, scheme.provenance.values()) if m)
@@ -392,7 +393,7 @@ def ensure_compulsory(scheme: EMDMScheme, log: EnrichmentLog) -> None:
     _ensure_fallback(
         scheme, log, RULE_COMPULSORY, FALLBACK_COMPULSORY,
         lambda s: any(m.total for m in s.mappings),
-        "total mapping", "compulsory", "compulsory mapping",
+        "total mapping", "compulsory-added", "compulsory mapping",
     )
 
 
@@ -401,7 +402,7 @@ def ensure_uniqueness(scheme: EMDMScheme, log: EnrichmentLog) -> None:
     _ensure_fallback(
         scheme, log, RULE_UNIQUENESS, FALLBACK_UNIQUE,
         lambda s: bool(s.keys) or any(m.one_to_one for m in s.mappings),
-        "one-to-one total mapping", "uniqueness", "uniqueness",
+        "one-to-one total mapping", "uniqueness-added", "uniqueness",
     )
 
 
@@ -431,7 +432,7 @@ def _ensure_fallback(
         scheme.record(ref_mapping(s.name, name), ENRICHMENT_PREFIX + rule)
         log.record(
             EnrichmentAction(rule, ref_set(s.name), f"added {added} {element} into ASCII(255)"),
-            INFO, f"{code}-added", f"{s.name} has no {lacking}; added {name}", element,
+            INFO, code, f"{s.name} has no {lacking}; added {name}", element,
         )
 
 
@@ -490,7 +491,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             if answer == reverse and default != reverse:
                 source_role, target_role = second, first
             else:
-                if answer not in (default, reverse) or answer is None:
+                if answer not in (default, reverse):
                     log.warn("collapse-default-direction",
                              f"no usable direction for {s.name}; defaulting to {default}", s.name)
                 source_role, target_role = first, second

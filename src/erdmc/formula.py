@@ -220,25 +220,6 @@ def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
 # --- queries ---
 
 
-def free_variables(node: Formula | Term) -> frozenset[str]:
-    """Variables not bound by an enclosing quantifier; empty on accepted formulas."""
-    if isinstance(node, Var):
-        return frozenset({node.name})
-    if isinstance(node, Apply):
-        return free_variables(node.argument)
-    if isinstance(node, (IntLit, TextLit)):
-        return frozenset()
-    if isinstance(node, Compare):
-        return free_variables(node.lhs) | free_variables(node.rhs)
-    if isinstance(node, Not):
-        return free_variables(node.body)
-    if isinstance(node, (And, Or, Implies)):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Forall):
-        return free_variables(node.body) - {node.variable}
-    raise TypeError(f"not a formula node: {node!r}")
-
-
 def quantifier_count(node: Formula) -> int:
     """Number of quantified variables; drives tuple vs nonrelational routing."""
     return len(quantifier_domains(node))
@@ -300,9 +281,7 @@ def _fmt(node: Formula, level: int, ops: dict[str, str]) -> str:
         return f"({text})" if level > own else text
     if isinstance(node, Not):
         return f"{ops['!']}{_fmt(node.body, _LEVEL_ATOM, ops)}"
-    if isinstance(node, Compare):
-        return f"{format_term(node.lhs)} {ops.get(node.op, node.op)} {format_term(node.rhs)}"
-    raise TypeError(f"not a formula node: {node!r}")
+    return f"{format_term(node.lhs)} {ops.get(node.op, node.op)} {format_term(node.rhs)}"
 
 
 def format_term(term: Term) -> str:
@@ -312,6 +291,4 @@ def format_term(term: Term) -> str:
         return f"{term.mapping}({format_term(term.argument)})"
     if isinstance(term, IntLit):
         return str(term.value)
-    if isinstance(term, TextLit):
-        return quote_string(term.value)
-    raise TypeError(f"not a term: {term!r}")
+    return quote_string(term.value)

@@ -206,37 +206,12 @@ RestrictionBody = Union[
     InclusionBody, RangeBody, CardinalityBody, CompulsoryBody, UniquenessBody, OtherBody
 ]
 
-INCLUSION = "inclusion"
-RANGE = "range"
-COMPULSORY = "compulsory"
-UNIQUENESS = "uniqueness"
-OTHER = "other"
-
 
 @dataclass(frozen=True)
 class Restriction:
     label: str
     target: str
     body: RestrictionBody
-
-
-def classify_restriction(r: Restriction) -> str:
-    """One of the five restriction classes.
-
-    Cardinality bounds classify as ranges: they bound the set's extension
-    the way an attribute range bounds a value set.
-    """
-    if isinstance(r.body, InclusionBody):
-        return INCLUSION
-    if isinstance(r.body, (RangeBody, CardinalityBody)):
-        return RANGE
-    if isinstance(r.body, CompulsoryBody):
-        return COMPULSORY
-    if isinstance(r.body, UniquenessBody):
-        return UNIQUENESS
-    if isinstance(r.body, OtherBody):
-        return OTHER
-    raise TypeError(f"unknown restriction body: {r.body!r}")
 
 
 # --- the model ---

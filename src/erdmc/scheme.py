@@ -17,7 +17,6 @@ from typing import Callable
 from .diagnostics import ERROR, Diagnostic
 from .formula import (
     And,
-    Apply,
     Compare,
     Forall,
     Formula,
@@ -312,22 +311,21 @@ def _term_type(
         if set_name is None:
             problems.append(f"variable {term.name!r} is not quantified")
         return set_name
-    if isinstance(term, Apply):
-        arg_type = _term_type(scheme, term.argument, env, problems)
-        if arg_type is None:
-            return None
-        if arg_type == _VALUE:
-            problems.append(f"{term.mapping!r} applied to a plain value")
-            return None
-        owner = scheme.set(arg_type)
-        mapping = owner.mapping(term.mapping) if owner else None
-        if mapping is None:
-            problems.append(f"{term.mapping!r} is not a mapping on {arg_type}")
-            return None
-        if isinstance(mapping.codomain, str):
-            return mapping.codomain
-        return _VALUE
-    raise TypeError(f"not a term: {term!r}")
+    # What is left is an Apply.
+    arg_type = _term_type(scheme, term.argument, env, problems)
+    if arg_type is None:
+        return None
+    if arg_type == _VALUE:
+        problems.append(f"{term.mapping!r} applied to a plain value")
+        return None
+    owner = scheme.set(arg_type)
+    mapping = owner.mapping(term.mapping) if owner else None
+    if mapping is None:
+        problems.append(f"{term.mapping!r} is not a mapping on {arg_type}")
+        return None
+    if isinstance(mapping.codomain, str):
+        return mapping.codomain
+    return _VALUE
 
 
 # --- the soundness gate ---
@@ -422,11 +420,10 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
 
     for c in scheme.constraints:
         check_constraint(scheme, c, bad)
-        label = getattr(c, "label", None)
-        if label:
-            if label in seen_labels:
-                bad("duplicate-label", f"constraint:{label}", f"label {label} reused")
-            seen_labels.add(label)
+        if c.label:
+            if c.label in seen_labels:
+                bad("duplicate-label", f"constraint:{c.label}", f"label {c.label} reused")
+            seen_labels.add(c.label)
 
     refs = base_refs(scheme)
     for ref in refs:

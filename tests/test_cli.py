@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import gc
 import io
@@ -20,7 +21,7 @@ from erdmc.model import validate_model
 from erdmc.parser import parse_model
 from test_model import VALIDATE_CASES
 from test_parser import PARSE_CASES
-from test_pinned_outputs import _write_model
+from test_pinned_outputs import ANSWERED_SOURCE, ANSWERS, PROMPTED, _write_model
 from test_scaling import _relational_model
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
@@ -661,6 +662,73 @@ def test_an_edited_model_ends_in_an_exit_code(tmp_path_factory, text):
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) in (0, 1, 2), argv
+
+
+def _answers_document() -> dict:
+    """A valid answers document with an answer to every question of ANSWERED_SOURCE."""
+    document = copy.deepcopy(ANSWERS)
+    for (subject, kind), answer in PROMPTED.items():
+        document.setdefault(subject, {})[kind] = answer
+    return document
+
+
+# Mostly strings, which the translation reads on; any other JSON value is refused.
+_ANSWER_VALUES = (
+    st.sampled_from(["", " ", "a\nb", "(forall", "MEN->WOMEN", "D->C", "(forall v in A)(v = v)"])
+    | st.text(max_size=12)
+    | st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=6,
+    )
+)
+
+
+def _value_paths(document) -> list[tuple]:
+    """The path of each value of *document*: the root, each subject, each answer."""
+    paths = [()]
+    if isinstance(document, dict):
+        for subject, entry in document.items():
+            paths.append((subject,))
+            if isinstance(entry, dict):
+                paths += [(subject, kind) for kind in entry]
+    return paths
+
+
+@st.composite
+def _edited_answers(draw):
+    """The answers document with one to three of its values replaced or deleted."""
+    document = _answers_document()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(_value_paths(document)))
+        if not path:
+            document = draw(_ANSWER_VALUES)
+            continue
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_ANSWER_VALUES)
+    return document
+
+
+@settings(max_examples=100, deadline=None)
+@given(_edited_answers())
+def test_an_edited_answers_document_ends_in_an_exit_code(tmp_path_factory, document):
+    work = tmp_path_factory.mktemp("answers")
+    model, answers = work / "m.erdm", work / "answers.json"
+    model.write_text(ANSWERED_SOURCE, encoding="utf-8")
+    answers.write_text(json.dumps(document), encoding="utf-8")
+    argv = ["translate", str(model), "--answers", str(answers), "-o", str(work / "s.txt"),
+            "--structured", str(work / "s.json"), "--report", str(work / "r.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(argv) in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # --- the collector pause ---

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import erdmc.enrichment
+import erdmc.translator
 from erdmc.cli import main
 from erdmc.census import verify_translation
 from erdmc.diagnostics import INFO, WARNING, Diagnostic
@@ -30,6 +34,9 @@ from erdmc.generator import random_model
 from erdmc.model import AsciiRange, Diagram, ERModel, ObjectSet
 from erdmc.parser import parse_model
 from erdmc.scheme import (
+    RELATIONSHIP_DERIVED,
+    EMDMScheme,
+    EMDMSet,
     InclusionConstraint,
     NonrelationalConstraint,
     TupleConstraint,
@@ -388,6 +395,17 @@ def test_rule_vii_makes_a_single_role_one_to_one():
     [firing] = [a for a in result.report.enrichment_actions if a.rule == "vii"]
     assert firing.description == "made single role R.r one-to-one (degenerate structural key)"
     assert firing.resulting_labels == ()
+
+
+def test_rule_vii_leaves_a_relationship_set_without_roles_alone():
+    # validate_model refuses such a relationship, so only a hand-built or
+    # loaded scheme holds one.
+    for scheme in (EMDMScheme(sets=[EMDMSet("L", RELATIONSHIP_DERIVED)]),
+                   load_structured('{"version": 1, "sets": [{"name": "L", '
+                                   '"kind": "relationship-derived"}]}')):
+        snapshot = copy.deepcopy(scheme)
+        assert _run(ensure_structural_key, scheme).diagnostics == []
+        assert scheme == snapshot
 
 
 # --- rule (viii): binary relationships with unique roles collapse ---
@@ -822,6 +840,20 @@ def test_label_allocation_numbers_every_key_of_one_pass():
     assert labels == rescanned == ["R99", "R100", "R101"]
 
 
+def test_label_allocation_ignores_labels_that_only_begin_like_rnn():
+    result = translate(parse_model(
+        "diagram D {\n"
+        "  entity A card 10 { attr a }\n"
+        "  entity B card 10 { attr b }\n"
+        "  relationship L { role p -> A role q -> B }\n"
+        "}\n"
+        "restriction R7x on A compulsory a\n"
+    ))
+    assert result.scheme is not None
+    assert "restriction:R7x[a]" in result.scheme.provenance.values()
+    assert [k.label for k in result.scheme.set("L").keys] == ["R01"]
+
+
 def test_interactive_prompter_is_consulted_and_recorded():
     questions = []
 
@@ -869,3 +901,75 @@ def test_post_enrichment_guarantees_hold_under_fuzz():
                 assert has_structural, (seed, s.name)
             assert any(m.total for m in s.mappings), (seed, s.name)
             assert s.keys or any(m.one_to_one for m in s.mappings), (seed, s.name)
+
+
+# --- every diagnostic of the rules and the translator fires somewhere ---
+
+
+def _entities(extra: str = "", restrictions: str = "") -> str:
+    """Source of entities A and B, each with a compulsory unique member, and *extra*."""
+    return (
+        "diagram D {\n"
+        f"  entity A card 10 {{ attr a : ascii(5) }}\n"
+        f"  entity B card 10 {{ attr b : ascii(5) }}\n  {extra}\n}}\n"
+        "restriction R01 on A compulsory a\nrestriction R02 on A unique a\n"
+        "restriction R03 on B compulsory b\nrestriction R04 on B unique b\n"
+        + restrictions
+    )
+
+
+_INFORMAL = 'restriction R05 on A other informal "no two alike"\n'
+
+# One model per diagnostic code of the enrichment rules and the translator:
+# (code, source, translation options) such that translating draws the code.
+RULE_CASES = [
+    ("cardinality-defaulted", _entities("entity C { attr c : ascii(5) }"), {}),
+    ("cardinality-clamped", _entities(), {"dbms_max_cardinality": 5}),
+    ("range-defaulted", _entities("entity C card 10 { attr c }"), {}),
+    ("computed-dropped", _entities("computed V { }"), {}),
+    ("computed-definition-supplied", _entities("computed V { }"),
+     {"answers": {"V": {"computed-definition": "all of A"}}}),
+    ("totality-added", _entities("relationship L { role p -> A role q -> B }"), {}),
+    ("structural-key-added", _entities("relationship L { role p -> A role q -> B }"), {}),
+    ("relationship-collapsed",
+     _entities("relationship L { role p -> A unique role q -> B }"), {}),
+    ("collapse-default-direction",
+     _entities("relationship L { role p -> A unique role q -> B unique }"), {}),
+    ("collapse-skipped",
+     _entities("relationship L { role p -> A unique role q -> B attr w : ascii(5) }"), {}),
+    ("compulsory-added", _entities("entity C card 10 { attr c : ascii(5) }"), {}),
+    ("uniqueness-added", _entities("entity C card 10 { attr c : ascii(5) }"), {}),
+    ("name-clash", _entities("entity C card 10 { attr Compulsory : ascii(5) }"), {}),
+    ("reference-cycle",
+     _entities("entity C card 10 { fn f -> E } entity E card 10 { fn g -> C }"), {}),
+    ("unformalized", _entities(restrictions=_INFORMAL), {}),
+    ("bad-formalization", _entities(restrictions=_INFORMAL),
+     {"answers": {"R05": {"formalization": "(forall x in A)("}}}),
+]
+
+
+@pytest.mark.parametrize("code, source, options", RULE_CASES,
+                         ids=[code for code, _, _ in RULE_CASES])
+def test_each_rule_diagnostic_code_fires(code, source, options):
+    result = translate(parse_model(source), TranslationOptions(**options))
+    assert code in [d.code for d in result.report.diagnostics]
+
+
+# Where each call that records a diagnostic takes its code. scheme.record
+# shares a name with EnrichmentLog.record but takes two arguments.
+_CODE_ARGUMENT = {"record": 2, "warn": 0, "_diag": 0, "Diagnostic": 1, "_ensure_fallback": 6}
+
+
+def test_every_rule_diagnostic_code_has_a_case():
+    codes = set()
+    for module in (erdmc.enrichment, erdmc.translator):
+        for call in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            position = _CODE_ARGUMENT.get(name, len(call.args))
+            if position < len(call.args) and isinstance(call.args[position], ast.Constant):
+                codes.add(call.args[position].value)
+    assert len(codes) >= 15
+    assert codes == {code for code, _, _ in RULE_CASES}

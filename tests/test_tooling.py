@@ -1,0 +1,54 @@
+"""Checks on the source tree itself, not on what the compiler does."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import erdmc
+
+SRC = Path(erdmc.__file__).parent
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _top_level_names(tree: ast.Module):
+    """Each top-level function, class or constant of *tree*, with its statement."""
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            yield statement.name, statement
+        elif isinstance(statement, ast.Assign):
+            for target in statement.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, statement
+        elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+            yield statement.target.id, statement
+
+
+def _names_used(node: ast.AST) -> set[str]:
+    """Every name that *node* reads, bare or as an attribute; imports are no use."""
+    used = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
+            used.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            used.add(child.attr)
+    return used
+
+
+def test_every_top_level_name_in_src_has_a_caller():
+    # A caller is any statement of src/ or perfbench/ but the definition
+    # itself; __init__ only re-exports, and tests do not count.
+    files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted(PERFBENCH.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    uses = [(statement, _names_used(statement))
+            for tree in trees.values() for statement in tree.body]
+    unused = []
+    for path in files:
+        if path.parent != SRC:
+            continue
+        for name, definition in _top_level_names(trees[path]):
+            if not any(name in used for statement, used in uses if statement is not definition):
+                unused.append(f"{path.stem}.{name}")
+    assert PERFBENCH / "run.py" in trees
+    assert unused == []

@@ -60,6 +60,12 @@ def test_surrogate_digits_matches_brute_force(cardinality):
     assert surrogate_digits(cardinality) == _brute_force_digits(cardinality)
 
 
+@pytest.mark.parametrize("cardinality", [0, -1])
+def test_surrogate_digits_refuses_a_cardinality_below_one(cardinality):
+    with pytest.raises(ValueError, match="at least 1"):
+        surrogate_digits(cardinality)
+
+
 def _scheme_order(model: ERModel, diamonds: bool) -> list[str]:
     """Names of the emitted rectangles (or diamonds), in scheme order."""
     scheme = translate(model).scheme
