@@ -13,7 +13,7 @@ The counting conventions are :data:`CONVENTIONS`, which every report carries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .formula import quantifier_count
@@ -44,39 +44,26 @@ CONVENTIONS = (
     "enrichment additions are recorded as actions, not steps",
 )
 
-# Every element class the census counts, in report order: the ``Tallies``
-# field, the step kind the translator logs for it, and the group total it
-# adds to. The translator names its steps by these classes.
-ELEMENT_CLASSES: dict[str, tuple[str, str]] = {
-    "entity_sets": ("entity-set", "sets_total"),
-    "relationship_sets": ("relationship-set", "sets_total"),
-    "computed_sets": ("computed-set", "sets_total"),
-    "roles": ("role", "mappings_total"),
-    "structural_functions": ("structural-function", "mappings_total"),
-    "attributes": ("attribute", "mappings_total"),
-    "nonrelational": ("nonrelational", "constraints_total"),
-    "inclusions": ("inclusion", "constraints_total"),
-    "compulsory_members": ("compulsory", "constraints_total"),
-    "unique_singletons": ("unique-singleton", "constraints_total"),
-    "concatenated_keys": ("concatenated-key", "constraints_total"),
-    "tuple_checks": ("tuple-check", "constraints_total"),
-}
+
+def _counted(step_kind: str, group: str) -> int:
+    """The ``Tallies`` field of an element class, and its ELEMENT_CLASSES row."""
+    return field(default=0, metadata={"step_kind": step_kind, "group": group})
 
 
 @dataclass(frozen=True)
 class Tallies:
-    entity_sets: int = 0
-    relationship_sets: int = 0
-    computed_sets: int = 0
-    roles: int = 0
-    structural_functions: int = 0
-    attributes: int = 0
-    nonrelational: int = 0
-    inclusions: int = 0
-    compulsory_members: int = 0
-    unique_singletons: int = 0
-    concatenated_keys: int = 0
-    tuple_checks: int = 0
+    entity_sets: int = _counted("entity-set", "sets_total")
+    relationship_sets: int = _counted("relationship-set", "sets_total")
+    computed_sets: int = _counted("computed-set", "sets_total")
+    roles: int = _counted("role", "mappings_total")
+    structural_functions: int = _counted("structural-function", "mappings_total")
+    attributes: int = _counted("attribute", "mappings_total")
+    nonrelational: int = _counted("nonrelational", "constraints_total")
+    inclusions: int = _counted("inclusion", "constraints_total")
+    compulsory_members: int = _counted("compulsory", "constraints_total")
+    unique_singletons: int = _counted("unique-singleton", "constraints_total")
+    concatenated_keys: int = _counted("concatenated-key", "constraints_total")
+    tuple_checks: int = _counted("tuple-check", "constraints_total")
     compulsory_lines: int = 0  # alternative per-declaration reading, not in totals
 
     @property
@@ -92,6 +79,13 @@ class Tallies:
         return {**counts, **groups, "total": sum(groups.values())}
 
 
+# Every element class the census counts, in report order: the ``Tallies``
+# field, the step kind the translator logs for it, and the group total it
+# adds to. The translator names its steps by these classes.
+ELEMENT_CLASSES: dict[str, tuple[str, str]] = {
+    f.name: (f.metadata["step_kind"], f.metadata["group"]) for f in fields(Tallies) if f.metadata
+}
+
 _SET_CLASSES = {
     ENTITY: "entity_sets", RELATIONSHIP: "relationship_sets", COMPUTED: "computed_sets",
 }
@@ -99,8 +93,7 @@ _SET_CLASSES = {
 
 def census(model: ERModel) -> Tallies:
     """Count every translatable element of *model*."""
-    counts = dict.fromkeys(ELEMENT_CLASSES, 0)
-    counts["compulsory_lines"] = 0
+    counts = asdict(Tallies())
     for s in model.object_sets():
         counts[_SET_CLASSES[s.kind]] += 1
         counts["roles"] += len(s.roles)

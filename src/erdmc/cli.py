@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="prompt for missing definitions, directions, and formulas")
     p_translate.add_argument("--unicode", action="store_true",
                              help="render with mathematical glyphs instead of ASCII")
-    p_translate.add_argument("--dbms-max-card", type=_cardinality, default=dbms_max,
+    p_translate.add_argument("--dbms-max-card", type=_at_least_1, default=dbms_max,
                              help="maximum cardinality assumed when a set declares none")
     p_translate.set_defaults(handler=_cmd_translate)
 
@@ -91,17 +91,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check", help="translate and verify linearity, soundness, completeness, optimality"
     )
-    p_check.add_argument("input", nargs="?", help="path to a .erdm file, or - for stdin")
-    p_check.add_argument("--fuzz", type=int, metavar="N",
-                         help="check N randomly generated models instead of a file")
+    p_check.add_argument("input", nargs="?", help="a .erdm file, or - for stdin; not with --fuzz")
+    p_check.add_argument("--fuzz", type=_at_least_1, metavar="N",
+                         help="check N (at least 1) randomly generated models instead of a file")
     p_check.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
-    p_check.add_argument("--dbms-max-card", type=_cardinality, default=dbms_max)
+    p_check.add_argument("--dbms-max-card", type=_at_least_1, default=dbms_max)
     p_check.set_defaults(handler=_cmd_check)
     return parser
 
 
-def _cardinality(text: str) -> int:
-    """A --dbms-max-card value: an integer of at least 1."""
+def _at_least_1(text: str) -> int:
+    """A --dbms-max-card or --fuzz value: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -219,13 +219,12 @@ def _check_one(model: ERModel, options: TranslationOptions, heading: str) -> boo
 
 def _cmd_check(args) -> int:
     options = TranslationOptions(dbms_max_cardinality=args.dbms_max_card)
+    if (args.fuzz is None) == (args.input is None):
+        raise _CommandError("provide an input file or --fuzz N, not both")
     if args.fuzz is not None:
         all_ok = True
         for i in range(args.fuzz):
-            model = random_model(args.seed + i)
-            all_ok &= _check_one(model, options, heading=f"model {i}: ")
+            all_ok &= _check_one(random_model(args.seed + i), options, heading=f"model {i}: ")
         return EXIT_OK if all_ok else EXIT_TRANSLATION
-    if not args.input:
-        raise _CommandError("provide an input file or --fuzz N")
     model = parse_model(_read_input(args.input))
     return EXIT_OK if _check_one(model, options, heading="") else EXIT_TRANSLATION

@@ -17,7 +17,7 @@ from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from .diagnostics import ERROR, Diagnostic, ParseFailure
+from .diagnostics import Diagnostic, ParseFailure
 from .formula import Formula, format_formula, parse_formula
 from .lexer import GLYPH_OF, MAX_DIGITS, PLAIN, quote_string
 from .model import (
@@ -90,7 +90,7 @@ def format_range(r: Range) -> str:
 
 def emit_text(scheme: EMDMScheme, unicode: bool = False) -> str:
     """Render *scheme*; refuses schemes that fail the soundness check."""
-    diagnostics = [d for d in check_scheme(scheme) if d.severity == ERROR]
+    diagnostics = check_scheme(scheme)
     if diagnostics:
         raise EmitError(diagnostics)
 
@@ -234,8 +234,8 @@ def emit_structured(scheme: EMDMScheme, report_text: str | None = None) -> str:
 
 
 def _set(s: EMDMSet) -> str:
-    ident = "null" if s.object_identifier is None else _mapping(s.object_identifier, "      ")
-    mappings = _array([_mapping(m, "        ") for m in s.mappings], "      ")
+    ident = "null" if s.object_identifier is None else _mapping(s.object_identifier, s.name, "      ")
+    mappings = _array([_mapping(m, s.name, "        ") for m in s.mappings], "      ")
     keys = _array([f'{{\n          "label": {_q(k.label)},\n          "mappings": '
                    f'{_array(map(_q, k.mappings), "          ")},\n          "implicit": '
                    f'{_BOOL[k.implicit]}\n        }}' for k in s.keys], "      ")
@@ -246,9 +246,9 @@ def _set(s: EMDMSet) -> str:
             f'\n      "computed_definition": {_nullable(s.computed_definition)}\n    }}')
 
 
-def _mapping(m: Mapping, pad: str) -> str:
+def _mapping(m: Mapping, holder: str, pad: str) -> str:
     sep = f",\n{pad}  "
-    return (f'{{\n{pad}  "name": {_q(m.name)}{sep}"source": {_q(m.source)}'
+    return (f'{{\n{pad}  "name": {_q(m.name)}{sep}"source": {_q(holder)}'
             f'{sep}"codomain": {_codomain(m.codomain, pad + "  ")}{sep}"flavor": {_q(m.flavor)}'
             f'{sep}"total": {_BOOL[m.total]}{sep}"one_to_one": {_BOOL[m.one_to_one]}'
             f'{sep}"computed_definition": {_nullable(m.computed_definition)}'
@@ -395,12 +395,14 @@ def _tagged(raw: Any, what: str, kinds: tuple[str, ...], path: str) -> Range | B
     return build(_field(raw, key, field_kind, path))
 
 
-def _mapping_from_json(raw: Any, path: str) -> Mapping:
+def _mapping_from_json(raw: Any, path: str, holder: str) -> Mapping:
     raw = _record(raw, "mapping", path)
+    name = _field(raw, "name", "a string", path)
+    if _field(raw, "source", "a string", path) != holder:
+        raise StructuredFormatError(f"source must be its set {holder!r}", f"{path}.source")
     codomain = raw.get("codomain")
     return Mapping(
-        name=_field(raw, "name", "a string", path),
-        source=_field(raw, "source", "a string", path),
+        name=name,
         codomain=None if codomain is None else _tagged(
             codomain, "codomain", _CODOMAINS, f"{path}.codomain"),
         flavor=_field(raw, "flavor", "a string", path),
@@ -422,13 +424,15 @@ def _key_from_json(raw: Any, path: str) -> Key:
 
 def _set_from_json(raw: Any, path: str) -> EMDMSet:
     raw = _record(raw, "set", path)
+    name = _field(raw, "name", "a string", path)
     ident = raw.get("object_identifier")
     return EMDMSet(
-        name=_field(raw, "name", "a string", path),
+        name=name,
         kind=_field(raw, "kind", "a string", path),
         object_identifier=None if ident is None else _mapping_from_json(
-            ident, f"{path}.object_identifier"),
-        mappings=_records(raw, "mappings", path, _mapping_from_json),
+            ident, f"{path}.object_identifier", name),
+        mappings=_records(raw, "mappings", path,
+                          lambda item, at: _mapping_from_json(item, at, name)),
         keys=_records(raw, "keys", path, _key_from_json),
         role_signature=tuple(
             map(tuple, _field(raw, "role_signature", "an array of string pairs", path, []))),

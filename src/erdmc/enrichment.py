@@ -426,7 +426,7 @@ def _ensure_fallback(
             log.warn("name-clash", f"{s.name} already has a mapping named {wanted}; using {name}",
                      element)
         s.mappings.append(Mapping(
-            name=name, source=s.name, codomain=DEFAULT_RANGE,
+            name=name, codomain=DEFAULT_RANGE,
             flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
         ))
         scheme.record(ref_mapping(s.name, name), ENRICHMENT_PREFIX + rule)
@@ -562,7 +562,6 @@ def _collapse(
     """Rule (viii)'s change: replace *rel* by the mapping *name* on *home*."""
     home.mappings.append(Mapping(
         name=name,
-        source=home.name,
         codomain=target_role.codomain,
         flavor=STRUCTURAL_FUNCTION,
         total=source_role.total,

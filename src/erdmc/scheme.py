@@ -30,17 +30,19 @@ from .formula import (
     quantifier_count,
     quantifier_domains,
 )
-from .model import NatRange, Range
+from .model import FACETS, NatRange, Range
 
 ENTITY_DERIVED = "entity-derived"
 RELATIONSHIP_DERIVED = "relationship-derived"
 COMPUTED = "computed"
+SET_KINDS = (ENTITY_DERIVED, RELATIONSHIP_DERIVED, COMPUTED)
 
 ATTRIBUTE = "attribute"
 ROLE = "role"
 STRUCTURAL_FUNCTION = "structural-function"
 OBJECT_IDENTIFIER = "object-identifier"
 GENERATED = "enrichment-generated"
+MAPPING_FLAVORS = (ATTRIBUTE, ROLE, STRUCTURAL_FUNCTION, GENERATED)
 
 # Provenance values carrying this prefix mark elements added by an
 # enrichment rule rather than translated from a model element.
@@ -49,10 +51,9 @@ ENRICHMENT_PREFIX = "enrichment:"
 
 @dataclass
 class Mapping:
-    """A function from a scheme set into a value range or another set."""
+    """A function from the scheme set that holds it into a value range or another set."""
 
     name: str
-    source: str
     codomain: Range | str | None
     flavor: str
     total: bool = False
@@ -344,6 +345,8 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
         if s.name in seen_sets:
             bad("duplicate-set", s.name, f"scheme set {s.name} appears twice")
         seen_sets.add(s.name)
+        if s.kind not in SET_KINDS:
+            bad("unknown-set-kind", s.name, f"{s.name} has unknown kind {s.kind!r}")
 
     for s in scheme.sets:
         if s.kind == COMPUTED:
@@ -357,6 +360,9 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
         if ident is None:
             bad("missing-identifier", s.name, f"{s.name} has no object identifier")
         else:
+            if ident.flavor != OBJECT_IDENTIFIER:
+                bad("identifier-flavor", s.name,
+                    f"object identifier of {s.name} has flavor {ident.flavor!r}")
             if not (ident.one_to_one and ident.total):
                 bad("identifier-flags", s.name,
                     f"object identifier of {s.name} must be one-to-one and total")
@@ -364,13 +370,14 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
                 bad("identifier-codomain", s.name,
                     f"object identifier of {s.name} must map onto NAT(n), n >= 1")
         seen_mappings: set[str] = set()
-        names = [ident.name] if ident else []
-        names += [m.name for m in s.mappings]
-        for name in names:
-            if name in seen_mappings:
-                bad("duplicate-mapping", f"{s.name}.{name}",
-                    f"mapping {name} appears twice on {s.name}")
-            seen_mappings.add(name)
+        for m in ([ident] if ident else []) + s.mappings:
+            element = f"{s.name}.{m.name}"
+            if m.name in seen_mappings:
+                bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
+            seen_mappings.add(m.name)
+            for facet in m.source_labels:
+                if facet not in FACETS:
+                    bad("unknown-facet", element, f"source label of unknown facet {facet!r}")
         for m in s.mappings:
             element = f"{s.name}.{m.name}"
             if m.flavor == ROLE:
@@ -381,6 +388,8 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
             if m.flavor == OBJECT_IDENTIFIER:
                 bad("stray-identifier", element,
                     "object identifiers live outside the mapping list")
+            elif m.flavor not in MAPPING_FLAVORS:
+                bad("unknown-flavor", element, f"mapping {m.name} has unknown flavor {m.flavor!r}")
             if isinstance(m.codomain, str) and scheme.set(m.codomain) is None:
                 bad("unresolved-codomain", element,
                     f"mapping {m.name} targets unknown set {m.codomain!r}")

@@ -45,6 +45,7 @@ from .model import (
     src_role,
     src_set,
     validate_model,
+    validation_errors,
 )
 from . import scheme as sch
 from .scheme import (
@@ -228,7 +229,7 @@ class Translator:
         self.model = apply_input_defaults(
             self.model, self.options.dbms_max_cardinality, log=self.log,
         ).model
-        post_issues = [i for i in validate_model(self.model) if i.is_error]
+        post_issues = validation_errors(self.model)
         if post_issues:
             for issue in post_issues:
                 self._diag(issue.code, issue.element, f"after input defaults: {issue.message}")
@@ -282,8 +283,7 @@ class Translator:
         else:
             max_card, card_source = effective_cardinality(self.model, s)
             target.object_identifier = Mapping(
-                name=OBJECT_IDENTIFIER, source=s.name,
-                codomain=NatRange(surrogate_digits(max_card)),
+                name=OBJECT_IDENTIFIER, codomain=NatRange(surrogate_digits(max_card)),
                 flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
             )
             self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
@@ -293,15 +293,14 @@ class Translator:
 
         for role in s.roles:
             target.mappings.append(Mapping(
-                name=role.name, source=s.name, codomain=role.target,
+                name=role.name, codomain=role.target,
                 flavor=sch.ROLE, total=False, one_to_one=role.declared_unique,
             ))
             self._step("roles", src_role(s.name, role.name), ref_mapping(s.name, role.name))
 
         for fn in s.structural_functions:
             mapping = Mapping(
-                name=fn.name, source=s.name, codomain=fn.target,
-                flavor=sch.STRUCTURAL_FUNCTION,
+                name=fn.name, codomain=fn.target, flavor=sch.STRUCTURAL_FUNCTION,
                 computed_definition=fn.computed_definition,
             )
             target.mappings.append(mapping)
@@ -311,7 +310,7 @@ class Translator:
         for attr in s.attributes:
             rng, rng_source = effective_range(self.model, s, attr)  # a computed one has none
             mapping = Mapping(
-                name=attr.name, source=s.name, codomain=rng, flavor=sch.ATTRIBUTE,
+                name=attr.name, codomain=rng, flavor=sch.ATTRIBUTE,
                 computed_definition=attr.computed_definition,
             )
             if rng_source is not None and rng_source.startswith("restriction:"):
@@ -346,10 +345,6 @@ class Translator:
                 key.implicit = is_implicit_key(key, target)
                 target.keys.append(key)
                 self._step("concatenated_keys", src_restriction(r.label), ref_key(s.name, r.label))
-                if key.implicit:
-                    self.report.implicit_keys.append(ImplicitKeyNote(
-                        s.name, r.label, key.mappings, "declared-absorbed",
-                    ))
 
         for r in restrictions:
             if isinstance(r.body, OtherBody) and r.body.formal is not None:
@@ -406,15 +401,16 @@ class Translator:
     # -- enrichment --
 
     def _enrich(self) -> None:
+        """Enrich, then list the finished scheme's implicit keys, declared before generated."""
         enrich_scheme(self.scheme, self.log)
-        generated = ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
-        provenance = self.scheme.provenance
-        for s in self.scheme.sets:
-            for k in s.keys:
-                if provenance.get(ref_key(s.name, k.label)) == generated:
-                    self.report.implicit_keys.append(
-                        ImplicitKeyNote(s.name, k.label, k.mappings, "generated")
-                    )
+        provenance, generated = self.scheme.provenance, ENRICHMENT_PREFIX + RULE_STRUCTURAL_KEY
+        notes = [
+            ImplicitKeyNote(s.name, k.label, k.mappings,
+                            "generated" if provenance.get(ref_key(s.name, k.label)) == generated
+                            else "declared-absorbed")
+            for s in self.scheme.sets for k in s.keys if k.implicit
+        ]
+        self.report.implicit_keys = sorted(notes, key=lambda note: note.origin == "generated")
 
 
 def translate(model: ERModel, options: TranslationOptions | None = None) -> TranslationResult:

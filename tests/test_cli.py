@@ -473,6 +473,14 @@ def test_check_requires_input_or_fuzz(capsys):
     assert "provide an input file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path", [FIXTURE, "missing.erdm"], ids=["fixture", "missing"])
+def test_check_refuses_an_input_file_together_with_fuzz(capsys, path):
+    assert main(["check", path, "--fuzz", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["provide an input file or --fuzz N, not both"]
+
+
 def test_translate_bad_answers_files_exit_2(tmp_path, capsys):
     model = tmp_path / "m.erdm"
     model.write_text(
@@ -524,19 +532,31 @@ def test_translate_null_answer_asks_no_further(tmp_path, capsys):
     assert "warning: unformalized: R03 remains unformalized" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["translate", "check"])
-@pytest.mark.parametrize("value, reason", [
+_NOT_AT_LEAST_1 = pytest.mark.parametrize("value, reason", [
     ("0", "must be at least 1, not 0"),
     ("-3", "must be at least 1, not -3"),
     ("ten", "invalid int value: 'ten'"),
 ], ids=["zero", "negative", "not-an-integer"])
-def test_dbms_max_card_must_be_an_integer_of_at_least_1(capsys, command, value, reason):
+
+
+def _refused_option(capsys, argv: list[str], option: str, reason: str) -> None:
     with pytest.raises(SystemExit) as stopped:
-        main([command, FIXTURE, "--dbms-max-card", value])
+        main(argv)
     assert stopped.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-1].endswith(f"error: argument --dbms-max-card: {reason}")
+    assert captured.err.splitlines()[-1].endswith(f"error: argument {option}: {reason}")
+
+
+@pytest.mark.parametrize("command", ["translate", "check"])
+@_NOT_AT_LEAST_1
+def test_dbms_max_card_must_be_an_integer_of_at_least_1(capsys, command, value, reason):
+    _refused_option(capsys, [command, FIXTURE, "--dbms-max-card", value], "--dbms-max-card", reason)
+
+
+@_NOT_AT_LEAST_1
+def test_fuzz_must_be_an_integer_of_at_least_1(capsys, value, reason):
+    _refused_option(capsys, ["check", "--fuzz", value], "--fuzz", reason)
 
 
 def test_dbms_max_card_of_1_gives_one_digit_identifiers(capsys):

@@ -414,6 +414,22 @@ def test_loaded_self_inclusion_is_refused():
         emit_text(scheme)
 
 
+def test_loaded_words_outside_the_scheme_vocabularies_are_refused():
+    doc = _loaded_document("diagram D { entity A card 10 { attr a } }")
+    (a,) = doc["sets"]
+    a["kind"] = "zzz"
+    a["object_identifier"]["flavor"] = "attribute"
+    a["mappings"][0]["flavor"] = "colour"
+    a["mappings"][0]["source_labels"] = {"weird": "R99"}
+    scheme = load_structured(json.dumps(doc))
+    expected = [("unknown-set-kind", "A"), ("identifier-flavor", "A"),
+                ("unknown-facet", "A.a"), ("unknown-flavor", "A.a")]
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == expected
+    with pytest.raises(EmitError) as info:
+        emit_text(scheme)
+    assert [(d.code, d.element) for d in info.value.diagnostics] == expected
+
+
 def test_inclusion_of_a_computed_set_is_refused_not_dropped():
     # A computed set's text is its definition alone, so it has no line for
     # the inclusion.
@@ -507,6 +523,11 @@ READER_CASES = [
      "$.sets[4].role_signature: role_signature must be an array of string pairs"),
     ("not-labels", ((*_M, 3, "source_labels"), {"total": None}),
      "$.sets[0].mappings[3].source_labels: source_labels must be an object of strings"),
+    # a source that is not the set holding the mapping
+    ("wrong-identifier-source", (("sets", 0, "object_identifier", "source"), "NOPE"),
+     "$.sets[0].object_identifier.source: source must be its set 'PERSONS'"),
+    ("wrong-mapping-source", ((*_M, 0, "source"), "CITIES"),
+     "$.sets[0].mappings[0].source: source must be its set 'PERSONS'"),
     # each required field, missing
     ("missing-set-name", (("sets", 0, "name"), _DELETE), "$.sets[0].name: name is missing"),
     ("missing-set-kind", (("sets", 0, "kind"), _DELETE), "$.sets[0].kind: kind is missing"),

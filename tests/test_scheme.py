@@ -205,11 +205,14 @@ def _include_computed(scheme: EMDMScheme) -> None:
 # element its diagnostic names.
 CHECK_CASES = [
     ("duplicate-set", "ROOMS", lambda m: m.add_set(copy.deepcopy(m.set("ROOMS")))),
+    ("unknown-set-kind", "ROOMS", lambda m: setattr(m.set("ROOMS"), "kind", "zzz")),
     ("missing-definition", "V", lambda m: m.add_set(EMDMSet("V", sch.COMPUTED))),
     ("computed-set-structure", "V", lambda m: m.add_set(
         EMDMSet("V", sch.COMPUTED, keys=[Key("R90", ("a", "b"))], computed_definition="all"))),
     ("missing-identifier", "ROOMS",
      lambda m: setattr(m.set("ROOMS"), "object_identifier", None)),
+    ("identifier-flavor", "ROOMS",
+     lambda m: setattr(_member(m, "ROOMS.x"), "flavor", sch.ATTRIBUTE)),
     ("identifier-flags", "ROOMS", lambda m: setattr(_member(m, "ROOMS.x"), "total", False)),
     ("identifier-codomain", "ROOMS",
      lambda m: setattr(_member(m, "ROOMS.x"), "codomain", NatRange(0))),
@@ -221,6 +224,10 @@ CHECK_CASES = [
      lambda m: setattr(_member(m, "SCHEDULES.Room"), "total", False)),
     ("stray-identifier", "ROOMS.Room#",
      lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.OBJECT_IDENTIFIER)),
+    ("unknown-flavor", "ROOMS.Room#", lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", "colour")),
+    ("unknown-facet", "ROOMS.Room#",
+     lambda m: _member(m, "ROOMS.Room#").source_labels.update(weird="R99")),
+    ("unknown-facet", "ROOMS.x", lambda m: _member(m, "ROOMS.x").source_labels.update(weird="R99")),
     ("unresolved-codomain", "SCHEDULES.Room",
      lambda m: setattr(_member(m, "SCHEDULES.Room"), "codomain", "ROOMZ")),
     ("missing-codomain", "ROOMS.Room#",

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from erdmc.census import Tallies, census, verify_translation
 from erdmc.emitter import emit_structured, emit_text, encode_report
+from erdmc.generator import random_model
 from erdmc.model import (
     Diagram,
     ERModel,
@@ -435,3 +436,34 @@ def test_an_answered_formalization_is_checked_like_any_constraint(formula, code,
     assert result.scheme is None
     errors = [(d.code, d.message, d.element) for d in result.report.diagnostics if d.is_error]
     assert errors == [(code, message, "constraint:R3")]
+
+
+# --- the implicit-key inventory is read off the finished scheme ---
+
+
+def test_a_key_of_a_collapsed_relationship_leaves_the_inventory():
+    # R01 spans both roles of R, so it is implicit; rule (viii) then replaces
+    # R by the mapping A.R, and R01 goes with it.
+    result = translate(parse_model(
+        "diagram D {\n"
+        "  entity A card 10 { attr a }\n"
+        "  entity B card 10 { attr b }\n"
+        "  relationship R { role p -> A unique role q -> B }\n"
+        "}\n"
+        "restriction R01 on R unique p, q\n"
+    ))
+    assert result.scheme.set("R") is None and result.scheme.set("A").mapping("R") is not None
+    assert result.scheme.provenance["mapping:A.R#absorbed:key:R.R01"] == "restriction:R01"
+    assert result.report.implicit_keys == []
+
+
+def test_the_inventory_lists_each_implicit_key_of_the_scheme_once():
+    for seed in range(300):
+        result = translate(random_model(seed))
+        keys = {(s.name, k.label): k for s in result.scheme.sets for k in s.keys}
+        listed = [(note.set_name, note.label) for note in result.report.implicit_keys]
+        for note in result.report.implicit_keys:
+            key = keys.get((note.set_name, note.label))
+            assert key is not None and key.mappings == note.mappings, (seed, note)
+        implicit = [ref for ref, key in keys.items() if key.implicit]
+        assert sorted(listed) == sorted(implicit), seed
