@@ -68,13 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(required=True)
 
     p_translate = sub.add_parser("translate", help="translate a model to a scheme")
-    p_translate.add_argument("input", help="path to a .erdm file, or - for stdin")
-    p_translate.add_argument("-o", "--output", help="write the text scheme here instead of stdout")
-    p_translate.add_argument("--structured", metavar="PATH",
+    p_translate.add_argument("input", type=_path, help="path to a .erdm file, or - for stdin")
+    p_translate.add_argument("-o", "--output", type=_path,
+                             help="write the text scheme here instead of stdout")
+    p_translate.add_argument("--structured", type=_path, metavar="PATH",
                              help="also write the structured JSON form")
-    p_translate.add_argument("--report", metavar="PATH",
+    p_translate.add_argument("--report", type=_path, metavar="PATH",
                              help="also write the translation report as JSON")
-    p_translate.add_argument("--answers", metavar="PATH",
+    p_translate.add_argument("--answers", type=_path, metavar="PATH",
                              help="JSON document of scripted answers")
     p_translate.add_argument("--interactive", action="store_true",
                              help="prompt for missing definitions, directions, and formulas")
@@ -85,13 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_translate.set_defaults(handler=_cmd_translate)
 
     p_validate = sub.add_parser("validate", help="parse and validate a model")
-    p_validate.add_argument("input", help="path to a .erdm file, or - for stdin")
+    p_validate.add_argument("input", type=_path, help="path to a .erdm file, or - for stdin")
     p_validate.set_defaults(handler=_cmd_validate)
 
     p_check = sub.add_parser(
         "check", help="translate and verify linearity, soundness, completeness, optimality"
     )
-    p_check.add_argument("input", nargs="?", help="a .erdm file, or - for stdin; not with --fuzz")
+    p_check.add_argument("input", nargs="?", type=_path,
+                         help="a .erdm file, or - for stdin; not with --fuzz")
     p_check.add_argument("--fuzz", type=_at_least_1, metavar="N",
                          help="check N (at least 1) randomly generated models instead of a file")
     p_check.add_argument("--seed", type=int, default=0, help="seed for --fuzz")
@@ -109,6 +111,13 @@ def _at_least_1(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
     return value
+
+
+def _path(text: str) -> str:
+    """A path argument: any text but the empty one, which names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("a path cannot be empty")
+    return text
 
 
 def _read_input(path: str) -> str:

@@ -34,6 +34,7 @@ from .model import (
     breaks_line,
     effective_cardinality,
     effective_range,
+    facet_of,
     src_attribute,
     src_function,
     src_set,
@@ -83,7 +84,7 @@ class Question:
 class PendingQuestion:
     question: Question
     answer: str | None
-    origin: str  # "answers" | "prompt" | "default" | "unanswered"
+    origin: str  # "answers" | "prompt" | "unanswered"
 
 
 @dataclass(frozen=True)
@@ -155,20 +156,15 @@ class InputDefaultsResult:
 
 
 def apply_input_defaults(
-    model: ERModel,
-    dbms_max_cardinality: int,
-    answers: Answers | None = None,
-    prompter: Prompter | None = None,
-    *,
-    log: EnrichmentLog | None = None,
+    model: ERModel, dbms_max_cardinality: int, *, log: EnrichmentLog | None = None,
 ) -> InputDefaultsResult:
     """Rules (i)-(iv): repair the model before translation.
 
-    Firings go to *log*, or to a fresh log over *answers* and *prompter*;
-    the result carries that log's lists.
+    Questions and firings go to *log*, or to a fresh log with no answers
+    and no prompter; the result carries that log's lists.
     """
     if log is None:
-        log = EnrichmentLog(answers, prompter)
+        log = EnrichmentLog()
     diagrams = []
     for d in model.diagrams:
         sets = (_default_one_set(s, model, dbms_max_cardinality, log) for s in d.sets)
@@ -454,7 +450,8 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     or referenced by other mappings or constraints, are skipped with a
     warning because the replacement text covers only roles. So is one whose
     new mapping would sit on, or point at, the relationship itself, which
-    the collapse removes, and one whose home is a computed set.
+    the collapse removes, one whose home is a computed set, and one whose
+    new mapping's name would read as a facet of a member of its home.
     """
     references: Counter[str] | None = None  # counted at the first candidate
 
@@ -512,6 +509,12 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
                      f"{s.name} cannot collapse into a mapping that targets {s.name}", s.name)
             continue
         name, clash = _free_name(home, s.name)
+        if collision := facet_of(name, {m.name for m in home.mappings}):
+            owner, facet = collision
+            log.warn("collapse-skipped",
+                     f"{s.name} cannot collapse onto {home.name}: a mapping named {name} "
+                     f"would read as the {facet} facet of {home.name}.{owner}", s.name)
+            continue
         if clash:
             log.warn("name-clash",
                      f"{home.name} already has a mapping named {s.name}; using {name}",

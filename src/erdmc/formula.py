@@ -36,16 +36,11 @@ class Apply:
 
 
 @dataclass(frozen=True)
-class IntLit:
-    value: int
+class Literal:
+    value: int | str
 
 
-@dataclass(frozen=True)
-class TextLit:
-    value: str
-
-
-Term = Union[Var, Apply, IntLit, TextLit]
+Term = Union[Var, Apply, Literal]
 
 # --- formulas ---
 
@@ -63,19 +58,8 @@ class Not:
 
 
 @dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
+class Binary:
+    op: str  # one of & | =>
     left: "Formula"
     right: "Formula"
 
@@ -87,7 +71,7 @@ class Forall:
     body: "Formula"
 
 
-Formula = Union[Compare, Not, And, Or, Implies, Forall]
+Formula = Union[Compare, Not, Binary, Forall]
 
 COMPARE_OPS = ("=", "<>", "<", "<=", ">", ">=")
 
@@ -157,7 +141,7 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
 def _parse_implies(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     left = _parse_or(stream, bound, depth)
     if op := stream.accept(OP, "=>"):
-        return Implies(left, _parse_implies(stream, bound, _deeper(stream, depth, op)))
+        return Binary("=>", left, _parse_implies(stream, bound, _deeper(stream, depth, op)))
     return left
 
 
@@ -165,7 +149,7 @@ def _parse_or(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula
     node = _parse_and(stream, bound, depth)
     while op := stream.accept(OP, "|"):
         depth = _deeper(stream, depth, op)
-        node = Or(node, _parse_and(stream, bound, depth))
+        node = Binary("|", node, _parse_and(stream, bound, depth))
     return node
 
 
@@ -173,7 +157,7 @@ def _parse_and(stream: TokenStream, bound: frozenset[str], depth: int) -> Formul
     node = _parse_unary(stream, bound, depth)
     while op := stream.accept(OP, "&"):
         depth = _deeper(stream, depth, op)
-        node = And(node, _parse_unary(stream, bound, depth))
+        node = Binary("&", node, _parse_unary(stream, bound, depth))
     return node
 
 
@@ -201,11 +185,11 @@ def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) ->
 
 def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
     if tok := stream.accept(INT):
-        return IntLit(int(tok.value))
+        return Literal(int(tok.value))
     if stream.accept(OP, "-"):
-        return IntLit(-int(stream.expect(INT, label="integer").value))
+        return Literal(-int(stream.expect(INT, label="integer").value))
     if tok := stream.accept(STRING):
-        return TextLit(tok.value)
+        return Literal(tok.value)
     if tok := stream.accept(NAME):
         if op := stream.accept(OP, "("):
             arg = _parse_term(stream, bound, _deeper(stream, depth, op))
@@ -229,7 +213,7 @@ def quantifier_domains(node: Formula) -> list[str]:
     """Domains of all quantifiers, outermost first."""
     if isinstance(node, Forall):
         return [node.domain] + quantifier_domains(node.body)
-    if isinstance(node, (And, Or, Implies)):
+    if isinstance(node, Binary):
         return quantifier_domains(node.left) + quantifier_domains(node.right)
     if isinstance(node, Not):
         return quantifier_domains(node.body)
@@ -244,11 +228,11 @@ _LEVEL_AND = 3
 _LEVEL_UNARY = 4
 _LEVEL_ATOM = 5
 
-# Each binary connective: its surface, its own level, and its operands' levels.
+# Each binary connective: its own level, and its operands' levels.
 _BINARY = {
-    Implies: ("=>", _LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_IMPLIES),
-    Or: ("|", _LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
-    And: ("&", _LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
+    "=>": (_LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_IMPLIES),
+    "|": (_LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
+    "&": (_LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
 }
 
 
@@ -275,9 +259,9 @@ def _fmt(node: Formula, level: int, ops: dict[str, str]) -> str:
                 node = node.body
             prefix += f"({binder}{', '.join(names)} {ops['in']} {domain})"
         return f"{prefix}({_fmt(node, 0, ops)})"
-    if type(node) in _BINARY:
-        op, own, left, right = _BINARY[type(node)]
-        text = f"{_fmt(node.left, left, ops)} {ops[op]} {_fmt(node.right, right, ops)}"
+    if isinstance(node, Binary):
+        own, left, right = _BINARY[node.op]
+        text = f"{_fmt(node.left, left, ops)} {ops[node.op]} {_fmt(node.right, right, ops)}"
         return f"({text})" if level > own else text
     if isinstance(node, Not):
         return f"{ops['!']}{_fmt(node.body, _LEVEL_ATOM, ops)}"
@@ -289,6 +273,4 @@ def format_term(term: Term) -> str:
         return term.name
     if isinstance(term, Apply):
         return f"{term.mapping}({format_term(term.argument)})"
-    if isinstance(term, IntLit):
-        return str(term.value)
-    return quote_string(term.value)
+    return str(term.value) if isinstance(term.value, int) else quote_string(term.value)

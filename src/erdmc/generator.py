@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from .formula import Apply, Compare, Forall, Formula, Implies, IntLit, Var
+from .formula import Apply, Binary, Compare, Forall, Formula, Literal, Var
 from .model import (
     AsciiRange,
     Attribute,
@@ -133,7 +133,7 @@ def random_model(
             attr = rng.choice(attrs)
             formula: Formula = Forall(
                 "x", set_name,
-                Compare(">=", Apply(attr, Var("x")), IntLit(0)),
+                Compare(">=", Apply(attr, Var("x")), Literal(0)),
             )
             _restrict(restrictions, set_name, OtherBody(None, formula))
 
@@ -153,10 +153,9 @@ def random_model(
             p, q = rng.sample(attrs, 2)
             formula = Forall("x", set_name, Forall(
                 "y", set_name,
-                Implies(
-                    Compare("=", Apply(p, Var("x")), Apply(p, Var("y"))),
-                    Compare("=", Apply(q, Var("x")), Apply(q, Var("y"))),
-                ),
+                Binary("=>",
+                       Compare("=", Apply(p, Var("x")), Apply(p, Var("y"))),
+                       Compare("=", Apply(q, Var("x")), Apply(q, Var("y")))),
             ))
             _restrict(restrictions, set_name, OtherBody("generated functional dependency", formula))
     if rng.random() < 0.2 and room_for_more():

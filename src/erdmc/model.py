@@ -7,6 +7,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -25,6 +26,12 @@ OBJECT_IDENTIFIER = "x"
 # codomain (scheme.ref_mapping). Names may contain "#", so a member named
 # like another member's facet would share that facet's reference.
 FACETS = ("codomain", "total", "unique")
+
+
+def facet_of(name: str, members: Container[str]) -> tuple[str, str] | None:
+    """(member, facet) when *name* reads as a facet of one of *members*, else None."""
+    owner, _, facet = name.rpartition("#")
+    return (owner, facet) if facet in FACETS and owner in members else None
 
 
 def breaks_line(text: str) -> bool:
@@ -412,8 +419,8 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             err("duplicate-member", f"{s.name}.{name}", f"member {name!r} declared twice on {s.name}")
         seen.add(name)
     for name in names:
-        owner, _, facet = name.rpartition("#")
-        if facet in FACETS and owner in seen:
+        if collision := facet_of(name, seen):
+            owner, facet = collision
             err(
                 "reference-collision",
                 f"{s.name}.{name}",

@@ -16,16 +16,13 @@ from typing import Callable
 
 from .diagnostics import ERROR, Diagnostic
 from .formula import (
-    And,
+    Binary,
     Compare,
     Forall,
     Formula,
-    Implies,
-    IntLit,
+    Literal,
     Not,
-    Or,
     Term,
-    TextLit,
     Var,
     quantifier_count,
     quantifier_domains,
@@ -286,7 +283,7 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], proble
             problems.append(f"quantifier domain {node.domain!r} is not a scheme set")
             return
         _resolve_node(scheme, node.body, {**env, node.variable: node.domain}, problems)
-    elif isinstance(node, (And, Or, Implies)):
+    elif isinstance(node, Binary):
         _resolve_node(scheme, node.left, env, problems)
         _resolve_node(scheme, node.right, env, problems)
     elif isinstance(node, Not):
@@ -305,7 +302,7 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], proble
 def _term_type(
     scheme: EMDMScheme, term: Term, env: dict[str, str], problems: list[str]
 ) -> str | None:
-    if isinstance(term, (IntLit, TextLit)):
+    if isinstance(term, Literal):
         return _VALUE
     if isinstance(term, Var):
         set_name = env.get(term.name)

@@ -137,21 +137,22 @@ def surrogate_digits(max_cardinality: int) -> int:
     return n
 
 
-def _reference_order(sets: list[ObjectSet], diagnostics: list[Diagnostic]) -> list[ObjectSet]:
+def _reference_order(model: ERModel, diagnostics: list[Diagnostic]) -> list[ObjectSet]:
     """Kahn's algorithm over the set-reference graph, referenced sets first.
 
-    Edges run from a referencing set to each set its roles, structural
-    functions, and inclusions point at (self-references excluded). Ties
-    break by declaration order; cycles degrade to declaration order for the
-    stuck sets, with a warning.
+    Edges run from a referencing set to each other set that its roles,
+    structural functions and inclusions (inline or restrictions) point at.
+    Ties break by declaration order; cycles degrade to declaration order
+    for the stuck sets, with a warning.
     """
+    sets = model.object_sets()
     index = {s.name: i for i, s in enumerate(sets)}
     depends: dict[int, set[int]] = {i: set() for i in range(len(sets))}
     dependents: dict[int, set[int]] = {i: set() for i in range(len(sets))}
     for i, s in enumerate(sets):
         targets = [r.target for r in s.roles]
         targets += [f.target for f in s.structural_functions]
-        targets += list(s.included_in)
+        targets += [superset for superset, _, _ in effective_inclusions(model, s)]
         for t in targets:
             j = index.get(t)
             if j is None or j == i:
@@ -235,7 +236,7 @@ class Translator:
                 self._diag(issue.code, issue.element, f"after input defaults: {issue.message}")
             return TranslationResult(None, self.report, self.model)
 
-        global_order = _reference_order(self.model.object_sets(), self.report.diagnostics)
+        global_order = _reference_order(self.model, self.report.diagnostics)
         rank = {s.name: i for i, s in enumerate(global_order)}
         for d in self.model.diagrams:
             # Rectangles first, then diamonds, each in reference order.

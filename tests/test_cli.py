@@ -559,6 +559,19 @@ def test_fuzz_must_be_an_integer_of_at_least_1(capsys, value, reason):
     _refused_option(capsys, ["check", "--fuzz", value], "--fuzz", reason)
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["translate", ""], "input"),
+    (["validate", ""], "input"),
+    (["check", ""], "input"),
+    (["translate", FIXTURE, "--answers", ""], "--answers"),
+    (["translate", FIXTURE, "-o", ""], "-o/--output"),
+    (["translate", FIXTURE, "--report", ""], "--report"),
+    (["translate", FIXTURE, "--structured", ""], "--structured"),
+], ids=["translate", "validate", "check", "answers", "output", "report", "structured"])
+def test_an_empty_path_is_a_usage_error(capsys, argv, option):
+    _refused_option(capsys, argv, option, "a path cannot be empty")
+
+
 def test_dbms_max_card_of_1_gives_one_digit_identifiers(capsys):
     assert main(["translate", FIXTURE, "--dbms-max-card", "1"]) == 0
     assert "  x <-> NAT(1), total\n" in capsys.readouterr().out

@@ -135,10 +135,18 @@ def test_rule_iv_batch_drop():
 def test_rule_iv_scripted_answer_fills_definition():
     model = parse_model("diagram D { computed V { } }")
     outcome = apply_input_defaults(
-        model, DBMS_MAX, answers={"V": {"computed-definition": "all of it"}}
+        model, DBMS_MAX, log=EnrichmentLog({"V": {"computed-definition": "all of it"}})
     )
     assert outcome.model.set("V").computed_definition == "all of it"
     assert [p.origin for p in outcome.pending] == ["answers"]
+
+
+def test_input_defaults_take_answers_and_a_prompter_only_through_the_log():
+    model = parse_model("diagram D { computed V { } }")
+    with pytest.raises(TypeError):
+        apply_input_defaults(model, DBMS_MAX, {"V": {"computed-definition": "all of it"}})
+    with pytest.raises(TypeError):
+        apply_input_defaults(model, DBMS_MAX, prompter=lambda q: "all of it")
 
 
 MEMBERS_SOURCE = (
@@ -205,7 +213,8 @@ def test_rule_iv_answers_file_fills_computed_members(tmp_path, capsys):
          "answer": "B.b", "origin": "answers"},
     ]
     outcome = apply_input_defaults(
-        parse_model(MEMBERS_SOURCE), DBMS_MAX, json.loads(answers_path.read_text())
+        parse_model(MEMBERS_SOURCE), DBMS_MAX,
+        log=EnrichmentLog(json.loads(answers_path.read_text())),
     )
     assert [a.description for a in outcome.actions] == [
         "filled definition of computed attribute A.c",
@@ -232,7 +241,7 @@ def test_rule_iv_blank_definitions_are_asked_for_like_missing_ones():
         ("computed-dropped", "A.c"), ("computed-dropped", "A.f"), ("computed-dropped", "S"),
     ]
     answers = {name: {"computed-definition": "all of A"} for name in ("A.c", "A.f", "S")}
-    filled = apply_input_defaults(parse_model(source), DBMS_MAX, answers).model
+    filled = apply_input_defaults(parse_model(source), DBMS_MAX, log=EnrichmentLog(answers)).model
     assert filled.set("S").computed_definition == "all of A"
     assert filled.set("A").attributes[1].computed_definition == "all of A"
     assert filled.set("A").structural_functions[0].computed_definition == "all of A"
@@ -243,11 +252,10 @@ def test_rule_iv_drops_blank_answered_and_prompted_definitions():
         'diagram D { entity A card 10 { attr v : ASCII(8) attr c computed = "" '
         'fn f -> A computed = "" } computed S { } }\n'
     )
-    outcome = apply_input_defaults(
-        parse_model(source), DBMS_MAX,
+    outcome = apply_input_defaults(parse_model(source), DBMS_MAX, log=EnrichmentLog(
         {"A.c": {"computed-definition": " "}, "S": {"computed-definition": "\t"}},
         prompter=lambda q: "   ",
-    )
+    ))
     assert outcome.model.set("S") is None
     a = outcome.model.set("A")
     assert [m.name for m in a.attributes] == ["v"] and a.structural_functions == ()
@@ -539,6 +547,26 @@ def test_rule_viii_skips_a_computed_home():
     ]
     assert result.scheme.set("L") is not None
     assert result.scheme.set("V").mappings == []
+
+
+def test_rule_viii_skips_a_name_that_reads_as_a_facet_of_a_home_member():
+    # On H, a mapping named R#total would take the reference mapping:H.R#total,
+    # which rule (v) already holds for the totality of H's role R.
+    result = translate(parse_model(
+        "diagram D {\n"
+        "  entity A card 10 { attr a }\n"
+        "  entity B card 10 { attr b }\n"
+        "  relationship H { role R -> A role q -> B }\n"
+        "  relationship R#total { role p -> H unique role s -> B }\n"
+        "}\n"
+    ))
+    assert [d.message for d in result.report.diagnostics if d.code == "collapse-skipped"] == [
+        "R#total cannot collapse onto H: a mapping named R#total "
+        "would read as the total facet of H.R",
+    ]
+    assert result.scheme.provenance["mapping:H.R#total"] == "enrichment:v"
+    assert result.scheme.set("R#total") is not None
+    assert not any(verify_translation(result).values())
 
 
 _MARRIAGE_REFERENCES = {

@@ -6,15 +6,12 @@ from hypothesis import given, strategies as st
 from erdmc.diagnostics import ParseFailure
 from erdmc.formula import (
     MAX_FORMULA_DEPTH,
-    And,
     Apply,
+    Binary,
     Compare,
     Forall,
-    Implies,
-    IntLit,
+    Literal,
     Not,
-    Or,
-    TextLit,
     Var,
     format_formula,
     parse_formula,
@@ -92,16 +89,35 @@ def test_unicode_glyphs_are_synonyms():
 def test_operator_precedence_comparisons_then_not_and_or_implies():
     f = parse_formula("(forall x in S)(a(x) = 1 & b(x) = 2 | !c(x) = 3 => d(x) = 4)")
     body = f.body
-    assert isinstance(body, Implies)
-    assert isinstance(body.left, Or)
-    assert isinstance(body.left.left, And)
+    assert isinstance(body, Binary) and body.op == "=>"
+    assert isinstance(body.left, Binary) and body.left.op == "|"
+    assert isinstance(body.left.left, Binary) and body.left.left.op == "&"
     assert isinstance(body.left.right, Not)
+    assert isinstance(body.right, Compare)
 
 
 def test_implies_is_right_associative():
     f = parse_formula("(forall x in S)(a(x) = 1 => b(x) = 2 => c(x) = 3)")
-    assert isinstance(f.body, Implies)
-    assert isinstance(f.body.right, Implies)
+    assert isinstance(f.body, Binary) and f.body.op == "=>"
+    assert isinstance(f.body.left, Compare)
+    assert isinstance(f.body.right, Binary) and f.body.right.op == "=>"
+
+
+@pytest.mark.parametrize("op", ["&", "|"])
+def test_conjunction_and_disjunction_are_left_associative(op):
+    f = parse_formula(f"(forall x in S)(a(x) = 1 {op} b(x) = 2 {op} c(x) = 3)")
+    assert isinstance(f.body, Binary) and f.body.op == op
+    assert isinstance(f.body.left, Binary) and f.body.left.op == op
+    assert isinstance(f.body.right, Compare)
+
+
+def test_numbers_and_text_parse_to_literals():
+    f = parse_formula('(forall x in S)(a(x) = -7 | b(x) = "7")')
+    assert f.body == Binary(
+        "|",
+        Compare("=", Apply("a", Var("x")), Literal(-7)),
+        Compare("=", Apply("b", Var("x")), Literal("7")),
+    )
 
 
 def test_print_parse_fixpoint_on_representative_formulas():
@@ -164,8 +180,8 @@ _domains = st.sampled_from(["S", "T", "U"])
 def _terms(variables: tuple[str, ...]) -> st.SearchStrategy:
     base = st.one_of(
         st.sampled_from([Var(v) for v in variables]),
-        st.integers(-50, 50).map(IntLit),
-        st.text(max_size=6).map(TextLit),
+        st.integers(-50, 50).map(Literal),
+        st.text(max_size=6).map(Literal),
     )
     return st.recursive(
         base,
@@ -183,9 +199,7 @@ def _bodies(variables: tuple[str, ...]) -> st.SearchStrategy:
     return st.recursive(
         _comparisons(variables),
         lambda inner: st.one_of(
-            st.builds(And, inner, inner),
-            st.builds(Or, inner, inner),
-            st.builds(Implies, inner, inner),
+            st.builds(Binary, st.sampled_from(["&", "|", "=>"]), inner, inner),
             st.builds(Not, inner),
         ),
         max_leaves=8,

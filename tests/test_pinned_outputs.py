@@ -280,7 +280,7 @@ def test_parse_errors_of_a_mutation_corpus_are_pinned():
         h.update(out.encode() + b"\0")
     assert (len(corpus), failed) == (2976, 2706)
     assert h.hexdigest() == (
-        "cf63b292b2f2669e789c3fda26fcd2fbead7f60fefd7346cc3922f59cadcc850"
+        "9235b83ffc497dea26b4ef189e24df84dfd9ec39fd767402157e9acbf5c75d1b"
     )
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from erdmc import scheme as sch
-from erdmc.formula import Apply, Compare, Forall, IntLit, Var, parse_formula
+from erdmc.formula import Apply, Compare, Forall, Literal, Var, parse_formula
 from erdmc.model import AsciiRange, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import (
@@ -115,7 +115,7 @@ def test_check_scheme_flags_broken_formula(teaching_source):
     ("(forall x in NOPE)(1 = 1)", "quantifier domain 'NOPE' is not a scheme set"),
     ("(forall x in STUDENTS)(Nope(x) = 1)", "'Nope' is not a mapping on STUDENTS"),
     # The formula parser refuses a free variable; a hand-built formula may hold one.
-    (Forall("x", "STUDENTS", Compare("=", Apply("SSN", Var("y")), IntLit(1))),
+    (Forall("x", "STUDENTS", Compare("=", Apply("SSN", Var("y")), Literal(1))),
      "variable 'y' is not quantified"),
 ])
 def test_resolve_formula_names_each_problem(golden_scheme, formula, problem):

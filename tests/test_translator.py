@@ -359,11 +359,14 @@ def test_diamond_role_targeting_another_diamond_orders_correctly():
     assert check_scheme(result.scheme) == []
 
 
-def test_labeled_inclusion_restriction_counts_as_inclusion():
+@pytest.mark.parametrize("first, second", [("EMP card 100", "MGR card 10"),
+                                           ("MGR card 10", "EMP card 100")],
+                         ids=["superset-declared-first", "subset-declared-first"])
+def test_labeled_inclusion_restriction_counts_as_inclusion(first, second):
     source = (
         "diagram D {\n"
-        "  entity EMP card 100 { attr n }\n"
-        "  entity MGR card 10 { attr n }\n"
+        f"  entity {first} {{ attr n }}\n"
+        f"  entity {second} {{ attr n }}\n"
         "}\n"
         "restriction R01 on EMP compulsory n\nrestriction R02 on EMP unique n\n"
         "restriction R03 on MGR compulsory n\nrestriction R04 on MGR unique n\n"
@@ -376,7 +379,7 @@ def test_labeled_inclusion_restriction_counts_as_inclusion():
     inclusion = next(c for c in result.scheme.constraints
                      if c.__class__.__name__ == "InclusionConstraint")
     assert (inclusion.subset, inclusion.superset, inclusion.label) == ("MGR", "EMP", "R05")
-    # the subset depends on its superset, so EMP is added first
+    # the subset depends on its superset, so EMP is added first, whichever is declared first
     names = [s.name for s in result.scheme.sets]
     assert names.index("EMP") < names.index("MGR")
 
