@@ -69,13 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_translate = sub.add_parser("translate", help="translate a model to a scheme")
     p_translate.add_argument("input", type=_path, help="path to a .erdm file, or - for stdin")
-    p_translate.add_argument("-o", "--output", type=_path,
+    p_translate.add_argument("-o", "--output", type=_file,
                              help="write the text scheme here instead of stdout")
-    p_translate.add_argument("--structured", type=_path, metavar="PATH",
+    p_translate.add_argument("--structured", type=_file, metavar="PATH",
                              help="also write the structured JSON form")
-    p_translate.add_argument("--report", type=_path, metavar="PATH",
+    p_translate.add_argument("--report", type=_file, metavar="PATH",
                              help="also write the translation report as JSON")
-    p_translate.add_argument("--answers", type=_path, metavar="PATH",
+    p_translate.add_argument("--answers", type=_file, metavar="PATH",
                              help="JSON document of scripted answers")
     p_translate.add_argument("--interactive", action="store_true",
                              help="prompt for missing definitions, directions, and formulas")
@@ -118,6 +118,13 @@ def _path(text: str) -> str:
     if not text:
         raise argparse.ArgumentTypeError("a path cannot be empty")
     return text
+
+
+def _file(text: str) -> str:
+    """An output or answers path: a path, but not -, since only the model reads stdin."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("- is not a file here: only the model reads stdin")
+    return _path(text)
 
 
 def _read_input(path: str) -> str:

@@ -310,14 +310,14 @@ def load_structured(text: str) -> EMDMScheme:
             f"unknown version {version!r}; this reader understands {STRUCTURED_VERSION}",
             "$.version",
         )
-    scheme = EMDMScheme()
-    for s in _records(doc, "sets", "$", _set_from_json):
-        scheme.add_set(s)
-    scheme.constraints = _records(doc, "constraints", "$", _constraint_from_json)
-    for ref, source in _field(doc, "provenance", "an object", "$", {}).items():
+    scheme = EMDMScheme(
+        sets=_records(doc, "sets", "$", _set_from_json),
+        constraints=_records(doc, "constraints", "$", _constraint_from_json),
+        provenance=_field(doc, "provenance", "an object", "$", {}),
+    )
+    for ref, source in scheme.provenance.items():
         if not isinstance(source, str):
             raise StructuredFormatError("must be a string", f"$.provenance[{json.dumps(ref)}]")
-        scheme.record(ref, source)
     return scheme
 
 

@@ -51,6 +51,7 @@ from .scheme import (
     STRUCTURAL_FUNCTION,
     ref_key,
     ref_mapping,
+    ref_owner,
     ref_set,
 )
 
@@ -293,8 +294,8 @@ def ensure_totality(scheme: EMDMScheme, log: EnrichmentLog) -> None:
         for m in candidates:
             if m.flavor in (sch.ROLE, sch.OBJECT_IDENTIFIER) and not m.total:
                 m.total = True
-                scheme.record(ref_mapping(s.name, m.name, "total"),
-                              ENRICHMENT_PREFIX + RULE_TOTALITY)
+                scheme.provenance[ref_mapping(s.name, m.name, "total")] = (
+                    ENRICHMENT_PREFIX + RULE_TOTALITY)
                 element = f"{s.name}.{m.name}"
                 log.record(
                     EnrichmentAction(
@@ -354,7 +355,7 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
         if len(roles) == 1:
             (role,) = roles
             role.one_to_one = True
-            scheme.record(ref_mapping(s.name, role.name, "unique"), source)
+            scheme.provenance[ref_mapping(s.name, role.name, "unique")] = source
             element = f"{s.name}.{role.name}"
             log.record(
                 EnrichmentAction(
@@ -370,7 +371,7 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
         label = next_label(scheme) if label is None else f"R{int(label[1:]) + 1:02d}"
         mappings = tuple(m.name for m in roles)
         s.keys.append(Key(label, mappings, implicit=True))
-        scheme.record(ref_key(s.name, label), source)
+        scheme.provenance[ref_key(s.name, label)] = source
         bullet = " • ".join(mappings)
         log.record(
             EnrichmentAction(
@@ -425,7 +426,7 @@ def _ensure_fallback(
             name=name, codomain=DEFAULT_RANGE,
             flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
         ))
-        scheme.record(ref_mapping(s.name, name), ENRICHMENT_PREFIX + rule)
+        scheme.provenance[ref_mapping(s.name, name)] = ENRICHMENT_PREFIX + rule
         log.record(
             EnrichmentAction(rule, ref_set(s.name), f"added {added} {element} into ASCII(255)"),
             INFO, code, f"{s.name} has no {lacking}; added {name}", element,
@@ -452,8 +453,14 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     new mapping would sit on, or point at, the relationship itself, which
     the collapse removes, one whose home is a computed set, and one whose
     new mapping's name would read as a facet of a member of its home.
+
+    At the first candidate the provenance references are grouped by owning
+    set, and each collapse moves its relationship's group. The groups stay
+    complete: rule (v) has already run, and a collapse records only under
+    its home, which then holds a third mapping and so never collapses.
     """
     references: Counter[str] | None = None  # counted at the first candidate
+    owned: dict[str | None, list[str]] = {}  # grouped at the first candidate
 
     for s in list(scheme.sets):
         if s.kind != RELATIONSHIP_DERIVED:
@@ -471,6 +478,8 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             continue
         if references is None:
             references = _reference_counts(scheme)
+            for ref in scheme.provenance:
+                owned.setdefault(ref_owner(ref), []).append(ref)
         if references[s.name]:
             log.warn("collapse-skipped",
                      f"{s.name} has a unique role but is referenced elsewhere; "
@@ -519,7 +528,8 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             log.warn("name-clash",
                      f"{home.name} already has a mapping named {s.name}; using {name}",
                      f"{home.name}.{name}")
-        _collapse(scheme, s, home, name, source_role, target_role, one_to_one)
+        _collapse(scheme, s, home, name, source_role, target_role, one_to_one,
+                  owned.pop(s.name, []))
         log.record(
             EnrichmentAction(
                 RULE_COLLAPSE, ref_set(s.name),
@@ -560,9 +570,9 @@ def _reference_counts(scheme: EMDMScheme) -> Counter[str]:
 
 def _collapse(
     scheme: EMDMScheme, rel: EMDMSet, home: EMDMSet, name: str,
-    source_role: Mapping, target_role: Mapping, one_to_one: bool,
+    source_role: Mapping, target_role: Mapping, one_to_one: bool, refs: list[str],
 ) -> None:
-    """Rule (viii)'s change: replace *rel* by the mapping *name* on *home*."""
+    """Rule (viii)'s change: replace *rel*, owner of the provenance *refs*, by *name* on *home*."""
     home.mappings.append(Mapping(
         name=name,
         codomain=target_role.codomain,
@@ -574,11 +584,11 @@ def _collapse(
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.
-    moved = scheme.take_provenance(rel.name)
+    moved = {ref: scheme.provenance.pop(ref) for ref in refs}
     new_base = ref_mapping(home.name, name)
-    scheme.record(new_base, moved.pop(ref_set(rel.name), f"set:{rel.name}"))
+    scheme.provenance[new_base] = moved.pop(ref_set(rel.name), f"set:{rel.name}")
     for old_ref, source in moved.items():
-        scheme.record(f"{new_base}#absorbed:{old_ref}", source)
+        scheme.provenance[f"{new_base}#absorbed:{old_ref}"] = source
 
 
 def enrich_scheme(scheme: EMDMScheme, log: EnrichmentLog) -> None:

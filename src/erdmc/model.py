@@ -459,15 +459,8 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             )
 
     for defined in (s, *s.attributes, *s.structural_functions):
-        definition = defined.computed_definition
-        if definition and breaks_line(definition):
-            element = s.name if defined is s else f"{s.name}.{defined.name}"
-            err(
-                "definition-line-break",
-                element,
-                f"computed definition of {element} holds a line break, "
-                "which would split its line of the text output",
-            )
+        element = s.name if defined is s else f"{s.name}.{defined.name}"
+        validate_definition(defined.computed_definition, element, err)
 
     for a in s.attributes:
         if a.range is not None and a.computed_definition is not None:
@@ -477,7 +470,7 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
                 f"attribute {a.name} cannot be both computed and ranged",
             )
         if a.range is not None:
-            _validate_range(a.range, f"{s.name}.{a.name}", err)
+            validate_range(a.range, f"{s.name}.{a.name}", err)
     for role in s.roles:
         if role.target not in sets:
             err(
@@ -501,7 +494,16 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
         err("bad-cardinality", s.name, "maximum cardinality must be at least 1")
 
 
-def _validate_range(r: Range, element: str, err) -> None:
+def validate_definition(definition: str | None, element: str, err) -> None:
+    """Call ``err("definition-line-break", element, message)`` if *definition* breaks its line."""
+    if definition and breaks_line(definition):
+        err("definition-line-break", element,
+            f"computed definition of {element} holds a line break, "
+            "which would split its line of the text output")
+
+
+def validate_range(r: Range, element: str, err) -> None:
+    """Call ``err("bad-range", element, message)`` if *r* holds no value."""
     if isinstance(r, AsciiRange) and r.length < 1:
         err("bad-range", element, "ascii length must be at least 1")
     elif isinstance(r, NatRange) and r.digits < 1:
@@ -542,7 +544,7 @@ def _validate_restriction_body(
             err("computed-attribute-range", r.label, f"{r.label} ranges computed attribute {member.name}")
         else:
             claim = "range", (target.name, body.attribute)
-        _validate_range(body.range, r.label, err)
+        validate_range(body.range, r.label, err)
         return claim
     elif isinstance(body, CardinalityBody):
         if body.maximum < 1:

@@ -27,7 +27,7 @@ from .formula import (
     quantifier_count,
     quantifier_domains,
 )
-from .model import FACETS, NatRange, Range
+from .model import FACETS, NatRange, Range, validate_definition, validate_range
 
 ENTITY_DERIVED = "entity-derived"
 RELATIONSHIP_DERIVED = "relationship-derived"
@@ -125,30 +125,26 @@ class EMDMScheme:
     """Sets in emit order, constraints, and the provenance map.
 
     :meth:`add_set` and :meth:`remove_set` are the only writers of ``sets``:
-    they keep the name index behind :meth:`set` current. Likewise
-    :meth:`record` and :meth:`take_provenance` are the only writers of
-    ``provenance``: they keep its index by owning set current.
+    they keep the name index behind :meth:`set` current.
     """
 
     sets: list[EMDMSet] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
-    # Each set name to the first set in ``sets`` under it; built on first use.
-    _by_name: dict[str, EMDMSet] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    # Each set name to the provenance references it owns (see ref_owner), in
-    # provenance order, as the keys of a dict; built on first use.
-    _refs_by_owner: dict[str, dict[str, None]] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    # Each set name to the first set in ``sets`` under it.
+    _by_name: dict[str, EMDMSet] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._by_name = {}
+        for s in self.sets:
+            self._by_name.setdefault(s.name, s)
 
     def set(self, name: str) -> EMDMSet | None:
-        return self._index().get(name)
+        return self._by_name.get(name)
 
     def add_set(self, s: EMDMSet) -> None:
         self.sets.append(s)
-        self._index().setdefault(s.name, s)
+        self._by_name.setdefault(s.name, s)
 
     def remove_set(self, s: EMDMSet) -> None:
         """Remove *s* itself, found by identity rather than by ==."""
@@ -158,39 +154,12 @@ class EMDMScheme:
                 break
         else:
             raise ValueError(f"set {s.name} is not in the scheme")
-        index = self._index()
-        if index.get(s.name) is s:
-            del index[s.name]
+        if self._by_name.get(s.name) is s:
+            del self._by_name[s.name]
             for other in self.sets:  # a duplicate name falls back to its next set
                 if other.name == s.name:
-                    index[s.name] = other
+                    self._by_name[s.name] = other
                     break
-
-    def record(self, ref: str, source: str) -> None:
-        """Set the provenance of the scheme element *ref* to *source*."""
-        self.provenance[ref] = source
-        if self._refs_by_owner is not None:
-            self._file(ref)
-
-    def take_provenance(self, owner: str) -> dict[str, str]:
-        """Remove and return the entries whose reference *owner* owns, in order."""
-        if self._refs_by_owner is None:
-            self._refs_by_owner = {}
-            for ref in self.provenance:
-                self._file(ref)
-        return {ref: self.provenance.pop(ref) for ref in self._refs_by_owner.pop(owner, ())}
-
-    def _file(self, ref: str) -> None:
-        owner = ref_owner(ref)
-        if owner is not None:
-            self._refs_by_owner.setdefault(owner, {})[ref] = None
-
-    def _index(self) -> dict[str, EMDMSet]:
-        if self._by_name is None:
-            self._by_name = {}
-            for s in self.sets:
-                self._by_name.setdefault(s.name, s)
-        return self._by_name
 
 
 # --- scheme element references ---
@@ -344,6 +313,7 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
         seen_sets.add(s.name)
         if s.kind not in SET_KINDS:
             bad("unknown-set-kind", s.name, f"{s.name} has unknown kind {s.kind!r}")
+        validate_definition(s.computed_definition, s.name, bad)
 
     for s in scheme.sets:
         if s.kind == COMPUTED:
@@ -372,6 +342,7 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
             if m.name in seen_mappings:
                 bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
             seen_mappings.add(m.name)
+            validate_definition(m.computed_definition, element, bad)
             for facet in m.source_labels:
                 if facet not in FACETS:
                     bad("unknown-facet", element, f"source label of unknown facet {facet!r}")
@@ -387,10 +358,13 @@ def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
                     "object identifiers live outside the mapping list")
             elif m.flavor not in MAPPING_FLAVORS:
                 bad("unknown-flavor", element, f"mapping {m.name} has unknown flavor {m.flavor!r}")
-            if isinstance(m.codomain, str) and scheme.set(m.codomain) is None:
-                bad("unresolved-codomain", element,
-                    f"mapping {m.name} targets unknown set {m.codomain!r}")
-            if m.codomain is None and m.computed_definition is None:
+            if isinstance(m.codomain, str):
+                if scheme.set(m.codomain) is None:
+                    bad("unresolved-codomain", element,
+                        f"mapping {m.name} targets unknown set {m.codomain!r}")
+            elif m.codomain is not None:
+                validate_range(m.codomain, element, bad)
+            elif m.computed_definition is None:
                 bad("missing-codomain", element,
                     f"mapping {m.name} has neither a codomain nor a definition")
         role_sig = tuple((m.name, m.codomain) for m in s.role_mappings())

@@ -213,7 +213,7 @@ class Translator:
 
     def _step(self, element_class: str, source: str, produced: str) -> None:
         """Record one step of *element_class* and the provenance of what it produced."""
-        self.scheme.record(produced, source)
+        self.scheme.provenance[produced] = source
         self.report.steps.append(Step(ELEMENT_CLASSES[element_class][0], source, produced))
 
     def _diag(self, code: str, element: str, message: str, severity: str = ERROR) -> None:
@@ -287,7 +287,7 @@ class Translator:
                 name=OBJECT_IDENTIFIER, codomain=NatRange(surrogate_digits(max_card)),
                 flavor=sch.OBJECT_IDENTIFIER, total=True, one_to_one=True,
             )
-            self.scheme.record(ref_mapping(s.name, OBJECT_IDENTIFIER), card_source)
+            self.scheme.provenance[ref_mapping(s.name, OBJECT_IDENTIFIER)] = card_source
 
         for superset, source, label in effective_inclusions(self.model, s):
             self._add_constraint(InclusionConstraint(s.name, superset, label), "inclusions", source)
@@ -316,7 +316,7 @@ class Translator:
             )
             if rng_source is not None and rng_source.startswith("restriction:"):
                 mapping.source_labels["codomain"] = rng_source.split(":", 1)[1]
-                self.scheme.record(ref_mapping(s.name, attr.name, "codomain"), rng_source)
+                self.scheme.provenance[ref_mapping(s.name, attr.name, "codomain")] = rng_source
             target.mappings.append(mapping)
             self._step("attributes", src_attribute(s.name, attr.name),
                        ref_mapping(s.name, attr.name))

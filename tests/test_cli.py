@@ -572,6 +572,15 @@ def test_an_empty_path_is_a_usage_error(capsys, argv, option):
     _refused_option(capsys, argv, option, "a path cannot be empty")
 
 
+@pytest.mark.parametrize("option", ["-o", "--structured", "--report", "--answers"])
+def test_dash_is_no_output_or_answers_path(capsys, tmp_path, monkeypatch, option):
+    monkeypatch.chdir(tmp_path)
+    shown = "-o/--output" if option == "-o" else option
+    _refused_option(capsys, ["translate", FIXTURE, option, "-"], shown,
+                    "- is not a file here: only the model reads stdin")
+    assert not (tmp_path / "-").exists()
+
+
 def test_dbms_max_card_of_1_gives_one_digit_identifiers(capsys):
     assert main(["translate", FIXTURE, "--dbms-max-card", "1"]) == 0
     assert "  x <-> NAT(1), total\n" in capsys.readouterr().out

@@ -248,6 +248,35 @@ def test_loaded_mappings_print_codomain_then_definition_then_totality():
     ]
 
 
+def test_loaded_codomains_that_hold_no_value_are_refused():
+    doc = _loaded_document("diagram D { entity A card 10 { attr a attr b attr c } }")
+    members = _members(doc, "A")
+    members["a"]["codomain"] = {"kind": "ascii", "length": 0}
+    members["b"]["codomain"] = {"kind": "interval", "lo": {"kind": "int", "value": 50},
+                                "hi": {"kind": "int", "value": 9}}
+    members["c"]["codomain"] = {"kind": "nat", "digits": -4}
+    scheme = load_structured(json.dumps(doc))
+    expected = [("bad-range", "A.a"), ("bad-range", "A.b"), ("bad-range", "A.c")]
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == expected
+    with pytest.raises(EmitError) as info:
+        emit_text(scheme)
+    assert [(d.code, d.element) for d in info.value.diagnostics] == expected
+
+
+def test_loaded_definitions_that_break_their_line_are_refused():
+    # The set definition would print a forged block B with its own identifier.
+    doc = _loaded_document(
+        'diagram D { entity A card 10 { attr a computed = "1" } computed V = "all" { } }')
+    _members(doc, "A")["a"]["computed_definition"] = "1\u2028b"
+    (v,) = [s for s in doc["sets"] if s["name"] == "V"]
+    v["computed_definition"] = "all\nB\n  x <-> NAT(1), total"
+    scheme = load_structured(json.dumps(doc))
+    expected = [("definition-line-break", "V"), ("definition-line-break", "A.a")]
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == expected
+    with pytest.raises(EmitError, match="definition-line-break: computed definition of V"):
+        emit_text(scheme)
+
+
 def test_provenance_naming_no_scheme_element_is_stray():
     doc = _loaded_document(
         "diagram D { entity A card 10 { attr v } }\n"
@@ -437,7 +466,7 @@ def test_inclusion_of_a_computed_set_is_refused_not_dropped():
         'diagram D { entity A card 10 { attr a } computed V = "all" { } }')).scheme
     inclusion = InclusionConstraint("V", "A")
     scheme.constraints.append(inclusion)
-    scheme.record(ref_constraint(inclusion), "hand-built")
+    scheme.provenance[ref_constraint(inclusion)] = "hand-built"
     assert [(d.code, d.element) for d in check_scheme(scheme)] == [
         ("restriction-on-computed-set", "constraint:inclusion:V<=A")
     ]

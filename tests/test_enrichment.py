@@ -41,6 +41,7 @@ from erdmc.scheme import (
     NonrelationalConstraint,
     TupleConstraint,
     check_scheme,
+    ref_owner,
 )
 from erdmc.translator import TranslationOptions, Translator, translate
 
@@ -656,12 +657,14 @@ def test_rule_viii_collapse_chain_moves_provenance_in_order():
     # R collapses onto H, a relationship-derived set; H then collapses onto
     # A, carrying R's entries along. Rule (viii) itself never plans the
     # second step (H then holds three mappings), so the test makes it through
-    # the collapse helper.
+    # the collapse helper, passing H's entries as the rule would group them.
     enriched = _pre_enrichment_scheme(CHAIN_SOURCE)
     first = _run(collapse_binary_relationships, enriched).actions
     assert [a.target for a in first] == ["set:R"]
     h = enriched.set("H")
-    _collapse(enriched, h, enriched.set("A"), "H", h.mapping("h1"), h.mapping("h2"), False)
+    owned = [ref for ref in enriched.provenance if ref_owner(ref) == "H"]
+    _collapse(enriched, h, enriched.set("A"), "H", h.mapping("h1"), h.mapping("h2"), False,
+              owned)
     assert [s.name for s in enriched.sets] == ["A", "B", "C"]
     assert list(enriched.provenance.items()) == [
         ("set:A", "set:A"),
@@ -983,8 +986,8 @@ def test_each_rule_diagnostic_code_fires(code, source, options):
     assert code in [d.code for d in result.report.diagnostics]
 
 
-# Where each call that records a diagnostic takes its code. scheme.record
-# shares a name with EnrichmentLog.record but takes two arguments.
+# Where each call that records a diagnostic takes its code: EnrichmentLog.record
+# takes it third, after the action and the severity.
 _CODE_ARGUMENT = {"record": 2, "warn": 0, "_diag": 0, "Diagnostic": 1, "_ensure_fallback": 6}
 
 

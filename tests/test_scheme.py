@@ -8,7 +8,7 @@ import pytest
 
 from erdmc import scheme as sch
 from erdmc.formula import Apply, Compare, Forall, Literal, Var, parse_formula
-from erdmc.model import AsciiRange, NatRange
+from erdmc.model import AsciiRange, DateBound, IntBound, Interval, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import (
     EMDMScheme,
@@ -169,24 +169,6 @@ def test_ref_owner_names_the_set_of_set_mapping_and_key_references():
     assert ref_owner("mapping:R") is None
 
 
-def test_take_provenance_returns_an_owners_entries_in_recorded_order():
-    scheme = EMDMScheme()
-    for ref in ("set:R", "set:A", "mapping:R.x", "constraint:R01", "key:R.R02", "mapping:A.x"):
-        scheme.record(ref, f"from {ref}")
-    assert scheme.take_provenance("R") == {
-        "set:R": "from set:R", "mapping:R.x": "from mapping:R.x", "key:R.R02": "from key:R.R02",
-    }
-    assert scheme.take_provenance("R") == {}
-    scheme.record("mapping:A.R", "set:R")  # recorded after the index exists
-    scheme.record("set:A", "again")  # an existing entry keeps its place
-    assert list(scheme.take_provenance("A").items()) == [
-        ("set:A", "again"), ("mapping:A.x", "from mapping:A.x"), ("mapping:A.R", "set:R"),
-    ]
-    assert scheme.provenance == {"constraint:R01": "from constraint:R01"}
-    assert scheme == EMDMScheme(provenance={"constraint:R01": "from constraint:R01"})
-    assert "_refs_by_owner" not in repr(scheme)
-
-
 def _constraint(scheme: EMDMScheme, label: str):
     return next(c for c in scheme.constraints if getattr(c, "label", None) == label)
 
@@ -232,6 +214,19 @@ CHECK_CASES = [
      lambda m: setattr(_member(m, "SCHEDULES.Room"), "codomain", "ROOMZ")),
     ("missing-codomain", "ROOMS.Room#",
      lambda m: setattr(_member(m, "ROOMS.Room#"), "codomain", None)),
+    ("bad-range", "STUDENTS.Name", lambda m: setattr(_member(m, "STUDENTS.Name"), "codomain",
+                                                     AsciiRange(0))),
+    ("bad-range", "ATTENDANCES.Grade",
+     lambda m: setattr(_member(m, "ATTENDANCES.Grade"), "codomain", NatRange(-4))),
+    ("bad-range", "SCHEDULES.Weekday", lambda m: setattr(
+        _member(m, "SCHEDULES.Weekday"), "codomain", Interval(IntBound(50), IntBound(9)))),
+    ("bad-range", "CLASSES.Date", lambda m: setattr(
+        _member(m, "CLASSES.Date"), "codomain",
+        Interval(DateBound("02/10/2010"), DateBound("01/10/2010")))),
+    ("definition-line-break", "V", lambda m: m.add_set(
+        EMDMSet("V", sch.COMPUTED, computed_definition="all\nB\n  x <-> NAT(1), total"))),
+    ("definition-line-break", "ROOMS.Room#",
+     lambda m: setattr(_member(m, "ROOMS.Room#"), "computed_definition", "a\u2028b")),
     ("role-signature", "SCHEDULES", lambda m: setattr(m.set("SCHEDULES"), "role_signature", ())),
     ("roles-on-entity", "ROOMS", lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.ROLE)),
     ("singleton-key", "ROOMS.R90", lambda m: m.set("ROOMS").keys.append(Key("R90", ("Room#",)))),
@@ -266,7 +261,8 @@ CHECK_CASES = [
     ("nonrelational-arity", "constraint:R41",
      lambda m: setattr(_constraint(m, "R41"), "formula", _constraint(m, "R37").formula)),
     ("missing-provenance", "set:STUDENTS", lambda m: m.provenance.pop("set:STUDENTS")),
-    ("stray-provenance", "mapping:ROOMS.zz", lambda m: m.record("mapping:ROOMS.zz", "set:ROOMS")),
+    ("stray-provenance", "mapping:ROOMS.zz",
+     lambda m: m.provenance.update({"mapping:ROOMS.zz": "set:ROOMS"})),
 ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import erdmc
@@ -35,20 +36,60 @@ def _names_used(node: ast.AST) -> set[str]:
     return used
 
 
-def test_every_top_level_name_in_src_has_a_caller():
-    # A caller is any statement of src/ or perfbench/ but the definition
-    # itself; __init__ only re-exports, and tests do not count.
+def _member_uses(node: ast.AST) -> Counter[str]:
+    """How often *node* names each member: as an attribute, or as a string
+    such as "member" or "Class.member" (getattr, the benchmark's layer table)."""
+    used: Counter[str] = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Attribute):
+            used[child.attr] += 1
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            used[child.value.rpartition(".")[2]] += 1
+    return used
+
+
+def _source_trees() -> dict[Path, ast.Module]:
+    """src/ but __init__, which only re-exports, and perfbench/; tests do not count."""
     files = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     files += sorted(PERFBENCH.glob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+    return {p: ast.parse(p.read_text(encoding="utf-8")) for p in files}
+
+
+def test_every_top_level_name_in_src_has_a_caller():
+    # A caller is any statement of src/ or perfbench/ but the definition itself.
+    trees = _source_trees()
     uses = [(statement, _names_used(statement))
             for tree in trees.values() for statement in tree.body]
     unused = []
-    for path in files:
+    for path in trees:
         if path.parent != SRC:
             continue
         for name, definition in _top_level_names(trees[path]):
             if not any(name in used for statement, used in uses if statement is not definition):
                 unused.append(f"{path.stem}.{name}")
     assert PERFBENCH / "run.py" in trees
+    assert unused == []
+
+
+def test_every_method_and_property_in_src_has_a_caller():
+    # The class-member half of the check above: a method or property counts
+    # as used when some attribute access or string outside its own body names
+    # it. Python calls the dunder methods itself.
+    trees = _source_trees()
+    total = sum((_member_uses(tree) for tree in trees.values()), Counter())
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if total[name] == _member_uses(member)[name]:
+                    unused.append(f"{path.stem}.{cls.name}.{name}")
     assert unused == []
