@@ -454,13 +454,13 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     the collapse removes, one whose home is a computed set, and one whose
     new mapping's name would read as a facet of a member of its home.
 
-    At the first candidate the provenance references are grouped by owning
+    At the first collapse the provenance references are grouped by owning
     set, and each collapse moves its relationship's group. The groups stay
     complete: rule (v) has already run, and a collapse records only under
     its home, which then holds a third mapping and so never collapses.
     """
     references: Counter[str] | None = None  # counted at the first candidate
-    owned: dict[str | None, list[str]] = {}  # grouped at the first candidate
+    owned: dict[str, list[str]] | None = None  # grouped at the first collapse
 
     for s in list(scheme.sets):
         if s.kind != RELATIONSHIP_DERIVED:
@@ -478,8 +478,6 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             continue
         if references is None:
             references = _reference_counts(scheme)
-            for ref in scheme.provenance:
-                owned.setdefault(ref_owner(ref), []).append(ref)
         if references[s.name]:
             log.warn("collapse-skipped",
                      f"{s.name} has a unique role but is referenced elsewhere; "
@@ -528,6 +526,11 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             log.warn("name-clash",
                      f"{home.name} already has a mapping named {s.name}; using {name}",
                      f"{home.name}.{name}")
+        if owned is None:
+            owned = {}
+            for ref in scheme.provenance:
+                if (owner := ref_owner(ref)) is not None:
+                    owned.setdefault(owner, []).append(ref)
         _collapse(scheme, s, home, name, source_role, target_role, one_to_one,
                   owned.pop(s.name, []))
         log.record(

@@ -48,6 +48,10 @@ PLAIN = {surface: surface for surface in GLYPH_OF}
 # str() refuse longer decimals, and computing 10^n for a long n takes seconds.
 MAX_DIGITS = 4300
 
+# A date (day/month/year) and a name, as the tokenizer reads them.
+DATE_FORM = r"\d+/\d+/\d+"
+NAME_FORM = r"[A-Za-z_][A-Za-z0-9_#]*"
+
 # Each match is one token: blanks and comments (a '#' that does not continue
 # a name), then one alternative per token kind, each named after the kind it
 # yields, so the token is the last group that matched. Their first characters
@@ -57,9 +61,9 @@ MAX_DIGITS = 4300
 # Operators are listed longest first so "<->" is not read as "<" + "->".
 _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join([
     r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
-    r"(?P<date>\d+/\d+/\d+)",
+    f"(?P<date>{DATE_FORM})",
     r"(?P<int>\d+)",
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_#]*)",
+    f"(?P<name>{NAME_FORM})",
     r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
     "(?P<glyph>[" + "".join(_GLYPHS) + "])",
     r"(?P<error>.)",

@@ -471,20 +471,11 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             )
         if a.range is not None:
             validate_range(a.range, f"{s.name}.{a.name}", err)
-    for role in s.roles:
-        if role.target not in sets:
-            err(
-                "unresolved-set",
-                f"{s.name}.{role.name}",
-                f"role {role.name} targets unknown set {role.target!r}",
-            )
-    for fn in s.structural_functions:
-        if fn.target not in sets:
-            err(
-                "unresolved-set",
-                f"{s.name}.{fn.name}",
-                f"structural function {fn.name} targets unknown set {fn.target!r}",
-            )
+    for what, members in (("role", s.roles), ("structural function", s.structural_functions)):
+        for m in members:
+            if m.target not in sets:
+                err("unresolved-set", f"{s.name}.{m.name}",
+                    f"{what} {m.name} targets unknown set {m.target!r}")
     for sup in s.included_in:
         if sup == s.name:
             err("self-inclusion", s.name, f"{s.name} cannot be included in itself")

@@ -277,6 +277,26 @@ def test_loaded_definitions_that_break_their_line_are_refused():
         emit_text(scheme)
 
 
+def test_loaded_bounds_at_the_text_reader_limits_are_checked_and_printed():
+    doc = _loaded_document("diagram D { entity A card 10 { attr a attr b } }")
+    members = _members(doc, "A")
+    year = "9" * 4300
+    members["a"]["codomain"] = {"kind": "interval", "lo": {"kind": "pow10", "exponent": 4299},
+                                "hi": {"kind": "int", "value": 5}}
+    members["b"]["codomain"] = {"kind": "interval",
+                                "lo": {"kind": "date", "text": f"1/1/{year}"},
+                                "hi": {"kind": "date", "text": "1/1/2000"}}
+    scheme = load_structured(json.dumps(doc))
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [
+        ("bad-range", "A.a"), ("bad-range", "A.b")]
+    members["a"]["codomain"]["hi"] = {"kind": "pow10", "exponent": 4299}
+    members["b"]["codomain"]["hi"]["text"] = f"2/1/{year}"
+    scheme = load_structured(json.dumps(doc))
+    assert check_scheme(scheme) == []
+    assert emit_text(scheme).splitlines()[2:4] == [
+        "  a -> [10^4299, 10^4299]", f"  b -> [1/1/{year}, 2/1/{year}]"]
+
+
 def test_provenance_naming_no_scheme_element_is_stray():
     doc = _loaded_document(
         "diagram D { entity A card 10 { attr v } }\n"
@@ -347,7 +367,7 @@ TYPED_FIELDS = [
     (("sets", 0, "mappings", 3, "codomain", "length"), 2.9, "an integer"),
     (("sets", 0, "mappings", 4, "codomain", "digits"), True, "an integer"),
     (("sets", 0, "mappings", 2, "codomain", "lo", "value"), "-5", "an integer"),
-    (("sets", 0, "mappings", 2, "codomain", "hi", "exponent"), 3.0, "an integer"),
+    (("sets", 0, "mappings", 2, "codomain", "hi", "exponent"), 3.0, "an integer from 0 to 4299"),
 ]
 
 
@@ -377,9 +397,10 @@ TEXT_FIELDS = [
     (("sets", 0, "mappings", 0, "codomain", "name"), ["PERSONS"],
      "$.sets[0].mappings[0].codomain.name: name must be a string"),
     (("sets", 0, "mappings", 1, "codomain", "lo", "text"), 1900,
-     "$.sets[0].mappings[1].codomain.lo.text: text must be a string"),
+     "$.sets[0].mappings[1].codomain.lo.text: "
+     "text must be day/month/year of at most 4300 digits each"),
     (("sets", 0, "mappings", 1, "codomain", "hi", "text"), None,
-     "$.sets[0].mappings[1].codomain.hi.text: text must be a string"),
+     "$.sets[0].mappings[1].codomain.hi.text: text must be a name followed by ()"),
     (("sets", 0, "keys", 0, "label"), None, "$.sets[0].keys[0].label: label must be a string"),
     (("sets", 0, "keys", 0, "mappings"), "ab",
      "$.sets[0].keys[0].mappings: mappings must be an array of strings"),
@@ -606,6 +627,19 @@ READER_CASES = [
      "$.constraints[1].superset: superset is missing"),
     ("missing-nonrelational-label", (("constraints", 2, "label"), _DELETE),
      "$.constraints[2].label: label is missing"),
+    # bounds in a form the text reader refuses: check_scheme compares them,
+    # computing 10^n, and emit_text prints them on their mapping's line
+    *[(f"pow10-exponent-{n}", ((*_M, 2, "codomain", "hi", "exponent"), n),
+       "$.sets[0].mappings[2].codomain.hi.exponent: exponent must be an integer from 0 to 4299")
+      for n in (-1, 4300, 999_999_999)],
+    *[(f"date-{name}", ((*_M, 1, "codomain", "lo", "text"), text),
+       "$.sets[0].mappings[1].codomain.lo.text: "
+       "text must be day/month/year of at most 4300 digits each")
+      for name, text in (("word", "soon"), ("four-parts", "1/2/3/4"), ("blank", " 1/2/3"),
+                         ("part-too-long", "1/2/" + "3" * 4301))],
+    *[(f"func-{name}", ((*_M, 1, "codomain", "hi", "text"), text),
+       "$.sets[0].mappings[1].codomain.hi.text: text must be a name followed by ()")
+      for name, text in (("no-call", "SysDate"), ("line-break", "SysDate()\nB <-> NAT(1)"))],
 ]
 
 
@@ -640,7 +674,8 @@ def _reader_message_patterns() -> list[str]:
             elif name == "_tagged" and isinstance(args[1], ast.Constant):
                 patterns.append(f"unknown {args[1].value} kind .+")
         elif isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "_FIELD_KINDS":
-            patterns += [f".+ must be {re.escape(kind.value)}" for kind in node.value.keys]
+            patterns += [f".+ must be {p}" for kind in node.value.keys
+                         for p in _literal_patterns(kind)]
     return patterns
 
 
@@ -691,8 +726,9 @@ _PYTHON_INTERNALS = ("object is not", "indices must", "unhashable", "NoneType",
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_an_edited_document_loads_or_names_the_object_that_held_the_edit(data):
-    """Any field of a valid document replaced or deleted: the document loads, or
-    the error's path starts at the innermost object that held the field."""
+    """Any field of a valid document replaced or deleted: the document loads, and
+    checks and prints without error, or the error's path starts at the innermost
+    object that held the field."""
     doc = json.loads(data.draw(st.sampled_from(_valid_documents())))
     where = data.draw(st.sampled_from(list(_steps(doc))))
     node, holder = doc, ()
@@ -702,9 +738,13 @@ def test_an_edited_document_loads_or_names_the_object_that_held_the_edit(data):
         node = node[step]
     _set_at(doc, where, data.draw(st.just(_DELETE) | _JSON_VALUES))
     try:
-        load_structured(json.dumps(doc))
+        scheme = load_structured(json.dumps(doc))
     except StructuredFormatError as error:
         prefix = _json_path(holder)
         assert error.path == prefix or error.path.startswith((prefix + ".", prefix + "[")), (
             error.path, prefix)
         assert not any(word in str(error) for word in _PYTHON_INTERNALS), str(error)
+        return
+    # What loads is checked without error, and printed if sound.
+    if not check_scheme(scheme):
+        emit_text(scheme)
