@@ -13,7 +13,7 @@ The counting conventions are :data:`CONVENTIONS`, which every report carries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 from .formula import quantifier_count
@@ -72,7 +72,7 @@ class Tallies:
 
     def as_dict(self) -> dict[str, int]:
         """The fields, then each group total, then the total."""
-        counts = asdict(self)
+        counts = vars(self)
         groups: dict[str, int] = {}
         for name, (_, group) in ELEMENT_CLASSES.items():
             groups[group] = groups.get(group, 0) + counts[name]
@@ -93,7 +93,7 @@ _SET_CLASSES = {
 
 def census(model: ERModel) -> Tallies:
     """Count every translatable element of *model*."""
-    counts = asdict(Tallies())
+    counts: Counter[str] = Counter()  # a class never counted stays at its default 0
     for s in model.object_sets():
         counts[_SET_CLASSES[s.kind]] += 1
         counts["roles"] += len(s.roles)
@@ -141,7 +141,7 @@ def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
 
     if result.scheme is None:
         no_scheme = "no scheme was produced"
-        soundness = [d.render() for d in report.diagnostics if d.is_error] or [no_scheme]
+        soundness = [d.render() for d in report.diagnostics.errors] or [no_scheme]
         completeness = [no_scheme]
     else:
         soundness = [d.render() for d in check_scheme(result.scheme)]

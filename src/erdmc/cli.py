@@ -217,7 +217,7 @@ def _cmd_validate(args) -> int:
     source = _read_input(args.input)
     model = parse_model(source)
     issues = validate_model(model)
-    errors = [i for i in issues if i.is_error]
+    errors = issues.errors
     for issue in issues:
         print(issue.render(), file=sys.stderr)
     print(f"{len(errors)} errors")

@@ -30,6 +30,18 @@ class Diagnostic:
         return f"{self.severity}: {self.code}: {self.message}{where}"
 
 
+class Diagnostics(list):
+    """The findings of one check or translation, in the order they were made."""
+
+    def add(self, code: str, element: str, message: str, severity: str = ERROR) -> None:
+        self.append(Diagnostic(severity, code, message, element))
+
+    @property
+    def errors(self) -> list[Diagnostic]:
+        """The entries that make the input untranslatable or the scheme unsound."""
+        return [d for d in self if d.is_error]
+
+
 @dataclass(frozen=True)
 class ParseError:
     """A syntax problem with a 1-based source position."""

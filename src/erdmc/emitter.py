@@ -18,6 +18,7 @@ from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
+from .census import CONVENTIONS
 from .diagnostics import Diagnostic, ParseFailure
 from .formula import Formula, format_formula, parse_formula
 from .lexer import DATE_FORM, GLYPH_OF, MAX_DIGITS, NAME_FORM, PLAIN, quote_string
@@ -208,7 +209,7 @@ def encode_report(report: TranslationReport) -> str:
         f'{_array(map(_q, a.resulting_labels), "      ")}\n    }}'
         for a in report.enrichment_actions]
     return f"""{{
-  "conventions": {_array(map(_q, report.conventions), "  ")},
+  "conventions": {_array(map(_q, CONVENTIONS), "  ")},
   "tallies": {"null" if t is None else _object(t.as_dict().items(), "  ", repr)},
   "steps": {_array(steps, "  ")},
   "diagnostics": {_array(diagnostics, "  ")},
@@ -346,8 +347,12 @@ _FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
 }
 
 
-def _field(raw: dict, key: str, kind: str, path: str, default: Any = _REQUIRED) -> Any:
-    """The field *key* of the object *raw* at *path*, of *kind*; *default* when absent."""
+def _field(raw: dict, key: str, kind: str, path: str, default: Any = _REQUIRED,
+           names: bool = False) -> Any:
+    """The field *key* of the object *raw* at *path*, of *kind*; *default* when absent.
+
+    With *names*, each string it holds must be a name, since emit_text prints it bare.
+    """
     if key not in raw:
         if default is _REQUIRED:
             raise StructuredFormatError(f"{key} is missing", f"{path}.{key}")
@@ -355,7 +360,18 @@ def _field(raw: dict, key: str, kind: str, path: str, default: Any = _REQUIRED) 
     value = raw[key]
     if not _FIELD_KINDS[kind](value):
         raise StructuredFormatError(f"{key} must be {kind}", f"{path}.{key}")
+    if names:
+        _check_names(value, f"{path}.{key}")
     return value
+
+
+def _check_names(value: Any, path: str) -> None:
+    """Refuse, at its path, the first string in *value* or its arrays that is not a name."""
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_names(item, f"{path}[{i}]")
+    elif isinstance(value, str) and not re.fullmatch(NAME_FORM, value):
+        raise StructuredFormatError(f"{value!r} is not a name", path)
 
 
 def _record(raw: Any, what: str, path: str) -> dict:
@@ -399,12 +415,12 @@ def _tagged(raw: Any, what: str, kinds: tuple[str, ...], path: str) -> Range | B
                   for end in ("lo", "hi"))
         return Interval(lo, hi)
     key, field_kind, build = _TAGGED[kind]
-    return build(_field(raw, key, field_kind, path))
+    return build(_field(raw, key, field_kind, path, names=kind == "set"))
 
 
 def _mapping_from_json(raw: Any, path: str, holder: str) -> Mapping:
     raw = _record(raw, "mapping", path)
-    name = _field(raw, "name", "a string", path)
+    name = _field(raw, "name", "a string", path, names=True)
     if _field(raw, "source", "a string", path) != holder:
         raise StructuredFormatError(f"source must be its set {holder!r}", f"{path}.source")
     codomain = raw.get("codomain")
@@ -423,15 +439,15 @@ def _mapping_from_json(raw: Any, path: str, holder: str) -> Mapping:
 def _key_from_json(raw: Any, path: str) -> Key:
     raw = _record(raw, "key", path)
     return Key(
-        label=_field(raw, "label", "a string", path),
-        mappings=tuple(_field(raw, "mappings", "an array of strings", path)),
+        label=_field(raw, "label", "a string", path, names=True),
+        mappings=tuple(_field(raw, "mappings", "an array of strings", path, names=True)),
         implicit=_field(raw, "implicit", "true or false", path, False),
     )
 
 
 def _set_from_json(raw: Any, path: str) -> EMDMSet:
     raw = _record(raw, "set", path)
-    name = _field(raw, "name", "a string", path)
+    name = _field(raw, "name", "a string", path, names=True)
     ident = raw.get("object_identifier")
     return EMDMSet(
         name=name,
@@ -441,8 +457,8 @@ def _set_from_json(raw: Any, path: str) -> EMDMSet:
         mappings=_records(raw, "mappings", path,
                           lambda item, at: _mapping_from_json(item, at, name)),
         keys=_records(raw, "keys", path, _key_from_json),
-        role_signature=tuple(
-            map(tuple, _field(raw, "role_signature", "an array of string pairs", path, []))),
+        role_signature=tuple(map(tuple, _field(
+            raw, "role_signature", "an array of string pairs", path, [], names=True))),
         computed_definition=_field(raw, "computed_definition", "a string or null", path, None),
     )
 
@@ -452,19 +468,19 @@ def _constraint_from_json(raw: Any, path: str) -> Constraint:
     kind = _field(raw, "kind", "a string", path)
     if kind == "inclusion":
         return InclusionConstraint(
-            subset=_field(raw, "subset", "a string", path),
-            superset=_field(raw, "superset", "a string", path),
-            label=_field(raw, "label", "a string or null", path, None),
+            subset=_field(raw, "subset", "a string", path, names=True),
+            superset=_field(raw, "superset", "a string", path, names=True),
+            label=_field(raw, "label", "a string or null", path, None, names=True),
         )
     if kind == "tuple":
         return TupleConstraint(
-            label=_field(raw, "label", "a string", path),
-            set_name=_field(raw, "set", "a string", path),
+            label=_field(raw, "label", "a string", path, names=True),
+            set_name=_field(raw, "set", "a string", path, names=True),
             formula=_formula(_field(raw, "formula", "a string", path), kind, path),
         )
     if kind == "nonrelational":
         return NonrelationalConstraint(
-            label=_field(raw, "label", "a string", path),
+            label=_field(raw, "label", "a string", path, names=True),
             formula=_formula(_field(raw, "formula", "a string or null", path, None), kind, path),
             informal=_field(raw, "informal", "a string or null", path, None),
         )

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping as MappingType
 
-from .diagnostics import INFO, WARNING, Diagnostic
+from .diagnostics import INFO, WARNING, Diagnostics
 from .formula import quantifier_domains
 from .model import (
     COMPUTED,
@@ -115,7 +115,7 @@ class EnrichmentLog:
     answers: Answers | None = None
     prompter: Prompter | None = None
     actions: list[EnrichmentAction] = field(default_factory=list)
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
     pending: list[PendingQuestion] = field(default_factory=list)
 
     def ask(self, subject: str, kind: str, prompt: str) -> str | None:
@@ -137,21 +137,17 @@ class EnrichmentLog:
         return None
 
     def record(
-        self, action: EnrichmentAction, severity: str, code: str, message: str, element: str
+        self, action: EnrichmentAction, code: str, element: str, message: str, severity: str
     ) -> None:
         """Record one firing with its diagnostic."""
         self.actions.append(action)
-        self.diagnostics.append(Diagnostic(severity, code, message, element))
-
-    def warn(self, code: str, message: str, element: str) -> None:
-        """Record a warning that comes with no firing."""
-        self.diagnostics.append(Diagnostic(WARNING, code, message, element))
+        self.diagnostics.add(code, element, message, severity)
 
 
 @dataclass
 class InputDefaultsResult:
     model: ERModel
-    diagnostics: list[Diagnostic]
+    diagnostics: Diagnostics
     actions: list[EnrichmentAction]
     pending: list[PendingQuestion]
 
@@ -179,8 +175,8 @@ def apply_input_defaults(
                     RULE_CARDINALITY_CLAMP, r.label,
                     f"clamped {r.label} to {dbms_max_cardinality}",
                 ),
-                WARNING, "cardinality-clamped",
-                f"{r.label} exceeds the DBMS maximum {dbms_max_cardinality}; clamped", r.label,
+                "cardinality-clamped", r.label,
+                f"{r.label} exceeds the DBMS maximum {dbms_max_cardinality}; clamped", WARNING,
             )
             r = replace(r, body=CardinalityBody(dbms_max_cardinality, None))
         restrictions.append(r)
@@ -205,8 +201,8 @@ def _default_one_set(
                 RULE_MISSING_CARDINALITY, src_set(s.name),
                 f"defaulted cardinality of {s.name} to {dbms_max}",
             ),
-            INFO, "cardinality-defaulted",
-            f"{s.name} has no maximum cardinality; using the DBMS maximum {dbms_max}", s.name,
+            "cardinality-defaulted", s.name,
+            f"{s.name} has no maximum cardinality; using the DBMS maximum {dbms_max}", INFO,
         )
         changed = replace(changed, max_cardinality=dbms_max, cardinality_pow10=None)
     elif card > dbms_max and s.max_cardinality is not None and s.max_cardinality > dbms_max:
@@ -215,8 +211,8 @@ def _default_one_set(
                 RULE_CARDINALITY_CLAMP, src_set(s.name),
                 f"clamped cardinality of {s.name} to {dbms_max}",
             ),
-            WARNING, "cardinality-clamped",
-            f"{s.name} cardinality exceeds the DBMS maximum {dbms_max}; clamped", s.name,
+            "cardinality-clamped", s.name,
+            f"{s.name} cardinality exceeds the DBMS maximum {dbms_max}; clamped", WARNING,
         )
         changed = replace(changed, max_cardinality=dbms_max, cardinality_pow10=None)
 
@@ -230,8 +226,8 @@ def _default_one_set(
                     RULE_DEFAULT_RANGE, src_attribute(s.name, a.name),
                     f"defaulted range of {s.name}.{a.name} to ASCII(255)",
                 ),
-                INFO, "range-defaulted",
-                f"{s.name}.{a.name} has no range; assuming ASCII(255)", f"{s.name}.{a.name}",
+                "range-defaulted", f"{s.name}.{a.name}",
+                f"{s.name}.{a.name} has no range; assuming ASCII(255)", INFO,
             )
             a = replace(a, range=DEFAULT_RANGE)
         if a is not None:
@@ -266,8 +262,8 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
     if not definition.strip() and not breaks_line(definition):
         log.record(
             EnrichmentAction(RULE_MISSING_DEFINITION, source, f"dropped computed {noun} {name}"),
-            WARNING, "computed-dropped",
-            f"computed {noun} {name} has no definition and was ignored", name,
+            "computed-dropped", name,
+            f"computed {noun} {name} has no definition and was ignored", WARNING,
         )
         return None
     # A set's message names its kind; a member's, only its dotted name.
@@ -276,8 +272,8 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
         EnrichmentAction(
             RULE_MISSING_DEFINITION, source, f"filled definition of computed {noun} {name}",
         ),
-        INFO, "computed-definition-supplied", f"definition for {supplied} supplied interactively",
-        name,
+        "computed-definition-supplied", name,
+        f"definition for {supplied} supplied interactively", INFO,
     )
     return replace(element, computed_definition=definition)
 
@@ -301,7 +297,7 @@ def ensure_totality(scheme: EMDMScheme, log: EnrichmentLog) -> None:
                     EnrichmentAction(
                         RULE_TOTALITY, ref_mapping(s.name, m.name), f"made {element} total",
                     ),
-                    INFO, "totality-added", f"added totality to {element}", element,
+                    "totality-added", element, f"added totality to {element}", INFO,
                 )
 
 
@@ -362,10 +358,9 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
                     RULE_STRUCTURAL_KEY, ref_mapping(s.name, role.name),
                     f"made single role {element} one-to-one (degenerate structural key)",
                 ),
-                INFO, "structural-key-added",
+                "structural-key-added", element,
                 f"single role {element} made one-to-one in place of a structural key; "
-                "review against the business rules",
-                element,
+                "review against the business rules", INFO,
             )
             continue
         label = next_label(scheme) if label is None else f"R{int(label[1:]) + 1:02d}"
@@ -378,10 +373,9 @@ def ensure_structural_key(scheme: EMDMScheme, log: EnrichmentLog) -> None:
                 RULE_STRUCTURAL_KEY, ref_set(s.name), f"{label}: {bullet}",
                 resulting_labels=(label,),
             ),
-            INFO, "structural-key-added",
+            "structural-key-added", s.name,
             f"added structural key {label} ({bullet}) to {s.name}; "
-            "review whether it matches a real business rule",
-            s.name,
+            "review whether it matches a real business rule", INFO,
         )
 
 
@@ -420,8 +414,8 @@ def _ensure_fallback(
         name, clash = _free_name(s, wanted)
         element = f"{s.name}.{name}"
         if clash:
-            log.warn("name-clash", f"{s.name} already has a mapping named {wanted}; using {name}",
-                     element)
+            log.diagnostics.add("name-clash", element, f"{s.name} already has a mapping named "
+                                f"{wanted}; using {name}", WARNING)
         s.mappings.append(Mapping(
             name=name, codomain=DEFAULT_RANGE,
             flavor=GENERATED, total=True, one_to_one=rule == RULE_UNIQUENESS,
@@ -429,7 +423,7 @@ def _ensure_fallback(
         scheme.provenance[ref_mapping(s.name, name)] = ENRICHMENT_PREFIX + rule
         log.record(
             EnrichmentAction(rule, ref_set(s.name), f"added {added} {element} into ASCII(255)"),
-            INFO, code, f"{s.name} has no {lacking}; added {name}", element,
+            code, element, f"{s.name} has no {lacking}; added {name}", INFO,
         )
 
 
@@ -472,17 +466,14 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
         if not (first.one_to_one or second.one_to_one):
             continue
         if len(s.mappings) != 2:  # anything beyond the two roles blocks the collapse
-            log.warn("collapse-skipped",
-                     f"{s.name} has a unique role but carries attributes; left as a relationship",
-                     s.name)
+            log.diagnostics.add("collapse-skipped", s.name, f"{s.name} has a unique role but "
+                                "carries attributes; left as a relationship", WARNING)
             continue
         if references is None:
             references = _reference_counts(scheme)
         if references[s.name]:
-            log.warn("collapse-skipped",
-                     f"{s.name} has a unique role but is referenced elsewhere; "
-                     "left as a relationship",
-                     s.name)
+            log.diagnostics.add("collapse-skipped", s.name, f"{s.name} has a unique role but "
+                                "is referenced elsewhere; left as a relationship", WARNING)
             continue
 
         if first.one_to_one and second.one_to_one:
@@ -496,8 +487,8 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
                 source_role, target_role = second, first
             else:
                 if answer not in (default, reverse):
-                    log.warn("collapse-default-direction",
-                             f"no usable direction for {s.name}; defaulting to {default}", s.name)
+                    log.diagnostics.add("collapse-default-direction", s.name, "no usable "
+                                        f"direction for {s.name}; defaulting to {default}", WARNING)
                 source_role, target_role = first, second
             one_to_one = True
         elif first.one_to_one:
@@ -509,23 +500,23 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
 
         home = scheme.set(source_role.codomain)
         if home is s or home.kind == sch.COMPUTED:
-            log.warn("collapse-skipped", f"{s.name} cannot collapse onto {home.name}", s.name)
+            log.diagnostics.add("collapse-skipped", s.name,
+                                f"{s.name} cannot collapse onto {home.name}", WARNING)
             continue
         if target_role.codomain == s.name:
-            log.warn("collapse-skipped",
-                     f"{s.name} cannot collapse into a mapping that targets {s.name}", s.name)
+            log.diagnostics.add("collapse-skipped", s.name, f"{s.name} cannot collapse into a "
+                                f"mapping that targets {s.name}", WARNING)
             continue
         name, clash = _free_name(home, s.name)
         if collision := facet_of(name, {m.name for m in home.mappings}):
             owner, facet = collision
-            log.warn("collapse-skipped",
-                     f"{s.name} cannot collapse onto {home.name}: a mapping named {name} "
-                     f"would read as the {facet} facet of {home.name}.{owner}", s.name)
+            log.diagnostics.add("collapse-skipped", s.name, f"{s.name} cannot collapse onto "
+                                f"{home.name}: a mapping named {name} would read as the {facet} "
+                                f"facet of {home.name}.{owner}", WARNING)
             continue
         if clash:
-            log.warn("name-clash",
-                     f"{home.name} already has a mapping named {s.name}; using {name}",
-                     f"{home.name}.{name}")
+            log.diagnostics.add("name-clash", f"{home.name}.{name}", f"{home.name} already has a "
+                                f"mapping named {s.name}; using {name}", WARNING)
         if owned is None:
             owned = {}
             for ref in scheme.provenance:
@@ -539,9 +530,8 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
                 f"replaced {s.name} by the structural function "
                 f"{name} : {home.name} {'<->' if one_to_one else '->'} {target_role.codomain}",
             ),
-            INFO, "relationship-collapsed",
-            f"binary relationship {s.name} replaced by a structural function on {home.name}",
-            s.name,
+            "relationship-collapsed", s.name,
+            f"binary relationship {s.name} replaced by a structural function on {home.name}", INFO,
         )
         references.subtract(role.codomain for role in roles)  # the roles left with it
         if target_role.codomain != home.name:  # the new mapping on the home

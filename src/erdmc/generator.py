@@ -22,7 +22,7 @@ from .model import (
     Role,
     StructuralFunction,
     UniquenessBody,
-    validation_errors,
+    validate_model,
 )
 
 
@@ -164,7 +164,7 @@ def random_model(
 
     model = ERModel(diagrams=(Diagram("generated", tuple(sets)),),
                     restrictions=tuple(restrictions))
-    problems = validation_errors(model)
+    problems = validate_model(model).errors
     assert not problems, f"generator produced an invalid model: {problems[:3]}"
     return model
 
@@ -194,5 +194,5 @@ def sized_model(seed: int, element_target: int) -> ERModel:
             elements += 1
     model = ERModel(diagrams=(Diagram("bulk", tuple(sets)),),
                     restrictions=tuple(restrictions))
-    assert not validation_errors(model)
+    assert not validate_model(model).errors
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .diagnostics import ERROR, WARNING, Diagnostic
+from .diagnostics import WARNING, Diagnostics
 from .formula import Formula, quantifier_domains
 
 ENTITY = "entity"
@@ -334,17 +334,15 @@ def source_universe(model: ERModel) -> set[str]:
 # --- validation ---
 
 
-def validate_model(model: ERModel) -> list[Diagnostic]:
+def validate_model(model: ERModel) -> Diagnostics:
     """Structural validation; idempotent and side-effect free.
 
     The model is translatable iff no returned entry has error severity.
     One-role relationships are tolerated with a warning.
     """
-    errors: list[Diagnostic] = []
+    errors = Diagnostics()
+    err = errors.add
     sets = model._sets_by_name
-
-    def err(code: str, element: str, message: str, severity: str = ERROR) -> None:
-        errors.append(Diagnostic(severity, code, message, element))
 
     names: set[str] = set()
     for s in model.object_sets():
@@ -578,8 +576,3 @@ def _validate_restriction_body(
                     r.label,
                     f"{r.label} quantifies over {domains[0]!r} but targets {r.target!r}",
                 )
-
-
-def validation_errors(model: ERModel) -> list[Diagnostic]:
-    """Only the entries that make the model untranslatable."""
-    return [e for e in validate_model(model) if e.is_error]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .diagnostics import ERROR, Diagnostic
+from .diagnostics import Diagnostics
 from .formula import (
     Binary,
     Compare,
@@ -298,12 +298,10 @@ def _term_type(
 # --- the soundness gate ---
 
 
-def check_scheme(scheme: EMDMScheme) -> list[Diagnostic]:
+def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     """Verify every scheme invariant; an empty result certifies soundness."""
-    diagnostics: list[Diagnostic] = []
-
-    def bad(code: str, element: str, message: str) -> None:
-        diagnostics.append(Diagnostic(ERROR, code, message, element))
+    diagnostics = Diagnostics()
+    bad = diagnostics.add
 
     seen_sets: set[str] = set()
     seen_labels: set[str] = set()

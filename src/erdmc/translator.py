@@ -12,8 +12,8 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .census import CONVENTIONS, ELEMENT_CLASSES, Tallies
-from .diagnostics import ERROR, WARNING, Diagnostic, ParseFailure
+from .census import ELEMENT_CLASSES, Tallies
+from .diagnostics import WARNING, Diagnostics, ParseFailure
 from .enrichment import (
     Answers,
     EnrichmentAction,
@@ -45,7 +45,6 @@ from .model import (
     src_role,
     src_set,
     validate_model,
-    validation_errors,
 )
 from . import scheme as sch
 from .scheme import (
@@ -92,17 +91,12 @@ class ImplicitKeyNote:
 
 @dataclass
 class TranslationReport:
-    conventions: tuple[str, ...] = CONVENTIONS
     steps: list[Step] = field(default_factory=list)
     tallies: Tallies | None = None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics)
     pending_questions: list[PendingQuestion] = field(default_factory=list)
     implicit_keys: list[ImplicitKeyNote] = field(default_factory=list)
     enrichment_actions: list[EnrichmentAction] = field(default_factory=list)
-
-    @property
-    def has_errors(self) -> bool:
-        return any(d.is_error for d in self.diagnostics)
 
 
 @dataclass
@@ -137,7 +131,7 @@ def surrogate_digits(max_cardinality: int) -> int:
     return n
 
 
-def _reference_order(model: ERModel, diagnostics: list[Diagnostic]) -> list[ObjectSet]:
+def _reference_order(model: ERModel, diagnostics: Diagnostics) -> list[ObjectSet]:
     """Kahn's algorithm over the set-reference graph, referenced sets first.
 
     Edges run from a referencing set to each other set that its roles,
@@ -167,12 +161,8 @@ def _reference_order(model: ERModel, diagnostics: list[Diagnostic]) -> list[Obje
     while ready or remaining:
         if not ready:
             stuck = min(remaining)  # cycle: fall back to declaration order
-            diagnostics.append(Diagnostic(
-                WARNING, "reference-cycle",
-                f"{sets[stuck].name} participates in a reference cycle; "
-                "declaration order used",
-                sets[stuck].name,
-            ))
+            diagnostics.add("reference-cycle", sets[stuck].name, f"{sets[stuck].name} "
+                            "participates in a reference cycle; declaration order used", WARNING)
             remaining.discard(stuck)
             heapq.heappush(ready, stuck)
             for j in dependents[stuck]:
@@ -216,24 +206,22 @@ class Translator:
         self.scheme.provenance[produced] = source
         self.report.steps.append(Step(ELEMENT_CLASSES[element_class][0], source, produced))
 
-    def _diag(self, code: str, element: str, message: str, severity: str = ERROR) -> None:
-        self.report.diagnostics.append(Diagnostic(severity, code, message, element))
-
     # -- pipeline --
 
     def run(self) -> TranslationResult:
         issues = validate_model(self.model)
         self.report.diagnostics.extend(issues)
-        if any(i.is_error for i in issues):
+        if issues.errors:
             return TranslationResult(None, self.report, self.model)
 
         self.model = apply_input_defaults(
             self.model, self.options.dbms_max_cardinality, log=self.log,
         ).model
-        post_issues = validation_errors(self.model)
+        post_issues = validate_model(self.model).errors
         if post_issues:
             for issue in post_issues:
-                self._diag(issue.code, issue.element, f"after input defaults: {issue.message}")
+                self.report.diagnostics.add(
+                    issue.code, issue.element, f"after input defaults: {issue.message}")
             return TranslationResult(None, self.report, self.model)
 
         global_order = _reference_order(self.model, self.report.diagnostics)
@@ -246,14 +234,14 @@ class Translator:
         self._translate_nonrelational()
         # Checked once all are in: a check may reach sets added after its own.
         for c in self.scheme.constraints:
-            check_constraint(self.scheme, c, self._diag)
+            check_constraint(self.scheme, c, self.report.diagnostics.add)
         self._enrich()
 
         compulsory_lines = sum(
             1 for r in self.model.restrictions if isinstance(r.body, CompulsoryBody)
         )
         self.report.tallies = tallies_from_steps(self.report.steps, compulsory_lines)
-        scheme = None if self.report.has_errors else self.scheme
+        scheme = None if self.report.diagnostics.errors else self.scheme
         return TranslationResult(scheme, self.report, self.model)
 
     # -- sets --
@@ -389,14 +377,14 @@ class Translator:
             "provide a formula",
         )
         if answer is None:
-            self._diag("unformalized", r.label,
-                       f"{r.label} remains unformalized; carried as informal text only", WARNING)
+            self.report.diagnostics.add("unformalized", r.label, f"{r.label} remains "
+                                        "unformalized; carried as informal text only", WARNING)
             return None
         try:
             return parse_formula(answer)
         except ParseFailure as exc:
-            self._diag("bad-formalization", r.label,
-                       f"supplied formula for {r.label} does not parse: {exc}", WARNING)
+            self.report.diagnostics.add("bad-formalization", r.label, f"supplied formula for "
+                                        f"{r.label} does not parse: {exc}", WARNING)
             return None
 
     # -- enrichment --

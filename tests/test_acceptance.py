@@ -23,7 +23,7 @@ from erdmc.enrichment import (
 )
 from erdmc.formula import format_formula, parse_formula, quantifier_count
 from erdmc.generator import random_model, sized_model
-from erdmc.model import OtherBody, validation_errors
+from erdmc.model import OtherBody, validate_model
 from erdmc.parser import parse_model
 from erdmc.scheme import NonrelationalConstraint, TupleConstraint
 from erdmc.translator import TranslationOptions, Translator, translate
@@ -118,7 +118,7 @@ def test_criterion_translation_properties(teaching_model):
             max_entities=35, max_relationships=14, max_computed=1,
             max_attributes=6, max_restrictions=100,
         )
-        assert validation_errors(model) == []
+        assert validate_model(model).errors == []
         _translation_properties_hold(model)
         checked += 1
     elapsed = time.perf_counter() - started

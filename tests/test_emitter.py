@@ -640,6 +640,32 @@ READER_CASES = [
     *[(f"func-{name}", ((*_M, 1, "codomain", "hi", "text"), text),
        "$.sets[0].mappings[1].codomain.hi.text: text must be a name followed by ()")
       for name, text in (("no-call", "SysDate"), ("line-break", "SysDate()\nB <-> NAT(1)"))],
+    # names in a form the text reader refuses: emit_text prints them bare, so
+    # a line break in one forges a set block or a mapping line
+    *[(f"name-{name}", (where, text),
+       f"{path}: {text!r} is not a name")
+      for name, where, path, text in (
+          ("set", ("sets", 0, "name"), "$.sets[0].name", "A\nB"),
+          ("mapping", (*_M, 0, "name"), "$.sets[0].mappings[0].name",
+           "a\nB\n  y <-> NAT(1), total"),
+          ("identifier", ("sets", 0, "object_identifier", "name"),
+           "$.sets[0].object_identifier.name", "x y"),
+          ("role-signature", ("sets", 4, "role_signature", 0, 1),
+           "$.sets[4].role_signature[0][1]", "PERSONS\nB"),
+          ("set-codomain", (*_M, 0, "codomain", "name"), "$.sets[0].mappings[0].codomain.name",
+           "PERSONS B"),
+          ("key-label", ("sets", 0, "keys", 0, "label"), "$.sets[0].keys[0].label", "R01\nB"),
+          ("key-mapping", ("sets", 0, "keys", 0, "mappings", 0), "$.sets[0].keys[0].mappings[0]",
+           "Name\n"),
+          ("tuple-label", ("constraints", 0, "label"), "$.constraints[0].label", "R06 B"),
+          ("tuple-set", ("constraints", 0, "set"), "$.constraints[0].set", "PERSONS\n"),
+          ("inclusion-label", ("constraints", 1, "label"), "$.constraints[1].label", ""),
+          ("inclusion-subset", ("constraints", 1, "subset"), "$.constraints[1].subset",
+           "STUDENTS\nB"),
+          ("inclusion-superset", ("constraints", 1, "superset"), "$.constraints[1].superset",
+           " PERSONS"),
+          ("nonrelational-label", ("constraints", 2, "label"), "$.constraints[2].label", "R05:"),
+      )],
 ]
 
 

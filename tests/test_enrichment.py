@@ -987,8 +987,8 @@ def test_each_rule_diagnostic_code_fires(code, source, options):
 
 
 # Where each call that records a diagnostic takes its code: EnrichmentLog.record
-# takes it third, after the action and the severity.
-_CODE_ARGUMENT = {"record": 2, "warn": 0, "_diag": 0, "Diagnostic": 1, "_ensure_fallback": 6}
+# takes it second, after the action.
+_CODE_ARGUMENT = {"record": 1, "add": 0, "_ensure_fallback": 6}
 
 
 def test_every_rule_diagnostic_code_has_a_case():

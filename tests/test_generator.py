@@ -2,13 +2,13 @@ from __future__ import annotations
 
 from erdmc.census import census
 from erdmc.generator import random_model, sized_model
-from erdmc.model import validation_errors
+from erdmc.model import validate_model
 
 
 def test_generated_models_are_valid_and_deterministic():
     for seed in range(60):
         model = random_model(seed)
-        assert validation_errors(model) == []
+        assert validate_model(model).errors == []
         assert random_model(seed) == model
 
 

@@ -24,7 +24,6 @@ from erdmc.model import (
     Role,
     UniquenessBody,
     validate_model,
-    validation_errors,
 )
 from erdmc.parser import parse_model
 
@@ -40,7 +39,7 @@ def test_empty_model_validates_clean():
 def test_dangling_role_target_yields_single_error(teaching_source):
     broken = teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES")
     model = parse_model(broken)
-    errors = validation_errors(model)
+    errors = validate_model(model).errors
     assert len(errors) == 1
     assert errors[0].code == "unresolved-set"
     assert "CLASES" in errors[0].message
@@ -70,7 +69,7 @@ def _single_set_model(s: ObjectSet, restrictions=(), extra_sets=()) -> ERModel:
 
 def test_relationship_without_roles_is_an_error():
     model = _single_set_model(ObjectSet(name="LINK", kind="relationship"))
-    assert any(e.code == "relationship-without-roles" for e in validation_errors(model))
+    assert any(e.code == "relationship-without-roles" for e in validate_model(model).errors)
 
 
 def test_single_role_relationship_is_a_warning_not_an_error():
@@ -80,7 +79,7 @@ def test_single_role_relationship_is_a_warning_not_an_error():
         extra_sets=(other,),
     )
     issues = validate_model(model)
-    assert validation_errors(model) == []
+    assert validate_model(model).errors == []
     assert any(i.code == "relationship-single-role" for i in issues)
 
 
@@ -89,7 +88,7 @@ def test_computed_set_may_not_declare_members():
         name="V", kind="computed", attributes=(Attribute("a"),),
         computed_definition="whatever",
     ))
-    assert any(e.code == "computed-set-structure" for e in validation_errors(model))
+    assert any(e.code == "computed-set-structure" for e in validate_model(model).errors)
 
 
 def test_restrictions_may_not_target_computed_sets():
@@ -97,7 +96,7 @@ def test_restrictions_may_not_target_computed_sets():
         ObjectSet(name="V", kind="computed", computed_definition="whatever"),
         restrictions=[Restriction("R01", "V", CardinalityBody(10))],
     )
-    assert any(e.code == "restriction-on-computed-set" for e in validation_errors(model))
+    assert any(e.code == "restriction-on-computed-set" for e in validate_model(model).errors)
 
 
 def test_duplicate_range_declaration_is_an_error():
@@ -106,13 +105,13 @@ def test_duplicate_range_declaration_is_an_error():
     model = _single_set_model(s, restrictions=[
         Restriction("R01", "A", RangeBody("a", Interval(IntBound(1), IntBound(9)))),
     ])
-    assert any(e.code == "duplicate-range" for e in validation_errors(model))
+    assert any(e.code == "duplicate-range" for e in validate_model(model).errors)
 
 
 def test_interval_with_inverted_static_bounds_is_an_error():
     s = ObjectSet(name="A", kind="entity",
                   attributes=(Attribute("a", Interval(IntBound(9), IntBound(1))),))
-    assert any(e.code == "bad-range" for e in validation_errors(_single_set_model(s)))
+    assert any(e.code == "bad-range" for e in validate_model(_single_set_model(s)).errors)
 
 
 def test_compulsory_naming_unknown_mapping_is_an_error():
@@ -120,7 +119,7 @@ def test_compulsory_naming_unknown_mapping_is_an_error():
     model = _single_set_model(s, restrictions=[
         Restriction("R01", "A", CompulsoryBody(("nope",))),
     ])
-    assert any(e.code == "unknown-mapping" for e in validation_errors(model))
+    assert any(e.code == "unknown-mapping" for e in validate_model(model).errors)
 
 
 def test_identical_uniqueness_twice_is_an_error():
@@ -129,12 +128,12 @@ def test_identical_uniqueness_twice_is_an_error():
         Restriction("R01", "A", UniquenessBody(("a", "b"))),
         Restriction("R02", "A", UniquenessBody(("b", "a"))),
     ])
-    assert any(e.code == "duplicate-key" for e in validation_errors(model))
+    assert any(e.code == "duplicate-key" for e in validate_model(model).errors)
 
 
 def test_reserved_identifier_name_is_rejected():
     s = ObjectSet(name="A", kind="entity", attributes=(Attribute("x"),))
-    assert any(e.code == "reserved-identifier" for e in validation_errors(_single_set_model(s)))
+    assert any(e.code == "reserved-identifier" for e in validate_model(_single_set_model(s)).errors)
 
 
 def test_tuple_formula_domain_must_match_target(teaching_model):
@@ -143,7 +142,7 @@ def test_tuple_formula_domain_must_match_target(teaching_model):
     model = replace(
         teaching_model, restrictions=teaching_model.restrictions + (mismatched,)
     )
-    assert any(e.code == "tuple-domain-mismatch" for e in validation_errors(model))
+    assert any(e.code == "tuple-domain-mismatch" for e in validate_model(model).errors)
 
 
 def test_other_restriction_needs_informal_or_formal():
@@ -151,7 +150,7 @@ def test_other_restriction_needs_informal_or_formal():
     model = _single_set_model(s, restrictions=[
         Restriction("R01", "A", OtherBody(None, None)),
     ])
-    assert any(e.code == "empty-restriction" for e in validation_errors(model))
+    assert any(e.code == "empty-restriction" for e in validate_model(model).errors)
 
 
 def _dsl(sets: str = "", restrictions: str = "") -> str:

@@ -93,3 +93,19 @@ def test_every_method_and_property_in_src_has_a_caller():
                 if total[name] == _member_uses(member)[name]:
                     unused.append(f"{path.stem}.{cls.name}.{name}")
     assert unused == []
+
+
+def test_only_the_diagnostics_module_builds_a_diagnostic():
+    # Every finding goes through Diagnostics.add, so its arguments come in
+    # one order: code, element, message, severity.
+    builders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "diagnostics.py":
+            continue
+        for call in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "Diagnostic":
+                    builders.append(f"{path.stem}:{call.lineno}")
+    assert builders == []

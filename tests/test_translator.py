@@ -244,7 +244,7 @@ def test_errors_withhold_the_scheme(teaching_source):
     broken = teaching_source.replace("role Class -> CLASSES", "role Class -> CLASES")
     result = translate(parse_model(broken))
     assert result.scheme is None
-    assert result.report.has_errors
+    assert result.report.diagnostics.errors
 
 
 def test_unformalized_rule_survives_as_informal_constraint():
@@ -415,7 +415,7 @@ def test_multi_diagram_cross_references():
 ], ids=["diamond-after-rectangle", "reference-cycle"])
 def test_a_check_may_reach_sets_added_after_its_own(source):
     result = translate(parse_model(source))
-    assert not result.report.has_errors
+    assert not result.report.diagnostics.errors
     assert not any(verify_translation(result).values())
 
 
