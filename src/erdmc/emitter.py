@@ -13,7 +13,6 @@ scheme exactly, implicit keys and provenance included.
 from __future__ import annotations
 
 import json
-import re
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _q
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
@@ -21,8 +20,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 from .census import CONVENTIONS
 from .diagnostics import Diagnostic, ParseFailure
 from .formula import Formula, format_formula, parse_formula
-from .lexer import DATE_FORM, GLYPH_OF, MAX_DIGITS, NAME_FORM, PLAIN, quote_string
+from .lexer import GLYPH_OF, MAX_DIGITS, NAME_RE, PLAIN, quote_string
 from .model import (
+    BOUND_FORMS,
     AsciiRange,
     Bound,
     DateBound,
@@ -338,12 +338,7 @@ _FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
         isinstance(p, list) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in v),
     "an object of strings":
         lambda v: isinstance(v, dict) and all(isinstance(i, str) for i in v.values()),
-    # bounds, in the forms the text reader takes: they compare and print as parsed ones do
-    f"an integer from 0 to {MAX_DIGITS - 1}": lambda v: type(v) is int and 0 <= v < MAX_DIGITS,
-    f"day/month/year of at most {MAX_DIGITS} digits each": lambda v: isinstance(v, str) and bool(
-        re.fullmatch(DATE_FORM, v)) and len(max(v.split("/"), key=len)) <= MAX_DIGITS,
-    "a name followed by ()":
-        lambda v: isinstance(v, str) and bool(re.fullmatch(NAME_FORM + r"\(\)", v)),
+    **dict(BOUND_FORMS.values()),  # the bounds, which validate_range checks too
 }
 
 
@@ -370,7 +365,7 @@ def _check_names(value: Any, path: str) -> None:
     if isinstance(value, list):
         for i, item in enumerate(value):
             _check_names(item, f"{path}[{i}]")
-    elif isinstance(value, str) and not re.fullmatch(NAME_FORM, value):
+    elif isinstance(value, str) and not NAME_RE.fullmatch(value):
         raise StructuredFormatError(f"{value!r} is not a name", path)
 
 
@@ -394,9 +389,9 @@ _TAGGED: dict[str, tuple[str, str, Callable[[Any], Any]]] = {
     "ascii": ("length", "an integer", AsciiRange),
     "nat": ("digits", "an integer", NatRange),
     "int": ("value", "an integer", IntBound),
-    "pow10": ("exponent", f"an integer from 0 to {MAX_DIGITS - 1}", Pow10Bound),
-    "date": ("text", f"day/month/year of at most {MAX_DIGITS} digits each", DateBound),
-    "func": ("text", "a name followed by ()", FuncBound),
+    "pow10": ("exponent", BOUND_FORMS[Pow10Bound][0], Pow10Bound),
+    "date": ("text", BOUND_FORMS[DateBound][0], DateBound),
+    "func": ("text", BOUND_FORMS[FuncBound][0], FuncBound),
 }
 # What the writer reads of the same table: the kind and field of each class.
 _TAG_OF = {build: (kind, key) for kind, (key, _, build) in _TAGGED.items()}

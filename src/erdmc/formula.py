@@ -95,7 +95,7 @@ def parse_formula_tokens(stream: TokenStream) -> Formula:
     """Parse one formula from *stream*; used standalone and by the DSL parser."""
     if _at_quantifier(stream):
         return _parse_quantified(stream, frozenset(), 0)
-    return _parse_implies(stream, frozenset(), 0)
+    return _parse_binary(stream, frozenset(), 0, _LEVEL_IMPLIES)
 
 
 def _at_quantifier(stream: TokenStream) -> bool:
@@ -131,33 +131,24 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
         body: Formula = _parse_quantified(stream, inner_bound, depth)
     else:
         stream.expect(OP, "(")
-        body = _parse_implies(stream, inner_bound, depth)
+        body = _parse_binary(stream, inner_bound, depth, _LEVEL_IMPLIES)
         stream.expect(OP, ")")
     for v in reversed(variables):
         body = Forall(v, domain, body)
     return body
 
 
-def _parse_implies(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    left = _parse_or(stream, bound, depth)
-    if op := stream.accept(OP, "=>"):
-        return Binary("=>", left, _parse_implies(stream, bound, _deeper(stream, depth, op)))
-    return left
+def _parse_binary(stream: TokenStream, bound: frozenset[str], depth: int, level: int) -> Formula:
+    """A chain of the connective at *level*, or what binds tighter.
 
-
-def _parse_or(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    node = _parse_and(stream, bound, depth)
-    while op := stream.accept(OP, "|"):
-        depth = _deeper(stream, depth, op)
-        node = Binary("|", node, _parse_and(stream, bound, depth))
-    return node
-
-
-def _parse_and(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    node = _parse_unary(stream, bound, depth)
-    while op := stream.accept(OP, "&"):
-        depth = _deeper(stream, depth, op)
-        node = Binary("&", node, _parse_unary(stream, bound, depth))
+    Right operands are read at the level _BINARY gives them: ``=>``'s own, so it nests right."""
+    if level == _LEVEL_UNARY:
+        return _parse_unary(stream, bound, depth)
+    op = _CONNECTIVE_AT[level]
+    node = _parse_binary(stream, bound, depth, level + 1)
+    while tok := stream.accept(OP, op):
+        depth = _deeper(stream, depth, tok)
+        node = Binary(op, node, _parse_binary(stream, bound, depth, _BINARY[op][2]))
     return node
 
 
@@ -167,7 +158,7 @@ def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Form
     if _at_quantifier(stream):
         return _parse_quantified(stream, bound, depth)
     if op := stream.accept(OP, "("):
-        node = _parse_implies(stream, bound, _deeper(stream, depth, op))
+        node = _parse_binary(stream, bound, _deeper(stream, depth, op), _LEVEL_IMPLIES)
         stream.expect(OP, ")")
         return node
     return _parse_comparison(stream, bound, depth)
@@ -234,6 +225,8 @@ _BINARY = {
     "|": (_LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
     "&": (_LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
 }
+# Each level a connective binds at, to that connective.
+_CONNECTIVE_AT = {own: op for op, (own, _, _) in _BINARY.items()}
 
 
 def format_formula(node: Formula, unicode: bool = False) -> str:

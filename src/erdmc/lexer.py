@@ -51,6 +51,7 @@ MAX_DIGITS = 4300
 # A date (day/month/year) and a name, as the tokenizer reads them.
 DATE_FORM = r"\d+/\d+/\d+"
 NAME_FORM = r"[A-Za-z_][A-Za-z0-9_#]*"
+NAME_RE = re.compile(NAME_FORM)  # a name printed bare must match it whole, to read back
 
 # Each match is one token: blanks and comments (a '#' that does not continue
 # a name), then one alternative per token kind, each named after the kind it

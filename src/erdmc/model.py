@@ -7,13 +7,15 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Container
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import Any, Callable, Union
 
 from .diagnostics import WARNING, Diagnostics
 from .formula import Formula, quantifier_domains
+from .lexer import DATE_FORM, MAX_DIGITS, NAME_FORM
 
 ENTITY = "entity"
 RELATIONSHIP = "relationship"
@@ -78,6 +80,18 @@ class FuncBound:
 
 
 Bound = Union[IntBound, Pow10Bound, DateBound, FuncBound]
+
+# The value each bound kind but IntBound must hold, as words and a test: what the text reader
+# takes. validate_range and load_structured refuse others, which compare or print unlike it.
+BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    Pow10Bound: (f"an integer from 0 to {MAX_DIGITS - 1}",
+                 lambda v: type(v) is int and 0 <= v < MAX_DIGITS),
+    DateBound: (f"day/month/year of at most {MAX_DIGITS} digits each",
+                lambda v: isinstance(v, str) and bool(re.fullmatch(DATE_FORM, v))
+                and len(max(v.split("/"), key=len)) <= MAX_DIGITS),
+    FuncBound: ("a name followed by ()",
+                lambda v: isinstance(v, str) and bool(re.fullmatch(NAME_FORM + r"\(\)", v))),
+}
 
 
 @dataclass(frozen=True)
@@ -337,8 +351,9 @@ def source_universe(model: ERModel) -> set[str]:
 def validate_model(model: ERModel) -> Diagnostics:
     """Structural validation; idempotent and side-effect free.
 
-    The model is translatable iff no returned entry has error severity.
-    One-role relationships are tolerated with a warning.
+    translate refuses a model with any entry of error severity, but not only
+    those: it resolves each formula on the scheme it builds, and may refuse
+    the model there (formula-resolution). One-role relationships only warn.
     """
     errors = Diagnostics()
     err = errors.add
@@ -492,13 +507,17 @@ def validate_definition(definition: str | None, element: str, err) -> None:
 
 
 def validate_range(r: Range, element: str, err) -> None:
-    """Call ``err("bad-range", element, message)`` if *r* holds no value."""
+    """Call ``err("bad-range", element, message)`` if *r* holds no value or an unreadable bound."""
     if isinstance(r, AsciiRange) and r.length < 1:
         err("bad-range", element, "ascii length must be at least 1")
     elif isinstance(r, NatRange) and r.digits < 1:
         err("bad-range", element, "nat digits must be at least 1")
     elif isinstance(r, Interval):
         lo, hi = r.lo, r.hi
+        for b in (lo, hi):
+            if (form := BOUND_FORMS.get(type(b))) and not form[1](*vars(b).values()):
+                err("bad-range", element, f"{type(b).__name__} must hold {form[0]}")
+                return
         if isinstance(lo, (IntBound, Pow10Bound)) and isinstance(hi, (IntBound, Pow10Bound)):
             if lo.value > hi.value:
                 err("bad-range", element, f"interval lower bound {lo.value} exceeds upper bound {hi.value}")
@@ -554,7 +573,7 @@ def _validate_restriction_body(
         ):
             return "key", (target.name, frozenset(body.mappings))
     elif isinstance(body, OtherBody):
-        if body.informal is None and body.formal is None:
+        if not body.informal and body.formal is None:
             err("empty-restriction", r.label, f"{r.label} carries neither informal nor formal text")
         if body.formal is not None:
             domains = quantifier_domains(body.formal)

@@ -146,9 +146,10 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
         if stream.accept(NAME, "attr"):
             attributes.append(_parse_attribute(stream))
         elif stream.accept(NAME, "role"):
-            roles.append(_parse_role(stream))
+            roles.append(Role(*_parse_arrow(stream, "role"), bool(stream.accept(NAME, "unique"))))
         elif stream.accept(NAME, "fn"):
-            functions.append(_parse_function(stream))
+            functions.append(StructuralFunction(
+                *_parse_arrow(stream, "function"), _parse_computed(stream)))
         else:
             raise stream.unexpected("'attr', 'role', 'fn', or '}'")
     return ObjectSet(
@@ -172,18 +173,18 @@ def _parse_names(stream: TokenStream, label: str) -> tuple[str, ...]:
 
 
 def _parse_cardinality(stream: TokenStream) -> tuple[int, int | None]:
-    base = int(stream.expect(INT, label="cardinality").value)
-    if stream.accept(OP, "^"):
-        exp_tok = stream.expect(INT, label="exponent")
-        if base != 10:
-            raise stream.error("cardinality powers must use base 10", at=exp_tok)
-        exponent = _exponent(stream, exp_tok)
-        return 10 ** exponent, exponent
-    return base, None
+    tok = stream.expect(INT, label="cardinality")
+    exponent = _parse_pow10(stream, tok, "cardinality powers")
+    return (int(tok.value), None) if exponent is None else (10 ** exponent, exponent)
 
 
-def _exponent(stream: TokenStream, exp_tok: Token) -> int:
-    """The n of ``10^n``, at most MAX_DIGITS - 1 so that 10^n has at most MAX_DIGITS digits."""
+def _parse_pow10(stream: TokenStream, base: Token, what: str) -> int | None:
+    """The n of ``10^n`` if ``^`` follows *base*, below MAX_DIGITS; *what* names the power."""
+    if not stream.accept(OP, "^"):
+        return None
+    exp_tok = stream.expect(INT, label="exponent")
+    if int(base.value) != 10:
+        raise stream.error(f"{what} must use base 10", at=exp_tok)
     exponent = int(exp_tok.value)
     if exponent >= MAX_DIGITS:
         raise stream.error(f"integer longer than {MAX_DIGITS} digits", at=exp_tok)
@@ -203,18 +204,11 @@ def _parse_attribute(stream: TokenStream) -> Attribute:
     return Attribute(name, rng, _parse_computed(stream))
 
 
-def _parse_role(stream: TokenStream) -> Role:
-    name = stream.expect(NAME, label="role name").value
+def _parse_arrow(stream: TokenStream, member: str) -> tuple[str, str]:
+    """``NAME -> SET`` of a *member* (role or function): its name, then its target set."""
+    name = stream.expect(NAME, label=f"{member} name").value
     stream.expect(OP, "->")
-    target = stream.expect(NAME, label="target set").value
-    return Role(name, target, stream.accept(NAME, "unique") is not None)
-
-
-def _parse_function(stream: TokenStream) -> StructuralFunction:
-    name = stream.expect(NAME, label="function name").value
-    stream.expect(OP, "->")
-    target = stream.expect(NAME, label="target set").value
-    return StructuralFunction(name, target, _parse_computed(stream))
+    return name, stream.expect(NAME, label="target set").value
 
 
 def _parse_range(stream: TokenStream) -> Range:
@@ -248,12 +242,9 @@ def _parse_bound(stream: TokenStream) -> Bound:
     if stream.accept(OP, "-"):
         return IntBound(-int(stream.expect(INT, label="integer").value))
     if tok := stream.accept(INT):
-        if stream.accept(OP, "^"):
-            exp_tok = stream.expect(INT, label="exponent")
-            if int(tok.value) != 10:
-                raise stream.error("power bounds must use base 10", at=exp_tok)
-            return Pow10Bound(_exponent(stream, exp_tok))
-        return IntBound(int(tok.value))
+        if (exponent := _parse_pow10(stream, tok, "power bounds")) is None:
+            return IntBound(int(tok.value))
+        return Pow10Bound(exponent)
     if tok := stream.accept(NAME):
         stream.expect(OP, "(")
         stream.expect(OP, ")")

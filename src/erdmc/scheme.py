@@ -27,6 +27,7 @@ from .formula import (
     quantifier_count,
     quantifier_domains,
 )
+from .lexer import NAME_RE
 from .model import FACETS, NatRange, Range, validate_definition, validate_range
 
 ENTITY_DERIVED = "entity-derived"
@@ -234,61 +235,56 @@ def is_implicit_key(k: Key, s: EMDMSet) -> bool:
 _VALUE = "(value)"
 
 
-def resolve_formula(scheme: EMDMScheme, f: Formula) -> list[str]:
-    """Problems found while resolving a formula's mappings against *scheme*.
-
-    Every applied name must be a mapping on the set its argument ranges
-    over; comparisons must not mix two different object sets or a set with
-    a plain value.
-    """
-    problems: list[str] = []
-    _resolve_node(scheme, f, {}, problems)
-    return problems
+def resolve_formula(scheme: EMDMScheme, f: Formula, element: str, bad: Callable) -> None:
+    """Call ``bad(code, element, message)`` for each problem of *f* on *scheme*: ``bad-name``
+    for a quantified variable that is not a name, ``formula-resolution`` for an applied name that
+    is no mapping on its argument's set, or a comparison mixing two sets or a set and a value."""
+    _resolve_node(scheme, f, {}, lambda code, message: bad(code, element, message))
 
 
-def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], problems: list[str]) -> None:
+def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: Callable) -> None:
     if isinstance(node, Forall):
+        if not NAME_RE.fullmatch(node.variable):
+            bad("bad-name", f"quantified variable {node.variable!r} is not a name")
         if scheme.set(node.domain) is None:
-            problems.append(f"quantifier domain {node.domain!r} is not a scheme set")
+            bad("formula-resolution", f"quantifier domain {node.domain!r} is not a scheme set")
             return
-        _resolve_node(scheme, node.body, {**env, node.variable: node.domain}, problems)
+        _resolve_node(scheme, node.body, {**env, node.variable: node.domain}, bad)
     elif isinstance(node, Binary):
-        _resolve_node(scheme, node.left, env, problems)
-        _resolve_node(scheme, node.right, env, problems)
+        _resolve_node(scheme, node.left, env, bad)
+        _resolve_node(scheme, node.right, env, bad)
     elif isinstance(node, Not):
-        _resolve_node(scheme, node.body, env, problems)
+        _resolve_node(scheme, node.body, env, bad)
     elif isinstance(node, Compare):
-        lhs = _term_type(scheme, node.lhs, env, problems)
-        rhs = _term_type(scheme, node.rhs, env, problems)
+        lhs = _term_type(scheme, node.lhs, env, bad)
+        rhs = _term_type(scheme, node.rhs, env, bad)
         if lhs is None or rhs is None:
             return
         if lhs != rhs and _VALUE not in (lhs, rhs):
-            problems.append(f"comparison mixes {lhs} with {rhs}")
+            bad("formula-resolution", f"comparison mixes {lhs} with {rhs}")
         elif _VALUE in (lhs, rhs) and lhs != rhs:
-            problems.append("comparison mixes an object set with a plain value")
+            bad("formula-resolution", "comparison mixes an object set with a plain value")
 
 
-def _term_type(
-    scheme: EMDMScheme, term: Term, env: dict[str, str], problems: list[str]
-) -> str | None:
+def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callable) -> str | None:
     if isinstance(term, Literal):
         return _VALUE
     if isinstance(term, Var):
         set_name = env.get(term.name)
         if set_name is None:
-            problems.append(f"variable {term.name!r} is not quantified")
+            bad("formula-resolution", f"variable {term.name!r} is not quantified")
         return set_name
     # What is left is an Apply.
-    arg_type = _term_type(scheme, term.argument, env, problems)
+    arg_type = _term_type(scheme, term.argument, env, bad)
     if arg_type is None:
         return None
     if arg_type == _VALUE:
-        problems.append(f"{term.mapping!r} applied to a plain value")
+        bad("formula-resolution", f"{term.mapping!r} applied to a plain value")
         return None
     owner = scheme.set(arg_type)
     mapping = owner.mapping(term.mapping) if owner else None
     if mapping is None:
-        problems.append(f"{term.mapping!r} is not a mapping on {arg_type}")
+        bad("formula-resolution", f"{term.mapping!r} is not a mapping on {arg_type}")
         return None
     if isinstance(mapping.codomain, str):
         return mapping.codomain
@@ -303,9 +299,12 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     diagnostics = Diagnostics()
     bad = diagnostics.add
 
+    is_name = NAME_RE.fullmatch  # each name that emit_text prints bare must be one
     seen_sets: set[str] = set()
     seen_labels: set[str] = set()
     for s in scheme.sets:
+        if not is_name(s.name):
+            bad("bad-name", s.name, f"{s.name!r} is not a name")
         if s.name in seen_sets:
             bad("duplicate-set", s.name, f"scheme set {s.name} appears twice")
         seen_sets.add(s.name)
@@ -337,6 +336,8 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
         seen_mappings: set[str] = set()
         for m in ([ident] if ident else []) + s.mappings:
             element = f"{s.name}.{m.name}"
+            if not is_name(m.name):
+                bad("bad-name", element, f"{m.name!r} is not a name")
             if m.name in seen_mappings:
                 bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
             seen_mappings.add(m.name)
@@ -390,15 +391,17 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             if k.implicit != is_implicit_key(k, s):
                 bad("implicit-flag", element,
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
-            if not k.label:
-                bad("unlabeled-key", element, "keys must carry a label")
-            elif k.label in seen_labels:
+            if not is_name(k.label):
+                bad("bad-name", element, f"{k.label!r} is not a name")
+            if k.label in seen_labels:
                 bad("duplicate-label", element, f"label {k.label} reused")
             seen_labels.add(k.label)
 
     for c in scheme.constraints:
         check_constraint(scheme, c, bad)
-        if c.label:
+        if c.label is not None:
+            if not is_name(c.label):
+                bad("bad-name", f"constraint:{c.label}", f"{c.label!r} is not a name")
             if c.label in seen_labels:
                 bad("duplicate-label", f"constraint:{c.label}", f"label {c.label} reused")
             seen_labels.add(c.label)
@@ -452,8 +455,7 @@ def check_constraint(
             bad("tuple-domain-mismatch", element,
                 f"tuple constraint {c.label} quantifies over {domains[0]!r} "
                 f"but belongs to {c.set_name!r}")
-        for problem in resolve_formula(scheme, c.formula):
-            bad("formula-resolution", element, problem)
+        resolve_formula(scheme, c.formula, element, bad)
     elif isinstance(c, NonrelationalConstraint):
         if c.formula is None:
             if not c.informal:
@@ -463,5 +465,4 @@ def check_constraint(
             if quantifier_count(c.formula) < 2:
                 bad("nonrelational-arity", element,
                     f"nonrelational constraint {c.label} must quantify at least two variables")
-            for problem in resolve_formula(scheme, c.formula):
-                bad("formula-resolution", element, problem)
+            resolve_formula(scheme, c.formula, element, bad)

@@ -418,6 +418,9 @@ def test_validate_prints_the_one_diagnostic_of_each_case(tmp_path, capsys, code,
     assert captured.err.startswith(f"{diagnostic.severity}: {code}: ")
     assert captured.err.endswith(f" [{element}]\n")
     assert captured.out == f"{errors} errors\n"
+    if errors:  # translate refuses the model with the same one line
+        assert main(["translate", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [diagnostic.render()]
 
 
 def test_check_golden_fixture_passes_all_four(capsys):

@@ -151,6 +151,8 @@ _NESTING_SHAPES = {
     "parentheses": ("(", lambda n: "(" * n + "x = 1" + ")" * n),
     "negations": ("!", lambda n: "!" * n + "x = 1"),
     "conjunction": ("&", lambda n: "x = 1" + " & x = 1" * n),
+    "disjunction": ("|", lambda n: "x = 1" + " | x = 1" * n),
+    "implication": ("=>", lambda n: "x = 1" + " => x = 1" * n),
 }
 
 
@@ -167,7 +169,7 @@ def test_nesting_just_below_and_just_above_the_bound(shape):
     [error] = info.value.errors
     assert error.message == f"formula nested deeper than {MAX_FORMULA_DEPTH} levels"
     assert error.line == 1
-    assert source[error.column - 1] == opener
+    assert source.startswith(opener, error.column - 1)
     assert source[len(prefix):error.column - 1].count(opener) == deepest
 
 

@@ -12,13 +12,16 @@ from erdmc.model import (
     Attribute,
     CardinalityBody,
     CompulsoryBody,
+    DateBound,
     Diagram,
     ERModel,
+    FuncBound,
     InclusionBody,
     IntBound,
     Interval,
     ObjectSet,
     OtherBody,
+    Pow10Bound,
     RangeBody,
     Restriction,
     Role,
@@ -163,6 +166,13 @@ def _dsl(sets: str = "", restrictions: str = "") -> str:
 
 _A, _B, _C = (ObjectSet(name=name, kind="entity") for name in "ABC")
 
+
+def _ranged(attr: str, interval: Interval) -> ERModel:
+    """Set A with the one attribute *attr*, ranged over *interval*."""
+    return _single_set_model(ObjectSet(name="A", kind="entity",
+                                       attributes=(Attribute(attr, interval),)))
+
+
 # One model for each validate_model code, with the element its diagnostic
 # names; each model draws that diagnostic and no other. A model is its DSL
 # source text, or built directly where the DSL cannot write it.
@@ -210,6 +220,7 @@ VALIDATE_CASES = [
     ("unknown-mapping", "R1", _dsl(restrictions="restriction R1 on A compulsory z\n")),
     ("unknown-mapping", "R1", _dsl(restrictions="restriction R1 on A range z ascii(3)\n")),
     ("empty-restriction", "R1", _dsl(restrictions="restriction R1 on A other\n")),
+    ("empty-restriction", "R2", _dsl(restrictions='restriction R2 on A other informal ""\n')),
     ("tuple-domain-mismatch", "R1",
      _dsl(restrictions="restriction R1 on A other formal (forall x in B)(b(x) = 1)\n")),
     ("definition-on-non-computed-set", "C", _dsl('entity C = "all rooms" { }')),
@@ -221,6 +232,10 @@ VALIDATE_CASES = [
     ("inclusion-target-mismatch", "R1", _single_set_model(
         _A, restrictions=[Restriction("R1", "A", InclusionBody("B", "C"))], extra_sets=(_B, _C),
     )),
+    # bounds that the text reader would not give
+    ("bad-range", "A.d", _ranged("d", Interval(DateBound("soon"), DateBound("later")))),
+    ("bad-range", "A.f", _ranged("f", Interval(IntBound(1), FuncBound("SysDate()\nB <-> NAT(1)")))),
+    ("bad-range", "A.p", _ranged("p", Interval(IntBound(1), Pow10Bound(4300)))),
 ]
 
 

@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from erdmc import scheme as sch
+from erdmc.diagnostics import Diagnostics
 from erdmc.formula import Apply, Compare, Forall, Literal, Var, parse_formula
-from erdmc.model import AsciiRange, DateBound, IntBound, Interval, NatRange
+from erdmc.model import AsciiRange, DateBound, FuncBound, IntBound, Interval, NatRange, Pow10Bound
 from erdmc.parser import parse_model
 from erdmc.scheme import (
     EMDMScheme,
@@ -121,7 +122,10 @@ def test_check_scheme_flags_broken_formula(teaching_source):
 def test_resolve_formula_names_each_problem(golden_scheme, formula, problem):
     if isinstance(formula, str):
         formula = parse_formula(formula)
-    assert resolve_formula(golden_scheme, formula) == [problem]
+    found = Diagnostics()
+    resolve_formula(golden_scheme, formula, "constraint:R99", found.add)
+    assert [(d.code, d.element, d.message) for d in found] == [
+        ("formula-resolution", "constraint:R99", problem)]
 
 
 def test_no_two_keys_share_a_mapping_set(golden_scheme):
@@ -223,6 +227,13 @@ CHECK_CASES = [
     ("bad-range", "CLASSES.Date", lambda m: setattr(
         _member(m, "CLASSES.Date"), "codomain",
         Interval(DateBound("02/10/2010"), DateBound("01/10/2010")))),
+    ("bad-range", "STUDENTS.SSN", lambda m: setattr(
+        _member(m, "STUDENTS.SSN"), "codomain", Interval(DateBound("soon"), DateBound("later")))),
+    ("bad-range", "TEACHERS.SSN", lambda m: setattr(
+        _member(m, "TEACHERS.SSN"), "codomain",
+        Interval(IntBound(1), FuncBound("SysDate()\nB <-> NAT(1)")))),
+    ("bad-range", "ROOMS.Room#", lambda m: setattr(
+        _member(m, "ROOMS.Room#"), "codomain", Interval(IntBound(1), Pow10Bound(4300)))),
     ("definition-line-break", "V", lambda m: m.add_set(
         EMDMSet("V", sch.COMPUTED, computed_definition="all\nB\n  x <-> NAT(1), total"))),
     ("definition-line-break", "ROOMS.Room#",
@@ -236,7 +247,7 @@ CHECK_CASES = [
      lambda m: m.set("SCHEDULES").keys.append(Key("R90", ("StartH", "Weekday", "Room")))),
     ("implicit-flag", "SCHEDULES.R33",
      lambda m: setattr(m.set("SCHEDULES").keys[0], "implicit", True)),
-    ("unlabeled-key", "SCHEDULES.",
+    ("bad-name", "SCHEDULES.",
      lambda m: m.set("SCHEDULES").keys.append(Key("", ("Weekday", "EndH")))),
     ("duplicate-label", "SCHEDULES.R32",
      lambda m: m.set("SCHEDULES").keys.append(Key("R32", ("Weekday", "EndH")))),
@@ -260,6 +271,16 @@ CHECK_CASES = [
      lambda m: vars(_constraint(m, "R41")).update(formula=None, informal=None)),
     ("nonrelational-arity", "constraint:R41",
      lambda m: setattr(_constraint(m, "R41"), "formula", _constraint(m, "R37").formula)),
+    ("bad-name", "ROOMS\nB", lambda m: setattr(m.set("ROOMS"), "name", "ROOMS\nB")),
+    ("bad-name", "ROOMS.Room# B", lambda m: setattr(_member(m, "ROOMS.Room#"), "name", "Room# B")),
+    ("bad-name", "ROOMS.x\u2028", lambda m: setattr(_member(m, "ROOMS.x"), "name", "x\u2028")),
+    ("bad-name", "SCHEDULES.R33\nB",
+     lambda m: setattr(m.set("SCHEDULES").keys[0], "label", "R33\nB")),
+    ("bad-name", "constraint:R41 B", lambda m: setattr(_constraint(m, "R41"), "label", "R41 B")),
+    # R37 with its variable x renamed
+    ("bad-name", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
+        "x\nB", "SCHEDULES",
+        Compare("<", Apply("StartH", Var("x\nB")), Apply("EndH", Var("x\nB")))))),
     ("missing-provenance", "set:STUDENTS", lambda m: m.provenance.pop("set:STUDENTS")),
     ("stray-provenance", "mapping:ROOMS.zz",
      lambda m: m.provenance.update({"mapping:ROOMS.zz": "set:ROOMS"})),
