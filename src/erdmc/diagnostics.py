@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 ERROR = "error"
 WARNING = "warning"
 INFO = "info"
+
+# Each character that str.splitlines breaks a line at.
+LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_BREAK_RE = re.compile(f"[{LINE_BREAKS}]")
 
 
 @dataclass(frozen=True)
@@ -26,8 +31,10 @@ class Diagnostic:
         return self.severity == ERROR
 
     def render(self) -> str:
+        """One line: each line break in it is written as its escape, such as ``\\n``."""
         where = f" [{self.element}]" if self.element else ""
-        return f"{self.severity}: {self.code}: {self.message}{where}"
+        return _LINE_BREAK_RE.sub(lambda m: repr(m.group())[1:-1],
+                                  f"{self.severity}: {self.code}: {self.message}{where}")
 
 
 class Diagnostics(list):

@@ -328,7 +328,6 @@ _REQUIRED = object()
 # What each kind of field accepts, keyed by the words that name it in messages.
 _FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
     "a string": lambda v: isinstance(v, str),
-    "an integer": lambda v: type(v) is int,  # JSON's true and false are no integers
     "true or false": lambda v: type(v) is bool,
     "a string or null": lambda v: v is None or isinstance(v, str),
     "an array": lambda v: isinstance(v, list),
@@ -338,7 +337,8 @@ _FIELD_KINDS: dict[str, Callable[[Any], bool]] = {
         isinstance(p, list) and len(p) == 2 and all(isinstance(i, str) for i in p) for p in v),
     "an object of strings":
         lambda v: isinstance(v, dict) and all(isinstance(i, str) for i in v.values()),
-    **dict(BOUND_FORMS.values()),  # the bounds, which validate_range checks too
+    # the bounds and sizes, which validate_range checks too; "an integer" among them
+    **dict(BOUND_FORMS.values()),
 }
 
 
@@ -386,9 +386,9 @@ def _records(raw: dict, key: str, path: str, read: Callable[[Any, str], Any]) ->
 # its value, that field's kind, and what the value builds.
 _TAGGED: dict[str, tuple[str, str, Callable[[Any], Any]]] = {
     "set": ("name", "a string", str),
-    "ascii": ("length", "an integer", AsciiRange),
-    "nat": ("digits", "an integer", NatRange),
-    "int": ("value", "an integer", IntBound),
+    "ascii": ("length", BOUND_FORMS[AsciiRange][0], AsciiRange),
+    "nat": ("digits", BOUND_FORMS[NatRange][0], NatRange),
+    "int": ("value", BOUND_FORMS[IntBound][0], IntBound),
     "pow10": ("exponent", BOUND_FORMS[Pow10Bound][0], Pow10Bound),
     "date": ("text", BOUND_FORMS[DateBound][0], DateBound),
     "func": ("text", BOUND_FORMS[FuncBound][0], FuncBound),

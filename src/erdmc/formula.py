@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, Token, TokenStream, quote_string
+from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, TokenStream, quote_string
 
 # --- terms ---
 
@@ -87,7 +87,7 @@ def parse_formula(source: str) -> Formula:
     stream = TokenStream(source)
     node = parse_formula_tokens(stream)
     if not stream.at(EOF):
-        raise stream.error(f"trailing input after formula: {stream.peek().value!r}")
+        raise stream.error(f"trailing input after formula: {stream.peek()[1]!r}")
     return node
 
 
@@ -103,8 +103,8 @@ def _at_quantifier(stream: TokenStream) -> bool:
     return stream.at(OP, "(") and stream.peek(1)[:2] == (NAME, "forall")
 
 
-def _deeper(stream: TokenStream, depth: int, at: Token) -> int:
-    """Open one more level at token *at*, or fail past the bound."""
+def _deeper(stream: TokenStream, depth: int, at: int) -> int:
+    """Open one more level at the token in stream position *at*, or fail past the bound."""
     if depth >= MAX_FORMULA_DEPTH:
         raise stream.error(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", at=at)
     return depth + 1
@@ -113,13 +113,13 @@ def _deeper(stream: TokenStream, depth: int, at: Token) -> int:
 def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     stream.expect(OP, "(")
     stream.expect(NAME, "forall")
-    depth = _deeper(stream, depth, stream.peek())
-    variables = [stream.expect(NAME, label="variable name").value]
+    depth = _deeper(stream, depth, stream.pos)
+    variables = [stream.expect(NAME, label="variable name")]
     while stream.accept(OP, ","):
-        depth = _deeper(stream, depth, stream.peek())
-        variables.append(stream.expect(NAME, label="variable name").value)
+        depth = _deeper(stream, depth, stream.pos)
+        variables.append(stream.expect(NAME, label="variable name"))
     stream.expect(NAME, "in", label="'in'")
-    domain = stream.expect(NAME, label="set name").value
+    domain = stream.expect(NAME, label="set name")
     stream.expect(OP, ")")
     for v in variables:
         if v in bound:
@@ -141,24 +141,24 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
 def _parse_binary(stream: TokenStream, bound: frozenset[str], depth: int, level: int) -> Formula:
     """A chain of the connective at *level*, or what binds tighter.
 
-    Right operands are read at the level _BINARY gives them: ``=>``'s own, so it nests right."""
+    Right operands are read at the level CONNECTIVES gives them: ``=>``'s own, so it nests right."""
     if level == _LEVEL_UNARY:
         return _parse_unary(stream, bound, depth)
     op = _CONNECTIVE_AT[level]
     node = _parse_binary(stream, bound, depth, level + 1)
-    while tok := stream.accept(OP, op):
-        depth = _deeper(stream, depth, tok)
-        node = Binary(op, node, _parse_binary(stream, bound, depth, _BINARY[op][2]))
+    while stream.accept(OP, op):
+        depth = _deeper(stream, depth, stream.last)
+        node = Binary(op, node, _parse_binary(stream, bound, depth, CONNECTIVES[op][2]))
     return node
 
 
 def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    if op := stream.accept(OP, "!"):
-        return Not(_parse_unary(stream, bound, _deeper(stream, depth, op)))
+    if stream.accept(OP, "!"):
+        return Not(_parse_unary(stream, bound, _deeper(stream, depth, stream.last)))
     if _at_quantifier(stream):
         return _parse_quantified(stream, bound, depth)
-    if op := stream.accept(OP, "("):
-        node = _parse_binary(stream, bound, _deeper(stream, depth, op), _LEVEL_IMPLIES)
+    if stream.accept(OP, "("):
+        node = _parse_binary(stream, bound, _deeper(stream, depth, stream.last), _LEVEL_IMPLIES)
         stream.expect(OP, ")")
         return node
     return _parse_comparison(stream, bound, depth)
@@ -166,29 +166,27 @@ def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Form
 
 def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     lhs = _parse_term(stream, bound, depth)
-    tok = stream.peek()
-    if tok.kind != OP or tok.value not in COMPARE_OPS:
+    if not stream.at(OP) or stream.peek()[1] not in COMPARE_OPS:
         raise stream.unexpected("comparison operator")
-    stream.advance()
-    rhs = _parse_term(stream, bound, depth)
-    return Compare(tok.value, lhs, rhs)
+    op = stream.advance()
+    return Compare(op, lhs, _parse_term(stream, bound, depth))
 
 
 def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
-    if tok := stream.accept(INT):
-        return Literal(int(tok.value))
+    if digits := stream.accept(INT):
+        return Literal(int(digits))
     if stream.accept(OP, "-"):
-        return Literal(-int(stream.expect(INT, label="integer").value))
-    if tok := stream.accept(STRING):
-        return Literal(tok.value)
-    if tok := stream.accept(NAME):
-        if op := stream.accept(OP, "("):
-            arg = _parse_term(stream, bound, _deeper(stream, depth, op))
+        return Literal(-int(stream.expect(INT, label="integer")))
+    if (text := stream.accept(STRING)) is not None:
+        return Literal(text)
+    if name := stream.accept(NAME):
+        if stream.accept(OP, "("):
+            arg = _parse_term(stream, bound, _deeper(stream, depth, stream.last))
             stream.expect(OP, ")")
-            return Apply(tok.value, arg)
-        if tok.value not in bound:
-            raise stream.error(f"unbound variable {tok.value!r}", at=tok)
-        return Var(tok.value)
+            return Apply(name, arg)
+        if name not in bound:
+            raise stream.error(f"unbound variable {name!r}", at=stream.last)
+        return Var(name)
     raise stream.unexpected("term")
 
 
@@ -220,13 +218,13 @@ _LEVEL_UNARY = 4
 _LEVEL_ATOM = 5
 
 # Each binary connective: its own level, and its operands' levels.
-_BINARY = {
+CONNECTIVES = {
     "=>": (_LEVEL_IMPLIES, _LEVEL_OR, _LEVEL_IMPLIES),
     "|": (_LEVEL_OR, _LEVEL_OR, _LEVEL_AND),
     "&": (_LEVEL_AND, _LEVEL_AND, _LEVEL_UNARY),
 }
 # Each level a connective binds at, to that connective.
-_CONNECTIVE_AT = {own: op for op, (own, _, _) in _BINARY.items()}
+_CONNECTIVE_AT = {own: op for op, (own, _, _) in CONNECTIVES.items()}
 
 
 def format_formula(node: Formula, unicode: bool = False) -> str:
@@ -253,7 +251,7 @@ def _fmt(node: Formula, level: int, ops: dict[str, str]) -> str:
             prefix += f"({binder}{', '.join(names)} {ops['in']} {domain})"
         return f"{prefix}({_fmt(node, 0, ops)})"
     if isinstance(node, Binary):
-        own, left, right = _BINARY[node.op]
+        own, left, right = CONNECTIVES[node.op]
         text = f"{_fmt(node.left, left, ops)} {ops[node.op]} {_fmt(node.right, right, ops)}"
         return f"({text})" if level > own else text
     if isinstance(node, Not):

@@ -1,5 +1,10 @@
 """Tokenizer shared by the model DSL and the constraint-formula syntax.
 
+A token is an exact ``(kind, value, offset)`` tuple: its kind, its text (a
+string literal unescaped, a glyph as its ASCII surface) and the offset of its
+first character. It holds only a str, a str and an int, so the cyclic
+collector stops tracking it at its first pass.
+
 Names may contain ``#`` when it directly follows an identifier character
 (``Room#``); a ``#`` preceded by whitespace or punctuation starts a line
 comment. Mathematical glyphs are accepted as synonyms for their ASCII
@@ -11,9 +16,8 @@ replaced.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
-from .diagnostics import ParseError, ParseFailure
+from .diagnostics import LINE_BREAKS, ParseError, ParseFailure
 
 NAME = "name"
 INT = "int"
@@ -77,21 +81,11 @@ _TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join([
 # other characters that str.splitlines breaks a line at as \uXXXX, so a
 # printed literal stays on one line.
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _QUOTE = str.maketrans(
-    {char: "\\" + letter for letter, char in _ESCAPES.items()}
-    | {char: f"\\u{ord(char):04x}" for char in _LINE_BREAKS}
+    {char: f"\\u{ord(char):04x}" for char in LINE_BREAKS}
+    | {char: "\\" + letter for letter, char in _ESCAPES.items()}
 )
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{0,4}|.)")
-
-
-class Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int  # of the token's first character in the text
-
-    def __repr__(self) -> str:  # compact for test failures
-        return f"{self.kind}({self.value!r})@{self.offset}"
 
 
 def parse_error(text: str, offset: int, message: str, expected: str | None = None) -> ParseError:
@@ -100,11 +94,11 @@ def parse_error(text: str, offset: int, message: str, expected: str | None = Non
     return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split *text* into tokens, raising ParseFailure on lexical errors."""
-    tokens: list[Token] = []
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """Split *text* into ``(kind, value, offset)`` tokens, the last one EOF,
+    raising ParseFailure on lexical errors."""
+    tokens: list[tuple[str, str, int]] = []
     append = tokens.append
-    new = tuple.__new__  # builds the same Token as Token(...), without its __new__ frame
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         group = m.lastindex
@@ -113,16 +107,16 @@ def tokenize(text: str) -> list[Token]:
             value = text[start + 1:m.end() - 1]
             if "\\" in value:
                 value = _unescape(value, text, start + 1)
-            append(new(Token, (STRING, value, start)))
+            append((STRING, value, start))
         elif kind == "glyph":
-            append(new(Token, (*_GLYPHS[m.group(group)], start)))
+            append((*_GLYPHS[m.group(group)], start))
         elif kind == "error":
             ch = m.group(group)
             raise ParseFailure([parse_error(text, start, "unterminated string literal"
                                             if ch == '"' else f"unexpected character {ch!r}")])
         elif kind == EOF:
             # Stop: after blanks that run to the end, the end matches once more, empty.
-            append(new(Token, (EOF, "", start)))
+            append((EOF, "", start))
             break
         else:
             value = m.group(group)
@@ -132,7 +126,7 @@ def tokenize(text: str) -> list[Token]:
                 raise ParseFailure([parse_error(
                     text, start, f"integer longer than {MAX_DIGITS} digits",
                 )])
-            append(new(Token, (kind, value, start)))
+            append((kind, value, start))
     return tokens
 
 
@@ -158,53 +152,60 @@ def quote_string(text: str) -> str:
 
 
 class TokenStream:
-    """Cursor over the tokens of *text*; it never moves past the final EOF token."""
+    """Cursor over the tokens of *text*; it never moves past the final EOF token.
+
+    ``error`` places a failure at a position: ``pos``, the current token's, or ``last``,
+    the most recently consumed token's."""
 
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.last = 0
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
         if not ahead:
             return self.tokens[self.pos]
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
 
     def at(self, kind: str, value: str | None = None) -> bool:
         t = self.tokens[self.pos]
-        return t.kind == kind and (value is None or t.value == value)
+        return t[0] == kind and (value is None or t[1] == value)
 
-    def accept(self, kind: str, value: str | None = None) -> Token | None:
-        """Consume and return the current token if it is *kind* (and *value*).
+    def accept(self, kind: str, value: str | None = None) -> str | None:
+        """Consume the current token and return its value if it is *kind* (and *value*).
 
-        *kind* is never EOF, so the cursor stays on the final token.
+        *kind* is never EOF, so the cursor stays on the final token. A string
+        literal's value may be empty, so test the result against None.
         """
         t = self.tokens[self.pos]
-        if t.kind == kind and (value is None or t.value == value):
+        if t[0] == kind and (value is None or t[1] == value):
+            self.last = self.pos
             self.pos += 1
-            return t
+            return t[1]
         return None
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         t = self.tokens[self.pos]
-        if t.kind != EOF:
+        if t[0] != EOF:
+            self.last = self.pos
             self.pos += 1
-        return t
+        return t[1]
 
     def error(self, message: str, expected: str | None = None,
-              at: Token | None = None) -> ParseFailure:
-        """A failure at token *at*, by default the current one."""
-        offset = (at or self.tokens[self.pos]).offset
+              at: int | None = None) -> ParseFailure:
+        """A failure at the token in position *at*, by default the current one."""
+        offset = self.tokens[self.pos if at is None else at][2]
         return ParseFailure([parse_error(self.text, offset, message, expected)])
 
     def unexpected(self, expected: str) -> ParseFailure:
         """A failure at the current token, which is not the *expected* one."""
-        t = self.tokens[self.pos]
-        got = t.value if t.kind != EOF else "end of input"
+        kind, value, _ = self.tokens[self.pos]
+        got = value if kind != EOF else "end of input"
         return self.error(f"found {got!r}", expected)
 
-    def expect(self, kind: str, value: str | None = None, label: str | None = None) -> Token:
-        t = self.accept(kind, value)
-        if t is None:
+    def expect(self, kind: str, value: str | None = None, label: str | None = None) -> str:
+        found = self.accept(kind, value)
+        if found is None:
             raise self.unexpected(str(label or value or kind))
-        return t
+        return found

@@ -81,18 +81,6 @@ class FuncBound:
 
 Bound = Union[IntBound, Pow10Bound, DateBound, FuncBound]
 
-# The value each bound kind but IntBound must hold, as words and a test: what the text reader
-# takes. validate_range and load_structured refuse others, which compare or print unlike it.
-BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
-    Pow10Bound: (f"an integer from 0 to {MAX_DIGITS - 1}",
-                 lambda v: type(v) is int and 0 <= v < MAX_DIGITS),
-    DateBound: (f"day/month/year of at most {MAX_DIGITS} digits each",
-                lambda v: isinstance(v, str) and bool(re.fullmatch(DATE_FORM, v))
-                and len(max(v.split("/"), key=len)) <= MAX_DIGITS),
-    FuncBound: ("a name followed by ()",
-                lambda v: isinstance(v, str) and bool(re.fullmatch(NAME_FORM + r"\(\)", v))),
-}
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -111,6 +99,22 @@ class NatRange:
 
 
 Range = Union[Interval, AsciiRange, NatRange]
+
+_INTEGER = ("an integer", lambda v: type(v) is int)  # a bool is no integer to the reader
+# What each bound kind and sized range must hold, as words and a test: what the text reader
+# takes. validate_range and load_structured refuse others, which compare or print unlike it.
+BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
+    IntBound: _INTEGER,
+    AsciiRange: _INTEGER,
+    NatRange: _INTEGER,
+    Pow10Bound: (f"an integer from 0 to {MAX_DIGITS - 1}",
+                 lambda v: type(v) is int and 0 <= v < MAX_DIGITS),
+    DateBound: (f"day/month/year of at most {MAX_DIGITS} digits each",
+                lambda v: isinstance(v, str) and bool(re.fullmatch(DATE_FORM, v))
+                and len(max(v.split("/"), key=len)) <= MAX_DIGITS),
+    FuncBound: ("a name followed by ()",
+                lambda v: isinstance(v, str) and bool(re.fullmatch(NAME_FORM + r"\(\)", v))),
+}
 
 
 # --- diagram members ---
@@ -506,18 +510,27 @@ def validate_definition(definition: str | None, element: str, err) -> None:
             "which would split its line of the text output")
 
 
+def range_form_fault(r: Range) -> str | None:
+    """What a bound or size of *r* should hold but does not (BOUND_FORMS), or None."""
+    for part in (r.lo, r.hi) if isinstance(r, Interval) else (r,):
+        # Each bound and size holds one field, the one __match_args__ names.
+        if (form := BOUND_FORMS.get(type(part))) and not form[1](
+                getattr(part, part.__match_args__[0])):
+            return f"{type(part).__name__} must hold {form[0]}"
+    return None
+
+
 def validate_range(r: Range, element: str, err) -> None:
-    """Call ``err("bad-range", element, message)`` if *r* holds no value or an unreadable bound."""
-    if isinstance(r, AsciiRange) and r.length < 1:
+    """Call ``err("bad-range", element, message)`` if *r* holds no value or an unreadable
+    bound or size; it compares nothing that is not of its form."""
+    if fault := range_form_fault(r):
+        err("bad-range", element, fault)
+    elif isinstance(r, AsciiRange) and r.length < 1:
         err("bad-range", element, "ascii length must be at least 1")
     elif isinstance(r, NatRange) and r.digits < 1:
         err("bad-range", element, "nat digits must be at least 1")
     elif isinstance(r, Interval):
         lo, hi = r.lo, r.hi
-        for b in (lo, hi):
-            if (form := BOUND_FORMS.get(type(b))) and not form[1](*vars(b).values()):
-                err("bad-range", element, f"{type(b).__name__} must hold {form[0]}")
-                return
         if isinstance(lo, (IntBound, Pow10Bound)) and isinstance(hi, (IntBound, Pow10Bound)):
             if lo.value > hi.value:
                 err("bad-range", element, f"interval lower bound {lo.value} exceeds upper bound {hi.value}")

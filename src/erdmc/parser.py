@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .diagnostics import ParseError, ParseFailure
 from .formula import parse_formula_tokens
-from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, OP, STRING, Token, TokenStream, parse_error
+from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, OP, STRING, TokenStream
 from .model import (
     AsciiRange,
     Attribute,
@@ -86,10 +86,11 @@ def parse_model(source: str) -> ERModel:
                 diagrams.append(_parse_diagram(stream))
             elif stream.accept(NAME, "restriction"):
                 restrictions.append(_parse_restriction(stream))
-            elif tok := stream.accept(NAME, "description"):
-                text = stream.expect(STRING, label="description text").value
+            elif stream.accept(NAME, "description"):
+                keyword = stream.last
+                text = stream.expect(STRING, label="description text")
                 if description is not None:
-                    errors.append(parse_error(source, tok.offset, "description declared twice"))
+                    errors += stream.error("description declared twice", at=keyword).errors
                 description = text
             else:
                 raise stream.unexpected("'diagram', 'restriction', or 'description'")
@@ -105,14 +106,12 @@ def parse_model(source: str) -> ERModel:
 def _skip_to_toplevel(stream: TokenStream) -> None:
     # An error reported at the next statement's keyword means the failed
     # statement is already fully consumed; resume right there.
-    t = stream.peek()
-    while t.kind != EOF and not (t.kind == NAME and t.value in _TOPLEVEL):
+    while not stream.at(EOF) and not (stream.at(NAME) and stream.peek()[1] in _TOPLEVEL):
         stream.advance()
-        t = stream.peek()
 
 
 def _parse_diagram(stream: TokenStream) -> Diagram:
-    name = stream.expect(NAME, label="diagram name").value
+    name = stream.expect(NAME, label="diagram name")
     stream.expect(OP, "{")
     sets: list[ObjectSet] = []
     while not stream.accept(OP, "}"):
@@ -121,11 +120,10 @@ def _parse_diagram(stream: TokenStream) -> Diagram:
 
 
 def _parse_set(stream: TokenStream) -> ObjectSet:
-    kind_tok = stream.peek()
-    if kind_tok.kind != NAME or kind_tok.value not in _SET_KINDS:
+    if not stream.at(NAME) or stream.peek()[1] not in _SET_KINDS:
         raise stream.unexpected("'entity', 'relationship', or 'computed'")
-    stream.advance()
-    name = stream.expect(NAME, label="set name").value
+    kind = stream.advance()
+    name = stream.expect(NAME, label="set name")
 
     included: tuple[str, ...] = ()
     max_card: int | None = None
@@ -136,7 +134,7 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
     if stream.accept(NAME, "card"):
         max_card, card_pow = _parse_cardinality(stream)
     if stream.accept(OP, "="):
-        definition = stream.expect(STRING, label="definition text").value
+        definition = stream.expect(STRING, label="definition text")
 
     stream.expect(OP, "{")
     attributes: list[Attribute] = []
@@ -154,7 +152,7 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
             raise stream.unexpected("'attr', 'role', 'fn', or '}'")
     return ObjectSet(
         name=name,
-        kind=kind_tok.value,
+        kind=kind,
         attributes=tuple(attributes),
         roles=tuple(roles),
         structural_functions=tuple(functions),
@@ -166,28 +164,27 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
 
 
 def _parse_names(stream: TokenStream, label: str) -> tuple[str, ...]:
-    names = [stream.expect(NAME, label=label).value]
+    names = [stream.expect(NAME, label=label)]
     while stream.accept(OP, ","):
-        names.append(stream.expect(NAME, label=label).value)
+        names.append(stream.expect(NAME, label=label))
     return tuple(names)
 
 
 def _parse_cardinality(stream: TokenStream) -> tuple[int, int | None]:
-    tok = stream.expect(INT, label="cardinality")
-    exponent = _parse_pow10(stream, tok, "cardinality powers")
-    return (int(tok.value), None) if exponent is None else (10 ** exponent, exponent)
+    digits = stream.expect(INT, label="cardinality")
+    exponent = _parse_pow10(stream, digits, "cardinality powers")
+    return (int(digits), None) if exponent is None else (10 ** exponent, exponent)
 
 
-def _parse_pow10(stream: TokenStream, base: Token, what: str) -> int | None:
-    """The n of ``10^n`` if ``^`` follows *base*, below MAX_DIGITS; *what* names the power."""
+def _parse_pow10(stream: TokenStream, base: str, what: str) -> int | None:
+    """The n of ``10^n`` if ``^`` follows the digits *base*, below MAX_DIGITS; *what* names it."""
     if not stream.accept(OP, "^"):
         return None
-    exp_tok = stream.expect(INT, label="exponent")
-    if int(base.value) != 10:
-        raise stream.error(f"{what} must use base 10", at=exp_tok)
-    exponent = int(exp_tok.value)
+    exponent = int(stream.expect(INT, label="exponent"))
+    if int(base) != 10:
+        raise stream.error(f"{what} must use base 10", at=stream.last)
     if exponent >= MAX_DIGITS:
-        raise stream.error(f"integer longer than {MAX_DIGITS} digits", at=exp_tok)
+        raise stream.error(f"integer longer than {MAX_DIGITS} digits", at=stream.last)
     return exponent
 
 
@@ -195,24 +192,25 @@ def _parse_computed(stream: TokenStream) -> str | None:
     if not stream.accept(NAME, "computed"):
         return None
     stream.expect(OP, "=")
-    return stream.expect(STRING, label="computed expression").value
+    return stream.expect(STRING, label="computed expression")
 
 
 def _parse_attribute(stream: TokenStream) -> Attribute:
-    name = stream.expect(NAME, label="attribute name").value
+    name = stream.expect(NAME, label="attribute name")
     rng = _parse_range(stream) if stream.accept(OP, ":") else None
     return Attribute(name, rng, _parse_computed(stream))
 
 
 def _parse_arrow(stream: TokenStream, member: str) -> tuple[str, str]:
     """``NAME -> SET`` of a *member* (role or function): its name, then its target set."""
-    name = stream.expect(NAME, label=f"{member} name").value
+    name = stream.expect(NAME, label=f"{member} name")
     stream.expect(OP, "->")
-    return name, stream.expect(NAME, label="target set").value
+    return name, stream.expect(NAME, label="target set")
 
 
 def _parse_range(stream: TokenStream) -> Range:
-    if open_tok := stream.accept(OP, "["):
+    if stream.accept(OP, "["):
+        opened = stream.last
         try:
             lo = _parse_bound(stream)
             stream.expect(OP, ",")
@@ -221,55 +219,53 @@ def _parse_range(stream: TokenStream) -> Range:
         except ParseFailure:
             if stream.at(EOF):
                 raise stream.error(
-                    "unterminated range bracket", expected="]", at=open_tok
+                    "unterminated range bracket", expected="]", at=opened
                 ) from None
             raise
         return Interval(lo, hi)
-    tok = stream.peek()
-    if tok.kind == NAME and tok.value in _SIZED_RANGES:
-        stream.advance()
-        sized, label = _SIZED_RANGES[tok.value]
+    if stream.at(NAME) and stream.peek()[1] in _SIZED_RANGES:
+        sized, label = _SIZED_RANGES[stream.advance()]
         stream.expect(OP, "(")
-        size = int(stream.expect(INT, label=label).value)
+        size = int(stream.expect(INT, label=label))
         stream.expect(OP, ")")
         return sized(size)
     raise stream.unexpected("'[', 'ascii', or 'nat'")
 
 
 def _parse_bound(stream: TokenStream) -> Bound:
-    if tok := stream.accept(DATE):
-        return DateBound(tok.value)
+    if date := stream.accept(DATE):
+        return DateBound(date)
     if stream.accept(OP, "-"):
-        return IntBound(-int(stream.expect(INT, label="integer").value))
-    if tok := stream.accept(INT):
-        if (exponent := _parse_pow10(stream, tok, "power bounds")) is None:
-            return IntBound(int(tok.value))
+        return IntBound(-int(stream.expect(INT, label="integer")))
+    if digits := stream.accept(INT):
+        if (exponent := _parse_pow10(stream, digits, "power bounds")) is None:
+            return IntBound(int(digits))
         return Pow10Bound(exponent)
-    if tok := stream.accept(NAME):
+    if name := stream.accept(NAME):
         stream.expect(OP, "(")
         stream.expect(OP, ")")
-        return FuncBound(f"{tok.value}()")
+        return FuncBound(f"{name}()")
     raise stream.unexpected("bound")
 
 
 def _parse_restriction(stream: TokenStream) -> Restriction:
-    label = stream.expect(NAME, label="restriction label").value
+    label = stream.expect(NAME, label="restriction label")
     stream.expect(NAME, "on", label="'on'")
-    target = stream.expect(NAME, label="target set").value
+    target = stream.expect(NAME, label="target set")
 
     body: RestrictionBody
     if stream.accept(NAME, "subset_of"):
-        body = InclusionBody(target, stream.expect(NAME, label="superset name").value)
+        body = InclusionBody(target, stream.expect(NAME, label="superset name"))
     elif stream.accept(NAME, "card"):
         body = CardinalityBody(*_parse_cardinality(stream))
     elif stream.accept(NAME, "range"):
-        attr_tok = stream.expect(NAME, label="attribute name")
-        attr = attr_tok.value
+        attr = stream.expect(NAME, label="attribute name")
+        start = stream.last
         if stream.accept(OP, "."):
-            inner = stream.expect(NAME, label="attribute name").value
+            inner = stream.expect(NAME, label="attribute name")
             if attr != target:
                 raise stream.error(
-                    f"path {attr}.{inner} does not start at target set {target}", at=attr_tok
+                    f"path {attr}.{inner} does not start at target set {target}", at=start
                 )
             attr = inner
         body = RangeBody(attr, _parse_range(stream))
@@ -281,7 +277,7 @@ def _parse_restriction(stream: TokenStream) -> Restriction:
         informal: str | None = None
         formal = None
         if stream.accept(NAME, "informal"):
-            informal = stream.expect(STRING, label="informal text").value
+            informal = stream.expect(STRING, label="informal text")
         if stream.accept(NAME, "formal"):
             formal = parse_formula_tokens(stream)
         body = OtherBody(informal, formal)

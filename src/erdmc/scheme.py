@@ -16,6 +16,8 @@ from typing import Callable
 
 from .diagnostics import Diagnostics
 from .formula import (
+    COMPARE_OPS,
+    CONNECTIVES,
     Binary,
     Compare,
     Forall,
@@ -28,7 +30,7 @@ from .formula import (
     quantifier_domains,
 )
 from .lexer import NAME_RE
-from .model import FACETS, NatRange, Range, validate_definition, validate_range
+from .model import FACETS, NatRange, Range, range_form_fault, validate_definition, validate_range
 
 ENTITY_DERIVED = "entity-derived"
 RELATIONSHIP_DERIVED = "relationship-derived"
@@ -237,8 +239,9 @@ _VALUE = "(value)"
 
 def resolve_formula(scheme: EMDMScheme, f: Formula, element: str, bad: Callable) -> None:
     """Call ``bad(code, element, message)`` for each problem of *f* on *scheme*: ``bad-name``
-    for a quantified variable that is not a name, ``formula-resolution`` for an applied name that
-    is no mapping on its argument's set, or a comparison mixing two sets or a set and a value."""
+    for a quantified variable that is not a name, ``bad-formula`` for an operator or a literal
+    that the text reader would not read, ``formula-resolution`` for an applied name that is no
+    mapping on its argument's set, or a comparison mixing two sets or a set and a value."""
     _resolve_node(scheme, f, {}, lambda code, message: bad(code, element, message))
 
 
@@ -251,11 +254,15 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: C
             return
         _resolve_node(scheme, node.body, {**env, node.variable: node.domain}, bad)
     elif isinstance(node, Binary):
+        if node.op not in CONNECTIVES:
+            bad("bad-formula", f"unknown connective {node.op!r}")
         _resolve_node(scheme, node.left, env, bad)
         _resolve_node(scheme, node.right, env, bad)
     elif isinstance(node, Not):
         _resolve_node(scheme, node.body, env, bad)
     elif isinstance(node, Compare):
+        if node.op not in COMPARE_OPS:
+            bad("bad-formula", f"unknown comparison operator {node.op!r}")
         lhs = _term_type(scheme, node.lhs, env, bad)
         rhs = _term_type(scheme, node.rhs, env, bad)
         if lhs is None or rhs is None:
@@ -268,6 +275,8 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: C
 
 def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callable) -> str | None:
     if isinstance(term, Literal):
+        if type(term.value) is not int and not isinstance(term.value, str):
+            bad("bad-formula", f"literal {term.value!r} is neither an integer nor a string")
         return _VALUE
     if isinstance(term, Var):
         set_name = env.get(term.name)
@@ -330,7 +339,10 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             if not (ident.one_to_one and ident.total):
                 bad("identifier-flags", s.name,
                     f"object identifier of {s.name} must be one-to-one and total")
-            if not isinstance(ident.codomain, NatRange) or ident.codomain.digits < 1:
+            codomain = ident.codomain
+            if isinstance(codomain, NatRange) and (fault := range_form_fault(codomain)):
+                bad("bad-range", f"{s.name}.{ident.name}", fault)
+            elif not isinstance(codomain, NatRange) or codomain.digits < 1:
                 bad("identifier-codomain", s.name,
                     f"object identifier of {s.name} must map onto NAT(n), n >= 1")
         seen_mappings: set[str] = set()
@@ -342,6 +354,8 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
             seen_mappings.add(m.name)
             validate_definition(m.computed_definition, element, bad)
+            if type(m.total) is not bool or type(m.one_to_one) is not bool:
+                bad("bad-flag", element, f"total and one_to_one of {m.name} must be true or false")
             for facet in m.source_labels:
                 if facet not in FACETS:
                     bad("unknown-facet", element, f"source label of unknown facet {facet!r}")
@@ -388,7 +402,9 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             if mapping_set in seen_key_sets:
                 bad("duplicate-key", element, f"two keys of {s.name} span the same mappings")
             seen_key_sets.add(mapping_set)
-            if k.implicit != is_implicit_key(k, s):
+            if type(k.implicit) is not bool:
+                bad("bad-flag", element, f"implicit of key {k.label} must be true or false")
+            elif k.implicit != is_implicit_key(k, s):
                 bad("implicit-flag", element,
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
             if not is_name(k.label):

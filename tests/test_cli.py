@@ -683,7 +683,7 @@ def _fuzz_sources() -> tuple[str, ...]:
 def _edited_models(draw) -> str:
     """A model text with one to three of its tokens inserted before, deleted or replaced."""
     text = draw(st.sampled_from(_fuzz_sources()))
-    starts = [t.offset for t in tokenize(text)]  # the last is the end of the text
+    starts = [offset for _, _, offset in tokenize(text)]  # the last is the end of the text
     at = draw(st.lists(st.integers(0, len(starts) - 2), min_size=1, max_size=3, unique=True))
     for i in sorted(at, reverse=True):  # from the end, so earlier offsets stay put
         start, end = starts[i], starts[i + 1]  # a token and the blanks after it

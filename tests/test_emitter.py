@@ -19,9 +19,20 @@ from erdmc.emitter import (
     encode_report,
     load_structured,
 )
-from erdmc.formula import MAX_FORMULA_DEPTH, format_formula, parse_formula
+from erdmc.formula import (
+    MAX_FORMULA_DEPTH,
+    Apply,
+    Binary,
+    Compare,
+    Forall,
+    Literal,
+    Var,
+    format_formula,
+    parse_formula,
+)
 from erdmc.generator import random_model
 from erdmc.lexer import STRING, tokenize
+from erdmc.model import AsciiRange, FuncBound, IntBound, Interval, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import EMDMScheme, InclusionConstraint, check_scheme, ref_constraint
 from erdmc.translator import translate
@@ -110,7 +121,7 @@ def test_informal_text_is_escaped_the_way_the_lexer_reads_it():
     result = translate(parse_model(source))
     last = emit_text(result.scheme).splitlines()[-1]
     assert last == 'R03: informal "back\\\\slash \\"quoted\\" two\\nlines\\tand tab"'
-    assert [t.value for t in tokenize(last) if t.kind == STRING] == [informal]
+    assert [value for kind, value, _ in tokenize(last) if kind == STRING] == [informal]
 
 
 def test_informal_line_breaks_print_as_u_escapes():
@@ -124,7 +135,7 @@ def test_informal_line_breaks_print_as_u_escapes():
     result = translate(parse_model(source))
     last = emit_text(result.scheme).splitlines()[-1]
     assert last == 'R03: informal "p\\u2028q\\u000br\\u0085s"'
-    assert [t.value for t in tokenize(last) if t.kind == STRING] == [informal]
+    assert [value for kind, value, _ in tokenize(last) if kind == STRING] == [informal]
 
 
 # --- structured round-trip ---
@@ -318,6 +329,70 @@ def test_provenance_naming_no_scheme_element_is_stray():
     ]
     with pytest.raises(EmitError, match="stray-provenance"):
         emit_text(scheme)
+
+
+def _ranged_scheme() -> EMDMScheme:
+    result = translate(parse_model(
+        "diagram D { entity A card 10 { attr v : [0, 5] } }\n"
+        "restriction R1 on A other formal (forall x in A)(v(x) > 0)\n"
+    ))
+    assert result.scheme is not None
+    return result.scheme
+
+
+_V_ABOVE_0 = Compare(">", Apply("v", Var("x")), Literal(0))
+
+
+@pytest.mark.parametrize("code, part, field, value", [
+    ("bad-range", "A.v", "codomain", Interval(IntBound("1\nB"), IntBound(2))),
+    ("bad-range", "A.v", "codomain", AsciiRange("3")),
+    ("bad-range", "A.v", "codomain", Interval(IntBound("2\nB"), FuncBound("SysDate()"))),
+    ("bad-range", "A.v", "codomain", Interval(IntBound(True), IntBound(True))),
+    ("bad-range", "A.v", "codomain", NatRange(2.5)),
+    ("bad-range", "A.x", "codomain", NatRange(True)),
+    ("bad-flag", "A.v", "one_to_one", "yes"),
+    ("bad-flag", "A.v", "one_to_one", 2),
+    ("bad-flag", "A.v", "total", "no"),
+    ("bad-formula", "R1", "formula",
+     Forall("x", "A", Compare(">\nB", Apply("v", Var("x")), Literal(0)))),
+    ("bad-formula", "R1", "formula", Forall("x", "A", Binary("^", _V_ABOVE_0, _V_ABOVE_0))),
+    ("bad-formula", "R1", "formula",
+     Forall("x", "A", Compare(">", Apply("v", Var("x")), Literal(1.5)))),
+    ("bad-formula", "R1", "formula",
+     Forall("x", "A", Compare(">", Apply("v", Var("x")), Literal(True)))),
+])
+def test_values_of_the_wrong_type_are_refused_not_printed(code, part, field, value):
+    # Each would raise in emit_text, or print a line that reads back as something else.
+    scheme = _ranged_scheme()
+    if part == "R1":
+        (target,) = scheme.constraints
+        element = "constraint:R1"
+    else:
+        target = scheme.set("A").mapping(part.partition(".")[2])
+        element = part
+    setattr(target, field, value)
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [(code, element)]
+    with pytest.raises(EmitError, match=code):
+        emit_text(scheme)
+
+
+def test_a_diagnostic_on_a_name_with_a_line_break_renders_on_one_line():
+    scheme = _ranged_scheme()
+    scheme.set("A").mapping("v").name = "v\nB"
+    rendered = [d.render() for d in check_scheme(scheme)]
+    assert "error: bad-name: 'v\\nB' is not a name [A.v\\nB]" in rendered
+    assert all(len(line.splitlines()) == 1 for line in rendered)
+
+
+def test_a_diagnostic_on_a_loaded_provenance_key_renders_on_one_line():
+    doc = _loaded_document("diagram D { entity A card 10 { attr v } }")
+    forged = "set:Z\nerror: forged\u2028"
+    doc["provenance"][forged] = "set:A"
+    scheme = load_structured(json.dumps(doc))
+    assert forged in scheme.provenance
+    assert [d.render() for d in check_scheme(scheme)] == [
+        "error: stray-provenance: set:Z\\nerror: forged\\u2028 names no element of the scheme "
+        "[set:Z\\nerror: forged\\u2028]"]
 
 
 _DELETE = object()

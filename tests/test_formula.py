@@ -120,6 +120,12 @@ def test_numbers_and_text_parse_to_literals():
     )
 
 
+def test_an_empty_string_parses_to_an_empty_literal():
+    # The token stream hands back a string literal's value, which may be empty.
+    f = parse_formula('(forall x in S)(a(x) = "")')
+    assert f.body == Compare("=", Apply("a", Var("x")), Literal(""))
+
+
 def test_print_parse_fixpoint_on_representative_formulas():
     for source in (
         START_BEFORE_END,

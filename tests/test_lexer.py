@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import re
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from erdmc.lexer import (
     EOF,
     MAX_DIGITS,
     STRING,
-    Token,
     _unescape,
     parse_error,
     quote_string,
@@ -24,8 +24,8 @@ from test_pinned_outputs import _write_model
 
 def kinds(text: str) -> list[tuple[str, str, int, int]]:
     """Each token's kind and value, and the line and column of its offset."""
-    placed = [(t, parse_error(text, t.offset, "")) for t in tokenize(text)]
-    return [(t.kind, t.value, at.line, at.column) for t, at in placed]
+    placed = [(t, parse_error(text, t[2], "")) for t in tokenize(text)]
+    return [(*t[:2], at.line, at.column) for t, at in placed]
 
 
 def failure(text: str) -> tuple[int, int, str]:
@@ -129,8 +129,13 @@ def test_quoted_strings_stay_on_one_line(s):
     assert len(quote_string(s).splitlines()) == 1
 
 
-def test_token_repr_is_kind_value_and_offset():
-    assert repr(tokenize("a")[0]) == "name('a')@0"
+def test_tokens_leave_the_collectors_books():
+    # Exact tuples of untracked values: one collection stops tracking every token.
+    fixture = Path(__file__).parent / "fixtures" / "teaching.erdm"
+    tokens = tokenize(fixture.read_text(encoding="utf-8"))
+    gc.collect()
+    assert len(tokens) > 600
+    assert [t for t in tokens if gc.is_tracked(t)] == []
 
 
 # --- a reference scanner: one match per token or run of blanks ---
@@ -147,7 +152,7 @@ _REFERENCE_RE = re.compile("|".join([
 ]))
 
 
-def reference_tokenize(text: str) -> list[Token]:
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _REFERENCE_RE.finditer(text):
         kind = m.lastgroup
@@ -158,9 +163,9 @@ def reference_tokenize(text: str) -> list[Token]:
             value = text[start + 1:m.end() - 1]
             if "\\" in value:
                 value = _unescape(value, text, start + 1)
-            tokens.append(Token(STRING, value, start))
+            tokens.append((STRING, value, start))
         elif kind == "glyph":
-            tokens.append(Token(*_GLYPHS[m.group()], start))
+            tokens.append((*_GLYPHS[m.group()], start))
         elif kind == "error":
             ch = m.group()
             raise ParseFailure([parse_error(text, start, "unterminated string literal"
@@ -173,12 +178,12 @@ def reference_tokenize(text: str) -> list[Token]:
                 raise ParseFailure([parse_error(
                     text, start, f"integer longer than {MAX_DIGITS} digits",
                 )])
-            tokens.append(Token(kind, value, start))
-    tokens.append(Token(EOF, "", len(text)))
+            tokens.append((kind, value, start))
+    tokens.append((EOF, "", len(text)))
     return tokens
 
 
-def scanned(scan, text: str) -> list[Token] | tuple[int, int, str]:
+def scanned(scan, text: str) -> list[tuple[str, str, int]] | tuple[int, int, str]:
     """The tokens of *text*, or the line, column and message of its error."""
     try:
         return scan(text)

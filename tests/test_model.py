@@ -9,6 +9,7 @@ import pytest
 
 import erdmc.model
 from erdmc.model import (
+    AsciiRange,
     Attribute,
     CardinalityBody,
     CompulsoryBody,
@@ -19,9 +20,11 @@ from erdmc.model import (
     InclusionBody,
     IntBound,
     Interval,
+    NatRange,
     ObjectSet,
     OtherBody,
     Pow10Bound,
+    Range,
     RangeBody,
     Restriction,
     Role,
@@ -167,10 +170,10 @@ def _dsl(sets: str = "", restrictions: str = "") -> str:
 _A, _B, _C = (ObjectSet(name=name, kind="entity") for name in "ABC")
 
 
-def _ranged(attr: str, interval: Interval) -> ERModel:
-    """Set A with the one attribute *attr*, ranged over *interval*."""
+def _ranged(attr: str, rng: Range) -> ERModel:
+    """Set A with the one attribute *attr*, ranged over *rng*."""
     return _single_set_model(ObjectSet(name="A", kind="entity",
-                                       attributes=(Attribute(attr, interval),)))
+                                       attributes=(Attribute(attr, rng),)))
 
 
 # One model for each validate_model code, with the element its diagnostic
@@ -236,6 +239,12 @@ VALIDATE_CASES = [
     ("bad-range", "A.d", _ranged("d", Interval(DateBound("soon"), DateBound("later")))),
     ("bad-range", "A.f", _ranged("f", Interval(IntBound(1), FuncBound("SysDate()\nB <-> NAT(1)")))),
     ("bad-range", "A.p", _ranged("p", Interval(IntBound(1), Pow10Bound(4300)))),
+    # bounds and sizes that are not integers
+    ("bad-range", "A.i", _ranged("i", Interval(IntBound("1\nB"), IntBound(2)))),
+    ("bad-range", "A.j", _ranged("j", Interval(IntBound("2\nB"), FuncBound("SysDate()")))),
+    ("bad-range", "A.t", _ranged("t", Interval(IntBound(True), IntBound(True)))),
+    ("bad-range", "A.s", _ranged("s", AsciiRange("3"))),
+    ("bad-range", "A.n", _ranged("n", NatRange(2.5))),
 ]
 
 

@@ -3,12 +3,13 @@ from __future__ import annotations
 import copy
 import re
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
 from erdmc import scheme as sch
 from erdmc.diagnostics import Diagnostics
-from erdmc.formula import Apply, Compare, Forall, Literal, Var, parse_formula
+from erdmc.formula import Apply, Binary, Compare, Forall, Literal, Var, parse_formula
 from erdmc.model import AsciiRange, DateBound, FuncBound, IntBound, Interval, NatRange, Pow10Bound
 from erdmc.parser import parse_model
 from erdmc.scheme import (
@@ -182,6 +183,19 @@ def _member(scheme: EMDMScheme, name: str) -> sch.Mapping:
     return scheme.set(set_name).mapping(mapping)
 
 
+def _codomain(name: str, codomain) -> Callable[[EMDMScheme], None]:
+    return lambda m: setattr(_member(m, name), "codomain", codomain)
+
+
+def _r41(body) -> Callable[[EMDMScheme], None]:
+    """R41 with *body* under its quantifiers (forall x in STUDENTS)(forall y in TEACHERS)."""
+    return lambda m: setattr(_constraint(m, "R41"), "formula",
+                             Forall("x", "STUDENTS", Forall("y", "TEACHERS", body)))
+
+
+_SSN_DIFFER = Compare("<>", Apply("SSN", Var("x")), Apply("SSN", Var("y")))
+
+
 def _include_computed(scheme: EMDMScheme) -> None:
     scheme.add_set(EMDMSet("V", sch.COMPUTED, computed_definition="all"))
     scheme.constraints.append(InclusionConstraint("V", "ROOMS"))
@@ -284,6 +298,31 @@ CHECK_CASES = [
     ("missing-provenance", "set:STUDENTS", lambda m: m.provenance.pop("set:STUDENTS")),
     ("stray-provenance", "mapping:ROOMS.zz",
      lambda m: m.provenance.update({"mapping:ROOMS.zz": "set:ROOMS"})),
+    # bounds and sizes that are not integers, which would raise or print unreadably
+    ("bad-range", "SCHEDULES.StartH",
+     _codomain("SCHEDULES.StartH", Interval(IntBound("1\nB"), IntBound(2)))),
+    ("bad-range", "SCHEDULES.EndH",
+     _codomain("SCHEDULES.EndH", Interval(IntBound("2\nB"), FuncBound("SysDate()")))),
+    ("bad-range", "STUDENTS.Name",
+     _codomain("STUDENTS.Name", Interval(IntBound(True), IntBound(True)))),
+    ("bad-range", "DISCIPLINES.Discipline", _codomain("DISCIPLINES.Discipline", AsciiRange("3"))),
+    ("bad-range", "TEACHERS.Name", _codomain("TEACHERS.Name", NatRange(2.5))),
+    ("bad-range", "ROOMS.x", _codomain("ROOMS.x", NatRange(True))),
+    ("bad-range", "STUDENTS.x", _codomain("STUDENTS.x", NatRange("3"))),
+    # flags that are not true or false
+    ("bad-flag", "ROOMS.Room#", lambda m: setattr(_member(m, "ROOMS.Room#"), "one_to_one", "yes")),
+    ("bad-flag", "SCHEDULES.Weekday",
+     lambda m: setattr(_member(m, "SCHEDULES.Weekday"), "one_to_one", 2)),
+    ("bad-flag", "STUDENTS.Name", lambda m: setattr(_member(m, "STUDENTS.Name"), "total", "no")),
+    ("bad-flag", "SCHEDULES.R33", lambda m: setattr(m.set("SCHEDULES").keys[0], "implicit", 0)),
+    # operators and literals that the text reader would not read
+    ("bad-formula", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
+        "x", "SCHEDULES", Compare(">\nB", Apply("StartH", Var("x")), Literal(0))))),
+    ("bad-formula", "constraint:R41", _r41(Binary("^", _SSN_DIFFER, _SSN_DIFFER))),
+    ("bad-formula", "constraint:R41",
+     _r41(Compare("<>", Apply("SSN", Var("x")), Literal(1.5)))),
+    ("bad-formula", "constraint:R41",
+     _r41(Compare("<>", Apply("SSN", Var("x")), Literal(True)))),
 ]
 
 
