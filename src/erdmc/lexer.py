@@ -51,6 +51,7 @@ PLAIN = {surface: surface for surface in GLYPH_OF}
 # The most digits an integer may have, written out or as 10^n: int() and
 # str() refuse longer decimals, and computing 10^n for a long n takes seconds.
 MAX_DIGITS = 4300
+_INTEGER_LIMIT = 10 ** MAX_DIGITS
 
 # A date (day/month/year) and a name, as the tokenizer reads them.
 DATE_FORM = r"\d+/\d+/\d+"
@@ -86,6 +87,11 @@ _QUOTE = str.maketrans(
     | {char: "\\" + letter for letter, char in _ESCAPES.items()}
 )
 _ESCAPE_RE = re.compile(r"\\(u[0-9A-Fa-f]{0,4}|.)")
+
+
+def is_integer(v: object) -> bool:
+    """True iff *v* is an int but no bool, of at most MAX_DIGITS digits: what the reader gives."""
+    return type(v) is int and -_INTEGER_LIMIT < v < _INTEGER_LIMIT  # builds no digit string
 
 
 def parse_error(text: str, offset: int, message: str, expected: str | None = None) -> ParseError:

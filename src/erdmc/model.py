@@ -15,7 +15,7 @@ from typing import Any, Callable, Union
 
 from .diagnostics import WARNING, Diagnostics
 from .formula import Formula, quantifier_domains
-from .lexer import DATE_FORM, MAX_DIGITS, NAME_FORM
+from .lexer import DATE_FORM, MAX_DIGITS, NAME_FORM, is_integer
 
 ENTITY = "entity"
 RELATIONSHIP = "relationship"
@@ -100,7 +100,7 @@ class NatRange:
 
 Range = Union[Interval, AsciiRange, NatRange]
 
-_INTEGER = ("an integer", lambda v: type(v) is int)  # a bool is no integer to the reader
+_INTEGER = ("an integer", is_integer)
 # What each bound kind and sized range must hold, as words and a test: what the text reader
 # takes. validate_range and load_structured refuse others, which compare or print unlike it.
 BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
@@ -511,11 +511,14 @@ def validate_definition(definition: str | None, element: str, err) -> None:
 
 
 def range_form_fault(r: Range) -> str | None:
-    """What a bound or size of *r* should hold but does not (BOUND_FORMS), or None."""
-    for part in (r.lo, r.hi) if isinstance(r, Interval) else (r,):
+    """What *r* or a bound of it is not but should be (BOUND_FORMS), or None."""
+    interval = isinstance(r, Interval)
+    for part in (r.lo, r.hi) if interval else (r,):
+        form = BOUND_FORMS.get(type(part))
+        if form is None or (type(part) in (AsciiRange, NatRange)) == interval:
+            return f"{type(part).__name__} is not a {'bound' if interval else 'range'}"
         # Each bound and size holds one field, the one __match_args__ names.
-        if (form := BOUND_FORMS.get(type(part))) and not form[1](
-                getattr(part, part.__match_args__[0])):
+        if not form[1](getattr(part, part.__match_args__[0])):
             return f"{type(part).__name__} must hold {form[0]}"
     return None
 

@@ -29,7 +29,7 @@ from .formula import (
     quantifier_count,
     quantifier_domains,
 )
-from .lexer import NAME_RE
+from .lexer import MAX_DIGITS, NAME_RE, is_integer
 from .model import FACETS, NatRange, Range, range_form_fault, validate_definition, validate_range
 
 ENTITY_DERIVED = "entity-derived"
@@ -275,8 +275,8 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: C
 
 def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callable) -> str | None:
     if isinstance(term, Literal):
-        if type(term.value) is not int and not isinstance(term.value, str):
-            bad("bad-formula", f"literal {term.value!r} is neither an integer nor a string")
+        if not (is_integer(term.value) or isinstance(term.value, str)):
+            bad("bad-formula", f"literal is neither a string nor an integer of at most {MAX_DIGITS} digits")
         return _VALUE
     if isinstance(term, Var):
         set_name = env.get(term.name)

@@ -20,6 +20,7 @@ from .enrichment import (
     EnrichmentLog,
     PendingQuestion,
     Prompter,
+    RULE_MISSING_DEFINITION,
     RULE_STRUCTURAL_KEY,
     apply_input_defaults,
     enrich_scheme,
@@ -211,17 +212,17 @@ class Translator:
     def run(self) -> TranslationResult:
         issues = validate_model(self.model)
         self.report.diagnostics.extend(issues)
+        if not issues.errors:
+            dbms_max = self.options.dbms_max_cardinality
+            self.model = apply_input_defaults(self.model, dbms_max, log=self.log).model
+            # Rules (i)-(iii) write the maximum or DEFAULT_RANGE only where none is declared,
+            # valid if the maximum is at least 1: only rule (iv) can break the model otherwise.
+            if dbms_max < 1 or any(a.rule == RULE_MISSING_DEFINITION for a in self.log.actions):
+                issues = validate_model(self.model)
+                for issue in issues.errors:
+                    self.report.diagnostics.add(
+                        issue.code, issue.element, f"after input defaults: {issue.message}")
         if issues.errors:
-            return TranslationResult(None, self.report, self.model)
-
-        self.model = apply_input_defaults(
-            self.model, self.options.dbms_max_cardinality, log=self.log,
-        ).model
-        post_issues = validate_model(self.model).errors
-        if post_issues:
-            for issue in post_issues:
-                self.report.diagnostics.add(
-                    issue.code, issue.element, f"after input defaults: {issue.message}")
             return TranslationResult(None, self.report, self.model)
 
         global_order = _reference_order(self.model, self.report.diagnostics)
@@ -250,10 +251,10 @@ class Translator:
         """Add *s*: the set, its identifier, inclusions, roles, structural
         functions and attributes, then the restrictions on it.
 
-        Precondition: the model passes validate_model after the input
-        defaults, and *s* has not been added yet. So a computed set brings
-        only its definition, only a relationship has roles, and every
-        mapping a restriction names exists on the set.
+        Precondition: the model passes validate_model after the input defaults
+        (run checks it again where they can break it), and *s* is not yet added.
+        So a computed set brings only its definition, only a relationship has
+        roles, and every mapping a restriction names exists on the set.
         """
         if s.kind == COMPUTED:
             kind, element_class = sch.COMPUTED, "computed_sets"

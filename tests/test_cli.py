@@ -7,6 +7,7 @@ import gc
 import io
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,12 +20,37 @@ from erdmc.generator import random_model
 from erdmc.lexer import tokenize
 from erdmc.model import validate_model
 from erdmc.parser import parse_model
+from erdmc.translator import translate
 from test_model import VALIDATE_CASES
 from test_parser import PARSE_CASES
 from test_pinned_outputs import ANSWERED_SOURCE, ANSWERS, PROMPTED, _write_model
 from test_scaling import _relational_model
+from test_translator import assert_post_defaults_as_validated
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "teaching.erdm")
+
+
+@contextlib.contextmanager
+def _held_to_the_post_defaults_oracle():
+    """Hold each translation that cli.main makes to the oracle of validation after the
+    input defaults; yields the list of those translations."""
+    translated = []
+
+    def translate_checked(model, options=None):
+        result = translate(model, options)
+        translated.append(result)
+        assert_post_defaults_as_validated(model, result)
+        return result
+
+    with mock.patch.object(cli, "translate", translate_checked):
+        yield translated
+
+
+@pytest.fixture
+def post_defaults_oracle():
+    with _held_to_the_post_defaults_oracle() as translated:
+        yield
+    assert translated, "no translation was held to the oracle"
 
 
 def test_translate_writes_scheme_to_stdout(capsys, golden_scheme_text):
@@ -133,6 +159,7 @@ def test_definition_with_a_line_break_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("definition", ["p\nq", "p\x1cq", "p\r\n", "\x85"])
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_answered_definition_with_a_line_break_exits_1(tmp_path, capsys, definition):
     model = tmp_path / "members.erdm"
     model.write_text(
@@ -151,6 +178,7 @@ def test_answered_definition_with_a_line_break_exits_1(tmp_path, capsys, definit
     )
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_blank_answered_definition_is_dropped(tmp_path, capsys):
     model = tmp_path / "members.erdm"
     model.write_text('diagram D { entity A card 10 { attr v attr c computed = "" } }\n')
@@ -193,6 +221,7 @@ def test_translate_translation_errors_exit_1(tmp_path, capsys, teaching_source):
     assert "CLASES" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_translate_refuses_a_model_the_input_defaults_invalidate(tmp_path, capsys):
     model = tmp_path / "dropped.erdm"
     model.write_text(
@@ -226,6 +255,7 @@ def test_too_deep_formulas_exit_2_with_one_line(tmp_path, capsys):
             assert line.endswith(f": formula nested deeper than {MAX_FORMULA_DEPTH} levels")
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_too_deep_answer_is_a_bad_formalization(tmp_path, capsys):
     model = tmp_path / "m.erdm"
     model.write_text(
@@ -339,6 +369,7 @@ def test_translate_unicode_flag(capsys):
     assert "↔" in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_translate_answers_file(tmp_path, capsys):
     model = tmp_path / "m.erdm"
     model.write_text(
@@ -524,6 +555,7 @@ def test_translate_unreadable_answers_files_exit_2(tmp_path, capsys):
         assert captured.err.splitlines() == [f"cannot read answers: {answers}: {reason}"]
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_translate_null_answer_asks_no_further(tmp_path, capsys):
     model = tmp_path / "m.erdm"
     model.write_text("diagram D { entity A card 10 { attr a } }\n"
@@ -599,6 +631,7 @@ def test_interactive_refuses_a_model_on_stdin(capsys, monkeypatch, teaching_sour
         "--interactive cannot read prompts while the model comes from stdin\n")
 
 
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_interactive_reads_each_answer_from_stdin(tmp_path, capsys, monkeypatch):
     model = tmp_path / "m.erdm"
     model.write_text("diagram D { entity A card 10 { attr a } }\n"
@@ -631,6 +664,7 @@ _NO_QUANTIFIER_SOURCE = (
      "error: restriction-on-computed-set: tuple constraint R3 is a check over computed set "
      "'V' [constraint:R3]"),
 ], ids=["model", "answered", "answered-over-computed-set"])
+@pytest.mark.usefixtures("post_defaults_oracle")
 def test_translate_refuses_a_constraint_the_scheme_cannot_show(
     tmp_path, capsys, rule, answer, error
 ):
@@ -771,7 +805,8 @@ def test_an_edited_answers_document_ends_in_an_exit_code(tmp_path_factory, docum
     argv = ["translate", str(model), "--answers", str(answers), "-o", str(work / "s.txt"),
             "--structured", str(work / "s.json"), "--report", str(work / "r.json")]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            _held_to_the_post_defaults_oracle():
         assert main(argv) in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

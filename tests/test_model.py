@@ -245,6 +245,13 @@ VALIDATE_CASES = [
     ("bad-range", "A.t", _ranged("t", Interval(IntBound(True), IntBound(True)))),
     ("bad-range", "A.s", _ranged("s", AsciiRange("3"))),
     ("bad-range", "A.n", _ranged("n", NatRange(2.5))),
+    # integers longer than the text reader reads
+    ("bad-range", "A.b", _ranged("b", Interval(IntBound(1), IntBound(10 ** 4300)))),
+    ("bad-range", "A.l", _ranged("l", AsciiRange(10 ** 5000))),
+    # ranges and bounds of no range or bound class
+    ("bad-range", "A.c", _ranged("c", 5)),
+    ("bad-range", "A.u", _ranged("u", Interval(3, 5))),
+    ("bad-range", "A.q", _ranged("q", IntBound(3))),
 ]
 
 

@@ -323,6 +323,19 @@ CHECK_CASES = [
      _r41(Compare("<>", Apply("SSN", Var("x")), Literal(1.5)))),
     ("bad-formula", "constraint:R41",
      _r41(Compare("<>", Apply("SSN", Var("x")), Literal(True)))),
+    # integers longer than the text reader reads, which str() would refuse to print
+    ("bad-range", "SCHEDULES.Room",
+     _codomain("SCHEDULES.Room", Interval(IntBound(1), IntBound(10 ** 4300)))),
+    ("bad-range", "SCHEDULES.Competence", _codomain("SCHEDULES.Competence", AsciiRange(10 ** 5000))),
+    ("bad-range", "TEACHERS.x", _codomain("TEACHERS.x", NatRange(-10 ** 4300))),
+    ("bad-formula", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
+        "x", "SCHEDULES", Compare("<", Apply("StartH", Var("x")), Literal(10 ** 4300))))),
+    # codomains and bounds of no range or bound class
+    ("bad-range", "COMPETENCES.Teacher", _codomain("COMPETENCES.Teacher", 5)),
+    ("bad-range", "COMPETENCES.Discipline", _codomain("COMPETENCES.Discipline", Interval(3, 5))),
+    ("bad-range", "ATTENDANCES.Student", _codomain("ATTENDANCES.Student", IntBound(3))),
+    ("bad-range", "ATTENDANCES.Class",
+     _codomain("ATTENDANCES.Class", Interval(AsciiRange(3), IntBound(5)))),
 ]
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
+from erdmc import translator
 from erdmc.census import Tallies, census, verify_translation
 from erdmc.emitter import emit_structured, emit_text, encode_report
 from erdmc.generator import random_model
@@ -12,14 +13,18 @@ from erdmc.model import (
     NatRange,
     ObjectSet,
     StructuralFunction,
+    validate_model,
 )
 from erdmc.parser import parse_model
 from erdmc.scheme import RELATIONSHIP_DERIVED, check_scheme
 from erdmc.translator import (
     TranslationOptions,
+    TranslationResult,
     surrogate_digits,
     translate,
 )
+from test_model import VALIDATE_CASES
+from test_pinned_outputs import ANSWERED_SOURCE, RELATIONAL_LIMITS, _answered_options
 
 # Frozen by hand from the teaching fixture: 5 entities + 3 relationships,
 # 6 roles + 1 structural function + 11 attributes, and 4+0+17+4+5+1
@@ -470,3 +475,79 @@ def test_the_inventory_lists_each_implicit_key_of_the_scheme_once():
             assert key is not None and key.mappings == note.mappings, (seed, note)
         implicit = [ref for ref, key in keys.items() if key.implicit]
         assert sorted(listed) == sorted(implicit), seed
+
+
+# --- the model is validated again after the input defaults only when they can break it ---
+
+# Rule (iv) drops a computed attribute that a restriction names, so the defaults break it.
+_DROPPED_SOURCE = (
+    'diagram D { entity A card 10 { attr a : ASCII(8) attr c computed = "" } }\n'
+    "restriction R01 on A compulsory c\n"
+)
+
+# A set whose cardinality rule (i) defaults, one whose inline cardinality and one whose
+# card restriction rule (ii) clamps; at a DBMS maximum below 1, each breaks its model.
+_BELOW_ONE_CASES = [
+    ("diagram D { entity A { attr a : ASCII(8) } }\n", "A"),
+    ("diagram D { entity A card 10 { attr a : ASCII(8) } }\n", "A"),
+    ("diagram D { entity A { attr a : ASCII(8) } }\nrestriction R1 on A card 10\n", "R1"),
+]
+
+
+def assert_post_defaults_as_validated(model: ERModel, result: TranslationResult) -> None:
+    """The oracle for validating after the input defaults: *result* reports there exactly
+    what validate_model finds on the defaulted model, worded as translate words it, or
+    nothing when the model as written was refused before the defaults ran."""
+    prefix = "after input defaults: "
+    reported = [(d.code, d.element, d.message) for d in result.report.diagnostics
+                if d.message.startswith(prefix)]
+    expected = [] if validate_model(model).errors else [
+        (d.code, d.element, prefix + d.message) for d in validate_model(result.model).errors]
+    assert reported == expected
+    assert result.scheme is None or not expected
+
+
+def _validate_calls(monkeypatch, model: ERModel, options=None) -> int:
+    """How often translating *model* calls validate_model."""
+    calls = []
+    monkeypatch.setattr(translator, "validate_model",
+                        lambda m: calls.append(m) or validate_model(m))
+    translate(model, options)
+    return len(calls)
+
+
+def test_a_model_the_defaults_cannot_break_is_validated_once(monkeypatch, teaching_model):
+    models = [teaching_model, random_model(3, **RELATIONAL_LIMITS)]
+    models += [random_model(seed) for seed in range(50)]
+    assert [_validate_calls(monkeypatch, model) for model in models] == [1] * len(models)
+
+
+@pytest.mark.parametrize("source, options", [
+    (ANSWERED_SOURCE, _answered_options()),
+    (_DROPPED_SOURCE, None),
+    (_BELOW_ONE_CASES[0][0], TranslationOptions(dbms_max_cardinality=0)),
+], ids=["answered", "dropped", "maximum-0"])
+def test_a_model_the_defaults_can_break_is_validated_again(monkeypatch, source, options):
+    assert _validate_calls(monkeypatch, parse_model(source), options) == 2
+
+
+@pytest.mark.parametrize("source, element", _BELOW_ONE_CASES,
+                         ids=["defaulted", "clamped-inline", "clamped-restriction"])
+def test_a_dbms_maximum_below_1_refuses_the_model(source, element):
+    model = parse_model(source)
+    result = translate(model, TranslationOptions(dbms_max_cardinality=0))
+    assert result.scheme is None
+    assert [d.render() for d in result.report.diagnostics.errors] == [
+        "error: bad-cardinality: after input defaults: maximum cardinality must be at least 1 "
+        f"[{element}]"
+    ]
+    assert_post_defaults_as_validated(model, result)
+
+
+def test_translate_reports_what_validation_after_the_defaults_finds():
+    models = [(parse_model(m) if isinstance(m, str) else m, None) for _, _, m in VALIDATE_CASES]
+    models += [(random_model(seed), None) for seed in range(1000)]
+    models += [(parse_model(_DROPPED_SOURCE), None),
+               (parse_model(ANSWERED_SOURCE), _answered_options())]
+    for model, options in models:
+        assert_post_defaults_as_validated(model, translate(model, options))
