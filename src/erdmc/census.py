@@ -155,7 +155,7 @@ def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
 
     optimality = [
         f"{source} is the source of {count} steps"
-        for source, count in Counter(s.source for s in report.steps).items() if count > 1
+        for source, count in Counter(source for _, source, _ in report.steps).items() if count > 1
     ]
     if linearity:
         optimality.append("needs linearity, which fails")

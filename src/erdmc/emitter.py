@@ -189,8 +189,8 @@ def _object(pairs: Iterable[tuple[str, Any]], pad: str, write: Callable[[Any], s
 def encode_report(report: TranslationReport) -> str:
     """*report*'s JSON text, as ``--report`` writes it and emit_structured embeds it."""
     t = report.tallies
-    steps = [f'{{\n      "kind": {_q(s.kind)},\n      "source": {_q(s.source)},'
-             f'\n      "produced": {_q(s.produced)}\n    }}' for s in report.steps]
+    steps = [f'{{\n      "kind": {_q(kind)},\n      "source": {_q(source)},'
+             f'\n      "produced": {_q(produced)}\n    }}' for kind, source, produced in report.steps]
     diagnostics = [
         f'{{\n      "severity": {_q(d.severity)},\n      "code": {_q(d.code)},'
         f'\n      "message": {_q(d.message)},\n      "element": {_q(d.element)}\n    }}'

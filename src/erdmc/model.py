@@ -363,18 +363,15 @@ def validate_model(model: ERModel) -> Diagnostics:
     err = errors.add
     sets = model._sets_by_name
 
+    # Each kind of declaration to its subjects, and each subject to the
+    # sources that declared it: inline declarations first, then restrictions.
+    declared: dict[str, dict] = {"range": {}, "cardinality": {}, "inclusion": {}, "key": {}}
     names: set[str] = set()
     for s in model.object_sets():
         if s.name in names:
             err("duplicate-set-name", s.name, f"object set {s.name!r} declared twice")
+            continue
         names.add(s.name)
-    for s in model.object_sets():
-        _validate_set(s, sets, err)
-
-    # Each kind of declaration to its subjects, and each subject to the
-    # sources that declared it: inline declarations first, then restrictions.
-    declared: dict[str, dict] = {"range": {}, "cardinality": {}, "inclusion": {}, "key": {}}
-    for s in sets.values():
         for sup in s.included_in:
             declared["inclusion"].setdefault((s.name, sup), []).append("(inline)")
         if s.max_cardinality is not None:
@@ -382,6 +379,8 @@ def validate_model(model: ERModel) -> Diagnostics:
         for a in s.attributes:
             if a.range is not None:
                 declared["range"].setdefault((s.name, a.name), []).append("(inline)")
+    for s in model.object_sets():
+        _validate_set(s, sets, err)
 
     labels: set[str] = set()
     for r in model.restrictions:

@@ -204,19 +204,6 @@ def ref_constraint(c: Constraint) -> str:
     return f"constraint:{c.label}"
 
 
-def base_refs(scheme: EMDMScheme) -> list[str]:
-    """References of every scheme element that needs a provenance entry."""
-    refs: list[str] = []
-    for s in scheme.sets:
-        refs.append(ref_set(s.name))
-        if s.object_identifier is not None:
-            refs.append(ref_mapping(s.name, s.object_identifier.name))
-        refs.extend(ref_mapping(s.name, m.name) for m in s.mappings)
-        refs.extend(ref_key(s.name, k.label) for k in s.keys)
-    refs.extend(ref_constraint(c) for c in scheme.constraints)
-    return refs
-
-
 # --- structural keys ---
 
 
@@ -321,15 +308,21 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             bad("unknown-set-kind", s.name, f"{s.name} has unknown kind {s.kind!r}")
         validate_definition(s.computed_definition, s.name, bad)
 
+    # The reference of each element that needs a provenance entry, in scheme order.
+    refs: list[str] = []
     for s in scheme.sets:
+        refs.append(ref_set(s.name))
+        ident = s.object_identifier
+        members = ([ident] if ident else []) + s.mappings
         if s.kind == COMPUTED:
             if not s.computed_definition:
                 bad("missing-definition", s.name, f"computed set {s.name} has no definition")
-            if s.object_identifier is not None or s.mappings or s.keys:
+            if ident is not None or s.mappings or s.keys:
                 bad("computed-set-structure", s.name,
                     f"computed set {s.name} must carry only its definition")
+                refs.extend(ref_mapping(s.name, m.name) for m in members)
+                refs.extend(ref_key(s.name, k.label) for k in s.keys)
             continue
-        ident = s.object_identifier
         if ident is None:
             bad("missing-identifier", s.name, f"{s.name} has no object identifier")
         else:
@@ -346,8 +339,9 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 bad("identifier-codomain", s.name,
                     f"object identifier of {s.name} must map onto NAT(n), n >= 1")
         seen_mappings: set[str] = set()
-        for m in ([ident] if ident else []) + s.mappings:
+        for m in members:
             element = f"{s.name}.{m.name}"
+            refs.append(ref_mapping(s.name, m.name))
             if not is_name(m.name):
                 bad("bad-name", element, f"{m.name!r} is not a name")
             if m.name in seen_mappings:
@@ -391,6 +385,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
         seen_key_sets: set[frozenset[str]] = set()
         for k in s.keys:
             element = f"{s.name}.{k.label}"
+            refs.append(ref_key(s.name, k.label))
             if len(k.mappings) < 2:
                 bad("singleton-key", element,
                     "single-mapping uniqueness is a mapping flag, not a key")
@@ -414,6 +409,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             seen_labels.add(k.label)
 
     for c in scheme.constraints:
+        refs.append(ref_constraint(c))
         check_constraint(scheme, c, bad)
         if c.label is not None:
             if not is_name(c.label):
@@ -422,7 +418,6 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 bad("duplicate-label", f"constraint:{c.label}", f"label {c.label} reused")
             seen_labels.add(c.label)
 
-    refs = base_refs(scheme)
     for ref in refs:
         if ref not in scheme.provenance:
             bad("missing-provenance", ref, f"{ref} has no provenance entry")

@@ -66,12 +66,6 @@ from .scheme import (
     ref_set,
 )
 
-@dataclass
-class Step:
-    kind: str
-    source: str
-    produced: str
-
 
 @dataclass(frozen=True)
 class TranslationOptions:
@@ -92,7 +86,7 @@ class ImplicitKeyNote:
 
 @dataclass
 class TranslationReport:
-    steps: list[Step] = field(default_factory=list)
+    steps: list[tuple[str, str, str]] = field(default_factory=list)  # (kind, source, produced)
     tallies: Tallies | None = None
     diagnostics: Diagnostics = field(default_factory=Diagnostics)
     pending_questions: list[PendingQuestion] = field(default_factory=list)
@@ -113,8 +107,8 @@ class TranslationResult:
     model: ERModel
 
 
-def tallies_from_steps(steps: list[Step], compulsory_lines: int = 0) -> Tallies:
-    logged = Counter(step.kind for step in steps)
+def tallies_from_steps(steps: list[tuple[str, str, str]], compulsory_lines: int = 0) -> Tallies:
+    logged = Counter(kind for kind, _, _ in steps)
     counts = {name: logged[kind] for name, (kind, _) in ELEMENT_CLASSES.items()}
     return Tallies(compulsory_lines=compulsory_lines, **counts)
 
@@ -205,7 +199,7 @@ class Translator:
     def _step(self, element_class: str, source: str, produced: str) -> None:
         """Record one step of *element_class* and the provenance of what it produced."""
         self.scheme.provenance[produced] = source
-        self.report.steps.append(Step(ELEMENT_CLASSES[element_class][0], source, produced))
+        self.report.steps.append((ELEMENT_CLASSES[element_class][0], source, produced))
 
     # -- pipeline --
 

@@ -46,9 +46,10 @@ def test_tally_differing_from_the_census_is_named(result):
 
 def test_duplicated_step_source_fails_only_optimality(result):
     steps = result.report.steps
-    steps[1].source = steps[0].source
+    kind, _, produced = steps[1]
+    steps[1] = (kind, steps[0][1], produced)
     assert _failing(result) == {
-        "optimality": [f"{steps[0].source} is the source of 2 steps"],
+        "optimality": [f"{steps[0][1]} is the source of 2 steps"],
     }
 
 

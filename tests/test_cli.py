@@ -12,13 +12,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdmc import cli
+from erdmc import cli, generator, translator
 from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
 from erdmc.formula import MAX_FORMULA_DEPTH
 from erdmc.generator import random_model
 from erdmc.lexer import tokenize
-from erdmc.model import validate_model
+from erdmc.model import Diagram, validate_model
 from erdmc.parser import parse_model
 from erdmc.translator import translate
 from test_model import VALIDATE_CASES
@@ -474,6 +474,32 @@ def test_check_fuzz_mode(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 20
     assert "FAIL" not in out
+
+
+def test_check_fuzz_validates_each_model_once(capsys, monkeypatch):
+    # Counted wherever a command could call it: translate, and not the generator.
+    calls = []
+    validate = translator.validate_model
+    for module in (cli, generator, translator):
+        monkeypatch.setattr(module, "validate_model",
+                            lambda model: calls.append(model) or validate(model), raising=False)
+    assert main(["check", "--fuzz", "10"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 10
+
+
+def test_check_fuzz_fails_an_invalid_generated_model_without_a_traceback(capsys, monkeypatch):
+    # The generator does not validate its model: translate refuses it. Here
+    # the generator lists its diagram's first set twice.
+    monkeypatch.setattr(generator, "Diagram",
+                        lambda name, sets: Diagram(name, sets + sets[:1]))
+    first = generator.random_model(0).diagrams[0].sets[0].name
+    assert main(["check", "--fuzz", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "model 0: SOUNDNESS: FAIL" in captured.out.splitlines()
+    assert (f"model 0: soundness: error: duplicate-set-name: object set {first!r} "
+            f"declared twice [{first}]") in captured.err.splitlines()
+    assert "Traceback" not in captured.err
 
 
 def test_check_untranslatable_model_fails(tmp_path, capsys, teaching_source):

@@ -3,13 +3,24 @@ from __future__ import annotations
 from erdmc.census import census
 from erdmc.generator import random_model, sized_model
 from erdmc.model import validate_model
+from test_pinned_outputs import RELATIONAL_LIMITS
+
+# The bulk workload's size ladder, as perfbench/workloads.py sets it.
+BULK_LADDER = (500, 1000, 2000, 4000)
 
 
 def test_generated_models_are_valid_and_deterministic():
-    for seed in range(60):
+    # The generators do not validate what they return; these tests hold them to it.
+    for seed in range(1000):
         model = random_model(seed)
-        assert validate_model(model).errors == []
-        assert random_model(seed) == model
+        assert validate_model(model).errors == [], seed
+        if seed < 60:
+            assert random_model(seed) == model
+
+
+def test_generated_models_at_the_relational_limits_are_valid():
+    for seed in (1, 2, 3):
+        assert validate_model(random_model(seed, **RELATIONAL_LIMITS)).errors == [], seed
 
 
 def test_generated_models_cover_the_element_classes():
@@ -33,3 +44,9 @@ def test_sized_models_hit_their_target_scale():
         model = sized_model(7, target)
         total = census(model).total
         assert target <= total <= target + 12
+
+
+def test_sized_models_on_the_bulk_ladder_are_valid():
+    for seed in (1, 2):
+        for target in BULK_LADDER:
+            assert validate_model(sized_model(seed, target)).errors == [], (seed, target)

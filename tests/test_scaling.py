@@ -1,4 +1,4 @@
-"""Enrichment and the text emitter walk the scheme a fixed number of times.
+"""Enrichment, the soundness check and the text emitter walk the scheme a fixed number of times.
 
 Rules (v)-(ix) run in time linear in the scheme when no rule walks the
 provenance map or the constraint list once per firing. Rule (viii) used to
@@ -25,6 +25,7 @@ import pytest
 from erdmc.emitter import emit_text
 from erdmc.enrichment import EnrichmentLog, enrich_scheme
 from erdmc.generator import random_model
+from erdmc.scheme import check_scheme
 from erdmc.translator import Translator, translate
 
 # The relational workload's limits, as perfbench/workloads.py sets them.
@@ -35,9 +36,9 @@ RELATIONAL_LIMITS = dict(
 # The provenance map and the constraint list are each walked once to find
 # the largest label (rule vii) and at most once more by rule (viii).
 WALKS = 2
-# emit_text walks the constraint list twice in the soundness check, once to
+# emit_text walks the constraint list once in the soundness check, once to
 # file each constraint under its set, and there is one walk to spare.
-EMIT_WALKS = 4
+EMIT_WALKS = 3
 
 
 class _WalkCountingDict(dict):
@@ -101,3 +102,13 @@ def test_emit_text_walks_the_constraints_a_fixed_number_of_times(k):
         scheme.constraints = _WalkCountingList(scheme.constraints)
         emit_text(scheme, unicode=unicode)
         assert scheme.constraints.walks <= EMIT_WALKS
+
+
+def test_check_scheme_walks_the_sets_twice_and_the_constraints_once():
+    # Each element's provenance reference is taken as the walk checks it.
+    scheme = translate(_relational_model(1)).scheme
+    assert scheme is not None
+    scheme.sets = _WalkCountingList(scheme.sets)
+    scheme.constraints = _WalkCountingList(scheme.constraints)
+    assert check_scheme(scheme) == []
+    assert (scheme.sets.walks, scheme.constraints.walks) == (2, 1)

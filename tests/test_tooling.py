@@ -109,3 +109,15 @@ def test_only_the_diagnostics_module_builds_a_diagnostic():
                 if name == "Diagnostic":
                     builders.append(f"{path.stem}:{call.lineno}")
     assert builders == []
+
+
+def test_src_holds_no_assert():
+    # An assert vanishes under python -O, and otherwise ends in a traceback
+    # where a command should end in an exit code and a diagnostic.
+    asserts = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

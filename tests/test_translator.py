@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -142,8 +144,16 @@ def test_golden_tallies_match_hand_census(teaching_model):
 
 def test_each_element_contributes_exactly_one_step(teaching_model):
     result = translate(teaching_model)
-    sources = [s.source for s in result.report.steps]
+    sources = [source for _, source, _ in result.report.steps]
     assert len(sources) == len(set(sources))
+
+
+def test_steps_leave_the_collectors_books(teaching_model):
+    # Exact tuples of strings: one collection stops tracking every step.
+    steps = translate(teaching_model).report.steps
+    gc.collect()
+    assert len(steps) == 57
+    assert [s for s in steps if gc.is_tracked(s)] == []
 
 
 def test_every_input_element_has_provenance(teaching_model):
