@@ -146,9 +146,12 @@ def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
     else:
         soundness = [d.render() for d in check_scheme(result.scheme)]
         # A compulsory restriction covers its reference through one entry per
-        # member, so the part of a provenance value before a "[" is covered too.
+        # member, so the part of a provenance value before each "[" is covered too.
         covered = set(result.scheme.provenance.values())
-        covered |= {v[:i] for v in covered if "[" in v for i, c in enumerate(v) if c == "["}
+        for v in result.scheme.provenance.values():
+            while (i := v.rfind("[")) >= 0:
+                v = v[:i]
+                covered.add(v)
         completeness = [
             f"{ref} has no provenance" for ref in sorted(source_universe(result.model) - covered)
         ]

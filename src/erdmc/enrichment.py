@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping as MappingType
 
 from .diagnostics import INFO, WARNING, Diagnostics
@@ -28,9 +28,13 @@ from .formula import quantifier_domains
 from .model import (
     COMPUTED,
     AsciiRange,
+    Attribute,
     CardinalityBody,
+    Diagram,
     ERModel,
     ObjectSet,
+    Restriction,
+    StructuralFunction,
     breaks_line,
     effective_cardinality,
     effective_range,
@@ -165,7 +169,7 @@ def apply_input_defaults(
     diagrams = []
     for d in model.diagrams:
         sets = (_default_one_set(s, model, dbms_max_cardinality, log) for s in d.sets)
-        diagrams.append(replace(d, sets=tuple(s for s in sets if s is not None)))
+        diagrams.append(Diagram(name=d.name, sets=tuple(s for s in sets if s is not None)))
 
     restrictions = []
     for r in model.restrictions:
@@ -178,11 +182,11 @@ def apply_input_defaults(
                 "cardinality-clamped", r.label,
                 f"{r.label} exceeds the DBMS maximum {dbms_max_cardinality}; clamped", WARNING,
             )
-            r = replace(r, body=CardinalityBody(dbms_max_cardinality, None))
+            r = Restriction(r.label, r.target, CardinalityBody(dbms_max_cardinality, None))
         restrictions.append(r)
 
     return InputDefaultsResult(
-        replace(model, diagrams=tuple(diagrams), restrictions=tuple(restrictions)),
+        ERModel(tuple(diagrams), tuple(restrictions), model.description),
         log.diagnostics, log.actions, log.pending,
     )
 
@@ -190,72 +194,80 @@ def apply_input_defaults(
 def _default_one_set(
     s: ObjectSet, model: ERModel, dbms_max: int, log: EnrichmentLog
 ) -> ObjectSet | None:
+    # A record is rebuilt with one constructor call: a third of the cost of dataclasses.replace.
+    card, pow10, definition = s.max_cardinality, s.cardinality_pow10, s.computed_definition
+    attributes, functions = s.attributes, s.structural_functions
     if s.kind == COMPUTED:
-        return _define(s, "set", s.name, src_set(s.name), log)
-
-    changed = s
-    card, _ = effective_cardinality(model, s)
-    if card is None:
-        log.record(
-            EnrichmentAction(
-                RULE_MISSING_CARDINALITY, src_set(s.name),
-                f"defaulted cardinality of {s.name} to {dbms_max}",
-            ),
-            "cardinality-defaulted", s.name,
-            f"{s.name} has no maximum cardinality; using the DBMS maximum {dbms_max}", INFO,
-        )
-        changed = replace(changed, max_cardinality=dbms_max, cardinality_pow10=None)
-    elif card > dbms_max and s.max_cardinality is not None and s.max_cardinality > dbms_max:
-        log.record(
-            EnrichmentAction(
-                RULE_CARDINALITY_CLAMP, src_set(s.name),
-                f"clamped cardinality of {s.name} to {dbms_max}",
-            ),
-            "cardinality-clamped", s.name,
-            f"{s.name} cardinality exceeds the DBMS maximum {dbms_max}; clamped", WARNING,
-        )
-        changed = replace(changed, max_cardinality=dbms_max, cardinality_pow10=None)
-
-    attributes = []
-    for a in changed.attributes:
-        if a.is_computed:
-            a = _define(a, "attribute", f"{s.name}.{a.name}", src_attribute(s.name, a.name), log)
-        elif effective_range(model, s, a)[0] is None:
+        if (definition := _define(definition, "set", s.name, src_set(s.name), log)) is None:
+            return None
+    else:
+        effective, _ = effective_cardinality(model, s)
+        if effective is None:
             log.record(
                 EnrichmentAction(
-                    RULE_DEFAULT_RANGE, src_attribute(s.name, a.name),
-                    f"defaulted range of {s.name}.{a.name} to ASCII(255)",
+                    RULE_MISSING_CARDINALITY, src_set(s.name),
+                    f"defaulted cardinality of {s.name} to {dbms_max}",
                 ),
-                "range-defaulted", f"{s.name}.{a.name}",
-                f"{s.name}.{a.name} has no range; assuming ASCII(255)", INFO,
+                "cardinality-defaulted", s.name,
+                f"{s.name} has no maximum cardinality; using the DBMS maximum {dbms_max}", INFO,
             )
-            a = replace(a, range=DEFAULT_RANGE)
-        if a is not None:
+            card, pow10 = dbms_max, None
+        elif effective > dbms_max and card is not None and card > dbms_max:
+            log.record(
+                EnrichmentAction(
+                    RULE_CARDINALITY_CLAMP, src_set(s.name),
+                    f"clamped cardinality of {s.name} to {dbms_max}",
+                ),
+                "cardinality-clamped", s.name,
+                f"{s.name} cardinality exceeds the DBMS maximum {dbms_max}; clamped", WARNING,
+            )
+            card, pow10 = dbms_max, None
+
+        attributes, functions = [], []
+        for a in s.attributes:
+            if a.is_computed:
+                if (d := _define(a.computed_definition, "attribute", f"{s.name}.{a.name}",
+                                 src_attribute(s.name, a.name), log)) is None:
+                    continue
+                a = Attribute(name=a.name, range=a.range, computed_definition=d)
+            elif effective_range(model, s, a)[0] is None:
+                log.record(
+                    EnrichmentAction(
+                        RULE_DEFAULT_RANGE, src_attribute(s.name, a.name),
+                        f"defaulted range of {s.name}.{a.name} to ASCII(255)",
+                    ),
+                    "range-defaulted", f"{s.name}.{a.name}",
+                    f"{s.name}.{a.name} has no range; assuming ASCII(255)", INFO,
+                )
+                a = Attribute(name=a.name, range=DEFAULT_RANGE, computed_definition=None)
             attributes.append(a)
-    functions = []
-    for f in changed.structural_functions:
-        if f.is_computed:
-            f = _define(f, "function", f"{s.name}.{f.name}", src_function(s.name, f.name), log)
-        if f is not None:
+        for f in s.structural_functions:
+            if f.is_computed:
+                if (d := _define(f.computed_definition, "function", f"{s.name}.{f.name}",
+                                 src_function(s.name, f.name), log)) is None:
+                    continue
+                f = StructuralFunction(name=f.name, target=f.target, computed_definition=d)
             functions.append(f)
+        attributes, functions = tuple(attributes), tuple(functions)
 
-    # Build a new set only when a member changed. Tuples compare their items
-    # by identity first, so the test is cheap when nothing did.
-    attributes, functions = tuple(attributes), tuple(functions)
-    if attributes != changed.attributes or functions != changed.structural_functions:
-        changed = replace(changed, attributes=attributes, structural_functions=functions)
-    return changed
+    # Tuples compare their items by identity first, so the test is cheap.
+    if (card, pow10, definition, attributes, functions) == (s.max_cardinality,
+            s.cardinality_pow10, s.computed_definition, s.attributes, s.structural_functions):
+        return s
+    return ObjectSet(name=s.name, kind=s.kind, attributes=attributes, roles=s.roles,
+                     structural_functions=functions, included_in=s.included_in,
+                     max_cardinality=card, cardinality_pow10=pow10, computed_definition=definition)
 
 
-def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
-    """Rule (iv) for a computed set, attribute or function.
+def _define(definition: str | None, noun: str, name: str, source: str, log: EnrichmentLog):
+    """Rule (iv) for a computed set, attribute or function, given its *definition*.
 
-    An element whose definition is missing or blank gets one from *log*, or
-    is dropped: returns the element as it ends up, or None. A blank answer
-    counts as none, unless it breaks a line: validation then refuses it.
+    A definition that is missing or blank is asked of *log*; returns the
+    definition the element ends up with, or None when it is dropped. A blank
+    answer counts as none, unless it breaks a line: validation then refuses it.
     """
-    if (element.computed_definition or "").strip():
-        return element
+    if (definition or "").strip():
+        return definition
     definition = log.ask(
         name, "computed-definition", f"computed {noun} {name} has no definition; provide one",
     ) or ""
@@ -275,7 +287,7 @@ def _define(element, noun: str, name: str, source: str, log: EnrichmentLog):
         "computed-definition-supplied", name,
         f"definition for {supplied} supplied interactively", INFO,
     )
-    return replace(element, computed_definition=definition)
+    return definition
 
 
 # --- scheme-side rules (v)-(ix) ---

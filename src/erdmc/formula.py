@@ -166,9 +166,8 @@ def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Form
 
 def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
     lhs = _parse_term(stream, bound, depth)
-    if not stream.at(OP) or stream.peek()[1] not in COMPARE_OPS:
+    if (op := stream.take(COMPARE_OPS)) is None:
         raise stream.unexpected("comparison operator")
-    op = stream.advance()
     return Compare(op, lhs, _parse_term(stream, bound, depth))
 
 

@@ -16,6 +16,7 @@ replaced.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 
 from .diagnostics import LINE_BREAKS, ParseError, ParseFailure
 
@@ -109,7 +110,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
         kind = m.lastgroup
         group = m.lastindex
         start = m.start(group)
-        if kind == STRING:
+        if kind == NAME or kind == OP:  # most tokens: tested first, and taken as they are
+            append((kind, m.group(group), start))
+        elif kind == STRING:
             value = text[start + 1:m.end() - 1]
             if "\\" in value:
                 value = _unescape(value, text, start + 1)
@@ -124,11 +127,9 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
             # Stop: after blanks that run to the end, the end matches once more, empty.
             append((EOF, "", start))
             break
-        else:
+        else:  # an integer or a date
             value = m.group(group)
-            if len(value) > MAX_DIGITS and kind in (INT, DATE) and (
-                max(map(len, value.split("/"))) > MAX_DIGITS
-            ):
+            if len(value) > MAX_DIGITS and max(map(len, value.split("/"))) > MAX_DIGITS:
                 raise ParseFailure([parse_error(
                     text, start, f"integer longer than {MAX_DIGITS} digits",
                 )])
@@ -189,6 +190,15 @@ class TokenStream:
             self.last = self.pos
             self.pos += 1
             return t[1]
+        return None
+
+    def take(self, keywords: Container[str]) -> str | None:
+        """Consume the current token and return its value if it is a name or operator in *keywords*."""
+        kind, value, _ = self.tokens[self.pos]
+        if value in keywords and (kind == NAME or kind == OP):
+            self.last = self.pos
+            self.pos += 1
+            return value
         return None
 
     def advance(self) -> str:

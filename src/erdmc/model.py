@@ -502,11 +502,14 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
 
 
 def validate_definition(definition: str | None, element: str, err) -> None:
-    """Call ``err("definition-line-break", element, message)`` if *definition* breaks its line."""
+    """Call ``err(code, element, message)`` if *definition* would spoil the text output."""
     if definition and breaks_line(definition):
         err("definition-line-break", element,
             f"computed definition of {element} holds a line break, "
             "which would split its line of the text output")
+    if definition and re.search("[\ud800-\udfff]", definition):  # what UTF-8 cannot encode
+        err("definition-encoding", element, f"computed definition of {element} holds a "
+            "lone surrogate, which UTF-8 cannot encode for the text output")
 
 
 def range_form_fault(r: Range) -> str | None:

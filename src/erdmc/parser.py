@@ -82,11 +82,12 @@ def parse_model(source: str) -> ERModel:
 
     while not stream.at(EOF):
         try:
-            if stream.accept(NAME, "diagram"):
+            statement = stream.take(_TOPLEVEL)
+            if statement == "diagram":
                 diagrams.append(_parse_diagram(stream))
-            elif stream.accept(NAME, "restriction"):
+            elif statement == "restriction":
                 restrictions.append(_parse_restriction(stream))
-            elif stream.accept(NAME, "description"):
+            elif statement == "description":
                 keyword = stream.last
                 text = stream.expect(STRING, label="description text")
                 if description is not None:
@@ -120,9 +121,8 @@ def _parse_diagram(stream: TokenStream) -> Diagram:
 
 
 def _parse_set(stream: TokenStream) -> ObjectSet:
-    if not stream.at(NAME) or stream.peek()[1] not in _SET_KINDS:
+    if (kind := stream.take(_SET_KINDS)) is None:
         raise stream.unexpected("'entity', 'relationship', or 'computed'")
-    kind = stream.advance()
     name = stream.expect(NAME, label="set name")
 
     included: tuple[str, ...] = ()
@@ -140,12 +140,12 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
     attributes: list[Attribute] = []
     roles: list[Role] = []
     functions: list[StructuralFunction] = []
-    while not stream.accept(OP, "}"):
-        if stream.accept(NAME, "attr"):
+    while (keyword := stream.take(("attr", "role", "fn", "}"))) != "}":
+        if keyword == "attr":
             attributes.append(_parse_attribute(stream))
-        elif stream.accept(NAME, "role"):
+        elif keyword == "role":
             roles.append(Role(*_parse_arrow(stream, "role"), bool(stream.accept(NAME, "unique"))))
-        elif stream.accept(NAME, "fn"):
+        elif keyword == "fn":
             functions.append(StructuralFunction(
                 *_parse_arrow(stream, "function"), _parse_computed(stream)))
         else:
@@ -223,8 +223,8 @@ def _parse_range(stream: TokenStream) -> Range:
                 ) from None
             raise
         return Interval(lo, hi)
-    if stream.at(NAME) and stream.peek()[1] in _SIZED_RANGES:
-        sized, label = _SIZED_RANGES[stream.advance()]
+    if (keyword := stream.take(_SIZED_RANGES)) is not None:
+        sized, label = _SIZED_RANGES[keyword]
         stream.expect(OP, "(")
         size = int(stream.expect(INT, label=label))
         stream.expect(OP, ")")
@@ -254,11 +254,12 @@ def _parse_restriction(stream: TokenStream) -> Restriction:
     target = stream.expect(NAME, label="target set")
 
     body: RestrictionBody
-    if stream.accept(NAME, "subset_of"):
+    keyword = stream.take(("subset_of", "card", "range", "compulsory", "unique", "other"))
+    if keyword == "subset_of":
         body = InclusionBody(target, stream.expect(NAME, label="superset name"))
-    elif stream.accept(NAME, "card"):
+    elif keyword == "card":
         body = CardinalityBody(*_parse_cardinality(stream))
-    elif stream.accept(NAME, "range"):
+    elif keyword == "range":
         attr = stream.expect(NAME, label="attribute name")
         start = stream.last
         if stream.accept(OP, "."):
@@ -269,11 +270,11 @@ def _parse_restriction(stream: TokenStream) -> Restriction:
                 )
             attr = inner
         body = RangeBody(attr, _parse_range(stream))
-    elif stream.accept(NAME, "compulsory"):
+    elif keyword == "compulsory":
         body = CompulsoryBody(_parse_names(stream, "mapping name"))
-    elif stream.accept(NAME, "unique"):
+    elif keyword == "unique":
         body = UniquenessBody(_parse_names(stream, "mapping name"))
-    elif stream.accept(NAME, "other"):
+    elif keyword == "other":
         informal: str | None = None
         formal = None
         if stream.accept(NAME, "informal"):

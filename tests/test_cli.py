@@ -178,6 +178,43 @@ def test_answered_definition_with_a_line_break_exits_1(tmp_path, capsys, definit
     )
 
 
+SURROGATE_SOURCE = "diagram D { computed S { } entity A card 10 { attr a } }\n"
+SURROGATE_ERROR = (
+    "error: definition-encoding: after input defaults: computed definition of S holds a "
+    "lone surrogate, which UTF-8 cannot encode for the text output [S]"
+)
+
+
+@pytest.mark.usefixtures("post_defaults_oracle")
+def test_answered_definition_with_a_lone_surrogate_exits_1(tmp_path, capsys, monkeypatch):
+    """An answer that UTF-8 cannot encode is refused; the -o file keeps its bytes.
+
+    Such an answer comes from the answers document, or from --interactive when
+    stdin decodes bytes that are not UTF-8 as surrogates (surrogateescape).
+    """
+    model = tmp_path / "surrogate.erdm"
+    model.write_text(SURROGATE_SOURCE)
+    answers = tmp_path / "answers.json"
+    answers.write_text('{"S": {"computed-definition": "x\\ud800y"}}')
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    assert main(["translate", str(model), "--answers", str(answers), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines()[-1] == SURROGATE_ERROR
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(b"x\xffy\n"), encoding="utf-8", errors="surrogateescape"))
+    assert main(["translate", str(model), "--interactive", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == SURROGATE_ERROR
+    assert out.read_text() == "kept\n"
+
+
+def test_prompted_definition_with_a_lone_surrogate_is_refused():
+    result = translate(parse_model(SURROGATE_SOURCE),
+                       translator.TranslationOptions(prompter=lambda q: "x\ud800y"))
+    assert result.scheme is None
+    assert [d.render() for d in result.report.diagnostics.errors] == [SURROGATE_ERROR]
+
+
 @pytest.mark.usefixtures("post_defaults_oracle")
 def test_blank_answered_definition_is_dropped(tmp_path, capsys):
     model = tmp_path / "members.erdm"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -31,7 +32,18 @@ from erdmc.enrichment import (
 )
 from erdmc.formula import parse_formula
 from erdmc.generator import random_model
-from erdmc.model import AsciiRange, Diagram, ERModel, ObjectSet
+from erdmc.model import (
+    AsciiRange,
+    Attribute,
+    CardinalityBody,
+    Diagram,
+    ERModel,
+    NatRange,
+    ObjectSet,
+    Restriction,
+    Role,
+    StructuralFunction,
+)
 from erdmc.parser import parse_model
 from erdmc.scheme import (
     RELATIONSHIP_DERIVED,
@@ -246,6 +258,55 @@ def test_rule_iv_blank_definitions_are_asked_for_like_missing_ones():
     assert filled.set("S").computed_definition == "all of A"
     assert filled.set("A").attributes[1].computed_definition == "all of A"
     assert filled.set("A").structural_functions[0].computed_definition == "all of A"
+
+
+def _changed_fields(before, after) -> set[str]:
+    """The dataclass fields of *before* that *after* holds another value in."""
+    return {f.name for f in dataclasses.fields(before)
+            if getattr(after, f.name) != getattr(before, f.name)}
+
+
+def test_input_defaults_rebuild_records_with_every_field():
+    """A rebuilt record keeps each field that no rule repairs.
+
+    Every record below holds a value other than its default in every field
+    (save the range of an attribute that rule (iii) gives one), and each
+    rule that rebuilds a record fires on one: (i) on B, (ii) on E and R01,
+    (iii) on E.plain and (iv) on V, E.c and E.f.
+    """
+    c = Attribute("c", NatRange(3), " ")
+    plain = Attribute("plain", None, None)
+    f = StructuralFunction("f", "B", " ")
+    full_set = dict(roles=(Role("r", "B", True),), included_in=("B",),
+                    max_cardinality=10 ** 12, cardinality_pow10=12, computed_definition="all")
+    e = ObjectSet("E", "entity", (c, plain), structural_functions=(f,), **full_set)
+    v = ObjectSet("V", "computed", (c,), structural_functions=(f,),
+                  **full_set | dict(computed_definition=" "))
+    b = ObjectSet("B", "entity", (Attribute("b", AsciiRange(8)),))
+    r01 = Restriction("R01", "E", CardinalityBody(10 ** 12, 12))
+    model = ERModel((Diagram("D", (e, v, b)),), (r01,), "a description")
+    for record in (c, f, e, v, r01, model):
+        assert all(getattr(record, field.name) != field.default
+                   for field in dataclasses.fields(record)), record
+
+    answers = {name: {"computed-definition": "given"} for name in ("V", "E.c", "E.f")}
+    outcome = apply_input_defaults(model, DBMS_MAX, log=EnrichmentLog(answers))
+    assert sorted((a.rule, a.target) for a in outcome.actions) == [
+        ("i", "set:B"), ("ii", "R01"), ("ii", "set:E"), ("iii", "attribute:E.plain"),
+        ("iv", "attribute:E.c"), ("iv", "function:E.f"), ("iv", "set:V"),
+    ]
+    after = outcome.model
+    e2, v2, b2 = after.diagrams[0].sets
+    assert _changed_fields(model, after) == {"diagrams", "restrictions"}
+    assert _changed_fields(model.diagrams[0], after.diagrams[0]) == {"sets"}
+    assert _changed_fields(r01, after.restrictions[0]) == {"body"}
+    assert _changed_fields(e, e2) == {
+        "attributes", "structural_functions", "max_cardinality", "cardinality_pow10"}
+    assert _changed_fields(v, v2) == {"computed_definition"}
+    assert _changed_fields(b, b2) == {"max_cardinality"}
+    assert _changed_fields(c, e2.attributes[0]) == {"computed_definition"}
+    assert _changed_fields(plain, e2.attributes[1]) == {"range"}
+    assert _changed_fields(f, e2.structural_functions[0]) == {"computed_definition"}
 
 
 def test_rule_iv_drops_blank_answered_and_prompted_definitions():

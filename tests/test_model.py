@@ -210,6 +210,9 @@ VALIDATE_CASES = [
     ("computed-set-structure", "V", _dsl('computed V = "all" { attr v }')),
     ("computed-set-cardinality", "V", _dsl('computed V card 5 = "all" { }')),
     ("definition-line-break", "C.c", _dsl('entity C { attr c computed = "one\\ntwo" }')),
+    # a lone surrogate, which the text reader would not give
+    ("definition-encoding", "A.c", _single_set_model(ObjectSet(
+        name="A", kind="entity", attributes=(Attribute("c", None, "x\ud800y"),)))),
     ("computed-attribute-range", "C.c", _dsl('entity C { attr c : ascii(3) computed = "x" }')),
     ("computed-attribute-range", "R1",
      _dsl('entity C { attr c computed = "x" }', "restriction R1 on C range c nat(2)\n")),

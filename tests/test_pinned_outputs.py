@@ -10,7 +10,9 @@ every-codomain model, while json.dumps still wrote the structured document
 and the report; those of the mutation corpus's parse errors, while tokens
 still carried a line and a column, and again when an unexpected end of input
 came to be named as such; those of the validation corpus, while
-validate_model kept one accumulator per kind of declaration. A change meant
+validate_model kept one accumulator per kind of declaration; those of the
+bulk model, while the input defaults rebuilt records with
+dataclasses.replace. A change meant
 to keep the output as it is must leave them as they are; a change meant to
 alter the output updates them in the same commit and says why.
 """
@@ -104,6 +106,16 @@ def test_small_random_model_outputs_are_pinned():
         "d42825f0a00cfda58858460eee1801d4813f8f9187da26896dd8071aeeb840e2",
         "d60fc6e3ab3e741c3fdb9bf61f537ce16e95dd24fd75295f4bef6e397deadefb",
         "7f69fcb82548f18148fdf45cdfd3af355fb1df470394446f1a329446ed33c1dd",
+    )
+
+
+# Rule (iii) gives every attribute of a bulk model its range, and rules (i),
+# (vi) and (ix) fire on some of its sets.
+def test_bulk_model_outputs_are_pinned():
+    assert _digests([sized_model(1, 500)]) == (
+        "6a2f902b0115b70a17084c846d5c56dfec2dc2860e7eff49409e4631707aedea",
+        "787f1b786c17a18173ebbf94ea4813a59c7dc12d313403685b2f033065126c23",
+        "6a89c6992bc9e6851db33832ac134134f9f48ef6c8e0f6cc9e5ee215ad3d7ec6",
     )
 
 

@@ -252,6 +252,8 @@ CHECK_CASES = [
         EMDMSet("V", sch.COMPUTED, computed_definition="all\nB\n  x <-> NAT(1), total"))),
     ("definition-line-break", "ROOMS.Room#",
      lambda m: setattr(_member(m, "ROOMS.Room#"), "computed_definition", "a\u2028b")),
+    ("definition-encoding", "V", lambda m: m.add_set(
+        EMDMSet("V", sch.COMPUTED, computed_definition="x\ud800y"))),
     ("role-signature", "SCHEDULES", lambda m: setattr(m.set("SCHEDULES"), "role_signature", ())),
     ("roles-on-entity", "ROOMS", lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.ROLE)),
     ("singleton-key", "ROOMS.R90", lambda m: m.set("ROOMS").keys.append(Key("R90", ("Room#",)))),
