@@ -181,7 +181,12 @@ def _print_diagnostics(result: TranslationResult) -> None:
 def _stdin_prompter(question: Question) -> str | None:
     print(f"{question.subject} [{question.kind}]: {question.prompt}", file=sys.stderr)
     print("> ", end="", file=sys.stderr, flush=True)
-    line = sys.stdin.readline()
+    # Decode the line's bytes here, whatever stdin's error handler: bytes its
+    # encoding cannot decode become lone surrogates, which the translator refuses.
+    stdin = sys.stdin
+    buffer = getattr(stdin, "buffer", None)  # a text stream in memory has none
+    line = (stdin.readline() if buffer is None
+            else buffer.readline().decode(stdin.encoding, "surrogateescape"))
     return line.strip() or None
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
@@ -14,8 +15,7 @@ LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 _LINE_BREAK_RE = re.compile(f"[{LINE_BREAKS}]")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """A message attached to a model or scheme element.
 
     Errors abort scheme emission; warnings and infos do not.
@@ -41,7 +41,8 @@ class Diagnostics(list):
     """The findings of one check or translation, in the order they were made."""
 
     def add(self, code: str, element: str, message: str, severity: str = ERROR) -> None:
-        self.append(Diagnostic(severity, code, message, element))
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple generates.
+        self.append(tuple.__new__(Diagnostic, (severity, code, message, element)))
 
     @property
     def errors(self) -> list[Diagnostic]:

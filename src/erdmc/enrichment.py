@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping as MappingType
+from typing import Callable, Mapping as MappingType, NamedTuple
 
 from .diagnostics import INFO, WARNING, Diagnostics
 from .formula import quantifier_domains
@@ -76,8 +76,7 @@ FALLBACK_UNIQUE = "UniqueMapping"
 DEFAULT_RANGE = AsciiRange(255)
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     """An interactive prompt issued while translating or enriching."""
 
     subject: str  # set name, mapping path, or restriction label
@@ -85,15 +84,13 @@ class Question:
     prompt: str
 
 
-@dataclass(frozen=True)
-class PendingQuestion:
+class PendingQuestion(NamedTuple):
     question: Question
     answer: str | None
     origin: str  # "answers" | "prompt" | "unanswered"
 
 
-@dataclass(frozen=True)
-class EnrichmentAction:
+class EnrichmentAction(NamedTuple):
     """One rule firing, as the report lists it."""
 
     rule: str

@@ -55,23 +55,26 @@ MAX_DIGITS = 4300
 _INTEGER_LIMIT = 10 ** MAX_DIGITS
 
 # A date (day/month/year) and a name, as the tokenizer reads them.
-DATE_FORM = r"\d+/\d+/\d+"
-NAME_FORM = r"[A-Za-z_][A-Za-z0-9_#]*"
+DATE_FORM = r"\d++/\d++/\d++"
+NAME_FORM = r"[A-Za-z_][A-Za-z0-9_#]*+"
 NAME_RE = re.compile(NAME_FORM)  # a name printed bare must match it whole, to read back
 
 # Each match is one token: blanks and comments (a '#' that does not continue
 # a name), then one alternative per token kind, each named after the kind it
-# yields, so the token is the last group that matched. Their first characters
-# are disjoint, so at most one can start at any position; "error" takes any
-# other character, an unclosed quote included, and "eof" the end of the text.
+# yields, so the token is the last group that matched. Names and operators,
+# most tokens, come first. The alternatives' first characters are disjoint,
+# but a date is tried before an int; "error" takes any other character, an
+# unclosed quote included, and "eof" the end of the text. Every run is
+# possessive (``*+``, ``++``): what follows a run can never continue it, so
+# no match gives characters back.
 # A string ends at its line: a backslash escapes any character but a newline.
 # Operators are listed longest first so "<->" is not read as "<" + "->".
-_TOKEN_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join([
-    r'(?P<string>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")',
-    f"(?P<date>{DATE_FORM})",
-    r"(?P<int>\d+)",
+_TOKEN_RE = re.compile(r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:" + "|".join([
     f"(?P<name>{NAME_FORM})",
     r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
+    r'(?P<string>"[^"\\\n]*+(?:\\[^\n][^"\\\n]*+)*+")',
+    f"(?P<date>{DATE_FORM})",
+    r"(?P<int>\d++)",
     "(?P<glyph>[" + "".join(_GLYPHS) + "])",
     r"(?P<error>.)",
     r"(?P<eof>\Z)",

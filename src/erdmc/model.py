@@ -41,15 +41,23 @@ def breaks_line(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def holds_surrogate(text: str) -> bool:
+    """True iff *text* holds a surrogate code point, which UTF-8 cannot encode."""
+    return _SURROGATE_RE.search(text) is not None
+
+
 # --- value ranges ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntBound:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pow10Bound:
     """A power-of-ten literal, kept in its surface form (``10^4``)."""
 
@@ -60,7 +68,7 @@ class Pow10Bound:
         return 10 ** self.exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DateBound:
     """A day/month/year literal, kept verbatim."""
 
@@ -72,7 +80,7 @@ class DateBound:
         return (y, m, d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FuncBound:
     """An opaque function token such as a system-date call; never evaluated."""
 
@@ -82,18 +90,18 @@ class FuncBound:
 Bound = Union[IntBound, Pow10Bound, DateBound, FuncBound]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     lo: Bound
     hi: Bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AsciiRange:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatRange:
     digits: int
 
@@ -120,7 +128,7 @@ BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
 # --- diagram members ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attribute:
     name: str
     range: Range | None = None
@@ -131,7 +139,7 @@ class Attribute:
         return self.computed_definition is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Role:
     """A canonical Cartesian projection from a relationship set to a participant."""
 
@@ -140,7 +148,7 @@ class Role:
     declared_unique: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructuralFunction:
     """A functional arrow between object sets that is not an inclusion."""
 
@@ -153,7 +161,7 @@ class StructuralFunction:
         return self.computed_definition is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectSet:
     name: str
     kind: str  # entity | relationship | computed
@@ -180,7 +188,7 @@ class ObjectSet:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagram:
     name: str
     sets: tuple[ObjectSet, ...] = ()
@@ -189,30 +197,30 @@ class Diagram:
 # --- restrictions ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InclusionBody:
     subset: str
     superset: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RangeBody:
     attribute: str  # bare name, resolved against the restriction target
     range: Range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CardinalityBody:
     maximum: int
     pow10: int | None = None  # surface form when written as 10^n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompulsoryBody:
     mappings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UniquenessBody:
     mappings: tuple[str, ...]
 
@@ -221,7 +229,7 @@ class UniquenessBody:
         return len(self.mappings) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OtherBody:
     informal: str | None = None
     formal: Formula | None = None
@@ -232,7 +240,7 @@ RestrictionBody = Union[
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Restriction:
     label: str
     target: str
@@ -242,7 +250,7 @@ class Restriction:
 # --- the model ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # no slots: the cached_property indexes need a __dict__
 class ERModel:
     diagrams: tuple[Diagram, ...] = ()
     restrictions: tuple[Restriction, ...] = ()
@@ -507,7 +515,7 @@ def validate_definition(definition: str | None, element: str, err) -> None:
         err("definition-line-break", element,
             f"computed definition of {element} holds a line break, "
             "which would split its line of the text output")
-    if definition and re.search("[\ud800-\udfff]", definition):  # what UTF-8 cannot encode
+    if definition and holds_surrogate(definition):
         err("definition-encoding", element, f"computed definition of {element} holds a "
             "lone surrogate, which UTF-8 cannot encode for the text output")
 

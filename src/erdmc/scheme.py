@@ -30,7 +30,9 @@ from .formula import (
     quantifier_domains,
 )
 from .lexer import MAX_DIGITS, NAME_RE, is_integer
-from .model import FACETS, NatRange, Range, range_form_fault, validate_definition, validate_range
+from .model import (
+    FACETS, NatRange, Range, holds_surrogate, range_form_fault, validate_definition, validate_range,
+)
 
 ENTITY_DERIVED = "entity-derived"
 RELATIONSHIP_DERIVED = "relationship-derived"
@@ -262,7 +264,12 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: C
 
 def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callable) -> str | None:
     if isinstance(term, Literal):
-        if not (is_integer(term.value) or isinstance(term.value, str)):
+        value = term.value
+        if isinstance(value, str):
+            if holds_surrogate(value):
+                bad("bad-formula", "string literal holds a lone surrogate, which UTF-8 cannot "
+                    "encode for the text output")
+        elif not is_integer(value):
             bad("bad-formula", f"literal is neither a string nor an integer of at most {MAX_DIGITS} digits")
         return _VALUE
     if isinstance(term, Var):
@@ -468,6 +475,9 @@ def check_constraint(
                 f"but belongs to {c.set_name!r}")
         resolve_formula(scheme, c.formula, element, bad)
     elif isinstance(c, NonrelationalConstraint):
+        if c.informal and holds_surrogate(c.informal):
+            bad("informal-encoding", element, f"informal text of {c.label} holds a lone "
+                "surrogate, which UTF-8 cannot encode for the text output")
         if c.formula is None:
             if not c.informal:
                 bad("empty-constraint", element,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .census import ELEMENT_CLASSES, Tallies
 from .diagnostics import WARNING, Diagnostics, ParseFailure
@@ -76,8 +77,7 @@ class TranslationOptions:
     prompter: Prompter | None = None
 
 
-@dataclass
-class ImplicitKeyNote:
+class ImplicitKeyNote(NamedTuple):
     set_name: str
     label: str
     mappings: tuple[str, ...]

@@ -6,12 +6,16 @@ import functools
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import erdmc
 from erdmc import cli, generator, translator
 from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
@@ -206,6 +210,22 @@ def test_answered_definition_with_a_lone_surrogate_exits_1(tmp_path, capsys, mon
     assert main(["translate", str(model), "--interactive", "-o", str(out)]) == 1
     assert capsys.readouterr().err.splitlines()[-1] == SURROGATE_ERROR
     assert out.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("errors", ["strict", "replace"])
+def test_interactive_answer_that_stdin_cannot_decode_exits_1(tmp_path, errors):
+    """Under any stdin error handler, an answer line that is not UTF-8 is refused
+    as the lone surrogates that surrogateescape decodes it to: no traceback, and
+    no U+FFFD in its place."""
+    model = tmp_path / "surrogate.erdm"
+    model.write_text(SURROGATE_SOURCE)
+    path = [str(Path(erdmc.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = os.environ | {"PYTHONIOENCODING": f"utf-8:{errors}",
+                        "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run([sys.executable, "-m", "erdmc", "translate", str(model), "--interactive"],
+                          input=b"\xff\xfe\n", capture_output=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.decode().splitlines()[-1] == SURROGATE_ERROR
 
 
 def test_prompted_definition_with_a_lone_surrogate_is_refused():

@@ -198,11 +198,15 @@ _PIECES = [
     ":", "^", ".", "=", "&", "|", "!", '"ab"', '""', '"a\\"b"', '"\\n\\q"', '"\\u00e9"',
     '"\\uzz"', '"\\ud800"', '"a\nb"', " ", "\t", "\r\n", "\n", "# note", "#", "Room#",
     "a#b", '"', "\\", "$", "/", *_GLYPHS,
+    # characters that str.split takes as blanks, but the scanner does not
+    "\x0b", "\x0c", "\u00a0", "\u2028",
 ]
 
 
 @given(st.one_of(
     st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+    # a comment that the end of the input closes
+    st.lists(st.sampled_from(_PIECES), max_size=24).map(lambda pieces: "".join(pieces) + " # end"),
     st.text(alphabet=sorted({c for piece in _PIECES for c in piece}), max_size=40),
 ))
 def test_tokenize_scans_as_the_reference_does(text):

@@ -325,6 +325,11 @@ CHECK_CASES = [
      _r41(Compare("<>", Apply("SSN", Var("x")), Literal(1.5)))),
     ("bad-formula", "constraint:R41",
      _r41(Compare("<>", Apply("SSN", Var("x")), Literal(True)))),
+    # text that UTF-8 cannot encode, which the text output would print
+    ("bad-formula", "constraint:R41",
+     _r41(Compare("<>", Apply("SSN", Var("x")), Literal("z\ud800")))),
+    ("informal-encoding", "constraint:R41",
+     lambda m: vars(_constraint(m, "R41")).update(formula=None, informal="x\ud800y")),
     # integers longer than the text reader reads, which str() would refuse to print
     ("bad-range", "SCHEDULES.Room",
      _codomain("SCHEDULES.Room", Interval(IntBound(1), IntBound(10 ** 4300)))),

@@ -121,3 +121,41 @@ def test_src_holds_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert asserts == []
+
+
+def _passes_true(decorator: ast.expr, keyword: str) -> bool:
+    """True iff *decorator* is a call that passes ``keyword=True``."""
+    return isinstance(decorator, ast.Call) and any(
+        k.arg == keyword and isinstance(k.value, ast.Constant) and k.value.value is True
+        for k in decorator.keywords)
+
+
+def test_model_records_are_slotted():
+    # A frozen model record is built once per element: slots make that
+    # cheaper. A class with a cached_property needs its __dict__ to cache into.
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"))
+    frozen, unslotted = [], []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for decorator in cls.decorator_list:
+            if _passes_true(decorator, "frozen"):
+                frozen.append(cls.name)
+                caches = "cached_property" in _names_used(cls)
+                if not caches and not _passes_true(decorator, "slots"):
+                    unslotted.append(cls.name)
+    assert "ObjectSet" in frozen and "ERModel" in frozen
+    assert unslotted == []
+
+
+def test_report_records_are_named_tuples():
+    # One of each is built per finding, rule firing or question.
+    records = {"diagnostics.py": {"Diagnostic"},
+               "enrichment.py": {"EnrichmentAction", "Question", "PendingQuestion"},
+               "translator.py": {"ImplicitKeyNote"}}
+    found = {}
+    for file, names in records.items():
+        for cls in ast.parse((SRC / file).read_text(encoding="utf-8")).body:
+            if isinstance(cls, ast.ClassDef) and cls.name in names:
+                found[cls.name] = [ast.unparse(base) for base in cls.bases]
+    assert found == {name: ["NamedTuple"] for names in records.values() for name in names}
