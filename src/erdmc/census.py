@@ -149,7 +149,7 @@ def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
         # member, so the part of a provenance value before each "[" is covered too.
         covered = set(result.scheme.provenance.values())
         for v in result.scheme.provenance.values():
-            while (i := v.rfind("[")) >= 0:
+            while type(v) is str and (i := v.rfind("[")) >= 0:  # soundness flags any other
                 v = v[:i]
                 covered.add(v)
         completeness = [

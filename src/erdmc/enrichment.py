@@ -461,11 +461,14 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     set, and each collapse moves its relationship's group. The groups stay
     complete: rule (v) has already run, and a collapse records only under
     its home, which then holds a third mapping and so never collapses.
+    Collapsed relationships leave ``scheme.sets`` at the end of the pass. No lookup
+    reaches one before: a role naming a relationship references it, which blocks its collapse.
     """
     references: Counter[str] | None = None  # counted at the first candidate
     owned: dict[str, list[str]] | None = None  # grouped at the first collapse
+    gone: list[EMDMSet] = []
 
-    for s in list(scheme.sets):
+    for s in scheme.sets:
         if s.kind != RELATIONSHIP_DERIVED:
             continue
         roles = s.role_mappings()
@@ -533,6 +536,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
                     owned.setdefault(owner, []).append(ref)
         _collapse(scheme, s, home, name, source_role, target_role, one_to_one,
                   owned.pop(s.name, []))
+        gone.append(s)
         log.record(
             EnrichmentAction(
                 RULE_COLLAPSE, ref_set(s.name),
@@ -545,6 +549,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
         references.subtract(role.codomain for role in roles)  # the roles left with it
         if target_role.codomain != home.name:  # the new mapping on the home
             references[target_role.codomain] += 1
+    scheme.remove_sets(gone)
 
 
 def _reference_counts(scheme: EMDMScheme) -> Counter[str]:
@@ -574,7 +579,7 @@ def _collapse(
     scheme: EMDMScheme, rel: EMDMSet, home: EMDMSet, name: str,
     source_role: Mapping, target_role: Mapping, one_to_one: bool, refs: list[str],
 ) -> None:
-    """Rule (viii)'s change: replace *rel*, owner of the provenance *refs*, by *name* on *home*."""
+    """Rule (viii)'s change: add *name* to *home* and move the provenance *refs* of *rel* to it."""
     home.mappings.append(Mapping(
         name=name,
         codomain=target_role.codomain,
@@ -582,7 +587,6 @@ def _collapse(
         total=source_role.total,
         one_to_one=one_to_one,
     ))
-    scheme.remove_set(rel)
 
     # Every displaced provenance entry survives under the new mapping so
     # completeness over the input elements still holds.

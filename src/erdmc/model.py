@@ -180,12 +180,8 @@ class ObjectSet:
             + [f.name for f in self.structural_functions]
         )
 
-    def member(self, name: str) -> Attribute | Role | StructuralFunction | None:
-        for group in (self.attributes, self.roles, self.structural_functions):
-            for m in group:
-                if m.name == name:
-                    return m
-        return None
+
+Member = Union[Attribute, Role, StructuralFunction]
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,6 +280,11 @@ class ERModel:
             index.setdefault(r.target, []).append(r)
         return index
 
+    @cached_property
+    def _ranges(self) -> dict[str, dict[str, Restriction]]:
+        """Each target set name to its attributes' first range restrictions, filled as asked."""
+        return {}
+
 
 # --- derived views shared by the translator and its callers ---
 
@@ -300,9 +301,11 @@ def effective_cardinality(model: ERModel, s: ObjectSet) -> tuple[int | None, str
 
 def effective_range(model: ERModel, s: ObjectSet, attr: Attribute) -> tuple[Range | None, str | None]:
     """Value range of an attribute and the source reference that supplied it."""
-    for r in model._restrictions_by_target.get(s.name, ()):
-        if isinstance(r.body, RangeBody) and r.body.attribute == attr.name:
-            return r.body.range, src_restriction(r.label)
+    if (ranges := model._ranges.get(s.name)) is None:  # per set: one map of all measured slower
+        ranges = model._ranges[s.name] = {r.body.attribute: r for r in reversed(
+            model._restrictions_by_target.get(s.name, ())) if isinstance(r.body, RangeBody)}
+    if (r := ranges.get(attr.name)) is not None:
+        return r.body.range, src_restriction(r.label)
     if attr.range is not None:
         return attr.range, src_attribute(s.name, attr.name)
     return None, None
@@ -387,8 +390,9 @@ def validate_model(model: ERModel) -> Diagnostics:
         for a in s.attributes:
             if a.range is not None:
                 declared["range"].setdefault((s.name, a.name), []).append("(inline)")
+    members: dict[str, dict[str, Member]] = {}  # of the first set under each name
     for s in model.object_sets():
-        _validate_set(s, sets, err)
+        members.setdefault(s.name, _validate_set(s, sets, err))
 
     labels: set[str] = set()
     for r in model.restrictions:
@@ -405,7 +409,7 @@ def validate_model(model: ERModel) -> Diagnostics:
                 f"restriction {r.label} targets computed set {r.target!r}; "
                 "computed sets carry only their definition",
             )
-        elif claim := _validate_restriction_body(r, target, sets, err):
+        elif claim := _validate_restriction_body(r, members[r.target], sets, err):
             kind, subject = claim
             declared[kind].setdefault(subject, []).append(r.label)
 
@@ -429,26 +433,27 @@ def validate_model(model: ERModel) -> Diagnostics:
     return errors
 
 
-def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
-    seen: set[str] = set()
-    names = s.member_names()
-    for name in names:
-        if name == OBJECT_IDENTIFIER:
+def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> dict[str, Member]:
+    """Check *s*; return each of its member names to the first member under it."""
+    members: dict[str, Member] = {}
+    declared = (*s.attributes, *s.roles, *s.structural_functions)
+    for m in declared:
+        if m.name == OBJECT_IDENTIFIER:
             err(
                 "reserved-identifier",
-                f"{s.name}.{name}",
+                f"{s.name}.{m.name}",
                 f"{OBJECT_IDENTIFIER!r} is reserved for the object identifier",
             )
-        if name in seen:
-            err("duplicate-member", f"{s.name}.{name}", f"member {name!r} declared twice on {s.name}")
-        seen.add(name)
-    for name in names:
-        if collision := facet_of(name, seen):
+        if m.name in members:
+            err("duplicate-member", f"{s.name}.{m.name}", f"member {m.name!r} declared twice on {s.name}")
+        members.setdefault(m.name, m)
+    for m in declared:
+        if collision := facet_of(m.name, members):
             owner, facet = collision
             err(
                 "reference-collision",
-                f"{s.name}.{name}",
-                f"member {name} of {s.name} is named like the {facet} facet of member "
+                f"{s.name}.{m.name}",
+                f"member {m.name} of {s.name} is named like the {facet} facet of member "
                 f"{owner}, so their provenance references would collide",
             )
 
@@ -495,8 +500,8 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             )
         if a.range is not None:
             validate_range(a.range, f"{s.name}.{a.name}", err)
-    for what, members in (("role", s.roles), ("structural function", s.structural_functions)):
-        for m in members:
+    for what, arrows in (("role", s.roles), ("structural function", s.structural_functions)):
+        for m in arrows:
             if m.target not in sets:
                 err("unresolved-set", f"{s.name}.{m.name}",
                     f"{what} {m.name} targets unknown set {m.target!r}")
@@ -507,10 +512,15 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> None:
             err("unresolved-set", s.name, f"{s.name} included in unknown set {sup!r}")
     if s.max_cardinality is not None and s.max_cardinality < 1:
         err("bad-cardinality", s.name, "maximum cardinality must be at least 1")
+    return members
 
 
 def validate_definition(definition: str | None, element: str, err) -> None:
     """Call ``err(code, element, message)`` if *definition* would spoil the text output."""
+    if definition is not None and type(definition) is not str:
+        err("definition-encoding", element,
+            f"computed definition of {element} is {definition!r}, which is no text")
+        return
     if definition and breaks_line(definition):
         err("definition-line-break", element,
             f"computed definition of {element} holds a line break, "
@@ -553,9 +563,9 @@ def validate_range(r: Range, element: str, err) -> None:
 
 
 def _validate_restriction_body(
-    r: Restriction, target: ObjectSet, sets: dict[str, ObjectSet], err
+    r: Restriction, members: dict[str, Member], sets: dict[str, ObjectSet], err
 ) -> tuple[str, object] | None:
-    """Check the body of *r*; return the kind and subject it declares, if any."""
+    """Check the body of *r*, whose target has *members*; return what it declares, if anything."""
     body = r.body
     if isinstance(body, InclusionBody):
         if body.subset != r.target:
@@ -566,24 +576,24 @@ def _validate_restriction_body(
             err("unresolved-set", r.label, f"{r.label} names unknown superset {body.superset!r}")
         return "inclusion", (body.subset, body.superset)
     elif isinstance(body, RangeBody):
-        member = target.member(body.attribute)
+        member = members.get(body.attribute)
         claim = None
         if not isinstance(member, Attribute):
             err(
                 "unknown-mapping",
                 r.label,
-                f"{r.label} ranges unknown attribute {body.attribute!r} on {target.name}",
+                f"{r.label} ranges unknown attribute {body.attribute!r} on {r.target}",
             )
         elif member.is_computed:
             err("computed-attribute-range", r.label, f"{r.label} ranges computed attribute {member.name}")
         else:
-            claim = "range", (target.name, body.attribute)
+            claim = "range", (r.target, body.attribute)
         validate_range(body.range, r.label, err)
         return claim
     elif isinstance(body, CardinalityBody):
         if body.maximum < 1:
             err("bad-cardinality", r.label, "maximum cardinality must be at least 1")
-        return "cardinality", target.name
+        return "cardinality", r.target
     elif isinstance(body, (CompulsoryBody, UniquenessBody)):
         if not body.mappings:
             err("empty-mappings", r.label, f"{r.label} lists no mappings")
@@ -592,12 +602,10 @@ def _validate_restriction_body(
             if name in seen:
                 err("duplicate-member", r.label, f"{r.label} lists {name!r} twice")
             seen.add(name)
-            if target.member(name) is None:
-                err("unknown-mapping", r.label, f"{r.label} names unknown mapping {name!r} on {target.name}")
-        if isinstance(body, UniquenessBody) and body.mappings and not (
-            seen - set(target.member_names())
-        ):
-            return "key", (target.name, frozenset(body.mappings))
+            if name not in members:
+                err("unknown-mapping", r.label, f"{r.label} names unknown mapping {name!r} on {r.target}")
+        if isinstance(body, UniquenessBody) and body.mappings and seen <= members.keys():
+            return "key", (r.target, frozenset(body.mappings))
     elif isinstance(body, OtherBody):
         if not body.informal and body.formal is None:
             err("empty-restriction", r.label, f"{r.label} carries neither informal nor formal text")

@@ -12,7 +12,7 @@ immutable and is safe to share read-only across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .diagnostics import Diagnostics
 from .formula import (
@@ -129,7 +129,7 @@ Constraint = InclusionConstraint | TupleConstraint | NonrelationalConstraint
 class EMDMScheme:
     """Sets in emit order, constraints, and the provenance map.
 
-    :meth:`add_set` and :meth:`remove_set` are the only writers of ``sets``:
+    :meth:`add_set` and :meth:`remove_sets` are the only writers of ``sets``:
     they keep the name index behind :meth:`set` current.
     """
 
@@ -140,9 +140,7 @@ class EMDMScheme:
     _by_name: dict[str, EMDMSet] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._by_name = {}
-        for s in self.sets:
-            self._by_name.setdefault(s.name, s)
+        self._by_name = {s.name: s for s in reversed(self.sets)}  # the first of a name wins
 
     def set(self, name: str) -> EMDMSet | None:
         return self._by_name.get(name)
@@ -151,20 +149,11 @@ class EMDMScheme:
         self.sets.append(s)
         self._by_name.setdefault(s.name, s)
 
-    def remove_set(self, s: EMDMSet) -> None:
-        """Remove *s* itself, found by identity rather than by ==."""
-        for i, other in enumerate(self.sets):
-            if other is s:
-                del self.sets[i]
-                break
-        else:
-            raise ValueError(f"set {s.name} is not in the scheme")
-        if self._by_name.get(s.name) is s:
-            del self._by_name[s.name]
-            for other in self.sets:  # a duplicate name falls back to its next set
-                if other.name == s.name:
-                    self._by_name[s.name] = other
-                    break
+    def remove_sets(self, gone: Iterable[EMDMSet]) -> None:
+        """Remove each set of *gone* itself, found by identity rather than by ==."""
+        ids = {id(s) for s in gone}
+        self.sets[:] = [s for s in self.sets if id(s) not in ids]
+        self.__post_init__()
 
 
 # --- scheme element references ---
@@ -236,7 +225,7 @@ def resolve_formula(scheme: EMDMScheme, f: Formula, element: str, bad: Callable)
 
 def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: Callable) -> None:
     if isinstance(node, Forall):
-        if not NAME_RE.fullmatch(node.variable):
+        if type(node.variable) is not str or not NAME_RE.fullmatch(node.variable):
             bad("bad-name", f"quantified variable {node.variable!r} is not a name")
         if scheme.set(node.domain) is None:
             bad("formula-resolution", f"quantifier domain {node.domain!r} is not a scheme set")
@@ -302,11 +291,11 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     diagnostics = Diagnostics()
     bad = diagnostics.add
 
-    is_name = NAME_RE.fullmatch  # each name that emit_text prints bare must be one
+    is_name = NAME_RE.fullmatch  # each name that emit_text prints bare must be a str and one
     seen_sets: set[str] = set()
     seen_labels: set[str] = set()
     for s in scheme.sets:
-        if not is_name(s.name):
+        if type(s.name) is not str or not is_name(s.name):
             bad("bad-name", s.name, f"{s.name!r} is not a name")
         if s.name in seen_sets:
             bad("duplicate-set", s.name, f"scheme set {s.name} appears twice")
@@ -349,7 +338,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
         for m in members:
             element = f"{s.name}.{m.name}"
             refs.append(ref_mapping(s.name, m.name))
-            if not is_name(m.name):
+            if type(m.name) is not str or not is_name(m.name):
                 bad("bad-name", element, f"{m.name!r} is not a name")
             if m.name in seen_mappings:
                 bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
@@ -397,7 +386,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 bad("singleton-key", element,
                     "single-mapping uniqueness is a mapping flag, not a key")
             for name in k.mappings:
-                if s.mapping(name) is None:
+                if name not in seen_mappings:
                     bad("unresolved-key-mapping", element,
                         f"key {k.label} names unknown mapping {name!r}")
             mapping_set = frozenset(k.mappings)
@@ -409,7 +398,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             elif k.implicit != is_implicit_key(k, s):
                 bad("implicit-flag", element,
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
-            if not is_name(k.label):
+            if type(k.label) is not str or not is_name(k.label):
                 bad("bad-name", element, f"{k.label!r} is not a name")
             if k.label in seen_labels:
                 bad("duplicate-label", element, f"label {k.label} reused")
@@ -419,7 +408,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
         refs.append(ref_constraint(c))
         check_constraint(scheme, c, bad)
         if c.label is not None:
-            if not is_name(c.label):
+            if type(c.label) is not str or not is_name(c.label):
                 bad("bad-name", f"constraint:{c.label}", f"{c.label!r} is not a name")
             if c.label in seen_labels:
                 bad("duplicate-label", f"constraint:{c.label}", f"label {c.label} reused")
@@ -432,7 +421,9 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     # the scheme holds. Names may hold "#" too, so the element is the part
     # before some "#", not always the first.
     base = set(refs)
-    for ref in scheme.provenance:
+    for ref, source in scheme.provenance.items():
+        if type(source) is not str:
+            bad("stray-provenance", ref, f"{ref} has the source {source!r}, which is no reference")
         if ref not in base:
             cut = ref.find("#")
             while cut != -1 and ref[:cut] not in base:

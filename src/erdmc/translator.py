@@ -153,15 +153,15 @@ def _reference_order(model: ERModel, diagnostics: Diagnostics) -> list[ObjectSet
     heapq.heapify(ready)
     remaining = {i for i in range(len(sets)) if depends[i]}
     order: list[int] = []
+    stuck = 0  # the least of remaining at a cycle; remaining only shrinks, so it only grows
     while ready or remaining:
-        if not ready:
-            stuck = min(remaining)  # cycle: fall back to declaration order
+        if not ready:  # cycle: fall back to declaration order
+            while stuck not in remaining:
+                stuck += 1
             diagnostics.add("reference-cycle", sets[stuck].name, f"{sets[stuck].name} "
                             "participates in a reference cycle; declaration order used", WARNING)
             remaining.discard(stuck)
-            heapq.heappush(ready, stuck)
-            for j in dependents[stuck]:
-                depends[j].discard(stuck)
+            heapq.heappush(ready, stuck)  # popped next, it frees its dependents below
             continue
         i = heapq.heappop(ready)
         order.append(i)
@@ -305,10 +305,11 @@ class Translator:
                        ref_mapping(s.name, attr.name))
 
         restrictions = self.model.restrictions_on(s.name)
+        mappings = {m.name: m for m in target.mappings}
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and r.body.is_singleton:
                 name = r.body.mappings[0]
-                mapping = target.mapping(name)
+                mapping = mappings[name]
                 mapping.one_to_one = True
                 mapping.source_labels["unique"] = r.label
                 facet = ref_mapping(s.name, name, f"unique:{r.label}")
@@ -317,7 +318,7 @@ class Translator:
         for r in restrictions:
             if isinstance(r.body, CompulsoryBody):
                 for name in r.body.mappings:
-                    mapping = target.mapping(name)
+                    mapping = mappings[name]
                     mapping.total = True
                     mapping.source_labels["total"] = r.label
                     facet = ref_mapping(s.name, name, f"total:{r.label}")

@@ -71,6 +71,15 @@ def test_compulsory_restriction_is_covered_through_its_member_entries(result):
     }
 
 
+def test_a_source_that_is_no_text_fails_soundness_and_completeness(result):
+    ref = "mapping:STUDENTS.SSN#unique:R28"
+    result.scheme.provenance[ref] = 5
+    assert _failing(result) == {
+        "soundness": [f"error: stray-provenance: {ref} has the source 5, which is no reference [{ref}]"],
+        "completeness": ["restriction:R28 has no provenance"],
+    }
+
+
 def test_partial_role_fails_only_soundness(result):
     result.scheme.set("ATTENDANCES").mapping("Student").total = False
     assert _failing(result) == {

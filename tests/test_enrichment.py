@@ -718,14 +718,18 @@ def test_rule_viii_collapse_chain_moves_provenance_in_order():
     # R collapses onto H, a relationship-derived set; H then collapses onto
     # A, carrying R's entries along. Rule (viii) itself never plans the
     # second step (H then holds three mappings), so the test makes it through
-    # the collapse helper, passing H's entries as the rule would group them.
+    # the collapse helper, passing H's entries as the rule would group them
+    # and removing H as the rule does at the end of its pass.
     enriched = _pre_enrichment_scheme(CHAIN_SOURCE)
     first = _run(collapse_binary_relationships, enriched).actions
     assert [a.target for a in first] == ["set:R"]
+    assert [s.name for s in enriched.sets] == ["A", "B", "C", "H"]
     h = enriched.set("H")
     owned = [ref for ref in enriched.provenance if ref_owner(ref) == "H"]
     _collapse(enriched, h, enriched.set("A"), "H", h.mapping("h1"), h.mapping("h2"), False,
               owned)
+    assert enriched.set("H") is h  # the helper moves provenance; it removes no set
+    enriched.remove_sets([h])
     assert [s.name for s in enriched.sets] == ["A", "B", "C"]
     assert list(enriched.provenance.items()) == [
         ("set:A", "set:A"),

@@ -1,4 +1,4 @@
-"""Every stage does work linear in the model: counted in calls, not in seconds.
+"""Every stage does work linear in the model: counted in calls and lines, not in seconds.
 
 A command on the disjoint union of n renamed copies of one model must call
 each function of erdmc a + b*n times: a fixed number per command and a fixed
@@ -13,15 +13,22 @@ n = 0 is left out: rule (vii)'s next_label and rule (viii)'s reference
 counts run once per pass, and only when some set needs them, so the empty
 model would not share the fixed term.
 
-Call counts cannot see O(n) work inside one call of a builtin, such as min
-over a set or list.remove in a loop that runs once per element: that work
-is invisible to the profiler, so it leaves the counts linear.
+A rescan inside one call, such as a loop over a set's members run once per
+member, leaves the call counts linear. So the same rule is applied to the
+line events of erdmc's files, counted with sys.settrace: on copies of
+models that collapse relationships (rule viii), and on one set that widens,
+with n times as many attributes, each ranged and made unique by a
+restriction of its own. A failure names the lines that broke it, by file
+and line. Neither count can see O(n) work inside one call of a builtin,
+such as min over a set or list.remove in a loop that runs once per element.
 """
 
 from __future__ import annotations
 
 import cProfile
+import os
 import pstats
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -64,17 +71,22 @@ def union_source(models: list[ERModel]) -> str:
     return "".join(parts)
 
 
+def _commands(path: Path, out: Path) -> None:
+    """A full translate and a check of *path*, each of which must succeed."""
+    translated = main(["translate", str(path), "-o", str(out / "s.txt"),
+                       "--structured", str(out / "s.json"), "--report", str(out / "r.json")])
+    checked = main(["check", str(path)])
+    assert (translated, checked) == (0, 0)
+
+
 def _call_counts(path: Path, out: Path) -> Counter:
     """Calls of each erdmc function in a full translate and a check of *path*."""
     profile = cProfile.Profile()
     profile.enable()
     try:
-        translated = main(["translate", str(path), "-o", str(out / "s.txt"),
-                           "--structured", str(out / "s.json"), "--report", str(out / "r.json")])
-        checked = main(["check", str(path)])
+        _commands(path, out)
     finally:
         profile.disable()
-    assert (translated, checked) == (0, 0)
     return Counter({
         f"{Path(file).name}:{line} {name}": calls
         for (file, line, name), (_, calls, *_) in pstats.Stats(profile).stats.items()
@@ -82,34 +94,94 @@ def _call_counts(path: Path, out: Path) -> Counter:
     })
 
 
-def _nonlinear_calls(model: ERModel, tmp_path: Path) -> dict[str, tuple[int, int, int]]:
-    """Each erdmc function whose call count on 1, 2 and 3 copies of *model* is not linear."""
-    counts = []
-    for n in (1, 2, 3):
-        source = union_source([model] * n)
+def _line_counts(path: Path, out: Path) -> Counter:
+    """Line events of each erdmc line in a full translate and a check of *path*."""
+    counts: Counter = Counter()
+    home = str(ERDMC)
+
+    def trace_lines(frame, event, arg):
+        if event == "line":
+            counts[frame.f_code.co_filename, frame.f_lineno] += 1
+        return trace_lines
+
+    def trace_calls(frame, event, arg):
+        return trace_lines if os.path.dirname(frame.f_code.co_filename) == home else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace_calls)
+    try:
+        _commands(path, out)
+    finally:
+        sys.settrace(previous)
+    return Counter({f"{Path(file).name}:{line}": n for (file, line), n in counts.items()})
+
+
+def _copies(model: ERModel) -> list[str]:
+    """The unions of 1, 2 and 3 copies of *model*."""
+    sources = [union_source([model] * n) for n in (1, 2, 3)]
+    for n, source in enumerate(sources, 1):
         assert census(parse_model(source)).total == n * census(model).total
-        path = tmp_path / f"union{n}.erdm"
+    return sources
+
+
+def _nonlinear(count, sources: list[str], tmp_path: Path) -> dict[str, tuple[int, int, int]]:
+    """Each key whose *count* on the three *sources* has a second difference other than 0."""
+    counts = []
+    for n, source in enumerate(sources, 1):
+        path = tmp_path / f"model{n}.erdm"
         path.write_text(source, encoding="utf-8")
         if n == 1:  # warm the command-line parser's cache, which fills on first use
             main(["validate", str(path)])
-        counts.append(_call_counts(path, tmp_path))
+        counts.append(count(path, tmp_path))
     c1, c2, c3 = counts
     return {
-        function: (c1[function], c2[function], c3[function])
-        for function in c1 | c2 | c3
-        if c3[function] - 2 * c2[function] + c1[function] != 0
+        key: (c1[key], c2[key], c3[key])
+        for key in c1 | c2 | c3
+        if c3[key] - 2 * c2[key] + c1[key] != 0
     }
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_every_function_is_called_linearly_often_in_the_copies(seed, tmp_path, capsys):
-    nonlinear = _nonlinear_calls(random_model(seed), tmp_path)
+    nonlinear = _nonlinear(_call_counts, _copies(random_model(seed)), tmp_path)
     capsys.readouterr()
     assert nonlinear == {}, "calls at 1, 2 and 3 copies"
 
 
 def test_every_function_is_called_linearly_often_in_copies_of_a_bulk_model(tmp_path, capsys):
     """Rule (iii) repairs every attribute of a bulk model, one record each."""
-    nonlinear = _nonlinear_calls(sized_model(1, 500), tmp_path)
+    nonlinear = _nonlinear(_call_counts, _copies(sized_model(1, 500)), tmp_path)
     capsys.readouterr()
     assert nonlinear == {}, "calls at 1, 2 and 3 copies"
+
+
+# The first seeds of random_model whose translation collapses a relationship.
+COLLAPSING_SEEDS = (13, 15, 28)
+
+
+@pytest.mark.parametrize("seed", COLLAPSING_SEEDS)
+def test_every_line_runs_linearly_often_in_copies_of_a_collapsing_model(seed, tmp_path, capsys):
+    nonlinear = _nonlinear(_line_counts, _copies(random_model(seed)), tmp_path)
+    capsys.readouterr()
+    assert nonlinear == {}, "line events at 1, 2 and 3 copies"
+
+
+def wide_source(width: int) -> str:
+    """One entity of *width* attributes, each with a unique and a range restriction."""
+    names = [f"a{k}" for k in range(1, width + 1)]
+    return (
+        "diagram D {\n  entity A {" + "".join(f" attr {a}" for a in names) + " }\n}\n"
+        + "".join(f"restriction R{2 * k - 1} on A unique {a}\n"
+                  f"restriction R{2 * k} on A range {a} ascii(8)\n"
+                  for k, a in enumerate(names, 1))
+    )
+
+
+# The width of the set at n = 1.
+WIDTH = 10
+
+
+def test_every_line_runs_linearly_often_as_one_set_widens(tmp_path, capsys):
+    nonlinear = _nonlinear(_line_counts, [wide_source(WIDTH * n) for n in (1, 2, 3)], tmp_path)
+    capsys.readouterr()
+    assert nonlinear == {}, "line events at widths 1, 2 and 3 times the base"

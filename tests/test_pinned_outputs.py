@@ -12,7 +12,8 @@ still carried a line and a column, and again when an unexpected end of input
 came to be named as such; those of the validation corpus, while
 validate_model kept one accumulator per kind of declaration; those of the
 bulk model, while the input defaults rebuilt records with
-dataclasses.replace. A change meant
+dataclasses.replace; those of the three shapes, while rescans made their
+translation quadratic. A change meant
 to keep the output as it is must leave them as they are; a change meant to
 alter the output updates them in the same commit and says why.
 """
@@ -25,6 +26,8 @@ import json
 import random
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from erdmc.diagnostics import ParseFailure
 from erdmc.emitter import emit_structured, emit_text, encode_report
@@ -117,6 +120,45 @@ def test_bulk_model_outputs_are_pinned():
         "787f1b786c17a18173ebbf94ea4813a59c7dc12d313403685b2f033065126c23",
         "6a89c6992bc9e6851db33832ac134134f9f48ef6c8e0f6cc9e5ee215ad3d7ec6",
     )
+
+
+# Three shapes of n elements that rescans once made quadratic to translate:
+# relationships that collapse (rule viii), one set whose attributes are each
+# made unique by a restriction, and sets that reference a two-set cycle.
+SHAPES = {
+    "collapse": lambda n: "diagram D {\n" + "".join(
+        f"  entity E{i} {{ attr a }}\n  entity F{i} {{ attr b }}\n"
+        f"  relationship R{i} {{ role p -> E{i} unique role q -> F{i} }}\n" for i in range(n)
+    ) + "}\n",
+    "wide": lambda n: (
+        "diagram D {\n  entity A {" + "".join(f" attr a{k}" for k in range(1, n + 1)) + " }\n}\n"
+        + "".join(f"restriction R{k} on A unique a{k}\n" for k in range(1, n + 1))
+    ),
+    "cycle-blocked": lambda n: "diagram D {\n" + "".join(
+        f"  entity A{i} {{ attr a fn f -> X }}\n" for i in range(n)
+    ) + "  entity X { attr a fn g -> Y }\n  entity Y { attr b fn h -> X }\n}\n",
+}
+
+
+@pytest.mark.parametrize("shape, digests", [
+    ("collapse", (
+        "2a28469817ef15e854b082c79e2a47a295221aff2395a3ff7d4e5a58cdb2eae5",
+        "232bfeec53e7bc0c46a7be8baf64c0b2428e790c6bdf247532b030dfe4d66d50",
+        "718d5fe3eb2e3548a37ef04d2c19fe7ddfcbe7488d7f844eafd31c05114f9493",
+    )),
+    ("wide", (
+        "b264b04aebb8c85a42c3844d1e24f16cddab0cb1c77cc59e5fbbd2ad136bb35c",
+        "21ce8e2d2f49670c8204368007f31067bda9d5caba7d9cc87457ebf1d4320538",
+        "3759d2f560c8360a9b7c9911dff4a909fb550229987dae96f77b545266f594da",
+    )),
+    ("cycle-blocked", (
+        "9fd1f6f7f664299c3ae98e3ee6117e48b982dc30afab1b7bfa93b4cd035491be",
+        "c7d720a0adb1adafdba06d6f7afed0ac52e4e72cf79b11e741b0c4c9710ef218",
+        "f3a28d8dc841b75b6162673e688b52975f0c53fd54321fd04dabde6397fc502a",
+    )),
+])
+def test_shape_outputs_are_pinned(shape, digests):
+    assert _digests([parse_model(SHAPES[shape](50))]) == digests
 
 
 # Every question kind, answered from the answers document, by the prompter,

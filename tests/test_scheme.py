@@ -147,21 +147,23 @@ def test_set_index_keeps_first_match_through_add_and_remove():
     scheme.add_set(other)
     assert scheme.sets == [first, second, other]
     assert scheme.set("A") is first and scheme.set("B") is other
-    scheme.remove_set(first)
-    assert scheme.set("A") is second
-    scheme.remove_set(second)
-    scheme.remove_set(other)
+    scheme.remove_sets([first])
+    assert scheme.set("A") is second  # a duplicate name falls back to its next set
+    scheme.remove_sets([second, other])
     assert scheme.set("A") is None and scheme.set("B") is None and scheme.sets == []
     assert scheme == EMDMScheme() and "_by_name" not in repr(scheme)
 
 
-def test_remove_set_removes_the_given_object_not_an_equal_one():
-    first, twin = EMDMSet("A", "entity-derived"), EMDMSet("A", "entity-derived")
-    scheme = EMDMScheme(sets=[first, twin])
-    scheme.remove_set(twin)
-    assert scheme.sets[0] is first and len(scheme.sets) == 1
-    with pytest.raises(ValueError):
-        scheme.remove_set(twin)
+def test_remove_sets_removes_the_given_objects_not_equal_ones():
+    first, twin, other = (EMDMSet("A", "entity-derived"), EMDMSet("A", "entity-derived"),
+                          EMDMSet("B", "entity-derived"))
+    scheme = EMDMScheme(sets=[first, twin, other])
+    held = scheme.sets
+    scheme.remove_sets([first])
+    assert scheme.sets is held and len(held) == 2
+    assert held[0] is twin and held[1] is other and scheme.set("A") is twin
+    scheme.remove_sets([EMDMSet("B", "entity-derived")])  # equal to other, but not other
+    assert len(held) == 2 and scheme.set("B") is other
 
 
 def test_ref_owner_names_the_set_of_set_mapping_and_key_references():
@@ -343,6 +345,18 @@ CHECK_CASES = [
     ("bad-range", "ATTENDANCES.Student", _codomain("ATTENDANCES.Student", IntBound(3))),
     ("bad-range", "ATTENDANCES.Class",
      _codomain("ATTENDANCES.Class", Interval(AsciiRange(3), IntBound(5)))),
+    # names, labels, definitions and sources that are not text
+    ("bad-name", 5, lambda m: setattr(m.set("ROOMS"), "name", 5)),
+    ("bad-name", "ROOMS.5", lambda m: setattr(_member(m, "ROOMS.Room#"), "name", 5)),
+    ("bad-name", "SCHEDULES.5", lambda m: setattr(m.set("SCHEDULES").keys[0], "label", 5)),
+    ("bad-name", "constraint:5", lambda m: setattr(_constraint(m, "R41"), "label", 5)),
+    ("definition-encoding", "ROOMS.Room#",
+     lambda m: setattr(_member(m, "ROOMS.Room#"), "computed_definition", 5)),
+    ("definition-encoding", "V",
+     lambda m: m.add_set(EMDMSet("V", sch.COMPUTED, computed_definition=5))),
+    ("stray-provenance", "set:STUDENTS", lambda m: m.provenance.update({"set:STUDENTS": 5})),
+    ("bad-name", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
+        5, "SCHEDULES", Compare("<", Apply("StartH", Var(5)), Apply("EndH", Var(5)))))),
 ]
 
 
