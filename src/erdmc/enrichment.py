@@ -420,7 +420,7 @@ def _ensure_fallback(
     for s in scheme.sets:
         if s.kind == sch.COMPUTED or satisfied(s):
             continue
-        name, clash = _free_name(s, wanted)
+        name, clash = _free_name(lambda n: s.mapping(n) is not None, wanted)
         element = f"{s.name}.{name}"
         if clash:
             log.diagnostics.add("name-clash", element, f"{s.name} already has a mapping named "
@@ -436,11 +436,12 @@ def _ensure_fallback(
         )
 
 
-def _free_name(s: EMDMSet, wanted: str) -> tuple[str, bool]:
-    if s.mapping(wanted) is None:
+def _free_name(taken: Callable[[str], bool], wanted: str) -> tuple[str, bool]:
+    """*wanted*, or if it is *taken* the first of *wanted* 1, 2, ... that is not; and whether it was."""
+    if not taken(wanted):
         return wanted, False
     n = 1
-    while s.mapping(f"{wanted}{n}") is not None:
+    while taken(f"{wanted}{n}"):
         n += 1
     return f"{wanted}{n}", True
 
@@ -466,6 +467,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     """
     references: Counter[str] | None = None  # counted at the first candidate
     owned: dict[str, list[str]] | None = None  # grouped at the first collapse
+    names: dict[str, set[str]] = {}  # each home's mapping names, from its first collapse on
     gone: list[EMDMSet] = []
 
     for s in scheme.sets:
@@ -519,8 +521,11 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             log.diagnostics.add("collapse-skipped", s.name, f"{s.name} cannot collapse into a "
                                 f"mapping that targets {s.name}", WARNING)
             continue
-        name, clash = _free_name(home, s.name)
-        if collision := facet_of(name, {m.name for m in home.mappings}):
+        if (taken := names.get(home.name)) is None:
+            taken = names[home.name] = {m.name for m in home.mappings}
+        ident = home.object_identifier and home.object_identifier.name  # clashes, owns no facet
+        name, clash = _free_name(lambda n: n in taken or n == ident, s.name)
+        if collision := facet_of(name, taken):
             owner, facet = collision
             log.diagnostics.add("collapse-skipped", s.name, f"{s.name} cannot collapse onto "
                                 f"{home.name}: a mapping named {name} would read as the {facet} "
@@ -536,6 +541,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
                     owned.setdefault(owner, []).append(ref)
         _collapse(scheme, s, home, name, source_role, target_role, one_to_one,
                   owned.pop(s.name, []))
+        taken.add(name)
         gone.append(s)
         log.record(
             EnrichmentAction(

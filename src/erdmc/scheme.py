@@ -206,8 +206,8 @@ def is_implicit_key(k: Key, s: EMDMSet) -> bool:
     """
     if s.kind != RELATIONSHIP_DERIVED:
         return False
-    role_names = {m.name for m in s.role_mappings()}
-    return bool(role_names) and set(k.mappings) == role_names
+    roles = [m.name for m in s.mappings if m.flavor == ROLE]  # compared, never hashed
+    return bool(roles) and all(n in roles for n in k.mappings) and all(n in k.mappings for n in roles)
 
 
 # --- formula resolution against a scheme ---
@@ -215,34 +215,35 @@ def is_implicit_key(k: Key, s: EMDMSet) -> bool:
 _VALUE = "(value)"
 
 
-def resolve_formula(scheme: EMDMScheme, f: Formula, element: str, bad: Callable) -> None:
-    """Call ``bad(code, element, message)`` for each problem of *f* on *scheme*: ``bad-name``
-    for a quantified variable that is not a name, ``bad-formula`` for an operator or a literal
-    that the text reader would not read, ``formula-resolution`` for an applied name that is no
-    mapping on its argument's set, or a comparison mixing two sets or a set and a value."""
-    _resolve_node(scheme, f, {}, lambda code, message: bad(code, element, message))
+def resolve_formula(members: dict, f: Formula, element: str, bad: Callable) -> None:
+    """Call ``bad(code, element, message)`` for each problem of *f* over *members*, which maps
+    each set name to its members by name: ``bad-name`` for a quantified variable that is not a
+    name, ``bad-formula`` for an operator or literal the text reader would not read, and
+    ``formula-resolution`` for a name that is no set or mapping there, or a mixed comparison."""
+    _resolve_node(members, f, (), lambda code, message: bad(code, element, message))
 
 
-def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: Callable) -> None:
+# *env* pairs each variable in scope, innermost last, with its domain: found by ==, never hashed.
+def _resolve_node(members: dict, node: Formula, env: tuple, bad: Callable) -> None:
     if isinstance(node, Forall):
         if type(node.variable) is not str or not NAME_RE.fullmatch(node.variable):
             bad("bad-name", f"quantified variable {node.variable!r} is not a name")
-        if scheme.set(node.domain) is None:
+        if type(node.domain) is not str or node.domain not in members:
             bad("formula-resolution", f"quantifier domain {node.domain!r} is not a scheme set")
             return
-        _resolve_node(scheme, node.body, {**env, node.variable: node.domain}, bad)
+        _resolve_node(members, node.body, (*env, (node.variable, node.domain)), bad)
     elif isinstance(node, Binary):
         if node.op not in CONNECTIVES:
             bad("bad-formula", f"unknown connective {node.op!r}")
-        _resolve_node(scheme, node.left, env, bad)
-        _resolve_node(scheme, node.right, env, bad)
+        _resolve_node(members, node.left, env, bad)
+        _resolve_node(members, node.right, env, bad)
     elif isinstance(node, Not):
-        _resolve_node(scheme, node.body, env, bad)
+        _resolve_node(members, node.body, env, bad)
     elif isinstance(node, Compare):
         if node.op not in COMPARE_OPS:
             bad("bad-formula", f"unknown comparison operator {node.op!r}")
-        lhs = _term_type(scheme, node.lhs, env, bad)
-        rhs = _term_type(scheme, node.rhs, env, bad)
+        lhs = _term_type(members, node.lhs, env, bad)
+        rhs = _term_type(members, node.rhs, env, bad)
         if lhs is None or rhs is None:
             return
         if lhs != rhs and _VALUE not in (lhs, rhs):
@@ -251,7 +252,7 @@ def _resolve_node(scheme: EMDMScheme, node: Formula, env: dict[str, str], bad: C
             bad("formula-resolution", "comparison mixes an object set with a plain value")
 
 
-def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callable) -> str | None:
+def _term_type(members: dict, term: Term, env: tuple, bad: Callable) -> str | None:
     if isinstance(term, Literal):
         value = term.value
         if isinstance(value, str):
@@ -262,19 +263,20 @@ def _term_type(scheme: EMDMScheme, term: Term, env: dict[str, str], bad: Callabl
             bad("bad-formula", f"literal is neither a string nor an integer of at most {MAX_DIGITS} digits")
         return _VALUE
     if isinstance(term, Var):
-        set_name = env.get(term.name)
-        if set_name is None:
-            bad("formula-resolution", f"variable {term.name!r} is not quantified")
-        return set_name
+        for variable, domain in reversed(env):
+            if variable == term.name:
+                return domain
+        bad("formula-resolution", f"variable {term.name!r} is not quantified")
+        return None
     # What is left is an Apply.
-    arg_type = _term_type(scheme, term.argument, env, bad)
+    arg_type = _term_type(members, term.argument, env, bad)
     if arg_type is None:
         return None
     if arg_type == _VALUE:
         bad("formula-resolution", f"{term.mapping!r} applied to a plain value")
         return None
-    owner = scheme.set(arg_type)
-    mapping = owner.mapping(term.mapping) if owner else None
+    owner = members.get(arg_type)
+    mapping = owner.get(term.mapping) if owner and type(term.mapping) is str else None
     if mapping is None:
         bad("formula-resolution", f"{term.mapping!r} is not a mapping on {arg_type}")
         return None
@@ -291,32 +293,44 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     diagnostics = Diagnostics()
     bad = diagnostics.add
 
-    is_name = NAME_RE.fullmatch  # each name that emit_text prints bare must be a str and one
-    seen_sets: set[str] = set()
-    seen_labels: set[str] = set()
+    def check_name(value, element, seen: dict, entry, code: str, reuse: tuple[str, str]) -> None:
+        # Each name that emit_text prints bare must be a str and one; no other value is hashed.
+        if type(value) is not str:
+            bad("bad-name", element, f"{value!r} is not a name")
+            return
+        if not NAME_RE.fullmatch(value):
+            bad("bad-name", element, f"{value!r} is not a name")
+        if value in seen:
+            bad(code, element, reuse[0] + value + reuse[1])
+        else:
+            seen[value] = entry
+
+    # Each set name to its first set's members by name, the first member of a name winning.
+    members: dict[str, dict[str, Mapping]] = {}
+    owns: list[dict[str, Mapping]] = []  # each set's own members by name
+    seen_labels: dict[str, None] = {}
     for s in scheme.sets:
-        if type(s.name) is not str or not is_name(s.name):
-            bad("bad-name", s.name, f"{s.name!r} is not a name")
-        if s.name in seen_sets:
-            bad("duplicate-set", s.name, f"scheme set {s.name} appears twice")
-        seen_sets.add(s.name)
+        owns.append(own := {})
+        check_name(s.name, s.name, members, own, "duplicate-set", ("scheme set ", " appears twice"))
         if s.kind not in SET_KINDS:
             bad("unknown-set-kind", s.name, f"{s.name} has unknown kind {s.kind!r}")
         validate_definition(s.computed_definition, s.name, bad)
 
     # The reference of each element that needs a provenance entry, in scheme order.
     refs: list[str] = []
-    for s in scheme.sets:
+    for s, own in zip(scheme.sets, owns):
         refs.append(ref_set(s.name))
         ident = s.object_identifier
-        members = ([ident] if ident else []) + s.mappings
+        walk = s.mappings if ident is None else [ident, *s.mappings]
         if s.kind == COMPUTED:
             if not s.computed_definition:
                 bad("missing-definition", s.name, f"computed set {s.name} has no definition")
-            if ident is not None or s.mappings or s.keys:
+            if walk or s.keys:
                 bad("computed-set-structure", s.name,
                     f"computed set {s.name} must carry only its definition")
-                refs.extend(ref_mapping(s.name, m.name) for m in members)
+                refs.extend(ref_mapping(s.name, m.name) for m in walk)
+                # Unchecked, but a formula may apply them: the first of a name wins.
+                own.update((m.name, m) for m in reversed(walk) if type(m.name) is str)
                 refs.extend(ref_key(s.name, k.label) for k in s.keys)
             continue
         if ident is None:
@@ -334,24 +348,22 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             elif not isinstance(codomain, NatRange) or codomain.digits < 1:
                 bad("identifier-codomain", s.name,
                     f"object identifier of {s.name} must map onto NAT(n), n >= 1")
-        seen_mappings: set[str] = set()
-        for m in members:
+        reuse = ("mapping ", f" appears twice on {s.name}")
+        roles: list[tuple[str, Range | str | None]] = []
+        for i, m in enumerate(walk):
             element = f"{s.name}.{m.name}"
             refs.append(ref_mapping(s.name, m.name))
-            if type(m.name) is not str or not is_name(m.name):
-                bad("bad-name", element, f"{m.name!r} is not a name")
-            if m.name in seen_mappings:
-                bad("duplicate-mapping", element, f"mapping {m.name} appears twice on {s.name}")
-            seen_mappings.add(m.name)
+            check_name(m.name, element, own, m, "duplicate-mapping", reuse)
             validate_definition(m.computed_definition, element, bad)
             if type(m.total) is not bool or type(m.one_to_one) is not bool:
                 bad("bad-flag", element, f"total and one_to_one of {m.name} must be true or false")
             for facet in m.source_labels:
                 if facet not in FACETS:
                     bad("unknown-facet", element, f"source label of unknown facet {facet!r}")
-        for m in s.mappings:
-            element = f"{s.name}.{m.name}"
+            if i == 0 and ident is not None:
+                continue  # the identifier takes the checks above alone
             if m.flavor == ROLE:
+                roles.append((m.name, m.codomain))
                 if not isinstance(m.codomain, str):
                     bad("role-codomain", element, "roles must map into an object set")
                 if not m.total:
@@ -370,12 +382,11 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             elif m.computed_definition is None:
                 bad("missing-codomain", element,
                     f"mapping {m.name} has neither a codomain nor a definition")
-        role_sig = tuple((m.name, m.codomain) for m in s.role_mappings())
         if s.kind == RELATIONSHIP_DERIVED:
-            if s.role_signature != role_sig:
+            if s.role_signature != tuple(roles):
                 bad("role-signature", s.name,
                     f"role signature of {s.name} does not match its role mappings")
-        elif s.role_mappings():
+        elif roles:
             bad("roles-on-entity", s.name, f"{s.kind} set {s.name} carries role mappings")
 
         seen_key_sets: set[frozenset[str]] = set()
@@ -386,33 +397,27 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 bad("singleton-key", element,
                     "single-mapping uniqueness is a mapping flag, not a key")
             for name in k.mappings:
-                if name not in seen_mappings:
+                if type(name) is not str or name not in own:
                     bad("unresolved-key-mapping", element,
                         f"key {k.label} names unknown mapping {name!r}")
-            mapping_set = frozenset(k.mappings)
-            if mapping_set in seen_key_sets:
-                bad("duplicate-key", element, f"two keys of {s.name} span the same mappings")
-            seen_key_sets.add(mapping_set)
+            if all(type(name) is str for name in k.mappings):  # no other value is hashed
+                mapping_set = frozenset(k.mappings)
+                if mapping_set in seen_key_sets:
+                    bad("duplicate-key", element, f"two keys of {s.name} span the same mappings")
+                seen_key_sets.add(mapping_set)
             if type(k.implicit) is not bool:
                 bad("bad-flag", element, f"implicit of key {k.label} must be true or false")
             elif k.implicit != is_implicit_key(k, s):
                 bad("implicit-flag", element,
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
-            if type(k.label) is not str or not is_name(k.label):
-                bad("bad-name", element, f"{k.label!r} is not a name")
-            if k.label in seen_labels:
-                bad("duplicate-label", element, f"label {k.label} reused")
-            seen_labels.add(k.label)
+            check_name(k.label, element, seen_labels, None, "duplicate-label", ("label ", " reused"))
 
     for c in scheme.constraints:
         refs.append(ref_constraint(c))
-        check_constraint(scheme, c, bad)
+        check_constraint(scheme, members, c, bad)
         if c.label is not None:
-            if type(c.label) is not str or not is_name(c.label):
-                bad("bad-name", f"constraint:{c.label}", f"{c.label!r} is not a name")
-            if c.label in seen_labels:
-                bad("duplicate-label", f"constraint:{c.label}", f"label {c.label} reused")
-            seen_labels.add(c.label)
+            check_name(c.label, f"constraint:{c.label}", seen_labels, None, "duplicate-label",
+                       ("label ", " reused"))
 
     for ref in refs:
         if ref not in scheme.provenance:
@@ -433,16 +438,15 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     return diagnostics
 
 
-def check_constraint(
-    scheme: EMDMScheme, c: Constraint, bad: Callable[[str, str, str], None]
-) -> None:
-    """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's."""
+def check_constraint(scheme: EMDMScheme, members: dict, c: Constraint, bad: Callable) -> None:
+    """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's; its formula
+    resolves over *members*, as :func:`resolve_formula` takes them."""
     element = ref_constraint(c)
     if isinstance(c, InclusionConstraint):
         if c.subset == c.superset:
             bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
         for is_subset, endpoint in ((True, c.subset), (False, c.superset)):
-            found = scheme.set(endpoint)
+            found = scheme.set(endpoint) if type(endpoint) is str else None
             if found is None:
                 bad("unresolved-inclusion", element,
                     f"inclusion endpoint {endpoint!r} is not a scheme set")
@@ -450,7 +454,7 @@ def check_constraint(
                 bad("restriction-on-computed-set", element,
                     f"computed set {endpoint!r} cannot carry an inclusion in {c.superset!r}")
     elif isinstance(c, TupleConstraint):
-        owner = scheme.set(c.set_name)
+        owner = scheme.set(c.set_name) if type(c.set_name) is str else None
         if owner is None:
             bad("unresolved-set", element, f"tuple constraint set {c.set_name!r} missing")
         elif owner.kind == COMPUTED:
@@ -464,7 +468,7 @@ def check_constraint(
             bad("tuple-domain-mismatch", element,
                 f"tuple constraint {c.label} quantifies over {domains[0]!r} "
                 f"but belongs to {c.set_name!r}")
-        resolve_formula(scheme, c.formula, element, bad)
+        resolve_formula(members, c.formula, element, bad)
     elif isinstance(c, NonrelationalConstraint):
         if c.informal and holds_surrogate(c.informal):
             bad("informal-encoding", element, f"informal text of {c.label} holds a lone "
@@ -477,4 +481,4 @@ def check_constraint(
             if quantifier_count(c.formula) < 2:
                 bad("nonrelational-arity", element,
                     f"nonrelational constraint {c.label} must quantify at least two variables")
-            resolve_formula(scheme, c.formula, element, bad)
+            resolve_formula(members, c.formula, element, bad)

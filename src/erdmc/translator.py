@@ -185,6 +185,7 @@ class Translator:
         self.model = model
         self.scheme = EMDMScheme()
         self.report = TranslationReport()
+        self.members: dict[str, dict[str, Mapping]] = {}  # each set's members by name, as translated
         # Questions and firings of every rule, and the formalization
         # questions, go straight into the report in the order they happen.
         self.log = EnrichmentLog(
@@ -229,7 +230,7 @@ class Translator:
         self._translate_nonrelational()
         # Checked once all are in: a check may reach sets added after its own.
         for c in self.scheme.constraints:
-            check_constraint(self.scheme, c, self.report.diagnostics.add)
+            check_constraint(self.scheme, self.members, c, self.report.diagnostics.add)
         self._enrich()
 
         compulsory_lines = sum(
@@ -305,7 +306,9 @@ class Translator:
                        ref_mapping(s.name, attr.name))
 
         restrictions = self.model.restrictions_on(s.name)
-        mappings = {m.name: m for m in target.mappings}
+        mappings = self.members[s.name] = {m.name: m for m in target.mappings}
+        if target.object_identifier is not None:  # valid, so no other member is named x
+            mappings[OBJECT_IDENTIFIER] = target.object_identifier
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and r.body.is_singleton:
                 name = r.body.mappings[0]

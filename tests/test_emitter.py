@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import json
 import re
@@ -34,7 +35,9 @@ from erdmc.generator import random_model
 from erdmc.lexer import STRING, tokenize
 from erdmc.model import AsciiRange, FuncBound, IntBound, Interval, NatRange
 from erdmc.parser import parse_model
-from erdmc.scheme import EMDMScheme, InclusionConstraint, check_scheme, ref_constraint
+from erdmc.scheme import (
+    EMDMScheme, InclusionConstraint, TupleConstraint, check_scheme, ref_constraint,
+)
 from erdmc.translator import translate
 from test_parser import _literal_patterns
 
@@ -84,8 +87,6 @@ def test_unicode_rendering(golden):
 
 
 def test_emit_refuses_unsound_scheme(golden):
-    import copy
-
     broken = copy.deepcopy(golden.scheme)
     broken.set("SCHEDULES").mapping("Room").codomain = "ROOMZ"
     with pytest.raises(EmitError):
@@ -373,6 +374,68 @@ def test_values_of_the_wrong_type_are_refused_not_printed(code, part, field, val
     setattr(target, field, value)
     assert [(d.code, d.element) for d in check_scheme(scheme)] == [(code, element)]
     with pytest.raises(EmitError, match=code):
+        emit_text(scheme)
+
+
+@functools.cache
+def _every_codomain_scheme() -> EMDMScheme:
+    source = (Path(__file__).parent / "fixtures" / "every_codomain.erdm").read_text(encoding="utf-8")
+    result = translate(parse_model(source))
+    assert result.scheme is not None
+    return result.scheme
+
+
+def _formula_nodes(scheme: EMDMScheme, kind: type) -> list:
+    """Each node of *kind* in the formulas of *scheme*'s constraints."""
+    found = []
+
+    def walk(node) -> None:
+        if isinstance(node, kind):
+            found.append(node)
+        for part in ("body", "left", "right", "lhs", "rhs", "argument"):
+            if (child := getattr(node, part, None)) is not None:
+                walk(child)
+
+    for c in scheme.constraints:
+        if getattr(c, "formula", None) is not None:
+            walk(c.formula)
+    return found
+
+
+# Each field that check_scheme compares or looks up by name, as its (holder, attribute) pairs;
+# an int attribute is a position in a key's mappings. An inclusion may have no label, and
+# setting None there would change nothing, so only labels that are set count.
+_NAMED_FIELDS = {
+    "set name": lambda s: [(t, "name") for t in s.sets],
+    "mapping name": lambda s: [(m, "name") for t in s.sets
+                               for m in [t.object_identifier, *t.mappings] if m is not None],
+    "key label": lambda s: [(k, "label") for t in s.sets for k in t.keys],
+    "key mapping": lambda s: [(k, i) for t in s.sets for k in t.keys for i in range(len(k.mappings))],
+    "constraint label": lambda s: [(c, "label") for c in s.constraints if c.label is not None],
+    "inclusion endpoint": lambda s: [(c, end) for c in s.constraints
+                                     if isinstance(c, InclusionConstraint)
+                                     for end in ("subset", "superset")],
+    "tuple set": lambda s: [(c, "set_name") for c in s.constraints if isinstance(c, TupleConstraint)],
+    "quantified variable": lambda s: [(q, "variable") for q in _formula_nodes(s, Forall)],
+    "quantifier domain": lambda s: [(q, "domain") for q in _formula_nodes(s, Forall)],
+    "variable name": lambda s: [(v, "name") for v in _formula_nodes(s, Var)],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(_NAMED_FIELDS)),
+       value=st.sampled_from([None, True, 5, 1.5, "a b", [], ["A"], {}]),
+       pick=st.integers(min_value=0, max_value=100))
+def test_a_name_field_holding_no_name_is_reported_never_raised(field, value, pick):
+    scheme = copy.deepcopy(_every_codomain_scheme())
+    candidates = _NAMED_FIELDS[field](scheme)
+    holder, attribute = candidates[pick % len(candidates)]
+    if isinstance(attribute, int):
+        holder.mappings = (*holder.mappings[:attribute], value, *holder.mappings[attribute + 1:])
+    else:
+        object.__setattr__(holder, attribute, value)  # formula nodes are frozen
+    assert check_scheme(scheme)
+    with pytest.raises(EmitError):
         emit_text(scheme)
 
 

@@ -18,9 +18,11 @@ member, leaves the call counts linear. So the same rule is applied to the
 line events of erdmc's files, counted with sys.settrace: on copies of
 models that collapse relationships (rule viii), and on one set that widens,
 with n times as many attributes, each ranged and made unique by a
-restriction of its own. A failure names the lines that broke it, by file
-and line. Neither count can see O(n) work inside one call of a builtin,
-such as min over a set or list.remove in a loop that runs once per element.
+restriction of its own (and again with a formal tuple check on each), and
+on one set onto which n times as many relationships collapse. A failure
+names the lines that broke it, by file and line. Neither count can see O(n)
+work inside one call of a builtin, such as min over a set or list.remove in a
+loop that runs once per element.
 """
 
 from __future__ import annotations
@@ -185,3 +187,31 @@ def test_every_line_runs_linearly_often_as_one_set_widens(tmp_path, capsys):
     nonlinear = _nonlinear(_line_counts, [wide_source(WIDTH * n) for n in (1, 2, 3)], tmp_path)
     capsys.readouterr()
     assert nonlinear == {}, "line events at widths 1, 2 and 3 times the base"
+
+
+def checked_source(width: int) -> str:
+    """wide_source's set, with a formal tuple check on each attribute as well."""
+    return wide_source(width) + "".join(
+        f'restriction R{2 * width + k} on A other formal (forall x in A)(a{k}(x) = "v")\n'
+        for k in range(1, width + 1)
+    )
+
+
+def test_every_line_runs_linearly_often_as_one_checked_set_widens(tmp_path, capsys):
+    nonlinear = _nonlinear(_line_counts, [checked_source(WIDTH * n) for n in (1, 2, 3)], tmp_path)
+    capsys.readouterr()
+    assert nonlinear == {}, "line events at widths 1, 2 and 3 times the base"
+
+
+def home_source(count: int) -> str:
+    """One entity H, and *count* relationships that collapse onto it (rule viii)."""
+    return "diagram D {\n  entity H { attr h }\n" + "".join(
+        f"  entity F{i} {{ attr b }}\n  relationship R{i} {{ role p -> H unique role q -> F{i} }}\n"
+        for i in range(count)
+    ) + "}\n"
+
+
+def test_every_line_runs_linearly_often_as_relationships_collapse_onto_one_home(tmp_path, capsys):
+    nonlinear = _nonlinear(_line_counts, [home_source(WIDTH * n) for n in (1, 2, 3)], tmp_path)
+    capsys.readouterr()
+    assert nonlinear == {}, "line events at 1, 2 and 3 times the base count"

@@ -12,7 +12,7 @@ still carried a line and a column, and again when an unexpected end of input
 came to be named as such; those of the validation corpus, while
 validate_model kept one accumulator per kind of declaration; those of the
 bulk model, while the input defaults rebuilt records with
-dataclasses.replace; those of the three shapes, while rescans made their
+dataclasses.replace; those of the five shapes, while rescans made their
 translation quadratic. A change meant
 to keep the output as it is must leave them as they are; a change meant to
 alter the output updates them in the same commit and says why.
@@ -122,9 +122,11 @@ def test_bulk_model_outputs_are_pinned():
     )
 
 
-# Three shapes of n elements that rescans once made quadratic to translate:
+# Five shapes of n elements that rescans once made quadratic to translate:
 # relationships that collapse (rule viii), one set whose attributes are each
-# made unique by a restriction, and sets that reference a two-set cycle.
+# made unique by a restriction, sets that reference a two-set cycle, one set
+# whose attributes each carry a formal tuple check, and relationships that
+# all collapse onto one home.
 SHAPES = {
     "collapse": lambda n: "diagram D {\n" + "".join(
         f"  entity E{i} {{ attr a }}\n  entity F{i} {{ attr b }}\n"
@@ -137,6 +139,15 @@ SHAPES = {
     "cycle-blocked": lambda n: "diagram D {\n" + "".join(
         f"  entity A{i} {{ attr a fn f -> X }}\n" for i in range(n)
     ) + "  entity X { attr a fn g -> Y }\n  entity Y { attr b fn h -> X }\n}\n",
+    "wide-checked": lambda n: (
+        "diagram D {\n  entity A {" + "".join(f" attr a{k}" for k in range(1, n + 1)) + " }\n}\n"
+        + "".join(f'restriction R{k} on A other formal (forall x in A)(a{k}(x) = "v")\n'
+                  for k in range(1, n + 1))
+    ),
+    "one-home": lambda n: "diagram D {\n  entity H { attr h }\n" + "".join(
+        f"  entity F{i} {{ attr b }}\n"
+        f"  relationship R{i} {{ role p -> H unique role q -> F{i} }}\n" for i in range(n)
+    ) + "}\n",
 }
 
 
@@ -155,6 +166,16 @@ SHAPES = {
         "9fd1f6f7f664299c3ae98e3ee6117e48b982dc30afab1b7bfa93b4cd035491be",
         "c7d720a0adb1adafdba06d6f7afed0ac52e4e72cf79b11e741b0c4c9710ef218",
         "f3a28d8dc841b75b6162673e688b52975f0c53fd54321fd04dabde6397fc502a",
+    )),
+    ("wide-checked", (
+        "b19327f12200f61e3e56b1a5c146e11525cc0664b7670429e7bf407ec5ce0f20",
+        "33c815def53d7f8d454817e012f574ae0a928bd6f8a831ed4fd19c5d40db3e1b",
+        "42694ede1cb9d7ef5b62fa5a0a3944723da67eb8df2c6e8e8a98838cfbd65259",
+    )),
+    ("one-home", (
+        "e6eeb26fd69b333c42429a7bf372bc8f12307996badf4449dab9ce573122f432",
+        "23f63cea6d1e31f4ee8a8a08245f1518c75a9dba510437e3a0d50b8f79901e66",
+        "754758aecce668b83174faa1cc638a38b5bc4c694e957bbdd27dd8e5f9788ef1",
     )),
 ])
 def test_shape_outputs_are_pinned(shape, digests):

@@ -124,7 +124,9 @@ def test_resolve_formula_names_each_problem(golden_scheme, formula, problem):
     if isinstance(formula, str):
         formula = parse_formula(formula)
     found = Diagnostics()
-    resolve_formula(golden_scheme, formula, "constraint:R99", found.add)
+    members = {s.name: {m.name: m for m in [s.object_identifier, *s.mappings] if m is not None}
+               for s in golden_scheme.sets}
+    resolve_formula(members, formula, "constraint:R99", found.add)
     assert [(d.code, d.element, d.message) for d in found] == [
         ("formula-resolution", "constraint:R99", problem)]
 
@@ -357,6 +359,24 @@ CHECK_CASES = [
     ("stray-provenance", "set:STUDENTS", lambda m: m.provenance.update({"set:STUDENTS": 5})),
     ("bad-name", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
         5, "SCHEDULES", Compare("<", Apply("StartH", Var(5)), Apply("EndH", Var(5)))))),
+    # values that do not hash, which the gate reports and never looks up
+    ("bad-name", ["A"], lambda m: setattr(m.set("ROOMS"), "name", ["A"])),
+    ("bad-name", "ROOMS.['A']", lambda m: setattr(_member(m, "ROOMS.Room#"), "name", ["A"])),
+    ("bad-name", "SCHEDULES.['A']",
+     lambda m: setattr(m.set("SCHEDULES").keys[0], "label", ["A"])),
+    ("unresolved-key-mapping", "SCHEDULES.R33",
+     lambda m: setattr(m.set("SCHEDULES").keys[0], "mappings", (["A"], "Weekday", "StartH"))),
+    ("bad-name", "constraint:['A']", lambda m: setattr(_constraint(m, "R41"), "label", ["A"])),
+    ("unresolved-inclusion", "constraint:inclusion:ROOMS<=['A']",
+     lambda m: m.constraints.append(InclusionConstraint("ROOMS", ["A"]))),
+    ("unresolved-set", "constraint:R37",
+     lambda m: setattr(_constraint(m, "R37"), "set_name", ["A"])),
+    ("bad-name", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
+        ["A"], "SCHEDULES", Compare("<", Apply("StartH", Var(["A"])), Apply("EndH", Var(["A"])))))),
+    ("formula-resolution", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula",
+        Forall("x", ["A"], Compare("<", Apply("StartH", Var("x")), Apply("EndH", Var("x")))))),
+    ("formula-resolution", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula",
+        Forall("x", "SCHEDULES", Compare("<", Apply("StartH", Var(["A"])), Apply("EndH", Var("x")))))),
 ]
 
 
