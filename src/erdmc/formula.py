@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .lexer import EOF, GLYPH_OF, INT, NAME, OP, PLAIN, STRING, TokenStream, quote_string
+from .lexer import EOF, GLYPH_OF, INT, NAME, PLAIN, STRING, TokenStream, quote_string, value_of
 
 # --- terms ---
 
@@ -87,7 +87,7 @@ def parse_formula(source: str) -> Formula:
     stream = TokenStream(source)
     node = parse_formula_tokens(stream)
     if not stream.at(EOF):
-        raise stream.error(f"trailing input after formula: {stream.peek()[1]!r}")
+        raise stream.error(f"trailing input after formula: {value_of(stream.peek())!r}")
     return node
 
 
@@ -100,7 +100,7 @@ def parse_formula_tokens(stream: TokenStream) -> Formula:
 
 def _at_quantifier(stream: TokenStream) -> bool:
     """Whether a ``(forall`` binder starts at the cursor."""
-    return stream.at(OP, "(") and stream.peek(1)[:2] == (NAME, "forall")
+    return stream.peek() == "(" and stream.peek(1) == "forall"
 
 
 def _deeper(stream: TokenStream, depth: int, at: int) -> int:
@@ -111,16 +111,16 @@ def _deeper(stream: TokenStream, depth: int, at: int) -> int:
 
 
 def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    stream.expect(OP, "(")
-    stream.expect(NAME, "forall")
+    stream.expect("(")
+    stream.expect("forall")
     depth = _deeper(stream, depth, stream.pos)
-    variables = [stream.expect(NAME, label="variable name")]
-    while stream.accept(OP, ","):
+    variables = [stream.expect_kind(NAME, "variable name")]
+    while stream.accept(","):
         depth = _deeper(stream, depth, stream.pos)
-        variables.append(stream.expect(NAME, label="variable name"))
-    stream.expect(NAME, "in", label="'in'")
-    domain = stream.expect(NAME, label="set name")
-    stream.expect(OP, ")")
+        variables.append(stream.expect_kind(NAME, "variable name"))
+    stream.expect("in", "'in'")
+    domain = stream.expect_kind(NAME, "set name")
+    stream.expect(")")
     for v in variables:
         if v in bound:
             raise stream.error(f"variable {v!r} is already quantified")
@@ -130,9 +130,9 @@ def _parse_quantified(stream: TokenStream, bound: frozenset[str], depth: int) ->
     if _at_quantifier(stream):
         body: Formula = _parse_quantified(stream, inner_bound, depth)
     else:
-        stream.expect(OP, "(")
+        stream.expect("(")
         body = _parse_binary(stream, inner_bound, depth, _LEVEL_IMPLIES)
-        stream.expect(OP, ")")
+        stream.expect(")")
     for v in reversed(variables):
         body = Forall(v, domain, body)
     return body
@@ -146,20 +146,20 @@ def _parse_binary(stream: TokenStream, bound: frozenset[str], depth: int, level:
         return _parse_unary(stream, bound, depth)
     op = _CONNECTIVE_AT[level]
     node = _parse_binary(stream, bound, depth, level + 1)
-    while stream.accept(OP, op):
+    while stream.accept(op):
         depth = _deeper(stream, depth, stream.last)
         node = Binary(op, node, _parse_binary(stream, bound, depth, CONNECTIVES[op][2]))
     return node
 
 
 def _parse_unary(stream: TokenStream, bound: frozenset[str], depth: int) -> Formula:
-    if stream.accept(OP, "!"):
+    if stream.accept("!"):
         return Not(_parse_unary(stream, bound, _deeper(stream, depth, stream.last)))
     if _at_quantifier(stream):
         return _parse_quantified(stream, bound, depth)
-    if stream.accept(OP, "("):
+    if stream.accept("("):
         node = _parse_binary(stream, bound, _deeper(stream, depth, stream.last), _LEVEL_IMPLIES)
-        stream.expect(OP, ")")
+        stream.expect(")")
         return node
     return _parse_comparison(stream, bound, depth)
 
@@ -172,16 +172,16 @@ def _parse_comparison(stream: TokenStream, bound: frozenset[str], depth: int) ->
 
 
 def _parse_term(stream: TokenStream, bound: frozenset[str], depth: int) -> Term:
-    if digits := stream.accept(INT):
+    if digits := stream.accept_kind(INT):
         return Literal(int(digits))
-    if stream.accept(OP, "-"):
-        return Literal(-int(stream.expect(INT, label="integer")))
-    if (text := stream.accept(STRING)) is not None:
+    if stream.accept("-"):
+        return Literal(-int(stream.expect_kind(INT, "integer")))
+    if (text := stream.accept_kind(STRING)) is not None:
         return Literal(text)
-    if name := stream.accept(NAME):
-        if stream.accept(OP, "("):
+    if name := stream.accept_kind(NAME):
+        if stream.accept("("):
             arg = _parse_term(stream, bound, _deeper(stream, depth, stream.last))
-            stream.expect(OP, ")")
+            stream.expect(")")
             return Apply(name, arg)
         if name not in bound:
             raise stream.error(f"unbound variable {name!r}", at=stream.last)

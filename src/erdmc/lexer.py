@@ -1,9 +1,11 @@
 """Tokenizer shared by the model DSL and the constraint-formula syntax.
 
-A token is an exact ``(kind, value, offset)`` tuple: its kind, its text (a
-string literal unescaped, a glyph as its ASCII surface) and the offset of its
-first character. It holds only a str, a str and an int, so the cyclic
-collector stops tracking it at its first pass.
+A token is a lexeme: its text as written, a glyph replaced by its ASCII
+surface, and "" for the end of the text. The first character of a lexeme
+gives its kind, and a "/" marks a date; a string literal keeps its quotes
+and escapes until the parser reads its value. ``tokenize`` lists the lexemes
+in one regex scan, and serves them as exact ``(kind, value, offset)`` tuples
+to a reader that asks.
 
 Names may contain ``#`` when it directly follows an identifier character
 (``Room#``); a ``#`` preceded by whitespace or punctuation starts a line
@@ -16,7 +18,8 @@ replaced.
 from __future__ import annotations
 
 import re
-from collections.abc import Container
+from collections.abc import Container, Sequence
+from string import ascii_letters
 
 from .diagnostics import LINE_BREAKS, ParseError, ParseFailure
 
@@ -59,26 +62,34 @@ DATE_FORM = r"\d++/\d++/\d++"
 NAME_FORM = r"[A-Za-z_][A-Za-z0-9_#]*+"
 NAME_RE = re.compile(NAME_FORM)  # a name printed bare must match it whole, to read back
 
-# Each match is one token: blanks and comments (a '#' that does not continue
-# a name), then one alternative per token kind, each named after the kind it
-# yields, so the token is the last group that matched. Names and operators,
-# most tokens, come first. The alternatives' first characters are disjoint,
-# but a date is tried before an int; "error" takes any other character, an
-# unclosed quote included, and "eof" the end of the text. Every run is
-# possessive (``*+``, ``++``): what follows a run can never continue it, so
-# no match gives characters back.
-# A string ends at its line: a backslash escapes any character but a newline.
-# Operators are listed longest first so "<->" is not read as "<" + "->".
-_TOKEN_RE = re.compile(r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+(?:" + "|".join([
-    f"(?P<name>{NAME_FORM})",
-    r"(?P<op><->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-])",
-    r'(?P<string>"[^"\\\n]*+(?:\\[^\n][^"\\\n]*+)*+")',
-    f"(?P<date>{DATE_FORM})",
-    r"(?P<int>\d++)",
-    "(?P<glyph>[" + "".join(_GLYPHS) + "])",
-    r"(?P<error>.)",
-    r"(?P<eof>\Z)",
-]) + ")")
+# Blanks and comments: a '#' that does not continue a name opens a comment.
+_BLANKS = r"[ \t\r\n]*+(?:#[^\n]*+[ \t\r\n]*+)*+"
+_BLANKS_RE = re.compile(_BLANKS)
+# No run of more than MAX_DIGITS digits starts here.
+_SHORT = rf"(?!\d{{{MAX_DIGITS + 1}}})"
+# Each match is one token and the blanks after it, so findall lists lexemes.
+# Group 1 is a well-formed token's lexeme: a name, an operator (longest first,
+# so "<->" is not read as "<" + "->"), a string literal whose \u escapes are
+# all well formed, or digits. Digits that go on as "/digits/digit" are a date,
+# else an integer, and neither may hold a run longer than MAX_DIGITS. A fault
+# leaves group 1 empty: a glyph, or a lexical error, which _fault tells by its
+# first character. It takes one character, or a whole digit run, so that no
+# run is checked again from each of its digits. The end of the text matches
+# once, empty: the EOF lexeme "". Every run is possessive (``*+``, ``++``):
+# what follows a run can never continue it, so no match gives characters back.
+_TOKEN_RE = re.compile("(?:(" + "|".join([
+    NAME_FORM,
+    r"<->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-]",
+    r'"[^"\\\n]*+(?:\\(?:u(?![Dd][89ABab])[0-9A-Fa-f]{4}|[^u\n])[^"\\\n]*+)*+"',
+    rf"{_SHORT}\d++(?:/{_SHORT}\d++/{_SHORT}\d++|(?!/\d++/\d))",
+]) + r")|\d++|.|\Z)" + _BLANKS)
+# A string literal, its escapes well formed or not. It ends at its line: a
+# backslash escapes any character but a newline.
+_STRING_RE = re.compile(r'"[^"\\\n]*+(?:\\[^\n][^"\\\n]*+)*+"')
+# Each kind but the digits', by the first character of its lexemes. Any other
+# first character is a digit, which \d takes beyond ASCII too; a date holds a "/".
+_KIND_OF = ({"": EOF, '"': STRING} | dict.fromkeys(ascii_letters + "_", NAME)
+            | dict.fromkeys("()[]{},:^.=<>&|!-", OP))
 
 # String-literal escapes, by the letter after the backslash: tokenize reads
 # them, quote_string writes them. Any other letter stands for itself, except
@@ -104,40 +115,51 @@ def parse_error(text: str, offset: int, message: str, expected: str | None = Non
     return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
 
 
-def tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split *text* into ``(kind, value, offset)`` tokens, the last one EOF,
-    raising ParseFailure on lexical errors."""
-    tokens: list[tuple[str, str, int]] = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        group = m.lastindex
-        start = m.start(group)
-        if kind == NAME or kind == OP:  # most tokens: tested first, and taken as they are
-            append((kind, m.group(group), start))
-        elif kind == STRING:
-            value = text[start + 1:m.end() - 1]
-            if "\\" in value:
-                value = _unescape(value, text, start + 1)
-            append((STRING, value, start))
-        elif kind == "glyph":
-            append((*_GLYPHS[m.group(group)], start))
-        elif kind == "error":
-            ch = m.group(group)
-            raise ParseFailure([parse_error(text, start, "unterminated string literal"
-                                            if ch == '"' else f"unexpected character {ch!r}")])
-        elif kind == EOF:
-            # Stop: after blanks that run to the end, the end matches once more, empty.
-            append((EOF, "", start))
-            break
-        else:  # an integer or a date
-            value = m.group(group)
-            if len(value) > MAX_DIGITS and max(map(len, value.split("/"))) > MAX_DIGITS:
-                raise ParseFailure([parse_error(
-                    text, start, f"integer longer than {MAX_DIGITS} digits",
-                )])
-            append((kind, value, start))
-    return tokens
+def tokenize(text: str) -> Tokens:
+    """The tokens of *text*, the last one EOF; raises ParseFailure at its first lexical error."""
+    lexemes = _TOKEN_RE.findall(text, _BLANKS_RE.match(text).end())
+    if lexemes.index("") < len(lexemes) - 1:  # a fault: a glyph or an error
+        return Tokens(text, *_scan(text))
+    return Tokens(text, lexemes)
+
+
+def _scan(text: str) -> tuple[list[str], list[int]]:
+    """The lexemes of *text* and their offsets, match by match, each fault read by _fault."""
+    matches = list(_TOKEN_RE.finditer(text, _BLANKS_RE.match(text).end()))
+    return [m.group(1) or _fault(text, m.start()) for m in matches], [m.start() for m in matches]
+
+
+def _fault(text: str, start: int) -> str:
+    """The EOF lexeme at the end of *text*, the ASCII surface of a glyph at *start*, or
+    else the lexical error there."""
+    ch = text[start:start + 1]
+    if not ch:
+        return ""
+    if ch in _GLYPHS:
+        return _GLYPHS[ch][1]
+    if ch == '"':
+        if literal := _STRING_RE.match(text, start):
+            _unescape(literal.group()[1:-1], text, start + 1)  # raises at a malformed \u escape
+        message = "unterminated string literal"
+    elif ch.isdecimal():  # what \d matches
+        message = f"integer longer than {MAX_DIGITS} digits"
+    else:
+        message = f"unexpected character {ch!r}"
+    raise ParseFailure([parse_error(text, start, message)])
+
+
+def kind_of(lexeme: str) -> str:
+    """The kind of the token *lexeme*."""
+    kind = _KIND_OF.get(lexeme[:1], INT)
+    return DATE if kind is INT and "/" in lexeme else kind
+
+
+def value_of(lexeme: str) -> str:
+    """The value of the token *lexeme*: a string literal's text, unescaped, or the lexeme."""
+    if lexeme[:1] != '"':
+        return lexeme
+    body = lexeme[1:-1]
+    return _unescape(body, lexeme, 1) if "\\" in body else body
 
 
 def _unescape(body: str, text: str, offset: int) -> str:
@@ -161,8 +183,35 @@ def quote_string(text: str) -> str:
     return '"' + text.translate(_QUOTE) + '"'
 
 
+class Tokens(Sequence):
+    """The ``(kind, value, offset)`` tokens of *text*, each read from its lexeme on access.
+
+    A parse reads only ``lexemes``. The offsets are found, all in one scan, when
+    an error or a reader of this view first needs one."""
+
+    def __init__(self, text: str, lexemes: list[str], offsets: list[int] | None = None):
+        self.text = text
+        self.lexemes = lexemes
+        self._offsets = offsets
+
+    def offset(self, index: int) -> int:
+        if self._offsets is None:
+            self._offsets = _scan(self.text)[1]
+        return self._offsets[index]
+
+    def __len__(self) -> int:
+        return len(self.lexemes)
+
+    def __getitem__(self, index: int) -> tuple[str, str, int]:
+        lexeme = self.lexemes[index]
+        return kind_of(lexeme), value_of(lexeme), self.offset(index)
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, Tokens) else other)
+
+
 class TokenStream:
-    """Cursor over the tokens of *text*; it never moves past the final EOF token.
+    """Cursor over the lexemes of *text*; it never moves past the final EOF lexeme "".
 
     ``error`` places a failure at a position: ``pos``, the current token's, or ``last``,
     the most recently consumed token's."""
@@ -170,61 +219,74 @@ class TokenStream:
     def __init__(self, text: str):
         self.text = text
         self.tokens = tokenize(text)
+        self.lexemes = self.tokens.lexemes
         self.pos = 0
         self.last = 0
 
-    def peek(self, ahead: int = 0) -> tuple[str, str, int]:
+    def peek(self, ahead: int = 0) -> str:
+        """The lexeme *ahead* tokens on, or EOF's past the end."""
         if not ahead:
-            return self.tokens[self.pos]
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+            return self.lexemes[self.pos]
+        return self.lexemes[min(self.pos + ahead, len(self.lexemes) - 1)]
 
-    def at(self, kind: str, value: str | None = None) -> bool:
-        t = self.tokens[self.pos]
-        return t[0] == kind and (value is None or t[1] == value)
+    def at(self, kind: str) -> bool:
+        return kind_of(self.lexemes[self.pos]) == kind
 
-    def accept(self, kind: str, value: str | None = None) -> str | None:
-        """Consume the current token and return its value if it is *kind* (and *value*).
+    def accept(self, lexeme: str) -> bool:
+        """Consume the current token if it is *lexeme*, a keyword or an operator."""
+        if self.lexemes[self.pos] == lexeme:
+            self.last = self.pos
+            self.pos += 1
+            return True
+        return False
+
+    def take(self, keywords: Container[str]) -> str | None:
+        """Consume the current token and return it if it is one of *keywords*."""
+        lexeme = self.lexemes[self.pos]
+        if lexeme in keywords:
+            self.last = self.pos
+            self.pos += 1
+            return lexeme
+        return None
+
+    def accept_kind(self, kind: str) -> str | None:
+        """Consume the current token and return its value if it is of *kind*.
 
         *kind* is never EOF, so the cursor stays on the final token. A string
         literal's value may be empty, so test the result against None.
         """
-        t = self.tokens[self.pos]
-        if t[0] == kind and (value is None or t[1] == value):
-            self.last = self.pos
-            self.pos += 1
-            return t[1]
-        return None
+        lexeme = self.lexemes[self.pos]
+        if kind_of(lexeme) != kind:
+            return None
+        self.last = self.pos
+        self.pos += 1
+        return value_of(lexeme) if kind == STRING else lexeme
 
-    def take(self, keywords: Container[str]) -> str | None:
-        """Consume the current token and return its value if it is a name or operator in *keywords*."""
-        kind, value, _ = self.tokens[self.pos]
-        if value in keywords and (kind == NAME or kind == OP):
+    def advance(self) -> None:
+        if self.lexemes[self.pos]:
             self.last = self.pos
             self.pos += 1
-            return value
-        return None
-
-    def advance(self) -> str:
-        t = self.tokens[self.pos]
-        if t[0] != EOF:
-            self.last = self.pos
-            self.pos += 1
-        return t[1]
 
     def error(self, message: str, expected: str | None = None,
               at: int | None = None) -> ParseFailure:
         """A failure at the token in position *at*, by default the current one."""
-        offset = self.tokens[self.pos if at is None else at][2]
+        offset = self.tokens.offset(self.pos if at is None else at)
         return ParseFailure([parse_error(self.text, offset, message, expected)])
 
     def unexpected(self, expected: str) -> ParseFailure:
         """A failure at the current token, which is not the *expected* one."""
-        kind, value, _ = self.tokens[self.pos]
-        got = value if kind != EOF else "end of input"
-        return self.error(f"found {got!r}", expected)
+        lexeme = self.lexemes[self.pos]
+        return self.error(f"found {value_of(lexeme) if lexeme else 'end of input'!r}", expected)
 
-    def expect(self, kind: str, value: str | None = None, label: str | None = None) -> str:
-        found = self.accept(kind, value)
-        if found is None:
-            raise self.unexpected(str(label or value or kind))
-        return found
+    def expect(self, lexeme: str, label: str | None = None) -> None:
+        """Consume the current token, which must be *lexeme*; *label* names it in an error."""
+        if self.lexemes[self.pos] != lexeme:
+            raise self.unexpected(label or lexeme)
+        self.last = self.pos
+        self.pos += 1
+
+    def expect_kind(self, kind: str, label: str) -> str:
+        """Consume the current token, which must be of *kind*, and return its value."""
+        if (value := self.accept_kind(kind)) is None:
+            raise self.unexpected(label)
+        return value

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .diagnostics import ParseError, ParseFailure
 from .formula import parse_formula_tokens
-from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, OP, STRING, TokenStream
+from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, STRING, TokenStream
 from .model import (
     AsciiRange,
     Attribute,
@@ -61,6 +61,8 @@ from .model import (
 
 _SET_KINDS = ("entity", "relationship", "computed")
 _TOPLEVEL = ("diagram", "restriction", "description")
+# The optional clauses of a set's header, in order, then the brace that ends it.
+_SET_HEADER = ("subset_of", "card", "=", "{")
 # Each keyword of a sized range: the range it builds and the label of its size.
 _SIZED_RANGES = {
     "ascii": (AsciiRange, "length"), "ASCII": (AsciiRange, "length"),
@@ -89,7 +91,7 @@ def parse_model(source: str) -> ERModel:
                 restrictions.append(_parse_restriction(stream))
             elif statement == "description":
                 keyword = stream.last
-                text = stream.expect(STRING, label="description text")
+                text = stream.expect_kind(STRING, "description text")
                 if description is not None:
                     errors += stream.error("description declared twice", at=keyword).errors
                 description = text
@@ -107,15 +109,15 @@ def parse_model(source: str) -> ERModel:
 def _skip_to_toplevel(stream: TokenStream) -> None:
     # An error reported at the next statement's keyword means the failed
     # statement is already fully consumed; resume right there.
-    while not stream.at(EOF) and not (stream.at(NAME) and stream.peek()[1] in _TOPLEVEL):
+    while (lexeme := stream.peek()) and lexeme not in _TOPLEVEL:
         stream.advance()
 
 
 def _parse_diagram(stream: TokenStream) -> Diagram:
-    name = stream.expect(NAME, label="diagram name")
-    stream.expect(OP, "{")
+    name = stream.expect_kind(NAME, "diagram name")
+    stream.expect("{")
     sets: list[ObjectSet] = []
-    while not stream.accept(OP, "}"):
+    while not stream.accept("}"):
         sets.append(_parse_set(stream))
     return Diagram(name, tuple(sets))
 
@@ -123,20 +125,25 @@ def _parse_diagram(stream: TokenStream) -> Diagram:
 def _parse_set(stream: TokenStream) -> ObjectSet:
     if (kind := stream.take(_SET_KINDS)) is None:
         raise stream.unexpected("'entity', 'relationship', or 'computed'")
-    name = stream.expect(NAME, label="set name")
+    name = stream.expect_kind(NAME, "set name")
 
     included: tuple[str, ...] = ()
     max_card: int | None = None
     card_pow: int | None = None
     definition: str | None = None
-    if stream.accept(NAME, "subset_of"):
+    clause = stream.take(_SET_HEADER)
+    if clause == "subset_of":
         included = _parse_names(stream, "superset name")
-    if stream.accept(NAME, "card"):
+        clause = stream.take(_SET_HEADER[1:])
+    if clause == "card":
         max_card, card_pow = _parse_cardinality(stream)
-    if stream.accept(OP, "="):
-        definition = stream.expect(STRING, label="definition text")
+        clause = stream.take(_SET_HEADER[2:])
+    if clause == "=":
+        definition = stream.expect_kind(STRING, "definition text")
+        clause = stream.take(_SET_HEADER[3:])
+    if clause is None:
+        raise stream.unexpected("{")
 
-    stream.expect(OP, "{")
     attributes: list[Attribute] = []
     roles: list[Role] = []
     functions: list[StructuralFunction] = []
@@ -144,10 +151,11 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
         if keyword == "attr":
             attributes.append(_parse_attribute(stream))
         elif keyword == "role":
-            roles.append(Role(*_parse_arrow(stream, "role"), bool(stream.accept(NAME, "unique"))))
+            roles.append(Role(*_parse_arrow(stream, "role"), stream.accept("unique")))
         elif keyword == "fn":
-            functions.append(StructuralFunction(
-                *_parse_arrow(stream, "function"), _parse_computed(stream)))
+            arrow = _parse_arrow(stream, "function")
+            computed = _parse_computed(stream) if stream.accept("computed") else None
+            functions.append(StructuralFunction(*arrow, computed))
         else:
             raise stream.unexpected("'attr', 'role', 'fn', or '}'")
     return ObjectSet(
@@ -164,23 +172,23 @@ def _parse_set(stream: TokenStream) -> ObjectSet:
 
 
 def _parse_names(stream: TokenStream, label: str) -> tuple[str, ...]:
-    names = [stream.expect(NAME, label=label)]
-    while stream.accept(OP, ","):
-        names.append(stream.expect(NAME, label=label))
+    names = [stream.expect_kind(NAME, label)]
+    while stream.accept(","):
+        names.append(stream.expect_kind(NAME, label))
     return tuple(names)
 
 
 def _parse_cardinality(stream: TokenStream) -> tuple[int, int | None]:
-    digits = stream.expect(INT, label="cardinality")
+    digits = stream.expect_kind(INT, "cardinality")
     exponent = _parse_pow10(stream, digits, "cardinality powers")
     return (int(digits), None) if exponent is None else (10 ** exponent, exponent)
 
 
 def _parse_pow10(stream: TokenStream, base: str, what: str) -> int | None:
     """The n of ``10^n`` if ``^`` follows the digits *base*, below MAX_DIGITS; *what* names it."""
-    if not stream.accept(OP, "^"):
+    if not stream.accept("^"):
         return None
-    exponent = int(stream.expect(INT, label="exponent"))
+    exponent = int(stream.expect_kind(INT, "exponent"))
     if int(base) != 10:
         raise stream.error(f"{what} must use base 10", at=stream.last)
     if exponent >= MAX_DIGITS:
@@ -188,34 +196,36 @@ def _parse_pow10(stream: TokenStream, base: str, what: str) -> int | None:
     return exponent
 
 
-def _parse_computed(stream: TokenStream) -> str | None:
-    if not stream.accept(NAME, "computed"):
-        return None
-    stream.expect(OP, "=")
-    return stream.expect(STRING, label="computed expression")
+def _parse_computed(stream: TokenStream) -> str:
+    """The expression of a ``computed`` clause, whose keyword was just read."""
+    stream.expect("=")
+    return stream.expect_kind(STRING, "computed expression")
 
 
 def _parse_attribute(stream: TokenStream) -> Attribute:
-    name = stream.expect(NAME, label="attribute name")
-    rng = _parse_range(stream) if stream.accept(OP, ":") else None
-    return Attribute(name, rng, _parse_computed(stream))
+    name = stream.expect_kind(NAME, "attribute name")
+    rng = None
+    if (clause := stream.take((":", "computed"))) == ":":
+        rng = _parse_range(stream)
+        clause = stream.take(("computed",))
+    return Attribute(name, rng, _parse_computed(stream) if clause else None)
 
 
 def _parse_arrow(stream: TokenStream, member: str) -> tuple[str, str]:
     """``NAME -> SET`` of a *member* (role or function): its name, then its target set."""
-    name = stream.expect(NAME, label=f"{member} name")
-    stream.expect(OP, "->")
-    return name, stream.expect(NAME, label="target set")
+    name = stream.expect_kind(NAME, f"{member} name")
+    stream.expect("->")
+    return name, stream.expect_kind(NAME, "target set")
 
 
 def _parse_range(stream: TokenStream) -> Range:
-    if stream.accept(OP, "["):
+    if stream.accept("["):
         opened = stream.last
         try:
             lo = _parse_bound(stream)
-            stream.expect(OP, ",")
+            stream.expect(",")
             hi = _parse_bound(stream)
-            stream.expect(OP, "]")
+            stream.expect("]")
         except ParseFailure:
             if stream.at(EOF):
                 raise stream.error(
@@ -225,45 +235,45 @@ def _parse_range(stream: TokenStream) -> Range:
         return Interval(lo, hi)
     if (keyword := stream.take(_SIZED_RANGES)) is not None:
         sized, label = _SIZED_RANGES[keyword]
-        stream.expect(OP, "(")
-        size = int(stream.expect(INT, label=label))
-        stream.expect(OP, ")")
+        stream.expect("(")
+        size = int(stream.expect_kind(INT, label))
+        stream.expect(")")
         return sized(size)
     raise stream.unexpected("'[', 'ascii', or 'nat'")
 
 
 def _parse_bound(stream: TokenStream) -> Bound:
-    if date := stream.accept(DATE):
+    if date := stream.accept_kind(DATE):
         return DateBound(date)
-    if stream.accept(OP, "-"):
-        return IntBound(-int(stream.expect(INT, label="integer")))
-    if digits := stream.accept(INT):
+    if stream.accept("-"):
+        return IntBound(-int(stream.expect_kind(INT, "integer")))
+    if digits := stream.accept_kind(INT):
         if (exponent := _parse_pow10(stream, digits, "power bounds")) is None:
             return IntBound(int(digits))
         return Pow10Bound(exponent)
-    if name := stream.accept(NAME):
-        stream.expect(OP, "(")
-        stream.expect(OP, ")")
+    if name := stream.accept_kind(NAME):
+        stream.expect("(")
+        stream.expect(")")
         return FuncBound(f"{name}()")
     raise stream.unexpected("bound")
 
 
 def _parse_restriction(stream: TokenStream) -> Restriction:
-    label = stream.expect(NAME, label="restriction label")
-    stream.expect(NAME, "on", label="'on'")
-    target = stream.expect(NAME, label="target set")
+    label = stream.expect_kind(NAME, "restriction label")
+    stream.expect("on", "'on'")
+    target = stream.expect_kind(NAME, "target set")
 
     body: RestrictionBody
     keyword = stream.take(("subset_of", "card", "range", "compulsory", "unique", "other"))
     if keyword == "subset_of":
-        body = InclusionBody(target, stream.expect(NAME, label="superset name"))
+        body = InclusionBody(target, stream.expect_kind(NAME, "superset name"))
     elif keyword == "card":
         body = CardinalityBody(*_parse_cardinality(stream))
     elif keyword == "range":
-        attr = stream.expect(NAME, label="attribute name")
+        attr = stream.expect_kind(NAME, "attribute name")
         start = stream.last
-        if stream.accept(OP, "."):
-            inner = stream.expect(NAME, label="attribute name")
+        if stream.accept("."):
+            inner = stream.expect_kind(NAME, "attribute name")
             if attr != target:
                 raise stream.error(
                     f"path {attr}.{inner} does not start at target set {target}", at=start
@@ -277,9 +287,9 @@ def _parse_restriction(stream: TokenStream) -> Restriction:
     elif keyword == "other":
         informal: str | None = None
         formal = None
-        if stream.accept(NAME, "informal"):
-            informal = stream.expect(STRING, label="informal text")
-        if stream.accept(NAME, "formal"):
+        if stream.accept("informal"):
+            informal = stream.expect_kind(STRING, "informal text")
+        if stream.accept("formal"):
             formal = parse_formula_tokens(stream)
         body = OtherBody(informal, formal)
     else:

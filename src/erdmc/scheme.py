@@ -198,16 +198,24 @@ def ref_constraint(c: Constraint) -> str:
 # --- structural keys ---
 
 
-def is_implicit_key(k: Key, s: EMDMSet) -> bool:
+def role_names(s: EMDMSet) -> frozenset[str]:
+    """The names of the roles of *s*, or none if one is no str: what is_implicit_key compares."""
+    names = [m.name for m in s.mappings if m.flavor == ROLE]
+    return frozenset(names) if all(type(n) is str for n in names) else frozenset()
+
+
+def is_implicit_key(k: Key, s: EMDMSet, roles: frozenset[str] | None = None) -> bool:
     """True iff *k* spans exactly the full role set of a relationship-derived set.
 
     Such keys are implied by the relationship's header notation and are not
-    rendered in the text output.
+    rendered in the text output. *roles* is ``role_names(s)``, which a caller
+    that asks for each key of *s* collects once.
     """
     if s.kind != RELATIONSHIP_DERIVED:
         return False
-    roles = [m.name for m in s.mappings if m.flavor == ROLE]  # compared, never hashed
-    return bool(roles) and all(n in roles for n in k.mappings) and all(n in k.mappings for n in roles)
+    if roles is None:
+        roles = role_names(s)
+    return bool(roles) and all(type(n) is str for n in k.mappings) and frozenset(k.mappings) == roles
 
 
 # --- formula resolution against a scheme ---
@@ -305,13 +313,17 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
         else:
             seen[value] = entry
 
-    # Each set name to its first set's members by name, the first member of a name winning.
+    # Each set name to its first set's members by name, the first member of a name winning;
+    # and to that set: the names as the scheme stands, whatever EMDMScheme.set has indexed.
     members: dict[str, dict[str, Mapping]] = {}
+    sets: dict[str, EMDMSet] = {}
     owns: list[dict[str, Mapping]] = []  # each set's own members by name
     seen_labels: dict[str, None] = {}
     for s in scheme.sets:
         owns.append(own := {})
         check_name(s.name, s.name, members, own, "duplicate-set", ("scheme set ", " appears twice"))
+        if type(s.name) is str:
+            sets.setdefault(s.name, s)
         if s.kind not in SET_KINDS:
             bad("unknown-set-kind", s.name, f"{s.name} has unknown kind {s.kind!r}")
         validate_definition(s.computed_definition, s.name, bad)
@@ -374,7 +386,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             elif m.flavor not in MAPPING_FLAVORS:
                 bad("unknown-flavor", element, f"mapping {m.name} has unknown flavor {m.flavor!r}")
             if isinstance(m.codomain, str):
-                if scheme.set(m.codomain) is None:
+                if m.codomain not in sets:
                     bad("unresolved-codomain", element,
                         f"mapping {m.name} targets unknown set {m.codomain!r}")
             elif m.codomain is not None:
@@ -390,6 +402,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             bad("roles-on-entity", s.name, f"{s.kind} set {s.name} carries role mappings")
 
         seen_key_sets: set[frozenset[str]] = set()
+        full_roles = role_names(s)
         for k in s.keys:
             element = f"{s.name}.{k.label}"
             refs.append(ref_key(s.name, k.label))
@@ -407,14 +420,14 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                 seen_key_sets.add(mapping_set)
             if type(k.implicit) is not bool:
                 bad("bad-flag", element, f"implicit of key {k.label} must be true or false")
-            elif k.implicit != is_implicit_key(k, s):
+            elif k.implicit != is_implicit_key(k, s, full_roles):
                 bad("implicit-flag", element,
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
             check_name(k.label, element, seen_labels, None, "duplicate-label", ("label ", " reused"))
 
     for c in scheme.constraints:
         refs.append(ref_constraint(c))
-        check_constraint(scheme, members, c, bad)
+        check_constraint(sets.get, members, c, bad)
         if c.label is not None:
             check_name(c.label, f"constraint:{c.label}", seen_labels, None, "duplicate-label",
                        ("label ", " reused"))
@@ -438,15 +451,17 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     return diagnostics
 
 
-def check_constraint(scheme: EMDMScheme, members: dict, c: Constraint, bad: Callable) -> None:
-    """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's; its formula
-    resolves over *members*, as :func:`resolve_formula` takes them."""
+def check_constraint(set_named: Callable[[str], EMDMSet | None], members: dict, c: Constraint,
+                     bad: Callable) -> None:
+    """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's. Its sets
+    resolve through *set_named*, and its formula over *members*, as :func:`resolve_formula`
+    takes them."""
     element = ref_constraint(c)
     if isinstance(c, InclusionConstraint):
         if c.subset == c.superset:
             bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
         for is_subset, endpoint in ((True, c.subset), (False, c.superset)):
-            found = scheme.set(endpoint) if type(endpoint) is str else None
+            found = set_named(endpoint) if type(endpoint) is str else None
             if found is None:
                 bad("unresolved-inclusion", element,
                     f"inclusion endpoint {endpoint!r} is not a scheme set")
@@ -454,7 +469,7 @@ def check_constraint(scheme: EMDMScheme, members: dict, c: Constraint, bad: Call
                 bad("restriction-on-computed-set", element,
                     f"computed set {endpoint!r} cannot carry an inclusion in {c.superset!r}")
     elif isinstance(c, TupleConstraint):
-        owner = scheme.set(c.set_name) if type(c.set_name) is str else None
+        owner = set_named(c.set_name) if type(c.set_name) is str else None
         if owner is None:
             bad("unresolved-set", element, f"tuple constraint set {c.set_name!r} missing")
         elif owner.kind == COMPUTED:

@@ -65,6 +65,7 @@ from .scheme import (
     ref_key,
     ref_mapping,
     ref_set,
+    role_names,
 )
 
 
@@ -230,7 +231,7 @@ class Translator:
         self._translate_nonrelational()
         # Checked once all are in: a check may reach sets added after its own.
         for c in self.scheme.constraints:
-            check_constraint(self.scheme, self.members, c, self.report.diagnostics.add)
+            check_constraint(self.scheme.set, self.members, c, self.report.diagnostics.add)
         self._enrich()
 
         compulsory_lines = sum(
@@ -327,10 +328,11 @@ class Translator:
                     facet = ref_mapping(s.name, name, f"total:{r.label}")
                     self._step("compulsory_members", src_restriction(r.label, name), facet)
 
+        roles = role_names(target)
         for r in restrictions:
             if isinstance(r.body, UniquenessBody) and not r.body.is_singleton:
                 key = Key(label=r.label, mappings=tuple(r.body.mappings))
-                key.implicit = is_implicit_key(key, target)
+                key.implicit = is_implicit_key(key, target, roles)
                 target.keys.append(key)
                 self._step("concatenated_keys", src_restriction(r.label), ref_key(s.name, r.label))
 

@@ -14,6 +14,7 @@ from erdmc.lexer import (
     EOF,
     MAX_DIGITS,
     STRING,
+    TokenStream,
     _unescape,
     parse_error,
     quote_string,
@@ -63,6 +64,13 @@ def failure(text: str) -> tuple[int, int, str]:
         ("string", "a", 1, 1), ("string", "", 1, 5), ("string", 'b"c\\', 1, 8),
         ("string", "\n\r\tq", 1, 17), ("eof", "", 1, 27),
     ]),
+    # A glyph right after a string that holds an escape; '#' glued to a name before a string.
+    ('"a\\n"→b', [("string", "a\n", 1, 1), ("op", "->", 1, 6), ("name", "b", 1, 7), ("eof", "", 1, 8)]),
+    ('Room#"x"', [("name", "Room#", 1, 1), ("string", "x", 1, 6), ("eof", "", 1, 9)]),
+    # \d takes digits beyond ASCII, as int() reads them.
+    ("a ١٠ 1/٢/3", [
+        ("name", "a", 1, 1), ("int", "١٠", 1, 3), ("date", "1/٢/3", 1, 6), ("eof", "", 1, 11),
+    ]),
     ("x\n∀y ∈ A", [
         ("name", "x", 1, 1), ("name", "forall", 2, 1), ("name", "y", 2, 2),
         ("name", "in", 2, 4), ("name", "A", 2, 6), ("eof", "", 2, 7),
@@ -91,6 +99,12 @@ def test_each_glyph_reads_as_its_ascii_token(glyph, kind, value):
     ("a $", (1, 3, "unexpected character '$'")),
     ("a\n\n  b @", (3, 5, "unexpected character '@'")),
     ("1/2", (1, 2, "unexpected character '/'")),
+    ("1/2/3/4", (1, 6, "unexpected character '/'")),
+    ("9" * MAX_DIGITS + "/", (1, MAX_DIGITS + 1, "unexpected character '/'")),
+    ("1/2/" + "9" * (MAX_DIGITS + 1), (1, 1, f"integer longer than {MAX_DIGITS} digits")),
+    ("a " + "٣" * (MAX_DIGITS + 1), (1, 3, f"integer longer than {MAX_DIGITS} digits")),
+    ('→"\\u12"', (1, 3, "malformed \\u escape")),
+    ('a "', (1, 3, "unterminated string literal")),
 ])
 def test_lexical_errors_are_positioned(text, expected):
     assert failure(text) == expected
@@ -130,11 +144,16 @@ def test_quoted_strings_stay_on_one_line(s):
 
 
 def test_tokens_leave_the_collectors_books():
-    # Exact tuples of untracked values: one collection stops tracking every token.
+    # The stream keeps str lexemes, which the collector never tracks; a token
+    # read from the view is an exact tuple of untracked values, so one
+    # collection stops tracking it.
     fixture = Path(__file__).parent / "fixtures" / "teaching.erdm"
-    tokens = tokenize(fixture.read_text(encoding="utf-8"))
+    stream = TokenStream(fixture.read_text(encoding="utf-8"))
+    assert {type(lexeme) for lexeme in stream.lexemes} == {str}
+    tokens = list(stream.tokens)
     gc.collect()
     assert len(tokens) > 600
+    assert {type(t) for t in tokens} == {tuple}
     assert [t for t in tokens if gc.is_tracked(t)] == []
 
 
@@ -198,6 +217,9 @@ _PIECES = [
     ":", "^", ".", "=", "&", "|", "!", '"ab"', '""', '"a\\"b"', '"\\n\\q"', '"\\u00e9"',
     '"\\uzz"', '"\\ud800"', '"a\nb"', " ", "\t", "\r\n", "\n", "# note", "#", "Room#",
     "a#b", '"', "\\", "$", "/", *_GLYPHS,
+    # scanner boundary cases
+    "1/2/3/4", "9" * MAX_DIGITS + "/", "1/2/" + "9" * (MAX_DIGITS + 1), '"a\\n"→', '→"\\u12"',
+    'Room#"x"', "٣", "١٠", "٣" * (MAX_DIGITS + 1),
     # characters that str.split takes as blanks, but the scanner does not
     "\x0b", "\x0c", "\u00a0", "\u2028",
 ]

@@ -18,8 +18,9 @@ member, leaves the call counts linear. So the same rule is applied to the
 line events of erdmc's files, counted with sys.settrace: on copies of
 models that collapse relationships (rule viii), and on one set that widens,
 with n times as many attributes, each ranged and made unique by a
-restriction of its own (and again with a formal tuple check on each), and
-on one set onto which n times as many relationships collapse. A failure
+restriction of its own (and again with a formal tuple check on each), on
+one set onto which n times as many relationships collapse, and on one
+relationship with n times as many attributes, each in a key with a role. A failure
 names the lines that broke it, by file and line. Neither count can see O(n)
 work inside one call of a builtin, such as min over a set or list.remove in a
 loop that runs once per element.
@@ -43,7 +44,7 @@ from erdmc.generator import random_model, sized_model
 from erdmc.lexer import NAME, tokenize
 from erdmc.model import ERModel
 from erdmc.parser import parse_model
-from test_pinned_outputs import _write_model
+from test_pinned_outputs import SHAPES, _write_model
 
 ERDMC = Path(erdmc.__file__).parent
 
@@ -215,3 +216,11 @@ def test_every_line_runs_linearly_often_as_relationships_collapse_onto_one_home(
     nonlinear = _nonlinear(_line_counts, [home_source(WIDTH * n) for n in (1, 2, 3)], tmp_path)
     capsys.readouterr()
     assert nonlinear == {}, "line events at 1, 2 and 3 times the base count"
+
+
+def test_every_line_runs_linearly_often_as_one_keyed_relationship_widens(tmp_path, capsys):
+    """Each attribute of the relationship joins its role p in a key of its own."""
+    sources = [SHAPES["implicit-keys"](WIDTH * n) for n in (1, 2, 3)]
+    nonlinear = _nonlinear(_line_counts, sources, tmp_path)
+    capsys.readouterr()
+    assert nonlinear == {}, "line events at widths 1, 2 and 3 times the base"

@@ -9,6 +9,8 @@ import pytest
 import erdmc
 from erdmc.diagnostics import ParseFailure
 from erdmc.formula import parse_formula
+from erdmc.generator import random_model
+from erdmc.lexer import Tokens, tokenize
 from erdmc.model import (
     AsciiRange,
     DateBound,
@@ -19,6 +21,7 @@ from erdmc.model import (
     validate_model,
 )
 from erdmc.parser import parse_model
+from test_pinned_outputs import _write_model
 
 
 def test_teaching_fixture_shape(teaching_model):
@@ -176,6 +179,8 @@ PARSE_CASES = [
     ("formula-65-levels-deep", parse_model,
      D + "restriction R1 on A other formal (forall x in A)(" + "!" * 64 + "x = x)",
      ["2:113: formula nested deeper than 64 levels"]),
+    ("set-header-without-brace", parse_model, "diagram D { entity A card 10 attr a }",
+     ["1:30: found 'attr' (expected {)"]),
     ("description-twice", parse_model, 'description "a"\ndescription "b"\n',
      ["2:1: description declared twice"]),
     ("cardinality-power-not-10", parse_model, "diagram D { entity A card 2^3 { } }",
@@ -326,3 +331,25 @@ def test_every_parse_error_literal_has_a_case():
     assert len(patterns) >= 15
     missing = [p for p in patterns if not any(re.fullmatch(p, line) for line in rendered)]
     assert missing == []
+
+
+def test_a_parse_scans_once_and_reads_only_lexemes(monkeypatch, teaching_source):
+    """The front end's cost, by counts: one tokenize call per text, no token tuple built,
+    and a stream of plain str lexemes."""
+    texts = [teaching_source] + [_write_model()(random_model(seed)) for seed in range(50)]
+    scans = []
+
+    def counted(text):
+        scans.append(tokens := tokenize(text))
+        return tokens
+
+    def no_tuples(self, index):
+        raise AssertionError("a parse built a (kind, value, offset) token")
+
+    monkeypatch.setattr(erdmc.lexer, "tokenize", counted)
+    monkeypatch.setattr(Tokens, "__getitem__", no_tuples)
+    for text in texts:
+        parse_model(text)
+    assert len(scans) == len(texts)
+    assert all(type(tokens.lexemes) is list for tokens in scans)
+    assert {type(lexeme) for tokens in scans for lexeme in tokens.lexemes} == {str}

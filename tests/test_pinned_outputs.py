@@ -12,8 +12,9 @@ still carried a line and a column, and again when an unexpected end of input
 came to be named as such; those of the validation corpus, while
 validate_model kept one accumulator per kind of declaration; those of the
 bulk model, while the input defaults rebuilt records with
-dataclasses.replace; those of the five shapes, while rescans made their
-translation quadratic. A change meant
+dataclasses.replace; those of the first five shapes, while rescans made their
+translation quadratic, and of the sixth while is_implicit_key still walked its
+set's mappings once per key. A change meant
 to keep the output as it is must leave them as they are; a change meant to
 alter the output updates them in the same commit and says why.
 """
@@ -122,11 +123,12 @@ def test_bulk_model_outputs_are_pinned():
     )
 
 
-# Five shapes of n elements that rescans once made quadratic to translate:
+# Six shapes of n elements that rescans once made quadratic to translate:
 # relationships that collapse (rule viii), one set whose attributes are each
 # made unique by a restriction, sets that reference a two-set cycle, one set
-# whose attributes each carry a formal tuple check, and relationships that
-# all collapse onto one home.
+# whose attributes each carry a formal tuple check, relationships that
+# all collapse onto one home, and one relationship whose attributes each
+# join a role in a key.
 SHAPES = {
     "collapse": lambda n: "diagram D {\n" + "".join(
         f"  entity E{i} {{ attr a }}\n  entity F{i} {{ attr b }}\n"
@@ -148,6 +150,12 @@ SHAPES = {
         f"  entity F{i} {{ attr b }}\n"
         f"  relationship R{i} {{ role p -> H unique role q -> F{i} }}\n" for i in range(n)
     ) + "}\n",
+    "implicit-keys": lambda n: (
+        "diagram D {\n  entity P { attr u }\n  entity Q { attr v }\n"
+        "  relationship R { role p -> P role q -> Q"
+        + "".join(f" attr a{k}" for k in range(1, n + 1)) + " }\n}\n"
+        + "".join(f"restriction R{k} on R unique p, a{k}\n" for k in range(1, n + 1))
+    ),
 }
 
 
@@ -176,6 +184,11 @@ SHAPES = {
         "e6eeb26fd69b333c42429a7bf372bc8f12307996badf4449dab9ce573122f432",
         "23f63cea6d1e31f4ee8a8a08245f1518c75a9dba510437e3a0d50b8f79901e66",
         "754758aecce668b83174faa1cc638a38b5bc4c694e957bbdd27dd8e5f9788ef1",
+    )),
+    ("implicit-keys", (
+        "94aa9b0c44fc342107885f1d4713406c29065ef2e9a584c71f253f6ab3147d15",
+        "5bd7f0709ba4591dbbc8102b4e541ac831103403eb5df7ab2e0e7384a05a0f4b",
+        "867d8dea05bd62599a2dd3d574dc4fffb5b423bd988a7e0eca8bb42062cd52e0",
     )),
 ])
 def test_shape_outputs_are_pinned(shape, digests):

@@ -9,6 +9,7 @@ import pytest
 
 from erdmc import scheme as sch
 from erdmc.diagnostics import Diagnostics
+from erdmc.emitter import EmitError, emit_text
 from erdmc.formula import Apply, Binary, Compare, Forall, Literal, Var, parse_formula
 from erdmc.model import AsciiRange, DateBound, FuncBound, IntBound, Interval, NatRange, Pow10Bound
 from erdmc.parser import parse_model
@@ -390,6 +391,21 @@ def test_check_scheme_names_the_element_of_each_code(golden_scheme, code, elemen
     mutate(mutated)
     found = [(d.code, d.element) for d in check_scheme(mutated) if d.code == code]
     assert found == [(code, element)]
+
+
+def test_check_scheme_resolves_names_as_the_scheme_stands():
+    # A set renamed in place after add_set: EMDMScheme.set still finds it under its old name.
+    scheme = translate(parse_model(
+        "diagram D { entity A card 10 { attr v } entity B card 10 { attr w fn f -> A } }"
+    )).scheme
+    scheme.set("A").name = "Z"
+    scheme.provenance = {
+        ref.replace(":A", ":Z", 1) if ref_owner(ref) == "A" else ref: source
+        for ref, source in scheme.provenance.items()
+    }
+    assert [(d.code, d.element) for d in check_scheme(scheme)] == [("unresolved-codomain", "B.f")]
+    with pytest.raises(EmitError):
+        emit_text(scheme)
 
 
 def test_check_scheme_flags_a_reused_constraint_label(golden_scheme):
