@@ -465,6 +465,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     Collapsed relationships leave ``scheme.sets`` at the end of the pass. No lookup
     reaches one before: a role naming a relationship references it, which blocks its collapse.
     """
+    sets = {s.name: s for s in reversed(scheme.sets)}  # the first of a name wins
     references: Counter[str] | None = None  # counted at the first candidate
     owned: dict[str, list[str]] | None = None  # grouped at the first collapse
     names: dict[str, set[str]] = {}  # each home's mapping names, from its first collapse on
@@ -512,7 +513,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             source_role, target_role = second, first
             one_to_one = False
 
-        home = scheme.set(source_role.codomain)
+        home = sets.get(source_role.codomain)
         if home is s or home.kind == sch.COMPUTED:
             log.diagnostics.add("collapse-skipped", s.name,
                                 f"{s.name} cannot collapse onto {home.name}", WARNING)

@@ -4,8 +4,8 @@ A token is a lexeme: its text as written, a glyph replaced by its ASCII
 surface, and "" for the end of the text. The first character of a lexeme
 gives its kind, and a "/" marks a date; a string literal keeps its quotes
 and escapes until the parser reads its value. ``tokenize`` lists the lexemes
-in one regex scan, and serves them as exact ``(kind, value, offset)`` tuples
-to a reader that asks.
+in one regex scan; ``offsets`` places them, and a parse asks for it only when
+it reports an error.
 
 Names may contain ``#`` when it directly follows an identifier character
 (``Room#``); a ``#`` preceded by whitespace or punctuation starts a line
@@ -18,7 +18,7 @@ replaced.
 from __future__ import annotations
 
 import re
-from collections.abc import Container, Sequence
+from collections.abc import Container
 from string import ascii_letters
 
 from .diagnostics import LINE_BREAKS, ParseError, ParseFailure
@@ -115,12 +115,17 @@ def parse_error(text: str, offset: int, message: str, expected: str | None = Non
     return ParseError(text.count("\n", 0, offset) + 1, offset - line_start + 1, message, expected)
 
 
-def tokenize(text: str) -> Tokens:
-    """The tokens of *text*, the last one EOF; raises ParseFailure at its first lexical error."""
+def tokenize(text: str) -> list[str]:
+    """The lexemes of *text*, the last one EOF's; raises ParseFailure at its first lexical error."""
     lexemes = _TOKEN_RE.findall(text, _BLANKS_RE.match(text).end())
     if lexemes.index("") < len(lexemes) - 1:  # a fault: a glyph or an error
-        return Tokens(text, *_scan(text))
-    return Tokens(text, lexemes)
+        return _scan(text)[0]
+    return lexemes
+
+
+def offsets(text: str) -> list[int]:
+    """Where each lexeme that tokenize lists for *text* starts."""
+    return _scan(text)[1]
 
 
 def _scan(text: str) -> tuple[list[str], list[int]]:
@@ -183,33 +188,6 @@ def quote_string(text: str) -> str:
     return '"' + text.translate(_QUOTE) + '"'
 
 
-class Tokens(Sequence):
-    """The ``(kind, value, offset)`` tokens of *text*, each read from its lexeme on access.
-
-    A parse reads only ``lexemes``. The offsets are found, all in one scan, when
-    an error or a reader of this view first needs one."""
-
-    def __init__(self, text: str, lexemes: list[str], offsets: list[int] | None = None):
-        self.text = text
-        self.lexemes = lexemes
-        self._offsets = offsets
-
-    def offset(self, index: int) -> int:
-        if self._offsets is None:
-            self._offsets = _scan(self.text)[1]
-        return self._offsets[index]
-
-    def __len__(self) -> int:
-        return len(self.lexemes)
-
-    def __getitem__(self, index: int) -> tuple[str, str, int]:
-        lexeme = self.lexemes[index]
-        return kind_of(lexeme), value_of(lexeme), self.offset(index)
-
-    def __eq__(self, other: object) -> bool:
-        return list(self) == (list(other) if isinstance(other, Tokens) else other)
-
-
 class TokenStream:
     """Cursor over the lexemes of *text*; it never moves past the final EOF lexeme "".
 
@@ -218,8 +196,8 @@ class TokenStream:
 
     def __init__(self, text: str):
         self.text = text
-        self.tokens = tokenize(text)
-        self.lexemes = self.tokens.lexemes
+        self.lexemes = tokenize(text)
+        self.offsets: list[int] | None = None  # found at the first error
         self.pos = 0
         self.last = 0
 
@@ -270,7 +248,9 @@ class TokenStream:
     def error(self, message: str, expected: str | None = None,
               at: int | None = None) -> ParseFailure:
         """A failure at the token in position *at*, by default the current one."""
-        offset = self.tokens.offset(self.pos if at is None else at)
+        if self.offsets is None:
+            self.offsets = offsets(self.text)
+        offset = self.offsets[self.pos if at is None else at]
         return ParseFailure([parse_error(self.text, offset, message, expected)])
 
     def unexpected(self, expected: str) -> ParseFailure:

@@ -127,33 +127,21 @@ Constraint = InclusionConstraint | TupleConstraint | NonrelationalConstraint
 
 @dataclass
 class EMDMScheme:
-    """Sets in emit order, constraints, and the provenance map.
-
-    :meth:`add_set` and :meth:`remove_sets` are the only writers of ``sets``:
-    they keep the name index behind :meth:`set` current.
-    """
+    """Sets in emit order, constraints, and the provenance map: plain data, which the
+    translator and the enrichment rules change in place."""
 
     sets: list[EMDMSet] = field(default_factory=list)
     constraints: list[Constraint] = field(default_factory=list)
     provenance: dict[str, str] = field(default_factory=dict)
-    # Each set name to the first set in ``sets`` under it.
-    _by_name: dict[str, EMDMSet] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_name = {s.name: s for s in reversed(self.sets)}  # the first of a name wins
 
     def set(self, name: str) -> EMDMSet | None:
-        return self._by_name.get(name)
-
-    def add_set(self, s: EMDMSet) -> None:
-        self.sets.append(s)
-        self._by_name.setdefault(s.name, s)
+        """The first set named *name*, found by a scan of ``sets``."""
+        return next((s for s in self.sets if s.name == name), None)
 
     def remove_sets(self, gone: Iterable[EMDMSet]) -> None:
         """Remove each set of *gone* itself, found by identity rather than by ==."""
         ids = {id(s) for s in gone}
         self.sets[:] = [s for s in self.sets if id(s) not in ids]
-        self.__post_init__()
 
 
 # --- scheme element references ---
@@ -314,7 +302,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             seen[value] = entry
 
     # Each set name to its first set's members by name, the first member of a name winning;
-    # and to that set: the names as the scheme stands, whatever EMDMScheme.set has indexed.
+    # and to that set.
     members: dict[str, dict[str, Mapping]] = {}
     sets: dict[str, EMDMSet] = {}
     owns: list[dict[str, Mapping]] = []  # each set's own members by name
@@ -427,7 +415,7 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
 
     for c in scheme.constraints:
         refs.append(ref_constraint(c))
-        check_constraint(sets.get, members, c, bad)
+        check_constraint(sets, members, c, bad)
         if c.label is not None:
             check_name(c.label, f"constraint:{c.label}", seen_labels, None, "duplicate-label",
                        ("label ", " reused"))
@@ -451,17 +439,17 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
     return diagnostics
 
 
-def check_constraint(set_named: Callable[[str], EMDMSet | None], members: dict, c: Constraint,
+def check_constraint(sets: dict[str, EMDMSet], members: dict, c: Constraint,
                      bad: Callable) -> None:
     """Call ``bad(code, element, message)`` for each fault of *c*, bar its label's. Its sets
-    resolve through *set_named*, and its formula over *members*, as :func:`resolve_formula`
+    resolve in *sets*, by name, and its formula over *members*, as :func:`resolve_formula`
     takes them."""
     element = ref_constraint(c)
     if isinstance(c, InclusionConstraint):
         if c.subset == c.superset:
             bad("self-inclusion", element, f"{c.subset} cannot be included in itself")
         for is_subset, endpoint in ((True, c.subset), (False, c.superset)):
-            found = set_named(endpoint) if type(endpoint) is str else None
+            found = sets.get(endpoint) if type(endpoint) is str else None
             if found is None:
                 bad("unresolved-inclusion", element,
                     f"inclusion endpoint {endpoint!r} is not a scheme set")
@@ -469,7 +457,7 @@ def check_constraint(set_named: Callable[[str], EMDMSet | None], members: dict, 
                 bad("restriction-on-computed-set", element,
                     f"computed set {endpoint!r} cannot carry an inclusion in {c.superset!r}")
     elif isinstance(c, TupleConstraint):
-        owner = set_named(c.set_name) if type(c.set_name) is str else None
+        owner = sets.get(c.set_name) if type(c.set_name) is str else None
         if owner is None:
             bad("unresolved-set", element, f"tuple constraint set {c.set_name!r} missing")
         elif owner.kind == COMPUTED:

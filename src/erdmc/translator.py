@@ -230,8 +230,9 @@ class Translator:
 
         self._translate_nonrelational()
         # Checked once all are in: a check may reach sets added after its own.
+        sets = {s.name: s for s in self.scheme.sets}  # valid, so no two share a name
         for c in self.scheme.constraints:
-            check_constraint(self.scheme.set, self.members, c, self.report.diagnostics.add)
+            check_constraint(sets, self.members, c, self.report.diagnostics.add)
         self._enrich()
 
         compulsory_lines = sum(
@@ -262,7 +263,7 @@ class Translator:
             name=s.name, kind=kind,
             role_signature=tuple((role.name, role.target) for role in s.roles),
         )
-        self.scheme.add_set(target)
+        self.scheme.sets.append(target)
         self._step(element_class, src_set(s.name), ref_set(s.name))
         if s.kind == COMPUTED:
             target.computed_definition = s.computed_definition

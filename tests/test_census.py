@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from erdmc import verify_translation
+from erdmc.parser import parse_model
 from erdmc.translator import TranslationOptions, translate
 
 OPTIONS = TranslationOptions()
@@ -57,6 +58,15 @@ def test_deleted_provenance_entry_fails_only_completeness(result):
     del result.scheme.provenance["mapping:STUDENTS.SSN#unique:R28"]
     assert _failing(result) == {
         "completeness": ["restriction:R28 has no provenance"],
+    }
+
+
+def test_an_attribute_whose_mapping_names_another_source_fails_only_completeness():
+    result = translate(parse_model("diagram D { entity A card 10 { attr v attr w } }"), OPTIONS)
+    result.scheme.provenance["mapping:A.v"] = "attribute:A.w"
+    assert verify_translation(result) == {
+        "linearity": [], "soundness": [], "completeness": ["attribute:A.v has no provenance"],
+        "optimality": [],
     }
 
 

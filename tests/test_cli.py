@@ -21,7 +21,7 @@ from erdmc.cli import main
 from erdmc.emitter import emit_structured, load_structured
 from erdmc.formula import MAX_FORMULA_DEPTH
 from erdmc.generator import random_model
-from erdmc.lexer import tokenize
+from erdmc.lexer import offsets
 from erdmc.model import Diagram, validate_model
 from erdmc.parser import parse_model
 from erdmc.translator import translate
@@ -800,7 +800,7 @@ def _fuzz_sources() -> tuple[str, ...]:
 def _edited_models(draw) -> str:
     """A model text with one to three of its tokens inserted before, deleted or replaced."""
     text = draw(st.sampled_from(_fuzz_sources()))
-    starts = [offset for _, _, offset in tokenize(text)]  # the last is the end of the text
+    starts = offsets(text)  # the last is the end of the text
     at = draw(st.lists(st.integers(0, len(starts) - 2), min_size=1, max_size=3, unique=True))
     for i in sorted(at, reverse=True):  # from the end, so earlier offsets stay put
         start, end = starts[i], starts[i + 1]  # a token and the blanks after it

@@ -32,13 +32,14 @@ from erdmc.formula import (
     parse_formula,
 )
 from erdmc.generator import random_model
-from erdmc.lexer import STRING, tokenize
+from erdmc.lexer import STRING
 from erdmc.model import AsciiRange, FuncBound, IntBound, Interval, NatRange
 from erdmc.parser import parse_model
 from erdmc.scheme import (
     EMDMScheme, InclusionConstraint, TupleConstraint, check_scheme, ref_constraint,
 )
 from erdmc.translator import translate
+from test_lexer import token_tuples
 from test_parser import _literal_patterns
 
 
@@ -122,7 +123,7 @@ def test_informal_text_is_escaped_the_way_the_lexer_reads_it():
     result = translate(parse_model(source))
     last = emit_text(result.scheme).splitlines()[-1]
     assert last == 'R03: informal "back\\\\slash \\"quoted\\" two\\nlines\\tand tab"'
-    assert [value for kind, value, _ in tokenize(last) if kind == STRING] == [informal]
+    assert [value for kind, value, _ in token_tuples(last) if kind == STRING] == [informal]
 
 
 def test_informal_line_breaks_print_as_u_escapes():
@@ -136,7 +137,7 @@ def test_informal_line_breaks_print_as_u_escapes():
     result = translate(parse_model(source))
     last = emit_text(result.scheme).splitlines()[-1]
     assert last == 'R03: informal "p\\u2028q\\u000br\\u0085s"'
-    assert [value for kind, value, _ in tokenize(last) if kind == STRING] == [informal]
+    assert [value for kind, value, _ in token_tuples(last) if kind == STRING] == [informal]
 
 
 # --- structured round-trip ---

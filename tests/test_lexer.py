@@ -16,16 +16,25 @@ from erdmc.lexer import (
     STRING,
     TokenStream,
     _unescape,
+    kind_of,
+    offsets,
     parse_error,
     quote_string,
     tokenize,
+    value_of,
 )
 from test_pinned_outputs import _write_model
 
 
+def token_tuples(text: str) -> list[tuple[str, str, int]]:
+    """Each token of *text* as its kind, its value and the offset where it starts."""
+    return [(kind_of(lexeme), value_of(lexeme), offset)
+            for lexeme, offset in zip(tokenize(text), offsets(text), strict=True)]
+
+
 def kinds(text: str) -> list[tuple[str, str, int, int]]:
     """Each token's kind and value, and the line and column of its offset."""
-    placed = [(t, parse_error(text, t[2], "")) for t in tokenize(text)]
+    placed = [(t, parse_error(text, t[2], "")) for t in token_tuples(text)]
     return [(*t[:2], at.line, at.column) for t, at in placed]
 
 
@@ -144,17 +153,15 @@ def test_quoted_strings_stay_on_one_line(s):
 
 
 def test_tokens_leave_the_collectors_books():
-    # The stream keeps str lexemes, which the collector never tracks; a token
-    # read from the view is an exact tuple of untracked values, so one
-    # collection stops tracking it.
-    fixture = Path(__file__).parent / "fixtures" / "teaching.erdm"
-    stream = TokenStream(fixture.read_text(encoding="utf-8"))
+    # The stream keeps str lexemes, and the offsets that place them are ints:
+    # the collector tracks neither.
+    text = (Path(__file__).parent / "fixtures" / "teaching.erdm").read_text(encoding="utf-8")
+    stream = TokenStream(text)
+    starts = offsets(text)
+    assert len(stream.lexemes) == len(starts) > 600
     assert {type(lexeme) for lexeme in stream.lexemes} == {str}
-    tokens = list(stream.tokens)
-    gc.collect()
-    assert len(tokens) > 600
-    assert {type(t) for t in tokens} == {tuple}
-    assert [t for t in tokens if gc.is_tracked(t)] == []
+    assert {type(start) for start in starts} == {int}
+    assert [x for x in [*stream.lexemes, *starts] if gc.is_tracked(x)] == []
 
 
 # --- a reference scanner: one match per token or run of blanks ---
@@ -232,7 +239,7 @@ _PIECES = [
     st.text(alphabet=sorted({c for piece in _PIECES for c in piece}), max_size=40),
 ))
 def test_tokenize_scans_as_the_reference_does(text):
-    assert scanned(tokenize, text) == scanned(reference_tokenize, text)
+    assert scanned(token_tuples, text) == scanned(reference_tokenize, text)
 
 
 def test_tokenize_scans_the_fixtures_and_generated_models_as_the_reference_does():
@@ -242,4 +249,4 @@ def test_tokenize_scans_the_fixtures_and_generated_models_as_the_reference_does(
              for name in ("teaching.erdm", "every_codomain.erdm")]
     texts += [write_model(random_model(seed)) for seed in range(100)]
     for text in texts:
-        assert tokenize(text) == reference_tokenize(text)
+        assert token_tuples(text) == reference_tokenize(text)

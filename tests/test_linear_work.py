@@ -41,9 +41,10 @@ import erdmc
 from erdmc.census import census
 from erdmc.cli import main
 from erdmc.generator import random_model, sized_model
-from erdmc.lexer import NAME, tokenize
+from erdmc.lexer import NAME
 from erdmc.model import ERModel
 from erdmc.parser import parse_model
+from test_lexer import token_tuples
 from test_pinned_outputs import SHAPES, _write_model
 
 ERDMC = Path(erdmc.__file__).parent
@@ -55,7 +56,7 @@ def union_source(models: list[ERModel]) -> str:
     Copy c (from 1) has each set name and its diagram name suffixed with
     ``_c``, and each restriction label ``Rk`` renumbered ``R(1000c + k)``, so
     labels keep the ``Rnn`` form that generated keys are numbered after.
-    The names are renamed at the offsets ``tokenize`` gives; string literals
+    The names are renamed at the offsets ``offsets`` gives; string literals
     and comments keep their text.
     """
     write_model = _write_model()
@@ -66,7 +67,7 @@ def union_source(models: list[ERModel]) -> str:
         renamed.update((r.label, f"R{1000 * c + int(r.label[1:])}") for r in model.restrictions)
         text = write_model(model)
         pieces, end = [], 0
-        for kind, value, offset in tokenize(text):
+        for kind, value, offset in token_tuples(text):
             if kind == NAME and value in renamed:
                 pieces += [text[end:offset], renamed[value]]
                 end = offset + len(value)

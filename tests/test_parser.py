@@ -10,7 +10,7 @@ import erdmc
 from erdmc.diagnostics import ParseFailure
 from erdmc.formula import parse_formula
 from erdmc.generator import random_model
-from erdmc.lexer import Tokens, tokenize
+from erdmc.lexer import tokenize
 from erdmc.model import (
     AsciiRange,
     DateBound,
@@ -334,7 +334,7 @@ def test_every_parse_error_literal_has_a_case():
 
 
 def test_a_parse_scans_once_and_reads_only_lexemes(monkeypatch, teaching_source):
-    """The front end's cost, by counts: one tokenize call per text, no token tuple built,
+    """The front end's cost, by counts: one tokenize call per text, no offsets found,
     and a stream of plain str lexemes."""
     texts = [teaching_source] + [_write_model()(random_model(seed)) for seed in range(50)]
     scans = []
@@ -343,13 +343,13 @@ def test_a_parse_scans_once_and_reads_only_lexemes(monkeypatch, teaching_source)
         scans.append(tokens := tokenize(text))
         return tokens
 
-    def no_tuples(self, index):
-        raise AssertionError("a parse built a (kind, value, offset) token")
+    def no_offsets(text):
+        raise AssertionError("a parse that reports no error placed its tokens")
 
     monkeypatch.setattr(erdmc.lexer, "tokenize", counted)
-    monkeypatch.setattr(Tokens, "__getitem__", no_tuples)
+    monkeypatch.setattr(erdmc.lexer, "offsets", no_offsets)
     for text in texts:
         parse_model(text)
     assert len(scans) == len(texts)
-    assert all(type(tokens.lexemes) is list for tokens in scans)
-    assert {type(lexeme) for tokens in scans for lexeme in tokens.lexemes} == {str}
+    assert all(type(tokens) is list for tokens in scans)
+    assert {type(lexeme) for tokens in scans for lexeme in tokens} == {str}

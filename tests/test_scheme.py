@@ -141,20 +141,26 @@ def test_no_two_keys_share_a_mapping_set(golden_scheme):
             seen.add(frozen)
 
 
-def test_set_index_keeps_first_match_through_add_and_remove():
+def test_set_finds_the_first_match_and_remove_sets_goes_by_identity():
     first, second, other = (EMDMSet("A", "entity-derived"), EMDMSet("A", "computed"),
                             EMDMSet("B", "entity-derived"))
     scheme = EMDMScheme(sets=[first])
-    assert scheme.set("A") is first  # built from a list given to the constructor
-    scheme.add_set(second)
-    scheme.add_set(other)
+    assert scheme.set("A") is first  # a list given to the constructor
+    scheme.sets += [second, other]
     assert scheme.sets == [first, second, other]
     assert scheme.set("A") is first and scheme.set("B") is other
     scheme.remove_sets([first])
     assert scheme.set("A") is second  # a duplicate name falls back to its next set
     scheme.remove_sets([second, other])
     assert scheme.set("A") is None and scheme.set("B") is None and scheme.sets == []
-    assert scheme == EMDMScheme() and "_by_name" not in repr(scheme)
+    assert scheme == EMDMScheme()
+
+
+def test_set_finds_a_set_renamed_in_place():
+    scheme = translate(parse_model("diagram D { entity A card 10 { attr v } }")).scheme
+    found = scheme.set("A")
+    found.name = "Z"
+    assert scheme.set("Z") is found and scheme.set("A") is None
 
 
 def test_remove_sets_removes_the_given_objects_not_equal_ones():
@@ -202,17 +208,17 @@ _SSN_DIFFER = Compare("<>", Apply("SSN", Var("x")), Apply("SSN", Var("y")))
 
 
 def _include_computed(scheme: EMDMScheme) -> None:
-    scheme.add_set(EMDMSet("V", sch.COMPUTED, computed_definition="all"))
+    scheme.sets.append(EMDMSet("V", sch.COMPUTED, computed_definition="all"))
     scheme.constraints.append(InclusionConstraint("V", "ROOMS"))
 
 
 # One mutation of the teaching scheme for each check_scheme code, with the
 # element its diagnostic names.
 CHECK_CASES = [
-    ("duplicate-set", "ROOMS", lambda m: m.add_set(copy.deepcopy(m.set("ROOMS")))),
+    ("duplicate-set", "ROOMS", lambda m: m.sets.append(copy.deepcopy(m.set("ROOMS")))),
     ("unknown-set-kind", "ROOMS", lambda m: setattr(m.set("ROOMS"), "kind", "zzz")),
-    ("missing-definition", "V", lambda m: m.add_set(EMDMSet("V", sch.COMPUTED))),
-    ("computed-set-structure", "V", lambda m: m.add_set(
+    ("missing-definition", "V", lambda m: m.sets.append(EMDMSet("V", sch.COMPUTED))),
+    ("computed-set-structure", "V", lambda m: m.sets.append(
         EMDMSet("V", sch.COMPUTED, keys=[Key("R90", ("a", "b"))], computed_definition="all"))),
     ("missing-identifier", "ROOMS",
      lambda m: setattr(m.set("ROOMS"), "object_identifier", None)),
@@ -253,11 +259,11 @@ CHECK_CASES = [
         Interval(IntBound(1), FuncBound("SysDate()\nB <-> NAT(1)")))),
     ("bad-range", "ROOMS.Room#", lambda m: setattr(
         _member(m, "ROOMS.Room#"), "codomain", Interval(IntBound(1), Pow10Bound(4300)))),
-    ("definition-line-break", "V", lambda m: m.add_set(
+    ("definition-line-break", "V", lambda m: m.sets.append(
         EMDMSet("V", sch.COMPUTED, computed_definition="all\nB\n  x <-> NAT(1), total"))),
     ("definition-line-break", "ROOMS.Room#",
      lambda m: setattr(_member(m, "ROOMS.Room#"), "computed_definition", "a\u2028b")),
-    ("definition-encoding", "V", lambda m: m.add_set(
+    ("definition-encoding", "V", lambda m: m.sets.append(
         EMDMSet("V", sch.COMPUTED, computed_definition="x\ud800y"))),
     ("role-signature", "SCHEDULES", lambda m: setattr(m.set("SCHEDULES"), "role_signature", ())),
     ("roles-on-entity", "ROOMS", lambda m: setattr(_member(m, "ROOMS.Room#"), "flavor", sch.ROLE)),
@@ -356,7 +362,7 @@ CHECK_CASES = [
     ("definition-encoding", "ROOMS.Room#",
      lambda m: setattr(_member(m, "ROOMS.Room#"), "computed_definition", 5)),
     ("definition-encoding", "V",
-     lambda m: m.add_set(EMDMSet("V", sch.COMPUTED, computed_definition=5))),
+     lambda m: m.sets.append(EMDMSet("V", sch.COMPUTED, computed_definition=5))),
     ("stray-provenance", "set:STUDENTS", lambda m: m.provenance.update({"set:STUDENTS": 5})),
     ("bad-name", "constraint:R37", lambda m: setattr(_constraint(m, "R37"), "formula", Forall(
         5, "SCHEDULES", Compare("<", Apply("StartH", Var(5)), Apply("EndH", Var(5)))))),
@@ -394,7 +400,7 @@ def test_check_scheme_names_the_element_of_each_code(golden_scheme, code, elemen
 
 
 def test_check_scheme_resolves_names_as_the_scheme_stands():
-    # A set renamed in place after add_set: EMDMScheme.set still finds it under its old name.
+    # A set renamed in place: references by its old name no longer resolve.
     scheme = translate(parse_model(
         "diagram D { entity A card 10 { attr v } entity B card 10 { attr w fn f -> A } }"
     )).scheme

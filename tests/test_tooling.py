@@ -159,3 +159,14 @@ def test_report_records_are_named_tuples():
             if isinstance(cls, ast.ClassDef) and cls.name in names:
                 found[cls.name] = [ast.unparse(base) for base in cls.bases]
     assert found == {name: ["NamedTuple"] for names in records.values() for name in names}
+
+
+# The lines of src/erdmc/*.py, blank lines and comments included, as `wc -l` counts them.
+SRC_LINES = 4213
+
+
+def test_src_holds_no_more_lines_than_recorded():
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in SRC.glob("*.py"))
+    assert lines <= SRC_LINES, (
+        f"src/erdmc holds {lines} lines, over the {SRC_LINES} recorded in SRC_LINES: a change "
+        "that needs the lines raises SRC_LINES and says why in CHANGES.md")
