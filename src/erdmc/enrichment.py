@@ -315,20 +315,14 @@ _LABEL = re.compile(r"R0*(\d+)")
 _RESTRICTION_LABEL = re.compile(rf"restriction:{_LABEL.pattern}(?:\[|\Z)")
 
 
-def _labels_in_use(scheme: EMDMScheme) -> set[int]:
-    """Numeric values of every Rnn label visible anywhere in the scheme."""
+def next_label(scheme: EMDMScheme) -> str:
+    """Continue numbering from the largest Rnn label visible anywhere in the scheme."""
     labels = [k.label for s in scheme.sets for k in s.keys]
     labels += [lbl for s in scheme.sets for m in s.mappings for lbl in m.source_labels.values()]
     labels += [c.label for c in scheme.constraints]
-    values = {int(m.group(1)) for m in map(_LABEL.fullmatch, filter(None, labels)) if m}
-    values.update(int(m.group(1))
-                  for m in map(_RESTRICTION_LABEL.match, scheme.provenance.values()) if m)
-    return values
-
-
-def next_label(scheme: EMDMScheme) -> str:
-    """Continue numbering from the largest Rnn label in use."""
-    used = _labels_in_use(scheme)
+    used = {int(m.group(1)) for m in map(_LABEL.fullmatch, filter(None, labels)) if m}
+    used.update(int(m.group(1))
+                for m in map(_RESTRICTION_LABEL.match, scheme.provenance.values()) if m)
     return f"R{(max(used) + 1 if used else 1):02d}"
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .lexer import EOF, GLYPH_OF, INT, NAME, PLAIN, STRING, TokenStream, quote_string, value_of
+from .lexer import GLYPH_OF, INT, NAME, PLAIN, STRING, TokenStream, quote_string, value_of
 
 # --- terms ---
 
@@ -86,7 +86,7 @@ def parse_formula(source: str) -> Formula:
     """
     stream = TokenStream(source)
     node = parse_formula_tokens(stream)
-    if not stream.at(EOF):
+    if stream.peek():
         raise stream.error(f"trailing input after formula: {value_of(stream.peek())!r}")
     return node
 

@@ -114,7 +114,7 @@ def random_model(
                     else RangeBody(a.name, AsciiRange(rng.choice((32, 64, 255))))
                 )
                 _restrict(restrictions, s.name, body)
-        members = s.member_names()
+        members = [m.name for m in s.members]
         if members and rng.random() < 0.7 and room_for_more():
             count = rng.randint(1, len(members))
             _restrict(restrictions, s.name, CompulsoryBody(tuple(rng.sample(members, count))))

@@ -80,7 +80,7 @@ _SHORT = rf"(?!\d{{{MAX_DIGITS + 1}}})"
 _TOKEN_RE = re.compile("(?:(" + "|".join([
     NAME_FORM,
     r"<->|->|=>|<=|>=|<>|[()\[\]{},:^.=<>&|!-]",
-    r'"[^"\\\n]*+(?:\\(?:u(?![Dd][89ABab])[0-9A-Fa-f]{4}|[^u\n])[^"\\\n]*+)*+"',
+    r'"[^"\\\n]*+(?:\\(?:u(?![Dd][89A-Fa-f])[0-9A-Fa-f]{4}|[^u\n])[^"\\\n]*+)*+"',
     rf"{_SHORT}\d++(?:/{_SHORT}\d++/{_SHORT}\d++|(?!/\d++/\d))",
 ]) + r")|\d++|.|\Z)" + _BLANKS)
 # A string literal, its escapes well formed or not. It ends at its line: a
@@ -189,10 +189,9 @@ def quote_string(text: str) -> str:
 
 
 class TokenStream:
-    """Cursor over the lexemes of *text*; it never moves past the final EOF lexeme "".
-
-    ``error`` places a failure at a position: ``pos``, the current token's, or ``last``,
-    the most recently consumed token's."""
+    """Cursor over the lexemes of *text*; it never moves past the final EOF lexeme "", the
+    only empty one, so ``not peek()`` is the end. ``error`` places a failure at a position:
+    ``pos``, the current token's, or ``last``, the most recently consumed token's."""
 
     def __init__(self, text: str):
         self.text = text
@@ -206,9 +205,6 @@ class TokenStream:
         if not ahead:
             return self.lexemes[self.pos]
         return self.lexemes[min(self.pos + ahead, len(self.lexemes) - 1)]
-
-    def at(self, kind: str) -> bool:
-        return kind_of(self.lexemes[self.pos]) == kind
 
     def accept(self, lexeme: str) -> bool:
         """Consume the current token if it is *lexeme*, a keyword or an operator."""

@@ -173,12 +173,9 @@ class ObjectSet:
     cardinality_pow10: int | None = None  # surface form of an inline cardinality
     computed_definition: str | None = None
 
-    def member_names(self) -> list[str]:
-        return (
-            [a.name for a in self.attributes]
-            + [r.name for r in self.roles]
-            + [f.name for f in self.structural_functions]
-        )
+    @property
+    def members(self) -> tuple[Member, ...]:
+        return (*self.attributes, *self.roles, *self.structural_functions)
 
 
 Member = Union[Attribute, Role, StructuralFunction]
@@ -256,21 +253,13 @@ class ERModel:
         return [s for d in self.diagrams for s in d.sets]
 
     def set(self, name: str) -> ObjectSet | None:
-        return self._sets_by_name.get(name)
+        return next((s for s in self.object_sets() if s.name == name), None)
 
     def restrictions_on(self, set_name: str) -> list[Restriction]:
         return list(self._restrictions_by_target.get(set_name, ()))
 
     # Indexes built on first use. They are not fields, so they take no part
     # in ==, hash or repr; the model is immutable, so they never go stale.
-
-    @cached_property
-    def _sets_by_name(self) -> dict[str, ObjectSet]:
-        """Each set name to the first set declared under it."""
-        index: dict[str, ObjectSet] = {}
-        for s in self.object_sets():
-            index.setdefault(s.name, s)
-        return index
 
     @cached_property
     def _restrictions_by_target(self) -> dict[str, list[Restriction]]:
@@ -300,15 +289,13 @@ def effective_cardinality(model: ERModel, s: ObjectSet) -> tuple[int | None, str
 
 
 def effective_range(model: ERModel, s: ObjectSet, attr: Attribute) -> tuple[Range | None, str | None]:
-    """Value range of an attribute and the source reference that supplied it."""
+    """Value range of an attribute, and the label of the range restriction that gave it, or None."""
     if (ranges := model._ranges.get(s.name)) is None:  # per set: one map of all measured slower
         ranges = model._ranges[s.name] = {r.body.attribute: r for r in reversed(
             model._restrictions_by_target.get(s.name, ())) if isinstance(r.body, RangeBody)}
     if (r := ranges.get(attr.name)) is not None:
-        return r.body.range, src_restriction(r.label)
-    if attr.range is not None:
-        return attr.range, src_attribute(s.name, attr.name)
-    return None, None
+        return r.body.range, r.label
+    return attr.range, None
 
 
 def effective_inclusions(model: ERModel, s: ObjectSet) -> list[tuple[str, str, str | None]]:
@@ -364,7 +351,8 @@ def source_universe(model: ERModel) -> set[str]:
 
 
 def validate_model(model: ERModel) -> Diagnostics:
-    """Structural validation; idempotent and side-effect free.
+    """Structural validation; idempotent and side-effect free. Set names resolve in the
+    map that the walk for duplicate names fills: the model keeps no other.
 
     translate refuses a model with any entry of error severity, but not only
     those: it resolves each formula on the scheme it builds, and may refuse
@@ -372,17 +360,16 @@ def validate_model(model: ERModel) -> Diagnostics:
     """
     errors = Diagnostics()
     err = errors.add
-    sets = model._sets_by_name
 
     # Each kind of declaration to its subjects, and each subject to the
     # sources that declared it: inline declarations first, then restrictions.
     declared: dict[str, dict] = {"range": {}, "cardinality": {}, "inclusion": {}, "key": {}}
-    names: set[str] = set()
+    sets: dict[str, ObjectSet] = {}  # each name to the first set declared under it
     for s in model.object_sets():
-        if s.name in names:
+        if s.name in sets:
             err("duplicate-set-name", s.name, f"object set {s.name!r} declared twice")
             continue
-        names.add(s.name)
+        sets[s.name] = s
         for sup in s.included_in:
             declared["inclusion"].setdefault((s.name, sup), []).append("(inline)")
         if s.max_cardinality is not None:
@@ -436,8 +423,7 @@ def validate_model(model: ERModel) -> Diagnostics:
 def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> dict[str, Member]:
     """Check *s*; return each of its member names to the first member under it."""
     members: dict[str, Member] = {}
-    declared = (*s.attributes, *s.roles, *s.structural_functions)
-    for m in declared:
+    for m in s.members:
         if m.name == OBJECT_IDENTIFIER:
             err(
                 "reserved-identifier",
@@ -447,7 +433,7 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> dict[str, Me
         if m.name in members:
             err("duplicate-member", f"{s.name}.{m.name}", f"member {m.name!r} declared twice on {s.name}")
         members.setdefault(m.name, m)
-    for m in declared:
+    for m in s.members:
         if collision := facet_of(m.name, members):
             owner, facet = collision
             err(
@@ -474,7 +460,7 @@ def _validate_set(s: ObjectSet, sets: dict[str, ObjectSet], err) -> dict[str, Me
             f"{s.kind} set {s.name} cannot carry a definition; only computed sets do")
 
     if s.kind == COMPUTED:
-        if s.attributes or s.roles or s.structural_functions or s.included_in:
+        if s.members or s.included_in:
             err(
                 "computed-set-structure",
                 s.name,

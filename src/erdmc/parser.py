@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .diagnostics import ParseError, ParseFailure
 from .formula import parse_formula_tokens
-from .lexer import DATE, EOF, INT, MAX_DIGITS, NAME, STRING, TokenStream
+from .lexer import DATE, INT, MAX_DIGITS, NAME, STRING, TokenStream
 from .model import (
     AsciiRange,
     Attribute,
@@ -82,7 +82,7 @@ def parse_model(source: str) -> ERModel:
     description: str | None = None
     errors: list[ParseError] = []
 
-    while not stream.at(EOF):
+    while stream.peek():
         try:
             statement = stream.take(_TOPLEVEL)
             if statement == "diagram":
@@ -227,7 +227,7 @@ def _parse_range(stream: TokenStream) -> Range:
             hi = _parse_bound(stream)
             stream.expect("]")
         except ParseFailure:
-            if stream.at(EOF):
+            if not stream.peek():
                 raise stream.error(
                     "unterminated range bracket", expected="]", at=opened
                 ) from None

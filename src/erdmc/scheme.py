@@ -176,9 +176,7 @@ def ref_owner(ref: str) -> str | None:
 
 
 def ref_constraint(c: Constraint) -> str:
-    if isinstance(c, InclusionConstraint):
-        if c.label:
-            return f"constraint:{c.label}"
+    if isinstance(c, InclusionConstraint) and not c.label:
         return f"constraint:inclusion:{c.subset}<={c.superset}"
     return f"constraint:{c.label}"
 

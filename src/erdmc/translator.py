@@ -108,10 +108,13 @@ class TranslationResult:
     model: ERModel
 
 
-def tallies_from_steps(steps: list[tuple[str, str, str]], compulsory_lines: int = 0) -> Tallies:
+def tallies_from_steps(steps: list[tuple[str, str, str]]) -> Tallies:
+    """The step log's tallies; compulsory_lines counts the restrictions of its compulsory steps."""
     logged = Counter(kind for kind, _, _ in steps)
     counts = {name: logged[kind] for name, (kind, _) in ELEMENT_CLASSES.items()}
-    return Tallies(compulsory_lines=compulsory_lines, **counts)
+    compulsory = ELEMENT_CLASSES["compulsory_members"][0]  # its sources read restriction:L[m]
+    lines = {source.partition("[")[0] for kind, source, _ in steps if kind == compulsory}
+    return Tallies(compulsory_lines=len(lines), **counts)
 
 
 # --- ordering ---
@@ -235,10 +238,7 @@ class Translator:
             check_constraint(sets, self.members, c, self.report.diagnostics.add)
         self._enrich()
 
-        compulsory_lines = sum(
-            1 for r in self.model.restrictions if isinstance(r.body, CompulsoryBody)
-        )
-        self.report.tallies = tallies_from_steps(self.report.steps, compulsory_lines)
+        self.report.tallies = tallies_from_steps(self.report.steps)
         scheme = None if self.report.diagnostics.errors else self.scheme
         return TranslationResult(scheme, self.report, self.model)
 
@@ -262,12 +262,11 @@ class Translator:
         target = EMDMSet(
             name=s.name, kind=kind,
             role_signature=tuple((role.name, role.target) for role in s.roles),
+            computed_definition=s.computed_definition,  # valid, so only a computed set holds one
         )
         self.scheme.sets.append(target)
         self._step(element_class, src_set(s.name), ref_set(s.name))
-        if s.kind == COMPUTED:
-            target.computed_definition = s.computed_definition
-        else:
+        if s.kind != COMPUTED:
             max_card, card_source = effective_cardinality(self.model, s)
             target.object_identifier = Mapping(
                 name=OBJECT_IDENTIFIER, codomain=NatRange(surrogate_digits(max_card)),
@@ -295,14 +294,15 @@ class Translator:
                        ref_mapping(s.name, fn.name))
 
         for attr in s.attributes:
-            rng, rng_source = effective_range(self.model, s, attr)  # a computed one has none
+            rng, label = effective_range(self.model, s, attr)  # a computed one has none
             mapping = Mapping(
                 name=attr.name, codomain=rng, flavor=sch.ATTRIBUTE,
                 computed_definition=attr.computed_definition,
             )
-            if rng_source is not None and rng_source.startswith("restriction:"):
-                mapping.source_labels["codomain"] = rng_source.split(":", 1)[1]
-                self.scheme.provenance[ref_mapping(s.name, attr.name, "codomain")] = rng_source
+            if label is not None:
+                mapping.source_labels["codomain"] = label
+                facet = ref_mapping(s.name, attr.name, "codomain")
+                self.scheme.provenance[facet] = src_restriction(label)
             target.mappings.append(mapping)
             self._step("attributes", src_attribute(s.name, attr.name),
                        ref_mapping(s.name, attr.name))

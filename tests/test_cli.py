@@ -405,6 +405,8 @@ def test_malformed_string_escapes_exit_2_with_their_position(tmp_path, capsys):
     for literal, line in [
         ('"p\\u00zz"', "2:39: malformed \\u escape (expected four hex digits naming "
                          "a character that is not a surrogate)"),
+        ('"p\\uDC00"', "2:39: malformed \\u escape (expected four hex digits naming "
+                         "a character that is not a surrogate)"),
         ('"p\\\nq"', "2:37: unterminated string literal"),
     ]:
         model.write_text(head + literal + "\n")
@@ -450,6 +452,45 @@ def test_identical_invocations_produce_identical_bytes(capsys):
     first = capsys.readouterr().out
     assert main(["translate", FIXTURE]) == 0
     assert capsys.readouterr().out == first
+
+
+# Run in a fresh interpreter: translate each model in process, then print one
+# sha256 over each run's exit code, stdout, stderr and both sidecar files.
+_TRANSLATE_DIGEST = """
+import contextlib, hashlib, io, sys
+from pathlib import Path
+from erdmc.cli import main
+h = hashlib.sha256()
+for source in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    files = [Path(source).with_suffix(suffix) for suffix in (".json", ".report.json")]
+    argv = ["translate", source, "--structured", str(files[0]), "--report", str(files[1])]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    for part in (str(code), out.getvalue(), err.getvalue()):
+        h.update(part.encode("utf-8", "surrogateescape"))
+    for f in files:
+        h.update(f.read_bytes())
+        f.unlink()
+print(h.hexdigest())
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    sources, write_model = [FIXTURE], _write_model()
+    for seed in range(5):
+        sources.append(str(tmp_path / f"random{seed}.erdm"))
+        Path(sources[-1]).write_text(write_model(random_model(seed)), encoding="utf-8")
+    path = [str(Path(erdmc.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    digests = set()
+    for hash_seed in ("0", "1"):
+        env = os.environ | {"PYTHONHASHSEED": hash_seed,
+                            "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        done = subprocess.run([sys.executable, "-c", _TRANSLATE_DIGEST, *sources],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.add(done.stdout)
+    assert len(digests) == 1
 
 
 def test_validate_clean_fixture(capsys):

@@ -222,8 +222,8 @@ _PIECES = [
     "a", "Room", "x_1", "forall", "7", "12", "1/2/2020", "3/4", "9" * (MAX_DIGITS + 1),
     "<->", "->", "=>", "<=", ">=", "<>", "<", ">", "-", "(", ")", "[", "]", "{", "}", ",",
     ":", "^", ".", "=", "&", "|", "!", '"ab"', '""', '"a\\"b"', '"\\n\\q"', '"\\u00e9"',
-    '"\\uzz"', '"\\ud800"', '"a\nb"', " ", "\t", "\r\n", "\n", "# note", "#", "Room#",
-    "a#b", '"', "\\", "$", "/", *_GLYPHS,
+    '"\\uzz"', '"\\ud800"', '"\\udc00"', '"\\uDFFF"', '"a\nb"', " ", "\t", "\r\n", "\n",
+    "# note", "#", "Room#", "a#b", '"', "\\", "$", "/", *_GLYPHS,
     # scanner boundary cases
     "1/2/3/4", "9" * MAX_DIGITS + "/", "1/2/" + "9" * (MAX_DIGITS + 1), '"a\\n"→', '→"\\u12"',
     'Room#"x"', "٣", "١٠", "٣" * (MAX_DIGITS + 1),

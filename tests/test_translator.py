@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from erdmc.translator import (
     TranslationOptions,
     TranslationResult,
     surrogate_digits,
+    tallies_from_steps,
     translate,
 )
 from test_model import VALIDATE_CASES
@@ -140,6 +142,27 @@ def test_golden_tallies_match_hand_census(teaching_model):
     result = translate(teaching_model)
     assert result.report.tallies == TEACHING_TALLIES
     assert len(result.report.steps) == TEACHING_TALLIES.total == 57
+
+
+def test_tallies_come_off_the_step_log():
+    fixtures = sorted((Path(__file__).parent / "fixtures").glob("*.erdm"))
+    models = [parse_model(path.read_text(encoding="utf-8")) for path in fixtures]
+    for model in models + [random_model(seed) for seed in range(100)]:
+        report = translate(model).report
+        assert report.tallies == tallies_from_steps(report.steps)
+
+
+def test_compulsory_lines_count_the_restrictions_the_step_log_holds():
+    result = translate(parse_model("diagram D { entity A card 10 { attr a attr b attr c } }\n"
+                                   "restriction R01 on A compulsory a, b, c\n"))
+    tallies = result.report.tallies
+    assert (tallies.compulsory_lines, tallies.compulsory_members) == (1, 3)
+    steps = [step for step in result.report.steps if not step[1].startswith("restriction:R01")]
+    result.report.steps = steps
+    result.report.tallies = tallies_from_steps(steps)
+    assert result.report.tallies.compulsory_lines == 0
+    linearity = verify_translation(result)["linearity"]
+    assert "compulsory_lines: 0 in the step tallies, 1 in the census" in linearity
 
 
 def test_each_element_contributes_exactly_one_step(teaching_model):
