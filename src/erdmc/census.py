@@ -26,6 +26,7 @@ from .model import (
     InclusionBody,
     OtherBody,
     UniquenessBody,
+    restriction_of,
     source_universe,
 )
 from .scheme import check_scheme
@@ -145,13 +146,8 @@ def verify_translation(result: TranslationResult) -> dict[str, list[str]]:
         completeness = [no_scheme]
     else:
         soundness = [d.render() for d in check_scheme(result.scheme)]
-        # A compulsory restriction covers its reference through one entry per
-        # member, so the part of a provenance value before each "[" is covered too.
-        covered = set(result.scheme.provenance.values())
-        for v in result.scheme.provenance.values():
-            while type(v) is str and (i := v.rfind("[")) >= 0:  # soundness flags any other
-                v = v[:i]
-                covered.add(v)
+        values = result.scheme.provenance.values()  # soundness flags any not a str
+        covered = {*values, *(restriction_of(v) for v in values if type(v) is str)}
         completeness = [
             f"{ref} has no provenance" for ref in sorted(source_universe(result.model) - covered)
         ]

@@ -334,6 +334,10 @@ def src_restriction(label: str, member: str | None = None) -> str:
     return f"restriction:{label}[{member}]" if member else f"restriction:{label}"
 
 
+def restriction_of(source: str) -> str:
+    return source.partition("[")[0]  # a member's restriction:L[m] covers restriction:L
+
+
 def source_universe(model: ERModel) -> set[str]:
     """Source references of every model element that must appear in provenance."""
     refs: set[str] = set()

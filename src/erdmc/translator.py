@@ -41,6 +41,7 @@ from .model import (
     effective_cardinality,
     effective_inclusions,
     effective_range,
+    restriction_of,
     src_attribute,
     src_function,
     src_restriction,
@@ -112,8 +113,8 @@ def tallies_from_steps(steps: list[tuple[str, str, str]]) -> Tallies:
     """The step log's tallies; compulsory_lines counts the restrictions of its compulsory steps."""
     logged = Counter(kind for kind, _, _ in steps)
     counts = {name: logged[kind] for name, (kind, _) in ELEMENT_CLASSES.items()}
-    compulsory = ELEMENT_CLASSES["compulsory_members"][0]  # its sources read restriction:L[m]
-    lines = {source.partition("[")[0] for kind, source, _ in steps if kind == compulsory}
+    compulsory = ELEMENT_CLASSES["compulsory_members"][0]
+    lines = {restriction_of(source) for kind, source, _ in steps if kind == compulsory}
     return Tallies(compulsory_lines=len(lines), **counts)
 
 
