@@ -174,8 +174,8 @@ def _write_output(path: str, text: str) -> None:
 
 
 def _print_diagnostics(result: TranslationResult) -> None:
-    for d in result.report.diagnostics:
-        print(d.render(), file=sys.stderr)
+    # One write: stderr is line-buffered, so a print per diagnostic costs a write per line.
+    sys.stderr.write("".join(f"{d.render()}\n" for d in result.report.diagnostics))
 
 
 def _stdin_prompter(question: Question) -> str | None:

@@ -49,15 +49,32 @@ def holds_surrogate(text: str) -> bool:
     return _SURROGATE_RE.search(text) is not None
 
 
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` for a class of plain fields and defaults, but its
+    ``__init__`` stores each field through the slot's descriptor, not through the slower
+    ``object.__setattr__`` of a frozen dataclass. Every parse and input default builds these."""
+    names = list(cls.__annotations__)
+    scope: dict[str, Any] = {}  # each field's setter, filled in once the slots exist
+    exec(f"def __init__(self, {', '.join(names)}):"
+         + "".join(f"\n _set_{n}(self, {n})" for n in names), scope)
+    init = cls.__init__ = scope["__init__"]  # in place before dataclass, which reads it for __doc__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls)) or None
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope.update({f"_set_{n}": getattr(cls, n).__set__ for n in names})
+    return cls
+
+
 # --- value ranges ---
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IntBound:
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Pow10Bound:
     """A power-of-ten literal, kept in its surface form (``10^4``)."""
 
@@ -68,7 +85,7 @@ class Pow10Bound:
         return 10 ** self.exponent
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DateBound:
     """A day/month/year literal, kept verbatim."""
 
@@ -80,7 +97,7 @@ class DateBound:
         return (y, m, d)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FuncBound:
     """An opaque function token such as a system-date call; never evaluated."""
 
@@ -90,18 +107,18 @@ class FuncBound:
 Bound = Union[IntBound, Pow10Bound, DateBound, FuncBound]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Interval:
     lo: Bound
     hi: Bound
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AsciiRange:
     length: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NatRange:
     digits: int
 
@@ -128,7 +145,7 @@ BOUND_FORMS: dict[type, tuple[str, Callable[[Any], bool]]] = {
 # --- diagram members ---
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Attribute:
     name: str
     range: Range | None = None
@@ -139,7 +156,7 @@ class Attribute:
         return self.computed_definition is not None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Role:
     """A canonical Cartesian projection from a relationship set to a participant."""
 
@@ -148,7 +165,7 @@ class Role:
     declared_unique: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StructuralFunction:
     """A functional arrow between object sets that is not an inclusion."""
 
@@ -161,7 +178,7 @@ class StructuralFunction:
         return self.computed_definition is not None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ObjectSet:
     name: str
     kind: str  # entity | relationship | computed
@@ -181,7 +198,7 @@ class ObjectSet:
 Member = Union[Attribute, Role, StructuralFunction]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Diagram:
     name: str
     sets: tuple[ObjectSet, ...] = ()
@@ -190,30 +207,30 @@ class Diagram:
 # --- restrictions ---
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InclusionBody:
     subset: str
     superset: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RangeBody:
     attribute: str  # bare name, resolved against the restriction target
     range: Range
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CardinalityBody:
     maximum: int
     pow10: int | None = None  # surface form when written as 10^n
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CompulsoryBody:
     mappings: tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UniquenessBody:
     mappings: tuple[str, ...]
 
@@ -222,7 +239,7 @@ class UniquenessBody:
         return len(self.mappings) == 1
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OtherBody:
     informal: str | None = None
     formal: Formula | None = None
@@ -233,7 +250,7 @@ RestrictionBody = Union[
 ]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Restriction:
     label: str
     target: str
@@ -382,7 +399,7 @@ def validate_model(model: ERModel) -> Diagnostics:
             if a.range is not None:
                 declared["range"].setdefault((s.name, a.name), []).append("(inline)")
     members: dict[str, dict[str, Member]] = {}  # of the first set under each name
-    for s in model.object_sets():
+    for s in {id(s): s for s in model.object_sets()}.values():  # each set object once
         members.setdefault(s.name, _validate_set(s, sets, err))
 
     labels: set[str] = set()

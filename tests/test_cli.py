@@ -119,6 +119,21 @@ def test_duplicate_set_name_exits_1_naming_the_set(tmp_path, capsys):
     ]
 
 
+def test_translate_writes_its_diagnostics_in_one_write(tmp_path, monkeypatch):
+    model = tmp_path / "m.erdm"
+    model.write_text("diagram D { entity A { attr a attr b } }\n")
+    writes = []
+
+    class Stderr:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["translate", str(model)]) == 0
+    assert len(writes) == 1 and writes[0].count("\n") == 5, writes
+
+
 def test_duplicate_restriction_label_exits_1_naming_the_label(tmp_path, capsys):
     model = tmp_path / "dup.erdm"
     model.write_text(

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -142,6 +145,21 @@ def test_reserved_identifier_name_is_rejected():
     assert any(e.code == "reserved-identifier" for e in validate_model(_single_set_model(s)).errors)
 
 
+def test_a_set_listed_twice_is_validated_once():
+    s = ObjectSet("A", "entity", attributes=(Attribute("x"),))
+    model = ERModel(diagrams=(Diagram("D", (s, s)),))
+    assert [d.render() for d in validate_model(model)] == [
+        "error: duplicate-set-name: object set 'A' declared twice [A]",
+        "error: reserved-identifier: 'x' is reserved for the object identifier [A.x]",
+    ]
+
+
+def test_each_of_two_sets_under_one_name_is_validated():
+    model = parse_model("diagram D { entity A { attr x } entity A { attr y attr y } }")
+    assert [(d.code, d.element) for d in validate_model(model)] == [
+        ("duplicate-set-name", "A"), ("reserved-identifier", "A.x"), ("duplicate-member", "A.y")]
+
+
 def test_tuple_formula_domain_must_match_target(teaching_model):
     r37 = _restriction(teaching_model, "R37")
     mismatched = Restriction("R99", "CLASSES", r37.body)
@@ -271,3 +289,51 @@ def test_every_validate_model_code_has_a_case():
     codes = set(re.findall(r'\berr\(\s*"([^"]+)"', source))
     assert len(codes) >= 20
     assert codes <= {code for code, _, _ in VALIDATE_CASES}
+
+
+# --- the record contract: @record builds what dataclass(frozen=True, slots=True) would ---
+
+RECORDS = [cls for cls in vars(erdmc.model).values()
+           if is_dataclass(cls) and cls.__module__ == erdmc.model.__name__ and "__slots__" in vars(cls)]
+
+
+def test_records_are_the_nineteen_slotted_model_classes():
+    assert len(RECORDS) == 19 and {IntBound, ObjectSet, Restriction} <= set(RECORDS)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_keeps_the_dataclass_contract(cls):
+    expected = [(f.name, inspect.Parameter.empty if f.default is MISSING else f.default, f.type)
+                for f in fields(cls)]
+    parameters = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.default, p.annotation) for p in parameters] == expected
+    assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    if cls.__doc__.startswith(f"{cls.__name__}("):  # dataclass's docstring for a class without one
+        assert cls.__doc__ == cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+    # Each field is stored through its slot, not through object.__setattr__.
+    assert "__setattr__" not in cls.__init__.__code__.co_names
+
+    values = [f"value {i}" for i in range(len(expected))]
+    record = cls(*values)
+    assert record == cls(**{name: v for (name, _, _), v in zip(expected, values)})
+    assert [getattr(record, name) for name, _, _ in expected] == values
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, expected[0][0], "other")
+    assert not hasattr(record, "__dict__")
+    for twin in (replace(record), copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert twin == record and twin is not record and hash(twin) == hash(record)
+    assert replace(record, **{expected[0][0]: "other"}) == cls("other", *values[1:])
+    assert cls.__match_args__ == tuple(name for name, _, _ in expected)
+    shown = ", ".join(f"{name}={v!r}" for (name, _, _), v in zip(expected, values))
+    assert repr(record) == f"{cls.__name__}({shown})"
+
+
+def test_records_of_one_field_value_stay_type_distinct():
+    assert AsciiRange(5) != NatRange(5) and IntBound(3) != Pow10Bound(3)
+
+
+def test_a_record_missing_an_argument_names_it():
+    with pytest.raises(TypeError) as raised:
+        Attribute()
+    assert str(raised.value) == (
+        "Attribute.__init__() missing 1 required positional argument: 'name'")

@@ -483,5 +483,5 @@ def test_validation_of_a_mutation_corpus_is_pinned():
             h.update(out.encode() + b"\0")
     assert (count, flagged) == (3100, 2955)
     assert h.hexdigest() == (
-        "ac798bc1a2a7c546583f9c0179b1979ddec514de06407b9008267040af85a7e1"
+        "924b5fd047093968175eb98a88064583fabca9a1231158d0553529b42fd3b5a0"
     )
