@@ -13,9 +13,10 @@ The counting conventions are :data:`CONVENTIONS`, which every report carries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from typing import TYPE_CHECKING
 
+from .diagnostics import record
 from .formula import quantifier_count
 from .model import (
     COMPUTED,
@@ -51,7 +52,7 @@ def _counted(step_kind: str, group: str) -> int:
     return field(default=0, metadata={"step_kind": step_kind, "group": group})
 
 
-@dataclass(frozen=True)
+@record
 class Tallies:
     entity_sets: int = _counted("entity-set", "sets_total")
     relationship_sets: int = _counted("relationship-set", "sets_total")
@@ -73,7 +74,7 @@ class Tallies:
 
     def as_dict(self) -> dict[str, int]:
         """The fields, then each group total, then the total."""
-        counts = vars(self)
+        counts = {f.name: getattr(self, f.name) for f in fields(self)}
         groups: dict[str, int] = {}
         for name, (_, group) in ELEMENT_CLASSES.items():
             groups[group] = groups.get(group, 0) + counts[name]

@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 
 from .census import verify_translation
-from .diagnostics import ParseFailure
+from .diagnostics import Diagnostic, ParseError, ParseFailure
 from .emitter import StructuredFormatError, emit_structured, emit_text, encode_report, read_json
 from .enrichment import Question
 from .generator import random_model
 from .model import ERModel, validate_model
 from .parser import parse_model
-from .translator import TranslationOptions, TranslationResult, translate
+from .translator import TranslationOptions, translate
 
 EXIT_OK = 0
 EXIT_TRANSLATION = 1
@@ -43,8 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ParseFailure as failure:
-        for error in failure.errors:
-            print(error.render(), file=sys.stderr)
+        _print_findings(failure.errors)
         return EXIT_PARSE
     except _CommandError as exc:
         print(exc, file=sys.stderr)
@@ -173,9 +172,9 @@ def _write_output(path: str, text: str) -> None:
         raise _CommandError(f"cannot write output: {path}: {exc.strerror or exc}") from exc
 
 
-def _print_diagnostics(result: TranslationResult) -> None:
-    # One write: stderr is line-buffered, so a print per diagnostic costs a write per line.
-    sys.stderr.write("".join(f"{d.render()}\n" for d in result.report.diagnostics))
+def _print_findings(findings: list[Diagnostic] | list[ParseError]) -> None:
+    # One write: stderr is line-buffered, so a print per finding costs a write per line.
+    sys.stderr.write("".join(f"{f.render()}\n" for f in findings))
 
 
 def _stdin_prompter(question: Question) -> str | None:
@@ -191,8 +190,7 @@ def _stdin_prompter(question: Question) -> str | None:
 
 
 def _cmd_translate(args) -> int:
-    source = _read_input(args.input)
-    model = parse_model(source)
+    model = parse_model(_read_input(args.input))
     answers = _read_answers(args.answers) if args.answers else None
     if args.interactive and args.input == "-":
         raise _CommandError("--interactive cannot read prompts while the model comes from stdin")
@@ -202,7 +200,7 @@ def _cmd_translate(args) -> int:
         prompter=_stdin_prompter if args.interactive else None,
     )
     result = translate(model, options)
-    _print_diagnostics(result)
+    _print_findings(result.report.diagnostics)
     report_text = encode_report(result.report) if args.report or args.structured else None
     if args.report:
         _write_output(args.report, report_text + "\n")
@@ -219,14 +217,10 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    source = _read_input(args.input)
-    model = parse_model(source)
-    issues = validate_model(model)
-    errors = issues.errors
-    for issue in issues:
-        print(issue.render(), file=sys.stderr)
-    print(f"{len(errors)} errors")
-    return EXIT_OK if not errors else EXIT_TRANSLATION
+    issues = validate_model(parse_model(_read_input(args.input)))
+    _print_findings(issues)
+    print(f"{len(issues.errors)} errors")
+    return EXIT_OK if not issues.errors else EXIT_TRANSLATION
 
 
 def _check_one(model: ERModel, options: TranslationOptions, heading: str) -> bool:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import MISSING, Field, dataclass
+from typing import Any, NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
@@ -50,7 +50,26 @@ class Diagnostics(list):
         return [d for d in self if d.is_error]
 
 
-@dataclass(frozen=True)
+def record(cls: type) -> type:
+    """``dataclass(frozen=True, slots=True)`` for a class of plain fields and defaults, but its
+    ``__init__`` stores each field through the slot's descriptor, not through the slower
+    ``object.__setattr__`` of a frozen dataclass. Every parse and input default builds these."""
+    names = list(cls.__annotations__)
+    scope: dict[str, Any] = {}  # each field's setter, filled in once the slots exist
+    exec(f"def __init__(self, {', '.join(names)}):"
+         + "".join(f"\n _set_{n}(self, {n})" for n in names), scope)
+    init = cls.__init__ = scope["__init__"]  # in place before dataclass, which reads it for __doc__
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    declared = (vars(cls).get(n, MISSING) for n in names)  # a value, or a field(default=...)
+    defaults = (d.default if isinstance(d, Field) else d for d in declared)
+    init.__defaults__ = tuple(d for d in defaults if d is not MISSING) or None
+    init.__annotations__ = {**cls.__annotations__, "return": None}
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope.update({f"_set_{n}": getattr(cls, n).__set__ for n in names})
+    return cls
+
+
+@record
 class ParseError:
     """A syntax problem with a 1-based source position."""
 

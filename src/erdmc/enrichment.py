@@ -104,20 +104,20 @@ Prompter = Callable[[Question], "str | None"]
 Answers = MappingType[str, MappingType[str, "str | None"]]
 
 
-@dataclass
+@dataclass(slots=True)
 class EnrichmentLog:
     """Where the rules ask their questions and record their firings.
 
     It holds the scripted *answers*, the *prompter*, and the lists that
     questions, actions and diagnostics land in, in the order they happen.
-    The translator builds one over its report's own lists.
+    The translator's report holds these lists.
     """
 
     answers: Answers | None = None
     prompter: Prompter | None = None
-    actions: list[EnrichmentAction] = field(default_factory=list)
-    diagnostics: Diagnostics = field(default_factory=Diagnostics)
-    pending: list[PendingQuestion] = field(default_factory=list)
+    actions: list[EnrichmentAction] = field(default_factory=list, init=False)
+    diagnostics: Diagnostics = field(default_factory=Diagnostics, init=False)
+    pending: list[PendingQuestion] = field(default_factory=list, init=False)
 
     def ask(self, subject: str, kind: str, prompt: str) -> str | None:
         """Look up a scripted answer, fall back to an interactive prompt.
@@ -145,7 +145,7 @@ class EnrichmentLog:
         self.diagnostics.add(code, element, message, severity)
 
 
-@dataclass
+@dataclass(slots=True)
 class InputDefaultsResult:
     model: ERModel
     diagnostics: Diagnostics
@@ -182,10 +182,8 @@ def apply_input_defaults(
             r = Restriction(r.label, r.target, CardinalityBody(dbms_max_cardinality, None))
         restrictions.append(r)
 
-    return InputDefaultsResult(
-        ERModel(tuple(diagrams), tuple(restrictions), model.description),
-        log.diagnostics, log.actions, log.pending,
-    )
+    repaired = ERModel(tuple(diagrams), tuple(restrictions), model.description)
+    return InputDefaultsResult(repaired, log.diagnostics, log.actions, log.pending)
 
 
 def _default_one_set(
@@ -452,7 +450,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     the collapse removes, one whose home is a computed set, and one whose
     new mapping's name would read as a facet of a member of its home.
 
-    At the first collapse the provenance references are grouped by owning
+    At the first candidate the provenance references are grouped by owning
     set, and each collapse moves its relationship's group. The groups stay
     complete: rule (v) has already run, and a collapse records only under
     its home, which then holds a third mapping and so never collapses.
@@ -461,7 +459,7 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
     """
     sets = {s.name: s for s in reversed(scheme.sets)}  # the first of a name wins
     references: Counter[str] | None = None  # counted at the first candidate
-    owned: dict[str, list[str]] | None = None  # grouped at the first collapse
+    owned: dict[str, list[str]] = {}  # grouped at the first candidate too
     names: dict[str, set[str]] = {}  # each home's mapping names, from its first collapse on
     gone: list[EMDMSet] = []
 
@@ -480,6 +478,9 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
             continue
         if references is None:
             references = _reference_counts(scheme)
+            for ref in scheme.provenance:
+                if (owner := ref_owner(ref)) is not None:
+                    owned.setdefault(owner, []).append(ref)
         if references[s.name]:
             log.diagnostics.add("collapse-skipped", s.name, f"{s.name} has a unique role but "
                                 "is referenced elsewhere; left as a relationship", WARNING)
@@ -529,11 +530,6 @@ def collapse_binary_relationships(scheme: EMDMScheme, log: EnrichmentLog) -> Non
         if clash:
             log.diagnostics.add("name-clash", f"{home.name}.{name}", f"{home.name} already has a "
                                 f"mapping named {s.name}; using {name}", WARNING)
-        if owned is None:
-            owned = {}
-            for ref in scheme.provenance:
-                if (owner := ref_owner(ref)) is not None:
-                    owned.setdefault(owner, []).append(ref)
         _collapse(scheme, s, home, name, source_role, target_role, one_to_one,
                   owned.pop(s.name, []))
         taken.add(name)

@@ -16,26 +16,26 @@ every recursive walk over a formula far inside Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from .diagnostics import record
 from .lexer import GLYPH_OF, INT, NAME, PLAIN, STRING, TokenStream, quote_string, value_of
 
 # --- terms ---
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Apply:
     mapping: str
     argument: "Term"
 
 
-@dataclass(frozen=True)
+@record
 class Literal:
     value: int | str
 
@@ -45,26 +45,26 @@ Term = Union[Var, Apply, Literal]
 # --- formulas ---
 
 
-@dataclass(frozen=True)
+@record
 class Compare:
     op: str  # one of = <> < <= > >=
     lhs: Term
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Binary:
     op: str  # one of & | =>
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     variable: str
     domain: str

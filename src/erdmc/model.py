@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Union
 
-from .diagnostics import WARNING, Diagnostics
+from .diagnostics import WARNING, Diagnostics, record
 from .formula import Formula, quantifier_domains
 from .lexer import DATE_FORM, MAX_DIGITS, NAME_FORM, is_integer
 
@@ -47,23 +47,6 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 def holds_surrogate(text: str) -> bool:
     """True iff *text* holds a surrogate code point, which UTF-8 cannot encode."""
     return _SURROGATE_RE.search(text) is not None
-
-
-def record(cls: type) -> type:
-    """``dataclass(frozen=True, slots=True)`` for a class of plain fields and defaults, but its
-    ``__init__`` stores each field through the slot's descriptor, not through the slower
-    ``object.__setattr__`` of a frozen dataclass. Every parse and input default builds these."""
-    names = list(cls.__annotations__)
-    scope: dict[str, Any] = {}  # each field's setter, filled in once the slots exist
-    exec(f"def __init__(self, {', '.join(names)}):"
-         + "".join(f"\n _set_{n}(self, {n})" for n in names), scope)
-    init = cls.__init__ = scope["__init__"]  # in place before dataclass, which reads it for __doc__
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls)) or None
-    init.__annotations__ = {**cls.__annotations__, "return": None}
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    scope.update({f"_set_{n}": getattr(cls, n).__set__ for n in names})
-    return cls
 
 
 # --- value ranges ---

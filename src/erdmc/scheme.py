@@ -51,7 +51,7 @@ MAPPING_FLAVORS = (ATTRIBUTE, ROLE, STRUCTURAL_FUNCTION, GENERATED)
 ENRICHMENT_PREFIX = "enrichment:"
 
 
-@dataclass
+@dataclass(slots=True)
 class Mapping:
     """A function from the scheme set that holds it into a value range or another set."""
 
@@ -66,7 +66,7 @@ class Mapping:
     source_labels: dict[str, str] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Key:
     """A minimal-uniqueness constraint over two or more mappings."""
 
@@ -75,7 +75,7 @@ class Key:
     implicit: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class EMDMSet:
     name: str
     kind: str
@@ -97,14 +97,14 @@ class EMDMSet:
         return [m for m in self.mappings if m.flavor == ROLE]
 
 
-@dataclass
+@dataclass(slots=True)
 class InclusionConstraint:
     subset: str
     superset: str
     label: str | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TupleConstraint:
     """A single-variable check constraint living inside its set's block."""
 
@@ -113,7 +113,7 @@ class TupleConstraint:
     formula: Formula
 
 
-@dataclass
+@dataclass(slots=True)
 class NonrelationalConstraint:
     """A multi-variable business rule, possibly not yet formalized."""
 
@@ -125,7 +125,7 @@ class NonrelationalConstraint:
 Constraint = InclusionConstraint | TupleConstraint | NonrelationalConstraint
 
 
-@dataclass
+@dataclass(slots=True)
 class EMDMScheme:
     """Sets in emit order, constraints, and the provenance map: plain data, which the
     translator and the enrichment rules change in place."""
@@ -395,10 +395,15 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
             if len(k.mappings) < 2:
                 bad("singleton-key", element,
                     "single-mapping uniqueness is a mapping flag, not a key")
+            listed: set[str] = set()
             for name in k.mappings:
                 if type(name) is not str or name not in own:
                     bad("unresolved-key-mapping", element,
                         f"key {k.label} names unknown mapping {name!r}")
+                elif name in listed:
+                    bad("duplicate-member", element, f"key {k.label} lists {name!r} twice")
+                else:
+                    listed.add(name)
             if all(type(name) is str for name in k.mappings):  # no other value is hashed
                 mapping_set = frozenset(k.mappings)
                 if mapping_set in seen_key_sets:
@@ -411,9 +416,14 @@ def check_scheme(scheme: EMDMScheme) -> Diagnostics:
                     f"key {k.label} implicit flag disagrees with the full-role-set rule")
             check_name(k.label, element, seen_labels, None, "duplicate-label", ("label ", " reused"))
 
+    inclusions: set[tuple[str, str]] = set()
     for c in scheme.constraints:
         refs.append(ref_constraint(c))
         check_constraint(sets, members, c, bad)
+        if isinstance(c, InclusionConstraint) and type(c.subset) is type(c.superset) is str:
+            if (c.subset, c.superset) in inclusions:
+                bad("duplicate-inclusion", refs[-1], f"{c.subset} is included in {c.superset} twice")
+            inclusions.add((c.subset, c.superset))
         if c.label is not None:
             check_name(c.label, f"constraint:{c.label}", seen_labels, None, "duplicate-label",
                        ("label ", " reused"))

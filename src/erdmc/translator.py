@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .census import ELEMENT_CLASSES, Tallies
-from .diagnostics import WARNING, Diagnostics, ParseFailure
+from .diagnostics import WARNING, Diagnostics, ParseFailure, record
 from .enrichment import (
     Answers,
     EnrichmentAction,
@@ -70,7 +70,7 @@ from .scheme import (
 )
 
 
-@dataclass(frozen=True)
+@record
 class TranslationOptions:
     """How to translate; the translator prompts only when *prompter* is given."""
 
@@ -86,7 +86,7 @@ class ImplicitKeyNote(NamedTuple):
     origin: str  # "declared-absorbed" | "generated"
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationReport:
     steps: list[tuple[str, str, str]] = field(default_factory=list)  # (kind, source, produced)
     tallies: Tallies | None = None
@@ -96,7 +96,7 @@ class TranslationReport:
     enrichment_actions: list[EnrichmentAction] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationResult:
     """A translation and what it translated.
 
@@ -189,16 +189,12 @@ class Translator:
         self.options = options or TranslationOptions()
         self.model = model
         self.scheme = EMDMScheme()
-        self.report = TranslationReport()
         self.members: dict[str, dict[str, Mapping]] = {}  # each set's members by name, as translated
         # Questions and firings of every rule, and the formalization
         # questions, go straight into the report in the order they happen.
-        self.log = EnrichmentLog(
-            self.options.answers, self.options.prompter,
-            actions=self.report.enrichment_actions,
-            diagnostics=self.report.diagnostics,
-            pending=self.report.pending_questions,
-        )
+        log = self.log = EnrichmentLog(self.options.answers, self.options.prompter)
+        self.report = TranslationReport(diagnostics=log.diagnostics,
+                                        pending_questions=log.pending, enrichment_actions=log.actions)
 
     # -- plumbing --
 

@@ -120,8 +120,15 @@ def test_duplicate_set_name_exits_1_naming_the_set(tmp_path, capsys):
 
 
 def test_translate_writes_its_diagnostics_in_one_write(tmp_path, monkeypatch):
-    model = tmp_path / "m.erdm"
-    model.write_text("diagram D { entity A { attr a attr b } }\n")
+    # So does validate, and so does a parse failure: each list of findings is one write.
+    translated, invalid, unparsable = (tmp_path / name for name in ("m.erdm", "v.erdm", "p.erdm"))
+    translated.write_text("diagram D { entity A { attr a attr b } }\n")
+    invalid.write_text("diagram D { entity A { attr a } entity A { attr b } }\n"
+                       "restriction R01 on A compulsory a\n"
+                       "restriction R01 on A compulsory z\n")
+    unparsable.write_text("diagram D { entity A { attr a attr } }\n"
+                          "restriction R01 on A compulsory\n"
+                          "restriction R02 on A bogus\n")
     writes = []
 
     class Stderr:
@@ -130,8 +137,12 @@ def test_translate_writes_its_diagnostics_in_one_write(tmp_path, monkeypatch):
             return len(text)
 
     monkeypatch.setattr(sys, "stderr", Stderr())
-    assert main(["translate", str(model)]) == 0
-    assert len(writes) == 1 and writes[0].count("\n") == 5, writes
+    for command, path, code, lines in (("translate", translated, 0, 5),
+                                       ("validate", invalid, 1, 3),
+                                       ("translate", unparsable, 2, 2)):
+        writes.clear()
+        assert main([command, str(path)]) == code
+        assert len(writes) == 1 and writes[0].count("\n") == lines, writes
 
 
 def test_duplicate_restriction_label_exits_1_naming_the_label(tmp_path, capsys):

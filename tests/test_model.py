@@ -1,16 +1,20 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import inspect
 import pickle
 import re
 from collections import Counter
-from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
 
 import erdmc.model
+from erdmc.census import Tallies
+from erdmc.diagnostics import ParseError, record
+from erdmc.formula import Compare, Var
 from erdmc.model import (
     AsciiRange,
     Attribute,
@@ -35,6 +39,7 @@ from erdmc.model import (
     validate_model,
 )
 from erdmc.parser import parse_model
+from erdmc.translator import TranslationOptions
 
 
 def test_teaching_model_validates_clean(teaching_model):
@@ -293,12 +298,18 @@ def test_every_validate_model_code_has_a_case():
 
 # --- the record contract: @record builds what dataclass(frozen=True, slots=True) would ---
 
-RECORDS = [cls for cls in vars(erdmc.model).values()
-           if is_dataclass(cls) and cls.__module__ == erdmc.model.__name__ and "__slots__" in vars(cls)]
+# Each module of src/ by its own name: the package's erdmc.census is the function.
+MODULES = [importlib.import_module(f"erdmc.{path.stem}")
+           for path in sorted(Path(erdmc.model.__file__).parent.glob("*.py"))
+           if path.stem != "__main__"]
+RECORDS = [cls for module in MODULES for cls in vars(module).values()
+           if is_dataclass(cls) and cls.__module__ == module.__name__
+           and cls.__dataclass_params__.frozen and "__slots__" in vars(cls)]
 
 
-def test_records_are_the_nineteen_slotted_model_classes():
-    assert len(RECORDS) == 19 and {IntBound, ObjectSet, Restriction} <= set(RECORDS)
+def test_records_are_the_twenty_nine_frozen_slotted_classes_of_src():
+    assert len(RECORDS) == 29 and {IntBound, ObjectSet, Restriction, Var, Compare, ParseError,
+                                   TranslationOptions, Tallies} <= set(RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -330,6 +341,23 @@ def test_record_keeps_the_dataclass_contract(cls):
 
 def test_records_of_one_field_value_stay_type_distinct():
     assert AsciiRange(5) != NatRange(5) and IntBound(3) != Pow10Bound(3)
+
+
+def test_a_record_takes_the_default_of_a_field_declaration():
+    @record
+    class Spanned:
+        name: str
+        note: str = field(compare=False)
+        span: tuple[int, int] | None = field(default=None, compare=False)
+
+    parameters = inspect.signature(Spanned).parameters.values()
+    assert [(p.name, p.default) for p in parameters] == [
+        ("name", inspect.Parameter.empty), ("note", inspect.Parameter.empty), ("span", None)]
+    assert Spanned("a", "n").span is None
+    assert Spanned("a", "n", (1, 2)) == Spanned("a", "m")
+    assert hash(Spanned("a", "n", (1, 2))) == hash(Spanned("a", "m"))
+    assert "__setattr__" not in Spanned.__init__.__code__.co_names
+    assert Tallies().as_dict()["total"] == 0 and Tallies(roles=2).as_dict()["mappings_total"] == 2
 
 
 def test_a_record_missing_an_argument_names_it():

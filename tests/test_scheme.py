@@ -204,6 +204,14 @@ def _r41(body) -> Callable[[EMDMScheme], None]:
                              Forall("x", "STUDENTS", Forall("y", "TEACHERS", body)))
 
 
+def _r41_informal(informal) -> Callable[[EMDMScheme], None]:
+    """R41 with no formula and *informal* as its text."""
+    def mutate(scheme: EMDMScheme) -> None:
+        r41 = _constraint(scheme, "R41")
+        r41.formula, r41.informal = None, informal
+    return mutate
+
+
 _SSN_DIFFER = Compare("<>", Apply("SSN", Var("x")), Apply("SSN", Var("y")))
 
 
@@ -272,6 +280,8 @@ CHECK_CASES = [
      lambda m: m.set("SCHEDULES").keys.append(Key("R90", ("Weekday", "Nope")))),
     ("duplicate-key", "SCHEDULES.R90",
      lambda m: m.set("SCHEDULES").keys.append(Key("R90", ("StartH", "Weekday", "Room")))),
+    ("duplicate-member", "SCHEDULES.R33",
+     lambda m: setattr(m.set("SCHEDULES").keys[0], "mappings", ("Room", "Weekday", "Room"))),
     ("implicit-flag", "SCHEDULES.R33",
      lambda m: setattr(m.set("SCHEDULES").keys[0], "implicit", True)),
     ("bad-name", "SCHEDULES.",
@@ -282,6 +292,11 @@ CHECK_CASES = [
      lambda m: m.constraints.append(InclusionConstraint("ROOMS", "ROOMS"))),
     ("unresolved-inclusion", "constraint:inclusion:ROOMS<=NOPE",
      lambda m: m.constraints.append(InclusionConstraint("ROOMS", "NOPE"))),
+    ("duplicate-inclusion", "constraint:inclusion:TEACHERS<=STUDENTS", lambda m: m.constraints.extend(
+        [InclusionConstraint("TEACHERS", "STUDENTS"), InclusionConstraint("TEACHERS", "STUDENTS")])),
+    # a label does not make a second inclusion of the same sets another constraint
+    ("duplicate-inclusion", "constraint:R90", lambda m: m.constraints.extend(
+        [InclusionConstraint("TEACHERS", "STUDENTS"), InclusionConstraint("TEACHERS", "STUDENTS", "R90")])),
     ("unresolved-set", "constraint:R37",
      lambda m: setattr(_constraint(m, "R37"), "set_name", "NOPE")),
     ("restriction-on-computed-set", "constraint:R37",
@@ -295,7 +310,7 @@ CHECK_CASES = [
         _constraint(m, "R41"), "formula",
         parse_formula("(forall x in STUDENTS)(forall y in TEACHERS)(Nope(x) <> SSN(y))"))),
     ("empty-constraint", "constraint:R41",
-     lambda m: vars(_constraint(m, "R41")).update(formula=None, informal=None)),
+     _r41_informal(None)),
     ("nonrelational-arity", "constraint:R41",
      lambda m: setattr(_constraint(m, "R41"), "formula", _constraint(m, "R37").formula)),
     ("bad-name", "ROOMS\nB", lambda m: setattr(m.set("ROOMS"), "name", "ROOMS\nB")),
@@ -340,7 +355,7 @@ CHECK_CASES = [
     ("bad-formula", "constraint:R41",
      _r41(Compare("<>", Apply("SSN", Var("x")), Literal("z\ud800")))),
     ("informal-encoding", "constraint:R41",
-     lambda m: vars(_constraint(m, "R41")).update(formula=None, informal="x\ud800y")),
+     _r41_informal("x\ud800y")),
     # integers longer than the text reader reads, which str() would refuse to print
     ("bad-range", "SCHEDULES.Room",
      _codomain("SCHEDULES.Room", Interval(IntBound(1), IntBound(10 ** 4300)))),
